@@ -10,8 +10,6 @@ simulate    seeded Monte Carlo path generation with common-random-number replay
 payoffs     Laplace payoff kernels, damping strips, quadrature contours
 gbm         bivariate lognormal benchmark analytics (Genz CDF, quadrant prices)
 hedging     Fourier pricing, dynamic hedge ratios, covariance-swap systems
-static_opt  outer quadratic problem, greedy selection, instrument families
-cli         experiment harness and the `covhedge` command line tool
 """
 
 __version__ = "0.1.0"

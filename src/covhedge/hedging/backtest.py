@@ -183,22 +183,23 @@ class FourierHedge:
             self._gw = wk[..., None] * gv
             self._jump_cov = None
         else:
-            k_steps, m_nodes = wk.shape
             d = params.d
-            jv = np.empty((k_steps, m_nodes, d), dtype=complex)
-            rho = params.leverage_diag
-            taus_done: dict[int, None] = {}
-            ru_all = cache.psi + (np.eye(d) * (rho * u)[:, None, :])[None]
-            for k in range(k_steps):
-                for m in range(m_nodes):
-                    if not cache.valid[k, m]:
-                        jv[k, m] = 0.0
-                        continue
-                    ev = transforms.TransformEval(
-                        tau=0.0, u=u[m], phi=0.0j, psi=ru_all[k, m]
-                        - np.eye(d) * 0.0, valid=True)
-                    jv[k, m] = _bns_jump_cross_from_r(params, ru_all[k, m])
-            del taus_done
+            theta, shape = params.wishart_scale, params.wishart_shape
+            marks = np.zeros((d, d, d))                  # rho_k E^kk per asset
+            idx = np.arange(d)
+            marks[idx, idx, idx] = params.leverage_diag
+            # R(u) = psi + Diag(rho * u) on the whole (K, M) lattice
+            lev = np.eye(d) * (params.leverage_diag * u)[:, None, :]
+            r_u = cache.psi + lev
+            m_u, ok = models.wishart_mgf(theta, shape, r_u)
+            m_uk, ok_k = models.wishart_mgf(theta, shape,
+                                            r_u[..., None, :, :] + marks)
+            m_k, _ = models.wishart_mgf(theta, shape, marks)
+            if np.any(cache.valid & ~(ok & np.all(ok_k, axis=-1))):
+                raise ValueError("claim transform node leaves the mark strip")
+            # lam * E[(e^{rho_k X_kk} - 1)(e^{Tr(R X)} - 1)] per asset k
+            jv = np.where(cache.valid[..., None], params.jump_intensity
+                          * (m_uk - m_u[..., None] - m_k + 1.0), 0.0)
             self._uw = wk[..., None] * u[None]           # (K, M, d)
             self._jw = wk[..., None] * jv                # (K, M, d)
             self._jump_cov = bns_jump_cov(params)
@@ -224,28 +225,6 @@ class FourierHedge:
         out = np.zeros_like(spot)
         out[:, m] = cross[:, m] / (spot[:, m] * xi[:, m, m])
         return out
-
-
-def _bns_jump_cross_from_r(params: models.BnsParams,
-                           r_u: np.ndarray) -> np.ndarray:
-    """lam * E[(e^{rho_k X_kk} - 1)(e^{Tr(R X)} - 1)] per asset k."""
-    d = params.d
-    lam = params.jump_intensity
-    theta = params.wishart_scale
-    n = params.wishart_shape
-    m_u, ok = models.wishart_mgf(theta, n, r_u)
-    if not ok:
-        raise ValueError("claim transform node leaves the mark strip")
-    out = np.empty(d, dtype=complex)
-    for k in range(d):
-        r_k = np.zeros((d, d))
-        r_k[k, k] = params.leverage_diag[k]
-        m_uk, ok1 = models.wishart_mgf(theta, n, r_u + r_k)
-        m_k, ok2 = models.wishart_mgf(theta, n, r_k)
-        if not (ok1 and ok2):
-            raise ValueError("claim transform node leaves the mark strip")
-        out[k] = lam * (m_uk - m_u - m_k + 1.0)
-    return out
 
 
 class GbmDeltaHedge:

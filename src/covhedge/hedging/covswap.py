@@ -29,45 +29,7 @@ __all__ = [
     "covswap_payoff",
     "wasc_covswap_variance",
     "wishart_pair_mean",
-    "wishart_pair_square",
-    "wishart_pair_trace_cross",
-    "wishart_trace_square",
 ]
-
-
-def _lift_flows(lift: np.ndarray, deltas: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(lift * delta), its time integral, and the double time integral,
-    batched over deltas.  Power series with scaling and squaring, so large
-    mean-reversion norms stay accurate."""
-    n = lift.shape[0]
-    deltas = np.asarray(deltas, dtype=float)
-    dmax = float(deltas.max(initial=0.0))
-    nrm = np.linalg.norm(lift, np.inf) * dmax
-    doublings = max(0, int(np.ceil(np.log2(max(nrm, 1e-300))))) if nrm > 1 \
-        else 0
-    scaled = deltas / (2.0 ** doublings)
-
-    eye = np.eye(n)
-    flow = np.zeros(deltas.shape + (n, n))
-    int1 = np.zeros_like(flow)
-    int2 = np.zeros_like(flow)
-    ej = eye.copy()                       # lift^j / j!
-    tp = np.ones_like(scaled)             # delta^j
-    for j in range(30):
-        flow += tp[..., None, None] * ej
-        int1 += (tp * scaled)[..., None, None] * (ej / (j + 1))
-        int2 += (tp * scaled * scaled)[..., None, None] * (
-            ej / ((j + 1) * (j + 2)))
-        ej = ej @ lift / (j + 1)
-        tp = tp * scaled
-    for _ in range(doublings):
-        step = scaled[..., None, None]
-        int2 = int2 + step * int1 + flow @ int2
-        int1 = int1 + flow @ int1
-        flow = flow @ flow
-        scaled = 2.0 * scaled
-    return flow, int1, int2
 
 
 def _pair_matrix(d: int, pair: tuple[int, int]) -> np.ndarray:
@@ -112,7 +74,7 @@ def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
     times = _time_grid(horizon, n_steps)
     e_pair = _pair_matrix(params.d, pair)
     lift = matcalc.kron_lift(params.mean_rev)
-    _, int1, int2 = _lift_flows(lift, horizon - times)
+    _, int1, int2 = matcalc.lift_flows(lift, horizon - times)
     g_mats = np.array([matcalc.mat(a.T @ matcalc.vec(e_pair)) for a in int1])
     c_vals = np.einsum("a,kab,b->k", matcalc.vec(e_pair), int2,
                        matcalc.vec(params.omega))
@@ -125,39 +87,12 @@ def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Wishart mark moments (used by the jump model's swap coefficients and by
-# the moment tests); n is the shape, theta the scale matrix
+# Wishart mark moments (used by the jump model's swap coefficients); n is
+# the shape, theta the scale matrix
 # ---------------------------------------------------------------------------
 
 def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int) -> float:
     return n * n * theta[i, i] * theta[j, j] + 2.0 * n * theta[i, j] ** 2
-
-
-def wishart_pair_square(theta: np.ndarray, n: float, i: int, j: int) -> float:
-    """E[(X_ii X_jj)^2] for X Wishart(n, theta)."""
-    tii, tjj, tij = theta[i, i], theta[j, j], theta[i, j]
-    return n * (n + 2.0) * (
-        n * (n + 2.0) * tii ** 2 * tjj ** 2
-        + 8.0 * (n + 2.0) * tii * tjj * tij ** 2
-        + 8.0 * tij ** 4)
-
-
-def wishart_pair_trace_cross(theta: np.ndarray, n: float, g: np.ndarray,
-                             i: int, j: int) -> float:
-    """E[X_ii X_jj Tr(G X)]."""
-    tgt = theta @ g @ theta
-    tr = float(np.trace(g @ theta))
-    tii, tjj, tij = theta[i, i], theta[j, j], theta[i, j]
-    return (n ** 3 * tii * tjj * tr
-            + 8.0 * n * tij * tgt[i, j]
-            + 2.0 * n * n * (tij ** 2 * tr + tii * tgt[j, j]
-                             + tjj * tgt[i, i]))
-
-
-def wishart_trace_square(theta: np.ndarray, n: float, g: np.ndarray) -> float:
-    """E[Tr(G X)^2]."""
-    gt = g @ theta
-    return 2.0 * n * float(np.trace(gt @ gt)) + n * n * float(np.trace(gt)) ** 2
 
 
 def _tilted_scale(params: models.BnsParams, r: np.ndarray) -> np.ndarray:
@@ -177,7 +112,7 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
     times = _time_grid(horizon, n_steps)
     e_pair = _pair_matrix(d, pair)
     lift = matcalc.kron_lift(params.mean_rev.T)   # vec(M'X + XM)
-    _, int1, int2 = _lift_flows(lift, horizon - times)
+    _, int1, int2 = matcalc.lift_flows(lift, horizon - times)
     g_mats = np.array([matcalc.mat(a @ matcalc.vec(e_pair)) for a in int1])
 
     lam = params.jump_intensity
@@ -186,7 +121,7 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
     rho = params.leverage_diag
     a_ij = rho[i] * rho[j]
     jump_pair = lam * a_ij * wishart_pair_mean(theta, n, i, j)
-    drive = lam * params.jump_mean()              # covariance drift from jumps
+    drive = params.jump_mean()                    # covariance drift from jumps
     c_vals = (np.einsum("a,kab,b->k", matcalc.vec(drive), int2,
                         matcalc.vec(e_pair))
               + (horizon - times) * jump_pair)
@@ -246,8 +181,8 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     e_pair = _pair_matrix(params.d, pair)
     lift = matcalc.kron_lift(params.mean_rev)
     ts = np.linspace(0.0, horizon, n_sub + 1)
-    flow_t, int1_t, _ = _lift_flows(lift, ts)
-    _, int1_rem, _ = _lift_flows(lift, horizon - ts)
+    flow_t, int1_t, _ = matcalc.lift_flows(lift, ts)
+    _, int1_rem, _ = matcalc.lift_flows(lift, horizon - ts)
     vperp = (params.vol_of_vol.T
              @ (np.eye(params.d) - np.outer(params.leverage, params.leverage))
              @ params.vol_of_vol)

@@ -24,6 +24,7 @@ import scipy.linalg
 __all__ = [
     "PSD_RTOL",
     "mat_exp",
+    "lift_flows",
     "vec",
     "mat",
     "kron_lift",
@@ -41,9 +42,11 @@ __all__ = [
 PSD_RTOL = 1e-10
 
 
-def _require_square(m: np.ndarray, who: str) -> np.ndarray:
+def _require_square(m: np.ndarray, who: str, stack: bool = False
+                    ) -> np.ndarray:
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 or (a.ndim > 2 and not stack)
+            or a.shape[-1] != a.shape[-2]):
         raise ValueError(f"{who}: expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
         raise ValueError(f"{who}: input contains NaN or infinity")
@@ -51,13 +54,14 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real or complex square matrix.
+    """Matrix exponential of a real or complex square matrix, or of each
+    matrix in a (..., n, n) stack.
 
     Uses the scaling-and-squaring Pade approximant; relative accuracy is
     ~1e-12 or better for well-conditioned inputs.
 
     Args:
-        m: square matrix, real or complex.
+        m: square matrix or stack of them, real or complex.
 
     Returns:
         e^m with the same dtype kind as the input.
@@ -65,8 +69,43 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: non-square input or non-finite entries.
     """
-    a = _require_square(m, "mat_exp")
+    a = _require_square(m, "mat_exp", stack=True)
     return scipy.linalg.expm(a)
+
+
+def lift_flows(lift: np.ndarray, deltas: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(lift * delta), its time integral over [0, delta], and the double
+    time integral, batched over deltas.  Power series with scaling and
+    squaring, so large mean-reversion norms stay accurate."""
+    n = lift.shape[0]
+    deltas = np.asarray(deltas, dtype=float)
+    dmax = float(deltas.max(initial=0.0))
+    nrm = np.linalg.norm(lift, np.inf) * dmax
+    doublings = max(0, int(np.ceil(np.log2(max(nrm, 1e-300))))) if nrm > 1 \
+        else 0
+    scaled = deltas / (2.0 ** doublings)
+
+    eye = np.eye(n)
+    flow = np.zeros(deltas.shape + (n, n))
+    int1 = np.zeros_like(flow)
+    int2 = np.zeros_like(flow)
+    ej = eye.copy()                       # lift^j / j!
+    tp = np.ones_like(scaled)             # delta^j
+    for j in range(30):
+        flow += tp[..., None, None] * ej
+        int1 += (tp * scaled)[..., None, None] * (ej / (j + 1))
+        int2 += (tp * scaled * scaled)[..., None, None] * (
+            ej / ((j + 1) * (j + 2)))
+        ej = ej @ lift / (j + 1)
+        tp = tp * scaled
+    for _ in range(doublings):
+        step = scaled[..., None, None]
+        int2 = int2 + step * int1 + flow @ int2
+        int1 = int1 + flow @ int1
+        flow = flow @ flow
+        scaled = 2.0 * scaled
+    return flow, int1, int2
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -238,10 +238,12 @@ def require_valid(params) -> None:
 def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex, bool]:
     """E[exp(Tr(R X))] for X ~ Wishart(shape, scale): det(I - 2 R scale)^(-shape/2).
 
-    Accepts complex symmetric R.  Validity requires the real part of R to lie
-    in the convergence strip (see :func:`wishart_strip_margin`); inside it,
-    every eigenvalue of I - 2 R scale has positive real part, so the principal
-    log-determinant branch is analytic and safe.
+    Accepts complex symmetric R, or a (..., d, d) stack of them, in which
+    case value and flag are arrays of the stack's batch shape.  Validity
+    requires the real part of R to lie in the convergence strip (see
+    :func:`wishart_strip_margin`); inside it, every eigenvalue of
+    I - 2 R scale has positive real part, so the sum of their principal
+    logarithms is an analytic branch of the log-determinant.
 
     Returns:
         (value, ok): ok is False when R is outside the strip, in which case
@@ -249,21 +251,24 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex
     """
     r = np.asarray(r)
     scale = np.asarray(scale, dtype=float)
-    if wishart_strip_margin(scale, r) <= 0.0:
-        return complex(np.nan, np.nan), False
-    z = np.eye(scale.shape[0]) - 2.0 * np.asarray(r) @ scale
-    eigs = np.linalg.eigvals(z)
-    logdet = complex(np.sum(np.log(eigs)))
-    return complex(np.exp(-0.5 * shape * logdet)), True
+    ok = np.asarray(wishart_strip_margin(scale, r)) > 0.0
+    eigs = np.linalg.eigvals(np.eye(scale.shape[0]) - 2.0 * r @ scale)
+    logdet = np.sum(np.log(np.where(ok[..., None], eigs, 1.0)), axis=-1
+                    ).astype(complex)
+    val = np.where(ok, np.exp(-0.5 * shape * logdet), complex(np.nan, np.nan))
+    if r.ndim == 2:
+        return complex(val), bool(ok)
+    return val, ok
 
 
 def wishart_strip_margin(scale: np.ndarray, r: np.ndarray) -> float:
     """Smallest eigenvalue of scale^{-1} - 2 Re(R); positive inside the
-    convergence strip of the Wishart MGF."""
+    convergence strip of the Wishart MGF.  Batched over a stack of R."""
     scale = np.asarray(scale, dtype=float)
     r_re = np.asarray(r).real
     m = np.linalg.inv(scale) - 2.0 * matcalc.sym_part(r_re)
-    return matcalc.min_eigenvalue(m)
+    margin = np.linalg.eigvalsh(m)[..., 0]
+    return float(margin) if r_re.ndim == 2 else margin
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +396,14 @@ def model_to_dict(params) -> dict:
 
 
 def load_model(source) -> WascParams | BnsParams:
-    """Build a validated parameter object from a dict, JSON string, or path."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+    """Build a validated parameter object from a dict, JSON string, or path.
+
+    A string whose first non-blank character is ``{`` is parsed as JSON
+    without touching the filesystem (long JSON is no valid file name).
+    """
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        payload = json.loads(source)
+    elif isinstance(source, (str, Path)) and Path(str(source)).exists():
         payload = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         payload = json.loads(source)

@@ -168,19 +168,29 @@ def _repair_psd_batch(mats: np.ndarray, reflect: bool) -> tuple[np.ndarray, int]
 
 def _poly_flows(a: np.ndarray, taus: np.ndarray, terms: int = 20
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """expm(a*tau) and int_0^tau expm(a*s) ds for an array of small tau,
-    by a truncated power series (accurate for ||a|| * max(tau) << terms)."""
+    """expm(a*tau) and int_0^tau expm(a*s) ds for an array of tau, by a
+    truncated power series.  A tau with ||a|| * tau > 1 runs the series at
+    tau / 2^k and takes k squarings; any other tau runs it on tau itself.
+    The choice is made per tau, so a path's flow never depends on the other
+    paths of its batch."""
     n = a.shape[0]
     taus = np.asarray(taus, dtype=float)
+    nrm = np.linalg.norm(a, np.inf) * taus
+    doublings = np.ceil(np.log2(np.maximum(nrm, 1.0))).astype(int)
+    steps = taus / 2.0 ** doublings
     ej = np.eye(n)
     flow = np.zeros(taus.shape + (n, n))
     integ = np.zeros_like(flow)
-    tp = np.ones_like(taus)
+    tp = np.ones_like(steps)
     for j in range(terms):
         flow = flow + tp[..., None, None] * ej
-        integ = integ + (tp * taus)[..., None, None] * (ej / (j + 1.0))
-        tp = tp * taus
+        integ = integ + (tp * steps)[..., None, None] * (ej / (j + 1.0))
+        tp = tp * steps
         ej = ej @ a / (j + 1.0)
+    for i in range(int(doublings.max(initial=0))):
+        more = (doublings > i)[..., None, None]
+        integ = np.where(more, integ + flow @ integ, integ)
+        flow = np.where(more, flow @ flow, flow)
     return flow, integ
 
 

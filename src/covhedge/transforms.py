@@ -29,6 +29,30 @@ Transform-domain failures (blown-up flows, MGF strip violations, overflow in
 the final exponential) are reported through a ``valid`` flag, never raised:
 contour integration treats invalid nodes as missing data and accounts for
 the skipped mass.
+
+The scalar functions below integrate phi on [0, tau] with their own
+PHI_QUAD_NODES-point rule.  ``transform_grid``, the engine behind pricing
+and hedging, evaluates a whole (times-to-maturity) x (contour nodes)
+lattice at once:
+
+* Cumulative phi along tau.  The distinct positive tau are sorted, each
+  span between neighbours is cut into equal panels no wider than
+  PHI_PANEL_WIDTH, and a PHI_PANEL_NODES-point Gauss-Legendre rule runs on
+  every panel, so phi(tau_k) = phi(tau_{k-1}) + the integral over
+  [tau_{k-1}, tau_k].  Each quadrature point serves every later tau.
+* Node blocks.  Nodes are taken in blocks of about BLOCK_POINTS (node, s)
+  points, which bounds the working set.  For the diffusion, one batched
+  eigendecomposition of the block's Hamiltonians gives the lower block rows
+  of Theta at every s (a node whose eigenvector basis has condition number
+  above 1e10 falls back to expm), followed by one batched condition,
+  solve, blow-up and asymmetry check.  For the jump model the operator
+  int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
+  on the node and is built once; each block then needs one batched strip
+  margin and log-determinant.
+* Forward validity.  A node is valid at tau only if every check passed at
+  every evaluated point in [0, tau]: the quadrature points and the tau of
+  the grid up to it.  Once a node fails it stays invalid for every later
+  tau, and its phi and psi hold nan there.
 """
 
 from __future__ import annotations
@@ -53,6 +77,13 @@ __all__ = [
 ]
 
 PHI_QUAD_NODES = 64
+# lattice engine: the phi panel rule along the tau grid, and the (node, s)
+# points evaluated per node block, which bounds the working set; chosen from
+# the error-versus-cost and memory curves recorded in CHANGES.md
+PHI_PANEL_NODES = 8
+PHI_PANEL_WIDTH = 0.125
+BLOCK_POINTS = 512
+_EIG_COND_LIMIT = 1e10
 _COND_LIMIT = 1e12
 _BLOWUP_LIMIT = 1e12
 _OVERFLOW_RE = 700.0
@@ -81,44 +112,51 @@ def _as_cvec(u, d: int) -> np.ndarray:
     return a
 
 
+def _source(u: np.ndarray) -> np.ndarray:
+    """The Riccati source term D = (u u' - diag u) / 2, batched over u."""
+    d = u.shape[-1]
+    return 0.5 * (u[..., :, None] * u[..., None, :]
+                  - np.eye(d) * u[..., None, :])
+
+
 # ---------------------------------------------------------------------------
 # Wishart diffusion transform
 # ---------------------------------------------------------------------------
 
 def wasc_hamiltonian(params: models.WascParams, u) -> np.ndarray:
-    """The 2d x 2d linearization matrix [[F, -2A'A], [(uu'-diag u)/2, -F']]."""
+    """The 2d x 2d linearization matrix [[F, -2A'A], [(uu'-diag u)/2, -F']];
+    a (B, d) stack of arguments gives a (B, 2d, 2d) stack."""
     d = params.d
-    u = _as_cvec(u, d)
+    u = np.asarray(u, dtype=complex)
+    u = _as_cvec(u, d) if u.ndim != 2 else u
     a_rho = params.vol_of_vol.T @ params.leverage
-    f = params.mean_rev + np.outer(a_rho, u)
-    gram = params.vol_of_vol.T @ params.vol_of_vol
-    dmat = 0.5 * (np.outer(u, u) - np.diag(u))
-    ham = np.zeros((2 * d, 2 * d), dtype=complex)
-    ham[:d, :d] = f
-    ham[:d, d:] = -2.0 * gram
-    ham[d:, :d] = dmat
-    ham[d:, d:] = -f.T
+    f = params.mean_rev + a_rho[:, None] * u[..., None, :]
+    ham = np.zeros(u.shape[:-1] + (2 * d, 2 * d), dtype=complex)
+    ham[..., :d, :d] = f
+    ham[..., :d, d:] = -2.0 * params.vol_of_vol.T @ params.vol_of_vol
+    ham[..., d:, :d] = _source(u)
+    ham[..., d:, d:] = -f.swapaxes(-1, -2)
     return ham
 
 
-def _psi_from_blocks(theta: np.ndarray, v: np.ndarray | None, d: int
-                     ) -> tuple[np.ndarray, bool]:
-    th11, th12 = theta[:d, :d], theta[:d, d:]
-    th21, th22 = theta[d:, :d], theta[d:, d:]
-    if v is None:
-        lhs, rhs = th22, th21
-    else:
-        lhs, rhs = th22 + v @ th12, th21 + v @ th11
-    if not np.all(np.isfinite(lhs)) or np.linalg.cond(lhs) > _COND_LIMIT:
-        return _nan_mat(d), False
-    psi = np.linalg.solve(lhs, rhs)
-    scale = max(float(np.max(np.abs(psi))), 1.0)
+def _flow_solve(lhs: np.ndarray, rhs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """psi = lhs^{-1} rhs for a stack of flow blocks, with the checks that
+    flag a blown-up or numerically singular flow.  Returns psi (0 where a
+    check failed) and the per-entry flags."""
+    ok = np.all(np.isfinite(lhs), axis=(-2, -1))
+    ok[ok] = np.linalg.cond(lhs[ok]) < _COND_LIMIT
+    sol = np.linalg.solve(lhs[ok], rhs[ok])
+    scale = np.maximum(np.max(np.abs(sol), axis=(-2, -1)), 1.0)
+    asym = np.max(np.abs(sol - sol.swapaxes(-1, -2)), axis=(-2, -1))
     # magnitude guard: near a singular flow crossing the solve stays
     # well conditioned for d = 1 yet the solution itself diverges
-    if (not np.all(np.isfinite(psi)) or scale > _BLOWUP_LIMIT
-            or np.max(np.abs(psi - psi.T)) > _ASYM_TOL * scale):
-        return _nan_mat(d), False
-    return matcalc.sym_part(psi), True
+    sol_ok = (np.all(np.isfinite(sol), axis=(-2, -1))
+              & (scale <= _BLOWUP_LIMIT) & (asym <= _ASYM_TOL * scale))
+    psi = np.zeros(lhs.shape, dtype=complex)
+    psi[ok] = np.where(sol_ok[:, None, None], matcalc.sym_part(sol), 0.0)
+    ok[ok] = sol_ok
+    return psi, ok
 
 
 def wasc_psi(params: models.WascParams, tau: float, u, v=None
@@ -138,7 +176,12 @@ def wasc_psi(params: models.WascParams, tau: float, u, v=None
     if tau == 0.0:
         return (np.zeros((d, d), dtype=complex) if v is None else v.copy()), True
     theta = matcalc.mat_exp(tau * wasc_hamiltonian(params, u))
-    return _psi_from_blocks(theta, v, d)
+    lhs, rhs = theta[d:, d:], theta[d:, :d]
+    if v is not None:
+        lhs, rhs = lhs + v @ theta[:d, d:], rhs + v @ theta[:d, :d]
+    with np.errstate(invalid="ignore"):
+        psi, ok = _flow_solve(lhs[None], rhs[None])
+    return (psi[0] if ok[0] else _nan_mat(d)), bool(ok[0])
 
 
 def wasc_phi(params: models.WascParams, tau: float, u, v=None
@@ -168,27 +211,13 @@ def bns_psi(params: models.BnsParams, tau: float, u, v=None
     u = _as_cvec(u, d)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return (np.zeros((d, d), dtype=complex) if v is None
-                else np.asarray(v, dtype=complex).copy()), True
-    m = params.mean_rev
-    dmat = 0.5 * (np.outer(u, u) - np.diag(u))
-    emt = matcalc.mat_exp(m * tau)
-    lift = matcalc.kron_lift(m.T)
-    if np.isfinite(np.linalg.cond(lift)) and np.linalg.cond(lift) < _COND_LIMIT:
-        rhs = emt.T @ dmat @ emt - dmat
-        integ = matcalc.mat(np.linalg.solve(lift, matcalc.vec(rhs)))
-    else:
-        x, w = matcalc.gauss_legendre(0.0, tau, PHI_QUAD_NODES)
-        integ = np.zeros((d, d), dtype=complex)
-        for s, ws in zip(x, w):
-            es = matcalc.mat_exp(m * float(s))
-            integ += ws * (es.T @ dmat @ es)
-    if v is None:
-        psi = integ
-    else:
-        vc = np.asarray(v, dtype=complex)
-        psi = emt.T @ vc @ emt + integ
+    # vec of the integral: int_0^tau e^{M's} (x) e^{M's} ds applied to vec D
+    lift = matcalc.kron_lift(params.mean_rev.T)
+    flow, integ, _ = matcalc.lift_flows(lift, np.array(float(tau)))
+    psi = matcalc.mat(integ @ matcalc.vec(_source(u)))
+    if v is not None:
+        v = np.asarray(v, dtype=complex)
+        psi = psi + matcalc.mat(flow @ matcalc.vec(v))
     return matcalc.sym_part(psi), True
 
 
@@ -200,25 +229,17 @@ def bns_phi(params: models.BnsParams, tau: float, u, v=None
     The MGF strip condition is checked at every quadrature node; the first
     violation invalidates the whole evaluation.
     """
-    d = params.d
-    u = _as_cvec(u, d)
+    u = _as_cvec(u, params.d)
     if tau == 0.0:
         return 0.0 + 0.0j, True
-    lam = params.jump_intensity
-    diag_ru = np.diag(params.leverage_diag * u)
     x, w = matcalc.gauss_legendre(0.0, tau, PHI_QUAD_NODES)
-    total = 0.0 + 0.0j
-    for s, ws in zip(x, w):
-        psi_s, ok = bns_psi(params, float(s), u, v)
-        if not ok:
-            return complex(np.nan, np.nan), False
-        mgf, ok = models.wishart_mgf(params.wishart_scale, params.wishart_shape,
-                                     psi_s + diag_ru)
-        if not ok:
-            return complex(np.nan, np.nan), False
-        total += ws * lam * (mgf - 1.0)
-    total -= tau * complex(u @ params.drift_comp)
-    return complex(total), True
+    r_s = np.stack([bns_psi(params, float(s), u, v)[0] for s in x])
+    mgf, ok = models.wishart_mgf(params.wishart_scale, params.wishart_shape,
+                                 r_s + np.diag(params.leverage_diag * u))
+    if not np.all(ok):
+        return complex(np.nan, np.nan), False
+    total = w @ (params.jump_intensity * (mgf - 1.0))
+    return complex(total - tau * (u @ params.drift_comp)), True
 
 
 # ---------------------------------------------------------------------------
@@ -275,133 +296,112 @@ class TransformGrid:
     valid: np.ndarray
 
 
-def _eig_flow(mat_: np.ndarray, svals: np.ndarray) -> np.ndarray | None:
-    """expm(mat * s) for every s in svals via one eigendecomposition;
-    None when the eigenvector basis is too ill conditioned to trust."""
-    lam, q = np.linalg.eig(mat_)
-    if np.linalg.cond(q) > 1e10:
-        return None
-    qinv = np.linalg.inv(q)
-    expo = np.exp(np.multiply.outer(svals, lam))  # (S, n)
-    return np.einsum("ab,sb,bc->sac", q, expo, qinv)
+def _phi_panels(knots: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule along sorted positive knots: each span
+    [knots[k-1], knots[k]] (from 0 for k = 0) is cut into equal panels no
+    wider than PHI_PANEL_WIDTH.  Returns the points, the weights and the
+    index of each span's first point; the points run in span order."""
+    x, w = np.polynomial.legendre.leggauss(PHI_PANEL_NODES)
+    lo = np.concatenate([[0.0], knots[:-1]])
+    count = np.ceil((knots - lo) / PHI_PANEL_WIDTH).astype(int)
+    first = np.cumsum(count) - count
+    span = np.repeat(np.arange(knots.size), count)
+    width = ((knots - lo) / count)[span]
+    left = lo[span] + (np.arange(span.size) - first[span]) * width
+    pts = left[:, None] + 0.5 * width[:, None] * (x + 1.0)
+    wts = 0.5 * width[:, None] * w
+    return pts.ravel(), wts.ravel(), PHI_PANEL_NODES * first
 
 
-def _wasc_grid_node(params: models.WascParams, taus: np.ndarray, u: np.ndarray,
-                    quad_x: np.ndarray, quad_w: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi(tau_k), psi(tau_k), valid(tau_k) for one contour node."""
+def _wasc_block(params: models.WascParams, svals: np.ndarray):
+    """Block evaluator: (B, d) nodes -> psi (B, S, d, d), the phi integrand
+    Tr(Omega psi) (B, S) and the validity checks (B, S) at every s."""
     d = params.d
-    k_times = taus.size
-    ham = wasc_hamiltonian(params, u)
-    # s-values: the grid taus plus the phi quadrature nodes for each tau
-    phi_nodes = np.multiply.outer(taus, quad_x)           # (K, Q)
-    svals = np.concatenate([taus, phi_nodes.ravel()])
-    flows = _eig_flow(ham, svals)
-    if flows is None:
-        flows = np.stack([matcalc.mat_exp(s * ham) for s in svals])
-    th21 = flows[:, d:, :d]
-    th22 = flows[:, d:, d:]
-    psi_all = np.full((svals.size, d, d), np.nan, dtype=complex)
-    ok_all = np.zeros(svals.size, dtype=bool)
-    finite = np.all(np.isfinite(th22.reshape(svals.size, -1)), axis=1)
-    if np.any(finite):
-        cond = np.full(svals.size, np.inf)
-        cond[finite] = np.linalg.cond(th22[finite])
-        good = finite & (cond < _COND_LIMIT)
-        if np.any(good):
-            sol = np.linalg.solve(th22[good], th21[good])
-            asym = np.max(np.abs(sol - sol.swapaxes(1, 2)), axis=(1, 2))
-            scale = np.maximum(np.max(np.abs(sol), axis=(1, 2)), 1.0)
-            sol_ok = (np.all(np.isfinite(sol.reshape(sol.shape[0], -1)),
-                             axis=1)
-                      & (scale <= _BLOWUP_LIMIT)
-                      & (asym <= _ASYM_TOL * scale))
-            psi_all[good] = matcalc.sym_part(sol)
-            ok_all[good] = sol_ok
-    psi_taus = psi_all[:k_times]
-    ok_taus = ok_all[:k_times]
-    psi_phi = psi_all[k_times:].reshape(k_times, quad_x.size, d, d)
-    ok_phi = ok_all[k_times:].reshape(k_times, quad_x.size)
-    tr = np.einsum("ab,kqba->kq", params.omega + 0j, np.nan_to_num(psi_phi))
-    phi = np.einsum("kq,q->k", tr, quad_w) * taus       # scaled below
-    valid = ok_taus & np.all(ok_phi, axis=1)
-    return phi, psi_taus, valid
+
+    def block(u: np.ndarray):
+        ham = wasc_hamiltonian(params, u)                  # (B, 2d, 2d)
+        lam, q = np.linalg.eig(ham)
+        eig_ok = np.linalg.cond(q) <= _EIG_COND_LIMIT
+        # lower block rows [Theta_21, Theta_22] of expm(s Ham), (B, S, d, 2d),
+        # as sum_j e^{s lam_j} q[d:, j] (x) q^{-1}[j, :]: one batched product
+        # with no temporary the size of the result
+        modes = np.zeros((u.shape[0], 2 * d, 2 * d * d), dtype=complex)
+        modes[eig_ok] = (q[eig_ok, d:, :].swapaxes(-1, -2)[..., None]
+                         * np.linalg.inv(q[eig_ok])[:, :, None, :]
+                         ).reshape(-1, 2 * d, 2 * d * d)
+        low = (np.exp(svals[:, None] * lam[:, None, :]) @ modes).reshape(
+            u.shape[0], svals.size, d, 2 * d)
+        for b in np.flatnonzero(~eig_ok):
+            low[b] = matcalc.mat_exp(svals[:, None, None] * ham[b])[:, d:, :]
+        psi, ok = _flow_solve(low[..., d:], low[..., :d])
+        return psi, np.einsum("ab,...ba->...", params.omega, psi), ok
+
+    return block
+
+
+def _bns_block(params: models.BnsParams, svals: np.ndarray):
+    """Block evaluator as in _wasc_block; the phi integrand is
+    lam (mgf(R_s(u)) - 1) - u'kappa and the check is the mark strip."""
+    d = params.d
+    # psi(s, u) = mat(ops[s] @ vec D(u)): ops[s] = int_0^s e^{M'r} (x) e^{M'r}
+    # dr does not depend on the node
+    _, ops, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T), svals)
+
+    def block(u: np.ndarray):
+        dvec = _source(u).reshape(u.shape[0], d * d)       # symmetric: = vec
+        psi = np.einsum("sij,bj->bsi", ops, dvec)
+        psi = matcalc.sym_part(psi.reshape(psi.shape[:2] + (d, d)))
+        lev = np.eye(d) * (params.leverage_diag * u)[:, None, :]
+        r_u = psi + lev[:, None]
+        mgf, ok = models.wishart_mgf(params.wishart_scale,
+                                     params.wishart_shape, r_u)
+        rate = (np.where(ok, params.jump_intensity * (mgf - 1.0), 0.0)
+                - (u @ params.drift_comp)[:, None])
+        return psi, rate, ok
+
+    return block
 
 
 def transform_grid(params, taus, nodes) -> TransformGrid:
     """Evaluate (phi, psi) with V = 0 on a times x nodes lattice.
 
-    taus: array (K,) of nonnegative times-to-maturity (0 allowed).
+    taus: array (K,) of nonnegative times-to-maturity, in any order, with
+    repeats and 0 allowed.
     nodes: array (M, d) of complex arguments.
+
+    Entries that fail a domain check hold nan in phi and psi.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=complex))
     if np.any(taus < 0):
         raise ValueError("times-to-maturity must be nonnegative")
-    k_times, m_nodes = taus.size, nodes.shape[0]
-    d = params.d
-    phi = np.zeros((k_times, m_nodes), dtype=complex)
-    psi = np.zeros((k_times, m_nodes, d, d), dtype=complex)
-    valid = np.zeros((k_times, m_nodes), dtype=bool)
-    # phi quadrature on [0, tau] mapped from fixed nodes on [0, 1]
-    qx, qw = matcalc.gauss_legendre(0.0, 1.0, PHI_QUAD_NODES)
-    if params.kind == "wasc":
-        for m in range(m_nodes):
-            ph, ps, ok = _wasc_grid_node(params, taus, nodes[m], qx, qw)
-            phi[:, m], psi[:, m], valid[:, m] = ph, ps, ok
-    else:
-        for m in range(m_nodes):
-            ph, ps, ok = _bns_grid_node(params, taus, nodes[m], qx, qw)
-            phi[:, m], psi[:, m], valid[:, m] = ph, ps, ok
-    zero = taus == 0.0
-    if np.any(zero):
-        phi[zero] = 0.0
-        psi[zero] = 0.0
-        valid[zero] = True
-    return TransformGrid(taus=taus, nodes=nodes, phi=phi, psi=psi, valid=valid)
-
-
-def _bns_grid_node(params: models.BnsParams, taus: np.ndarray, u: np.ndarray,
-                   quad_x: np.ndarray, quad_w: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = params.d
-    k_times = taus.size
-    m = params.mean_rev
-    dmat = 0.5 * (np.outer(u, u) - np.diag(u))
-    phi_nodes = np.multiply.outer(taus, quad_x)            # (K, Q)
-    svals = np.concatenate([taus, phi_nodes.ravel()])
-    flows = _eig_flow(m, svals)
-    if flows is None:
-        flows = np.stack([matcalc.mat_exp(s * m) for s in svals])
-    lift = matcalc.kron_lift(m.T)
-    # rhs_s = e^{M's} D e^{Ms} - D, stacked over s
-    rhs = np.einsum("sba,bc,scd->sad", flows, dmat, flows) - dmat
-    if np.isfinite(np.linalg.cond(lift)) and np.linalg.cond(lift) < _COND_LIMIT:
-        # column-stacked vec, batched over s
-        rhs_vec = rhs.transpose(1, 2, 0).reshape(d * d, svals.size, order="F")
-        sol = np.linalg.solve(lift, rhs_vec)
-        psi_all = sol.reshape(d, d, svals.size, order="F").transpose(2, 0, 1)
-    else:
-        psi_all = np.empty((svals.size, d, d), dtype=complex)
-        for i, s in enumerate(svals):
-            psi_all[i], _ = bns_psi(params, float(s), u)
-    psi_all = matcalc.sym_part(psi_all)
-    diag_ru = np.diag(params.leverage_diag * u)
-    r_all = psi_all + diag_ru
-    # strip margin: eigmin of Theta^{-1} - 2 Re(R) for every s
-    theta_inv = np.linalg.inv(params.wishart_scale)
-    strip = theta_inv - 2.0 * matcalc.sym_part(r_all.real)
-    margins = np.linalg.eigvalsh(strip)[:, 0]
-    ok_all = margins > 0.0
-    z = np.eye(d) - 2.0 * np.einsum("sab,bc->sac", r_all, params.wishart_scale)
-    eigs = np.linalg.eigvals(z)
-    logdet = np.sum(np.log(np.where(ok_all[:, None], eigs, 1.0)), axis=1)
-    mgf = np.exp(-0.5 * params.wishart_shape * logdet)
-    lam = params.jump_intensity
-    integrand = lam * (mgf - 1.0)
-    integ_phi = integrand[k_times:].reshape(k_times, quad_x.size)
-    ok_phi = ok_all[k_times:].reshape(k_times, quad_x.size)
-    phi = np.einsum("kq,q->k", integ_phi, quad_w) * taus
-    phi = phi - taus * complex(u @ params.drift_comp)
-    valid = np.all(ok_phi, axis=1)
-    return phi, psi_all[:k_times], valid
+    m_nodes, d = nodes.shape[0], params.d
+    knots, row = np.unique(taus, return_inverse=True)
+    lead = int(knots.size > 0 and knots[0] == 0.0)    # the tau = 0 row
+    n_k = knots.size - lead
+    phi = np.zeros((knots.size, m_nodes), dtype=complex)
+    psi = np.zeros((knots.size, m_nodes, d, d), dtype=complex)
+    valid = np.ones((knots.size, m_nodes), dtype=bool)
+    if n_k:
+        pts, wts, starts = _phi_panels(knots[lead:])
+        svals = np.concatenate([knots[lead:], pts])
+        block = (_wasc_block if params.kind == "wasc" else _bns_block)(
+            params, svals)
+        width = max(1, BLOCK_POINTS // svals.size)
+        for lo in range(0, m_nodes, width):
+            cols = slice(lo, lo + width)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ps, rate, ok = block(nodes[cols])
+            # a node stays valid up to the first failed check along [0, tau]
+            bad = ~ok[:, :n_k] | np.logical_or.reduceat(~ok[:, n_k:], starts,
+                                                         axis=1)
+            good = ~np.logical_or.accumulate(bad, axis=1)      # (B, K)
+            ph = np.cumsum(np.add.reduceat(rate[:, n_k:] * wts, starts,
+                                           axis=1), axis=1)
+            phi[lead:, cols] = np.where(good, ph, np.nan).T
+            psi[lead:, cols] = np.where(good[..., None, None], ps[:, :n_k],
+                                        np.nan).swapaxes(0, 1)
+            valid[lead:, cols] = good.T
+    return TransformGrid(taus=taus, nodes=nodes, phi=phi[row], psi=psi[row],
+                         valid=valid[row])

@@ -7,6 +7,9 @@ checked against themselves:
 * ``series_expm``        -- truncated power series with scaling and squaring
 * ``integrate_riccati``  -- adaptive Runge-Kutta integration of the matrix
                             Riccati system for the exponential-affine transform
+* ``bns_phi_quadrature`` -- jump-model transform: psi from a Kronecker-lifted
+                            Lyapunov identity, phi by adaptive quadrature
+                            (``scipy.integrate.quad_vec``) of the Levy exponent
 * ``heston_cf``          -- textbook one-dimensional Heston characteristic
                             function (the d=1 reduction of the matrix model)
 * ``black_scholes_call`` / ``margrabe_exchange`` -- closed forms for frozen
@@ -19,7 +22,7 @@ checked against themselves:
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad_vec, solve_ivp
 from scipy.stats import norm
 
 
@@ -115,6 +118,49 @@ def integrate_phi(tau: float, u: np.ndarray, omega: np.ndarray,
     if not sol.success:
         raise RuntimeError(f"phi ODE integration failed: {sol.message}")
     return complex(sol.y[-2, -1], sol.y[-1, -1])
+
+
+# ---------------------------------------------------------------------------
+# jump-driven covariance transform
+# ---------------------------------------------------------------------------
+
+def bns_phi_quadrature(tau: float, u: np.ndarray, mean_rev: np.ndarray,
+                       jump_intensity: float, wishart_shape: float,
+                       wishart_scale: np.ndarray, leverage_diag: np.ndarray
+                       ) -> tuple[complex, np.ndarray]:
+    """(phi(tau), psi(tau)) of the jump model for V = 0.
+
+    psi(s) = int_0^s e^{M'r} D e^{Mr} dr solves M'psi + psi M = e^{M's} D
+    e^{Ms} - D, here as a Kronecker system with ``series_expm``.  phi is
+    int_0^tau lam (E[exp(Tr(R_s X))] - 1) ds - tau u'kappa with R_s = psi(s)
+    + Diag(rho u), the Wishart MGF det(I - 2 R Theta)^(-n/2) taken on the
+    branch that sums the principal logs of the eigenvalues, and kappa_k =
+    lam ((1 - 2 rho_k Theta_kk)^(-n/2) - 1).
+    """
+    u = np.asarray(u, dtype=complex)
+    d = u.size
+    m = np.asarray(mean_rev, dtype=float)
+    scale = np.asarray(wishart_scale, dtype=float)
+    rho = np.asarray(leverage_diag, dtype=float)
+    eye = np.eye(d)
+    lift = np.kron(eye, m.T) + np.kron(m.T, eye)     # column-stacking vec
+    dmat = 0.5 * (np.outer(u, u) - np.diag(u))
+
+    def psi(s: float) -> np.ndarray:
+        e = series_expm(m * s)
+        rhs = (e.T @ dmat @ e - dmat).reshape(-1, order="F")
+        return np.linalg.solve(lift, rhs).reshape(d, d, order="F")
+
+    def levy(s: float) -> np.ndarray:
+        r = psi(s) + np.diag(rho * u)
+        logdet = np.sum(np.log(np.linalg.eigvals(eye - 2.0 * r @ scale)))
+        val = jump_intensity * (np.exp(-0.5 * wishart_shape * logdet) - 1.0)
+        return np.array([val.real, val.imag])
+
+    kappa = jump_intensity * (
+        (1.0 - 2.0 * rho * np.diag(scale)) ** (-0.5 * wishart_shape) - 1.0)
+    integ, _ = quad_vec(levy, 0.0, tau, epsabs=1e-13, epsrel=1e-12)
+    return complex(integ[0], integ[1]) - tau * (u @ kappa), psi(tau)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,17 @@ class TestJsonInterface:
         np.testing.assert_array_equal(p2.wishart_scale, bns_ref.wishart_scale)
         np.testing.assert_allclose(p2.drift_comp, bns_ref.drift_comp, rtol=1e-15)
 
+    def test_round_trip_json_longer_than_a_file_name(self):
+        params = models.WascParams(
+            d=3, mean_rev=-2.0 * np.eye(3) - 0.3,
+            vol_of_vol=0.2 * np.eye(3) + 0.05,
+            leverage=np.array([-0.3, -0.2, -0.1]), alpha=4.0)
+        text = json.dumps(models.model_to_dict(params))
+        assert len(text) > 255
+        p2 = models.load_model(text)
+        np.testing.assert_array_equal(p2.omega, params.omega)
+        np.testing.assert_array_equal(p2.mean_rev, params.mean_rev)
+
     def test_file_load(self, wasc_ref, tmp_path):
         f = tmp_path / "model.json"
         f.write_text(json.dumps(models.model_to_dict(wasc_ref)))

@@ -9,7 +9,7 @@ import pytest
 
 from covhedge import matcalc, models, simulate, transforms
 
-from conftest import S0_REF, SIGMA0_REF
+from conftest import A_REF, ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
 
 N_PATHS = 6000
 N_STEPS = 200
@@ -213,6 +213,49 @@ class TestBnsExactness:
                               chunk_paths=60)
         assert np.array_equal(a.log_spot, b.log_spot)
         assert np.array_equal(a.integrated_cov, b.integrated_cov)
+
+
+class TestCoarseGrid:
+    """One step over the whole horizon with three times the reference mean
+    reversion: the flow series must scale (||lift|| * h = 24)."""
+
+    @pytest.fixture(scope="class")
+    def fast_bns(self):
+        return models.BnsParams(
+            d=2, mean_rev=3.0 * M_REF, jump_intensity=3.0, wishart_shape=3.0,
+            wishart_scale=np.array([[0.02, 0.008], [0.008, 0.02]]),
+            leverage_diag=np.array([-0.8, -0.5]))
+
+    def test_bns_exact_scheme_mean(self, fast_bns, state_ref):
+        sim = simulate.simulate(fast_bns, state_ref, 1.0, 1, 4096, seed=3)
+        exact = models.bns_mean_cov(fast_bns, SIGMA0_REF, 1.0)
+        samp = sim.cov[:, -1]
+        dev = np.abs(samp.mean(axis=0) - exact)
+        assert np.all(dev <= 3.0 * _se(samp) + 1e-12)
+
+    def test_splitting_flow_exact_without_vol_of_vol(self, state_ref):
+        # zero vol-of-vol leaves only the two half-step drift flows, whose
+        # composition is the exact mean flow
+        frozen = models.WascParams(d=2, mean_rev=3.0 * M_REF,
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=RHO_REF,
+                                   omega=ALPHA_REF * A_REF.T @ A_REF)
+        sim = simulate.simulate(frozen, state_ref, 1.0, 1, 2, seed=3)
+        exact = models.wasc_mean_cov(frozen, SIGMA0_REF, 1.0)
+        assert np.max(np.abs(sim.cov[:, -1] - exact)) < 1e-12 * np.abs(
+            exact).max()
+
+    def test_splitting_scheme_mean(self, state_ref):
+        params = models.WascParams(d=2, mean_rev=3.0 * M_REF,
+                                   vol_of_vol=A_REF, leverage=RHO_REF,
+                                   alpha=ALPHA_REF)
+        sim = simulate.simulate(params, state_ref, 1.0, 1, 4096, seed=3)
+        exact = models.wasc_mean_cov(params, SIGMA0_REF, 1.0)
+        # a one-step Euler diffusion needs PSD repair on most paths, and the
+        # clipping lifts the mean by about 1%; the bound allows that bias
+        dev = np.abs(sim.cov[:, -1].mean(axis=0) - exact)
+        assert sim.clip_count > 0
+        assert np.all(dev <= 0.02 * np.abs(exact).max())
 
 
 class TestRealizedQuadratics:

@@ -3,13 +3,14 @@ reductions, flow identities and domain-validity flags."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covhedge import models, transforms
 
 import oracles
-from conftest import A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
+from conftest import ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -297,3 +298,105 @@ class TestTransformGrid:
         with pytest.raises(ValueError):
             transforms.transform_grid(wasc_ref, [-0.5],
                                       np.stack(CONTOUR_NODES))
+
+    # unsorted, with a repeat and a zero: rows come back in the given order
+    MIXED_TAUS = np.array([0.7, 0.0, 0.25, 0.7, 1.3, 0.05])
+
+    def test_wasc_unsorted_grid_matches_ode(self, wasc_ref):
+        nodes = np.stack(CONTOUR_NODES)
+        grid = transforms.transform_grid(wasc_ref, self.MIXED_TAUS, nodes)
+        assert np.all(grid.valid)
+        assert np.array_equal(grid.phi[0], grid.phi[3])
+        assert np.all(grid.phi[1] == 0) and np.all(grid.psi[1] == 0)
+        for k, tau in enumerate(self.MIXED_TAUS):
+            if tau == 0.0 or k == 3:
+                continue
+            for m, u in enumerate(nodes):
+                psi = oracles.integrate_riccati(tau, u, A_REF, M_REF, RHO_REF)
+                phi = oracles.integrate_phi(tau, u, wasc_ref.omega, A_REF,
+                                            M_REF, RHO_REF)
+                assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-8
+                assert abs(grid.phi[k, m] - phi) < 1e-8
+
+    def test_bns_unsorted_grid_matches_quadrature(self, bns_ref):
+        nodes = np.stack(CONTOUR_NODES)
+        grid = transforms.transform_grid(bns_ref, self.MIXED_TAUS, nodes)
+        assert np.all(grid.valid)
+        assert np.array_equal(grid.psi[0], grid.psi[3])
+        assert np.all(grid.phi[1] == 0) and np.all(grid.psi[1] == 0)
+        for k, tau in enumerate(self.MIXED_TAUS):
+            if tau == 0.0 or k == 3:
+                continue
+            for m, u in enumerate(nodes):
+                phi, psi = oracles.bns_phi_quadrature(
+                    tau, u, M_REF, bns_ref.jump_intensity,
+                    bns_ref.wishart_shape, bns_ref.wishart_scale,
+                    bns_ref.leverage_diag)
+                assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-10
+                assert abs(grid.phi[k, m] - phi) < 1e-8
+
+    def test_validity_propagates_forward_in_tau(self):
+        # d = 1, zero drift and leverage, u = 2: the flow crosses a pole at
+        # tau* = pi / (2 sqrt 2); past it the closed form is finite again
+        params = models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                                   vol_of_vol=np.eye(1),
+                                   leverage=np.zeros(1), alpha=0.0)
+        tau_star = np.pi / (2.0 * np.sqrt(2.0))
+        taus = np.array([2.0, 0.5, tau_star, 1.0, 1.2])
+        grid = transforms.transform_grid(params, taus, np.array([[2.0]]))
+        assert grid.valid[:, 0].tolist() == [False, True, False, True, False]
+        _, ok_after = transforms.wasc_psi(params, 2.0, np.array([2.0]))
+        assert ok_after
+        assert np.all(np.isnan(grid.psi[~grid.valid].real))
+        assert np.all(np.isnan(grid.phi[~grid.valid].real))
+
+    def test_wasc_phi_matches_log_det_closed_form(self, wasc_ref):
+        # dTheta/dtau = Theta Ham gives phi = -alpha/2 [log det Theta_22(tau)
+        # + tau Tr F]; the log branch is followed along a fine tau grid
+        d = wasc_ref.d
+        fine = np.linspace(0.0, 1.0, 401)
+        grid = transforms.transform_grid(wasc_ref, fine[40::40],
+                                         np.stack(CONTOUR_NODES))
+        assert np.all(grid.valid)
+        for m, u in enumerate(CONTOUR_NODES):
+            ham = transforms.wasc_hamiltonian(wasc_ref, u)
+            dets = np.array([np.linalg.det(scipy.linalg.expm(s * ham)[d:, d:])
+                             for s in fine])
+            logdet = np.log(np.abs(dets)) + 1j * np.unwrap(np.angle(dets))
+            tr_f = np.trace(ham[:d, :d])
+            closed = -0.5 * ALPHA_REF * (logdet + fine * tr_f)
+            assert np.max(np.abs(grid.phi[:, m] - closed[40::40])) < 1e-10
+
+    def test_long_span_matches_oracles(self, wasc_ref, bns_ref):
+        # one 2-year span at a fast-turning node: the panel rule holds 1e-14
+        # where a single 8-point panel over the span is off by about 6e-7
+        u = np.array([1.5 + 6.0j, 1.5 - 4.0j])
+        wasc = transforms.transform_grid(wasc_ref, [2.0], u[None])
+        bns = transforms.transform_grid(bns_ref, [2.0], u[None])
+        assert wasc.valid[0, 0] and bns.valid[0, 0]
+        ref = oracles.integrate_phi(2.0, u, wasc_ref.omega, A_REF, M_REF,
+                                    RHO_REF)
+        assert abs(wasc.phi[0, 0] - ref) < 1e-10
+        ref, _ = oracles.bns_phi_quadrature(
+            2.0, u, M_REF, bns_ref.jump_intensity, bns_ref.wishart_shape,
+            bns_ref.wishart_scale, bns_ref.leverage_diag)
+        assert abs(bns.phi[0, 0] - ref) < 1e-10
+
+    def test_defective_hamiltonian_falls_back_to_expm(self):
+        # a Jordan-block drift without vol-of-vol makes the Hamiltonian
+        # defective: its eigenvector basis is singular to working precision
+        params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
+                                                           [0.0, -1.0]]),
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=np.zeros(2), omega=0.05 * np.eye(2))
+        nodes = np.stack(CONTOUR_NODES[:2])
+        _, q = np.linalg.eig(transforms.wasc_hamiltonian(params, nodes))
+        assert np.all(np.linalg.cond(q) > 1e10)
+        grid = transforms.transform_grid(params, [0.3, 1.0], nodes)
+        assert np.all(grid.valid)
+        for k, tau in enumerate([0.3, 1.0]):
+            for m, u in enumerate(nodes):
+                psi, _ = transforms.wasc_psi(params, tau, u)
+                phi, _ = transforms.wasc_phi(params, tau, u)
+                assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-12
+                assert abs(grid.phi[k, m] - phi) < 1e-12
