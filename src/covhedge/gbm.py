@@ -93,11 +93,11 @@ def bvn_upper(h, k, rho: float):
     return out if out.ndim else float(out)
 
 
-def lognormal_quadrant_price(kind: str, forwards, strikes, vols, rho: float,
-                             tau: float):
-    """E[leg1 * leg2] for a product of one-sided legs under joint lognormal
-    martingales.  kind in {'cc','cp','pc','pp'}: 'c' legs pay (S-K)^+, 'p'
-    legs (K-S)^+.  forwards may be arrays (vectorized over scenarios)."""
+def _tilted_terms(kind: str, forwards, strikes, vols, rho: float,
+                  tau: float, powers) -> tuple[float, list]:
+    """e1 e2 and T(c1, c2) = E[S1^c1 S2^c2 1{quadrant}] for each (c1, c2) in
+    powers, where the quadrant is {e1 (S1 - K1) > 0, e2 (S2 - K2) > 0} and
+    e = +1 for a call leg, -1 for a put leg."""
     if kind not in ("cc", "cp", "pc", "pp"):
         raise ValueError("kind must be one of cc, cp, pc, pp")
     if tau <= 0:
@@ -123,35 +123,41 @@ def lognormal_quadrant_price(kind: str, forwards, strikes, vols, rho: float,
         kk = e2 * (np.log(k2) - m2) / s2
         return mgf * bvn_upper(hh, kk, e1 * e2 * rho)
 
-    total = (term(1, 1) - k2 * term(1, 0) - k1 * term(0, 1)
-             + k1 * k2 * term(0, 0))
-    out = e1 * e2 * total
+    return e1 * e2, [term(c1, c2) for c1, c2 in powers]
+
+
+def lognormal_quadrant_price(kind: str, forwards, strikes, vols, rho: float,
+                             tau: float):
+    """E[leg1 * leg2] for a product of one-sided legs under joint lognormal
+    martingales.  kind in {'cc','cp','pc','pp'}: 'c' legs pay (S-K)^+, 'p'
+    legs (K-S)^+.  forwards may be arrays (vectorized over scenarios)."""
+    sign, (t11, t10, t01, t00) = _tilted_terms(
+        kind, forwards, strikes, vols, rho, tau,
+        ((1, 1), (1, 0), (0, 1), (0, 0)))
+    k1, k2 = float(strikes[0]), float(strikes[1])
+    out = sign * (t11 - k2 * t10 - k1 * t01 + k1 * k2 * t00)
     return out if np.ndim(out) else float(out)
 
 
 def quadrant_spot_delta(kind: str, spots, strikes, vols, rho: float,
-                        tau: float, rel_step: float = 1e-5) -> np.ndarray:
-    """Spot deltas of the quadrant price by central differences.
+                        tau: float) -> np.ndarray:
+    """Spot deltas of the quadrant price, in closed form.
 
+    Each leg's derivative is e 1{leg in the money}, so with the spots as
+    forwards delta_1 = e1 e2 (T11 - K2 T10) / S1 and
+    delta_2 = e1 e2 (T11 - K1 T01) / S2 in the terms of the price.
     spots has shape (2,) or (n, 2); the result matches with a trailing
     axis of length 2.
     """
     spots = np.asarray(spots, dtype=float)
-    squeeze = spots.ndim == 1
     s = np.atleast_2d(spots)
-    out = np.empty_like(s)
-    for i in range(2):
-        hstep = rel_step * s[:, i]
-        up = s.copy()
-        dn = s.copy()
-        up[:, i] += hstep
-        dn[:, i] -= hstep
-        pu = lognormal_quadrant_price(kind, (up[:, 0], up[:, 1]), strikes,
-                                      vols, rho, tau)
-        pd = lognormal_quadrant_price(kind, (dn[:, 0], dn[:, 1]), strikes,
-                                      vols, rho, tau)
-        out[:, i] = (pu - pd) / (2.0 * hstep)
-    return out[0] if squeeze else out
+    sign, (t11, t10, t01) = _tilted_terms(
+        kind, (s[:, 0], s[:, 1]), strikes, vols, rho, tau,
+        ((1, 1), (1, 0), (0, 1)))
+    k1, k2 = float(strikes[0]), float(strikes[1])
+    out = sign * np.stack([(t11 - k2 * t10) / s[:, 0],
+                           (t11 - k1 * t01) / s[:, 1]], axis=-1)
+    return out[0] if spots.ndim == 1 else out
 
 
 def gbm_transform(u: np.ndarray, log_spot: np.ndarray, cov: np.ndarray,

@@ -7,6 +7,27 @@ positions from exponential basis claims share per-chunk transform values
 through a basis cache, so running several claims with the same contour
 geometry costs barely more than one.
 
+The basis claims H = exp(a + i b) on the (path, node) panel dominate the
+cost of a Fourier hedge, and complex exp spends nearly all its time in the
+per-element cos and sin.  ``BasisCache.basis`` works in real arithmetic on
+row blocks of about BASIS_BLOCK_POINTS points: two real matrix products give
+a and b, numpy's vectorised real exp gives e^a, and ``_scaled_cis`` gives
+e^a (cos b + i sin b) from a table instead of libm trig.  It rounds
+b / (2 pi / CIS_TABLE) to the nearest integer k with the 1.5 * 2**52 trick,
+reads exp(i 2 pi k / CIS_TABLE) from a table indexed by the low bits of k,
+and multiplies it by cos r + i sin r for the remainder r = b - k 2 pi /
+CIS_TABLE, |r| <= pi / CIS_TABLE, taken as the Taylor polynomials of degree
+4 (cos) and 3 (sin).  r is exact up to rounding: 2 pi / CIS_TABLE is split
+Cody-Waite style into a 24-bit head, whose product with any |k| < 2**29 is
+exact, and a tail carrying the next 53 bits.  The polynomials' truncation
+error is below 8e-17 and the table entries are within 1.3e-16, so the
+computed exp(i b) is off by a few units in the last place, whatever |b| the
+split covers (at most 2.7e-16 absolute against a long double reference up
+to the largest |b| allowed, 1.65e6), and H agrees with complex exp of the
+same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
+nan or infinite b give nan.  Entries whose real exponent exceeds
+models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
+
 All position engines are deterministic functions of the path state, so the
 resulting wealth panels inherit the simulator's bitwise reproducibility.
 """
@@ -32,8 +53,35 @@ __all__ = [
     "run_backtest",
 ]
 
-_OVERFLOW_RE = 700.0
 _MAX_SKIP_MASS = 1e-3
+
+# basis kernel: the cis table size, and the (path, node) points per row
+# block, which keeps the block's temporaries in the L2 cache; chosen from the
+# sweeps recorded in CHANGES.md
+CIS_TABLE = 2048
+BASIS_BLOCK_POINTS = 16384
+# adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
+# then sits in the low bits of the sum's mantissa
+_ROUND_MAGIC = 1.5 * 2.0 ** 52
+# pi/2 split into its leading 33 bits and the rest, as in fdlibm's rem_pio2
+_PIO2_HI = 1.57079632673412561417e+00
+_PIO2_LO = 6.07710050650619224932e-11
+_CIS_STEP = _PIO2_HI * (4.0 / CIS_TABLE)      # 2 pi / CIS_TABLE to 33 bits
+_CIS_C1 = float(np.float32(_CIS_STEP))      # 24-bit head: k * _CIS_C1 exact
+_CIS_C2 = (_CIS_STEP - _CIS_C1) + _PIO2_LO * (4.0 / CIS_TABLE)
+_CIS_MAX_ARG = (2.0 ** 29 - 1.0) * _CIS_STEP
+
+
+def _cis_table() -> np.ndarray:
+    """exp(i 2 pi j / CIS_TABLE) for j < CIS_TABLE: the first quadrant from
+    exp, whose angles below pi/2 round by at most 1.1e-16, and the others by
+    the exact rotations i, -1 and -i."""
+    j = np.arange(CIS_TABLE // 4)
+    quad = np.exp(1j * (j * _CIS_C1 + j * _CIS_C2))
+    return np.concatenate([quad, 1j * quad, -quad, -1j * quad])
+
+
+_CIS = _cis_table()
 
 
 @dataclass
@@ -66,8 +114,36 @@ class HedgeJob:
     initial_capital: float
 
 
-def _flatten_cov(cov: np.ndarray, iu, ju, off_scale) -> np.ndarray:
-    return cov[..., iu, ju] * off_scale
+def _scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
+    """Write scale * exp(i b) into the complex array out, elementwise, for
+    real b and scale of out's shape, with no trigonometric call per element
+    (see the module docstring for the method and its error)."""
+    lo, hi = b.min(), b.max()
+    if not (-_CIS_MAX_ARG <= lo and hi <= _CIS_MAX_ARG):
+        # nan skips the fast test; only finite angles past the split raise
+        if np.any(np.isfinite(b) & (np.abs(b) > _CIS_MAX_ARG)):
+            raise ValueError(f"angle beyond +-{_CIS_MAX_ARG:.4g}, where the "
+                             "argument reduction stops being exact")
+    t = b * (CIS_TABLE / (2.0 * np.pi))
+    t += _ROUND_MAGIC
+    k = t - _ROUND_MAGIC
+    # masking keeps the index in bounds whatever t holds, nan included
+    idx = np.bitwise_and(t.view(np.int64), CIS_TABLE - 1)
+    r = np.multiply(k, _CIS_C1)
+    np.subtract(b, r, out=r)
+    k *= _CIS_C2
+    r -= k
+    r2 = np.multiply(r, r, out=t)
+    cos_r = np.multiply(r2, 1.0 / 24.0, out=k)
+    cos_r -= 0.5
+    cos_r *= r2
+    cos_r += 1.0
+    np.multiply(cos_r, scale, out=out.real)
+    sin_r = np.multiply(r2, -1.0 / 6.0, out=r2)
+    sin_r += 1.0
+    sin_r *= r
+    np.multiply(sin_r, scale, out=out.imag)
+    out *= _CIS[idx]
 
 
 class BasisCache:
@@ -94,18 +170,25 @@ class BasisCache:
         taus = self.horizon - times
         grid = transforms.transform_grid(self.params, taus, self.model_args)
         self.valid = grid.valid                          # (K, M)
-        self.phi = np.where(self.valid, grid.phi, 0.0)
-        psi = np.where(self.valid[..., None, None], grid.psi, 0.0)
-        self.psi = psi
-        # exponent = state5 @ coeff[k] + phi[k], with the symmetric upper
-        # triangle of Sigma packed once (off-diagonals doubled)
+        self.psi = np.where(self.valid[..., None, None], grid.psi, 0.0)
+        # exponent = state @ coeff[k] for the state row (log spots, the upper
+        # triangle of Sigma with doubled off-diagonals, 1): the last
+        # coefficient row is phi.  basis needs the real and imaginary planes.
         self._iu, self._ju = np.triu_indices(d)
         self._off_scale = np.where(self._iu == self._ju, 1.0, 2.0)
-        psi_flat = psi[:, :, self._iu, self._ju]         # (K, M, n_tri)
+        psi_flat = self.psi[:, :, self._iu, self._ju]    # (K, M, n_tri)
         u_part = np.broadcast_to(self.model_args.T[None],
                                  (times.size, d, self.model_args.shape[0]))
-        self.coeff = np.concatenate(
-            [u_part, psi_flat.transpose(0, 2, 1)], axis=1)  # (K, d+n_tri, M)
+        phi = np.where(self.valid, grid.phi, 0.0)
+        coeff = np.concatenate([u_part, psi_flat.transpose(0, 2, 1),
+                                phi[:, None]], axis=1)   # (K, d+n_tri+1, M)
+        self.coeff_re = np.ascontiguousarray(coeff.real)
+        self.coeff_im = np.ascontiguousarray(coeff.imag)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """phi on the (K, M) lattice, 0 at invalid nodes."""
+        return self.coeff_re[:, -1] + 1j * self.coeff_im[:, -1]
 
     def weight_mask(self, weights: np.ndarray) -> np.ndarray:
         """Per-step weights with invalid nodes zeroed; refuses claims whose
@@ -122,20 +205,31 @@ class BasisCache:
 
     def basis(self, chunk_id: int, k: int, log_spot: np.ndarray,
               cov: np.ndarray) -> np.ndarray:
+        """H on the (P, M) panel of a chunk's paths at date k, 0 where the
+        real exponent passes models.OVERFLOW_RE."""
         key = (chunk_id, k)
         if self._memo_key == key:
             return self._memo_val
+        n_paths = log_spot.shape[0]
         state = np.concatenate(
-            [log_spot, _flatten_cov(cov, self._iu, self._ju,
-                                    self._off_scale)], axis=1)
-        expo = state @ self.coeff[k] + self.phi[k]
-        bad = expo.real > _OVERFLOW_RE
-        if np.any(bad):
-            self.overflow_count += int(bad.sum())
-            expo = np.where(bad, 0.0, expo)
-        h = np.exp(expo)
-        if np.any(bad):
-            h = np.where(bad, 0.0, h)
+            [log_spot, cov[:, self._iu, self._ju] * self._off_scale,
+             np.ones((n_paths, 1))], axis=1)
+        coeff_re, coeff_im = self.coeff_re[k], self.coeff_im[k]
+        h = np.empty((n_paths, coeff_re.shape[1]), dtype=complex)
+        rows = max(1, BASIS_BLOCK_POINTS // coeff_re.shape[1])
+        for start in range(0, n_paths, rows):
+            block = state[start:start + rows]
+            a = block @ coeff_re
+            bad = a > models.OVERFLOW_RE
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad:
+                a[bad] = 0.0
+            np.exp(a, out=a)
+            out = h[start:start + rows]
+            _scaled_cis(block @ coeff_im, a, out)
+            if n_bad:
+                out[bad] = 0.0
+                self.overflow_count += n_bad
         self._memo_key, self._memo_val = key, h
         return h
 

@@ -38,15 +38,13 @@ __all__ = [
     "wasc_orthogonal_vol",
 ]
 
-_OVERFLOW_RE = 700.0
-
 
 def basis_from_eval(ev: TransformEval, state: models.MarketState) -> complex:
     """H_t(u) from a precomputed (phi, psi) pair at the market state."""
     if not ev.valid:
         return complex(np.nan, np.nan)
     expo = ev.phi + ev.u @ state.log_spot + np.trace(ev.psi @ state.cov)
-    if expo.real > _OVERFLOW_RE:
+    if expo.real > models.OVERFLOW_RE:
         return complex(np.nan, np.nan)
     return complex(np.exp(expo))
 

@@ -46,7 +46,7 @@ def fourier_price(params, state: models.MarketState, horizon: float,
     expo = (grid.phi[0]
             + ct.model_args @ state.log_spot
             + np.einsum("mab,ab->m", grid.psi[0], state.cov))
-    valid = grid.valid[0] & (expo.real <= 700.0)
+    valid = grid.valid[0] & (expo.real <= models.OVERFLOW_RE)
     hv = np.where(valid, np.exp(np.where(valid, expo, 0.0)), np.nan)
     return payoffs.contour_price(ct, hv, valid=valid,
                                  max_skip_mass=max_skip_mass)

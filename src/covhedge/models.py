@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12  # condition-number threshold for trusting closed-form inverses
+# largest real part of a transform exponent that is exponentiated; beyond it
+# e^x overflows float64 (about 709.8) or swamps every other contour node
+OVERFLOW_RE = 700.0
 _QUAD_NODES = 64   # Gauss-Legendre nodes for the quadrature fallbacks
 
 

@@ -86,7 +86,6 @@ BLOCK_POINTS = 512
 _EIG_COND_LIMIT = 1e10
 _COND_LIMIT = 1e12
 _BLOWUP_LIMIT = 1e12
-_OVERFLOW_RE = 700.0
 _ASYM_TOL = 1e-6
 
 
@@ -272,7 +271,7 @@ def basis_value(params, state: models.MarketState, horizon: float, u
     if not ev.valid:
         return complex(np.nan, np.nan), False
     expo = ev.phi + ev.u @ state.log_spot + np.trace(ev.psi @ state.cov)
-    if expo.real > _OVERFLOW_RE:
+    if expo.real > models.OVERFLOW_RE:
         return complex(np.nan, np.nan), False
     return complex(np.exp(expo)), True
 

@@ -1,5 +1,5 @@
 """Lognormal benchmark model: orthant probabilities, quadrant closed forms,
-finite-difference deltas, and the constant-covariance moment transform."""
+closed-form deltas, and the constant-covariance moment transform."""
 
 import numpy as np
 import pytest
@@ -99,12 +99,26 @@ class TestQuadrantDelta:
         assert delta[1] == pytest.approx(bs_price, rel=1e-7)
 
     def test_step_size_robust(self):
+        # the closed form against central differences of the price at two
+        # step sizes, for every leg combination
         spots = np.array([98.0, 104.0])
-        a = gbm.quadrant_spot_delta("cp", spots, (110.0, 81.0), (0.27, 0.27),
-                                    0.69, 0.6, rel_step=1e-4)
-        b = gbm.quadrant_spot_delta("cp", spots, (110.0, 81.0), (0.27, 0.27),
-                                    0.69, 0.6, rel_step=1e-6)
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-10)
+        for kind, strikes in [("cc", (116.0, 128.0)), ("cp", (110.0, 81.0)),
+                              ("pc", (88.0, 122.0)), ("pp", (101.0, 107.0))]:
+            got = gbm.quadrant_spot_delta(kind, spots, strikes, (0.27, 0.27),
+                                          0.69, 0.6)
+            for rel_step in (1e-4, 1e-6):
+                fd = np.empty(2)
+                for i in range(2):
+                    step = rel_step * spots[i]
+                    up, dn = spots.copy(), spots.copy()
+                    up[i] += step
+                    dn[i] -= step
+                    fd[i] = (gbm.lognormal_quadrant_price(
+                        kind, up, strikes, (0.27, 0.27), 0.69, 0.6)
+                        - gbm.lognormal_quadrant_price(
+                            kind, dn, strikes, (0.27, 0.27), 0.69, 0.6)
+                    ) / (2.0 * step)
+                np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-10)
 
     def test_batched_spots(self):
         rng = np.random.default_rng(3)
@@ -114,8 +128,7 @@ class TestQuadrantDelta:
         assert got.shape == (9, 2)
         row = gbm.quadrant_spot_delta("pp", spots[4], (90.0, 95.0),
                                       (0.3, 0.25), 0.4, 0.8)
-        # batched and scalar paths differ only by FD cancellation noise
-        np.testing.assert_allclose(got[4], row, rtol=1e-6)
+        np.testing.assert_allclose(got[4], row, rtol=1e-12)
 
     def test_put_legs_have_negative_deltas(self):
         delta = gbm.quadrant_spot_delta("pp", np.array([100.0, 100.0]),

@@ -1,5 +1,6 @@
-"""Hedging layer: the batched hedge engines against the scalar covariation
-kernels, and covariance-swap strikes against closed forms."""
+"""Hedging layer: the basis kernel against complex exp, the batched hedge
+engines against the scalar covariation kernels, and covariance-swap strikes
+against closed forms."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,109 @@ def hedged(request, wasc_ref, bns_ref, state_ref):
     hedge = backtest.FourierHedge(params, cache, contour.weights)
     hedge.prepare(sim)
     return params, sim, cache, hedge, cache.weight_mask(contour.weights)
+
+
+def complex_exp_basis(cache, k, log_spot, cov):
+    """H = exp(phi + u'Y + Tr(psi Sigma)) by complex exp, node by node."""
+    expo = (cache.phi[k] + log_spot @ cache.model_args.T
+            + np.einsum("mab,pab->pm", cache.psi[k], cov))
+    return np.exp(expo), expo.real
+
+
+class TestBasisCache:
+    @pytest.mark.parametrize("k", [0, N_STEPS - 1])
+    def test_matches_complex_exp_across_blocks(self, hedged, monkeypatch, k):
+        # a budget of 5 rows splits the 12 paths into blocks of 5, 5 and 2
+        _, sim, cache, _, _ = hedged
+        monkeypatch.setattr(backtest, "BASIS_BLOCK_POINTS",
+                            5 * cache.model_args.shape[0] + 3)
+        got = cache.basis(0, k, sim.log_spot[:, k], sim.cov[:, k])
+        want, _ = complex_exp_basis(cache, k, sim.log_spot[:, k],
+                                    sim.cov[:, k])
+        assert got.shape == (N_PATHS, cache.model_args.shape[0])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert cache.overflow_count == 0
+
+    def test_overflow_entries_are_zero_and_counted(self, hedged):
+        _, sim, cache, _, _ = hedged
+        k = 1
+        log_spot = sim.log_spot[:, k].copy()
+        cov = sim.cov[:, k]
+        log_spot[:4] += np.array([[150.0], [200.0], [300.0], [500.0]])
+        with np.errstate(over="ignore"):
+            want, re = complex_exp_basis(cache, k, log_spot, cov)
+        bad = re > models.OVERFLOW_RE
+        assert 0 < bad.sum() < bad.size
+        got = cache.basis(0, k, log_spot, cov)
+        assert cache.overflow_count == bad.sum()
+        assert np.all(got[bad] == 0)
+        np.testing.assert_allclose(got[4:], want[4:], rtol=1e-13, atol=0)
+        # the shifted rows' angles reach thousands of radians, so rounding
+        # in the exponent alone moves H by |b| eps relative
+        kept = ~bad[:4]
+        assert kept.any()
+        np.testing.assert_allclose(got[:4][kept], want[:4][kept], rtol=1e-11,
+                                   atol=0)
+
+    def test_nan_state_propagates(self, hedged):
+        _, sim, cache, _, _ = hedged
+        k = 2
+        log_spot = sim.log_spot[:, k].copy()
+        cov = sim.cov[:, k].copy()
+        log_spot[3, 0] = np.nan
+        cov[5, 0, 1] = cov[5, 1, 0] = np.nan
+        got = cache.basis(0, k, log_spot, cov)
+        want, _ = complex_exp_basis(cache, k, log_spot, cov)
+        nan_rows = np.isin(np.arange(N_PATHS), [3, 5])
+        assert np.all(np.isnan(got[nan_rows].real))
+        assert np.all(np.isnan(got[nan_rows].imag))
+        np.testing.assert_allclose(got[~nan_rows], want[~nan_rows],
+                                   rtol=1e-13, atol=0)
+        assert cache.overflow_count == 0
+
+
+class TestScaledCis:
+    @staticmethod
+    def cis(b, scale=None):
+        b = np.asarray(b, dtype=float)
+        scale = np.ones_like(b) if scale is None else scale
+        out = np.empty(b.shape, dtype=complex)
+        backtest._scaled_cis(b, scale, out)
+        return out
+
+    def test_against_complex_exp(self):
+        rng = np.random.default_rng(11)
+        step = 2.0 * np.pi / backtest.CIS_TABLE
+        j = np.arange(-3 * backtest.CIS_TABLE, 3 * backtest.CIS_TABLE)
+        b = np.concatenate([
+            rng.uniform(-1e4, 1e4, (200, 50)).ravel(),
+            rng.uniform(-3.0, 3.0, 5000),
+            j * step, (j + 0.5) * step,             # table points, midpoints
+            [0.0, -0.0, np.pi, -np.pi, 1e4, -1e4],
+        ])
+        scale = np.exp(rng.uniform(-30.0, 30.0, b.size))
+        got = self.cis(b, scale)
+        err = np.abs(got - scale * np.exp(1j * b)) / scale
+        assert err.max() < 1e-15
+
+    def test_extreme_arguments_within_the_split(self):
+        edge = backtest._CIS_MAX_ARG
+        b = np.array([edge, -edge, np.nextafter(edge, 0.0)])
+        assert np.abs(self.cis(b) - np.exp(1j * b)).max() < 1e-15
+
+    def test_non_finite_angles_give_nan(self):
+        with np.errstate(invalid="ignore"):
+            got = self.cis([np.inf, -np.inf, np.nan, 0.5])
+        assert np.all(np.isnan(got[:3].real))
+        assert np.all(np.isnan(got[:3].imag))
+        assert got[3] == pytest.approx(np.exp(0.5j), abs=1e-15)
+
+    @pytest.mark.parametrize("angle", [1.01 * backtest._CIS_MAX_ARG,
+                                       -1.01 * backtest._CIS_MAX_ARG,
+                                       1e9, -1e300])
+    def test_angle_past_the_split_raises(self, angle):
+        with pytest.raises(ValueError, match="argument reduction"):
+            self.cis([0.25, angle, np.nan])
 
 
 class TestFourierHedge:
