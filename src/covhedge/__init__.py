@@ -3,9 +3,11 @@ covariance-sensitive derivatives under affine stochastic covariance models.
 
 Subpackages and modules
 -----------------------
-matcalc     dense symmetric/PSD matrix utilities (vec/mat, expm, pinv, PSD roots)
+matcalc     dense symmetric/PSD matrix utilities (vec/mat, expm, drift flows,
+            pinv, PSD roots)
 models      parameter containers, admissibility checks, covariance first moments
-transforms  conditional exponential-affine transforms (phi, Psi) and basis claims
+transforms  conditional exponential-affine transforms (phi, Psi) on a
+            times-to-maturity x contour-node lattice
 simulate    seeded Monte Carlo path generation with common-random-number replay
 payoffs     Laplace payoff kernels, damping strips, quadrature contours
 gbm         bivariate lognormal benchmark analytics (Genz CDF, quadrant prices)

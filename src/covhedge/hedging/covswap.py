@@ -179,19 +179,16 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     if n_sub % 2 or n_sub < 2:
         raise ValueError("n_sub must be even and positive")
     e_pair = _pair_matrix(params.d, pair)
-    lift = matcalc.kron_lift(params.mean_rev)
     ts = np.linspace(0.0, horizon, n_sub + 1)
-    flow_t, int1_t, _ = matcalc.lift_flows(lift, ts)
-    _, int1_rem, _ = matcalc.lift_flows(lift, horizon - ts)
+    _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
+                                        horizon - ts)
     vperp = (params.vol_of_vol.T
              @ (np.eye(params.d) - np.outer(params.leverage, params.leverage))
              @ params.vol_of_vol)
-    v0 = matcalc.vec(sigma0)
-    vom = matcalc.vec(params.omega)
     vals = np.empty(ts.size)
     for k in range(ts.size):
         g = matcalc.mat(int1_rem[k].T @ matcalc.vec(e_pair))
-        mean_cov = matcalc.mat(flow_t[k] @ v0 + int1_t[k] @ vom)
+        mean_cov = models.wasc_mean_cov(params, sigma0, ts[k])
         vals[k] = 4.0 * np.trace(g @ mean_cov @ g @ vperp)
     h = horizon / n_sub
     weights = np.ones(n_sub + 1)

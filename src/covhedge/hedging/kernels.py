@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import models
+from .. import matcalc, models
 from ..transforms import TransformEval
 
 __all__ = [
@@ -178,7 +178,6 @@ def gkw_theta(params, state: models.MarketState, ev: TransformEval
     the real part for an actual position)."""
     css = spot_spot_rate(params, state)
     csh = claim_spot_rate(params, state, ev)
-    from .. import matcalc
     return matcalc.pinv_psd(css, rcond=1e-12) @ csh
 
 

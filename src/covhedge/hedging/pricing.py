@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import models, payoffs, transforms
+from .. import matcalc, models, payoffs, transforms
 
 __all__ = ["integrated_cov_rate", "fourier_price"]
 
@@ -18,7 +18,6 @@ def integrated_cov_rate(params, state: models.MarketState,
         raise ValueError("horizon must exceed the state time")
     if params.kind == "wasc":
         imap = models.wasc_integrated_mean(params, state.t, horizon)
-        from .. import matcalc
         total = matcalc.mat(imap.map @ matcalc.vec(state.cov) + imap.offset)
     else:
         total = models.bns_integrated_mean(params, state.cov, tau)

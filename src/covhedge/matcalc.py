@@ -5,6 +5,10 @@ column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 matrix exponentials, eigendecomposition-based pseudoinverses and PSD square
 roots, and the PSD projection used to repair discretized covariance states.
 
+``lift_flows``, the flow of a lifted linear drift with its integral and
+double integral (Van Loan 1978), is the one matrix-flow helper: moments,
+simulation, the jump-model transform and the swap coefficients all use it.
+
 Conventions
 -----------
 * ``vec`` stacks *columns* (Fortran order). Every formula of the form
@@ -35,11 +39,12 @@ __all__ = [
     "psd_project",
     "sqrt_psd",
     "pinv_psd",
-    "gauss_legendre",
 ]
 
 # Relative PSD tolerance: eigenvalues above -PSD_RTOL * ||M||_2 count as >= 0.
 PSD_RTOL = 1e-10
+# power-series terms of lift_flows, whose series runs on ||lift|| delta <= 1
+_FLOW_TERMS = 20
 
 
 def _require_square(m: np.ndarray, who: str, stack: bool = False
@@ -75,36 +80,43 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
 
 def lift_flows(lift: np.ndarray, deltas: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(lift * delta), its time integral over [0, delta], and the double
-    time integral, batched over deltas.  Power series with scaling and
-    squaring, so large mean-reversion norms stay accurate."""
+    """Van Loan's triple for a linear drift: exp(lift * delta), its time
+    integral over [0, delta] and the double integral int_0^delta (delta - s)
+    exp(lift * s) ds, batched over deltas.
+
+    A 20-term power series, run on delta itself when ||lift|| * delta <= 1
+    and otherwise on delta / 2^k followed by k squarings.  The scaling is
+    chosen per delta, so one entry never depends on the others in the batch.
+    """
     n = lift.shape[0]
     deltas = np.asarray(deltas, dtype=float)
-    dmax = float(deltas.max(initial=0.0))
-    nrm = np.linalg.norm(lift, np.inf) * dmax
-    doublings = max(0, int(np.ceil(np.log2(max(nrm, 1e-300))))) if nrm > 1 \
-        else 0
-    scaled = deltas / (2.0 ** doublings)
-
-    eye = np.eye(n)
-    flow = np.zeros(deltas.shape + (n, n))
-    int1 = np.zeros_like(flow)
-    int2 = np.zeros_like(flow)
-    ej = eye.copy()                       # lift^j / j!
-    tp = np.ones_like(scaled)             # delta^j
-    for j in range(30):
-        flow += tp[..., None, None] * ej
-        int1 += (tp * scaled)[..., None, None] * (ej / (j + 1))
-        int2 += (tp * scaled * scaled)[..., None, None] * (
-            ej / ((j + 1) * (j + 2)))
-        ej = ej @ lift / (j + 1)
-        tp = tp * scaled
-    for _ in range(doublings):
+    nrm = np.linalg.norm(lift, np.inf) * deltas
+    doublings = np.ceil(np.log2(np.maximum(nrm, 1.0))).astype(int)
+    scaled = deltas / 2.0 ** doublings
+    # term j of the three series: delta^(j+i) lift^j / (j+i)! for i = 0, 1, 2
+    mats = np.empty((_FLOW_TERMS, 3, n, n))
+    ej = np.eye(n)                                   # lift^j / j!
+    for j in range(_FLOW_TERMS):
+        mats[j, 0] = ej
+        ej = ej @ lift / (j + 1.0)
+    order = np.arange(1.0, _FLOW_TERMS + 1.0)[:, None, None]
+    mats[:, 1] = mats[:, 0] / order
+    mats[:, 2] = mats[:, 1] / (order + 1.0)
+    mats = mats.reshape((_FLOW_TERMS, 3) + (1,) * deltas.ndim + (n, n))
+    powers = np.ones((_FLOW_TERMS + 2,) + deltas.shape)   # (delta / 2^k)^j
+    np.cumprod(np.broadcast_to(scaled, powers[1:].shape), axis=0,
+               out=powers[1:])
+    acc = np.zeros((3,) + deltas.shape + (n, n))
+    for j in range(_FLOW_TERMS):
+        acc += powers[j:j + 3, ..., None, None] * mats[j]
+    flow, int1, int2 = acc
+    for i in range(int(doublings.max(initial=0))):
+        more = (doublings > i)[..., None, None]
         step = scaled[..., None, None]
-        int2 = int2 + step * int1 + flow @ int2
-        int1 = int1 + flow @ int1
-        flow = flow @ flow
-        scaled = 2.0 * scaled
+        int2 = np.where(more, int2 + step * int1 + flow @ int2, int2)
+        int1 = np.where(more, int1 + flow @ int1, int1)
+        flow = np.where(more, flow @ flow, flow)
+        scaled = np.where(doublings > i, 2.0 * scaled, scaled)
     return flow, int1, int2
 
 
@@ -229,12 +241,3 @@ def pinv_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
         return np.zeros_like(a)
     inv = np.where(w > rcond * wmax, 1.0 / np.where(w > 0, w, 1.0), 0.0)
     return (q * inv) @ q.T
-
-
-def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    if n < 1:
-        raise ValueError("gauss_legendre: need at least one node")
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w

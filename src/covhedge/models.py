@@ -10,9 +10,15 @@ Two affine covariance classes are supported:
   log prices jump through a diagonal leverage loading.
 
 Parameter objects are immutable after construction and safe to share across
-threads.  ``validate`` returns diagnostics instead of raising so the CLI can
+threads.  ``validate`` returns diagnostics instead of raising so a caller can
 report all violations at once; computational entry points call
-``require_valid`` which raises on the first violation.
+``require_valid`` which raises on the first violation.  ``MarketState``
+rejects a covariance that is not a symmetric PSD d x d matrix.
+
+The mean covariance solves dS/dt = drive + M S + S M' (drive: Omega, or the
+jump mean), so ``matcalc.lift_flows`` gives it for any M as flow vec Sigma_0
++ int flow vec drive, and its time integral as int flow vec Sigma_0 + double
+int flow vec drive.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ COND_LIMIT = 1e12  # condition-number threshold for trusting closed-form inverse
 # largest real part of a transform exponent that is exponentiated; beyond it
 # e^x overflows float64 (about 709.8) or swamps every other contour node
 OVERFLOW_RE = 700.0
-_QUAD_NODES = 64   # Gauss-Legendre nodes for the quadrature fallbacks
 
 
 def _as_matrix(x, d: int, name: str) -> np.ndarray:
@@ -165,6 +170,18 @@ class MarketState:
         object.__setattr__(self, "cov", np.array(self.cov, dtype=float))
         if np.max(np.abs(self.log_spot - np.log(self.spot))) > 1e-12:
             raise ValueError("log_spot is not the log of spot")
+        d = self.spot.size
+        if self.cov.shape != (d, d):
+            raise ValueError(f"cov: expected shape ({d}, {d}), got "
+                             f"{self.cov.shape}")
+        # the rule of matcalc.sqrt_psd
+        if not matcalc.is_symmetric(self.cov, rtol=1e-10):
+            raise ValueError("cov must be symmetric")
+        lo, tol = (matcalc.min_eigenvalue(self.cov),
+                   matcalc.psd_tolerance(self.cov))
+        if lo < -tol:
+            raise ValueError(f"cov has eigenvalue {lo:.3e} below -{tol:.3e}; "
+                             "not a covariance state")
         for name in ("spot", "log_spot", "cov"):
             getattr(self, name).setflags(write=False)
 
@@ -285,91 +302,49 @@ class IntegratedMeanMap:
 
     map: np.ndarray
     offset: np.ndarray
-    exact: bool  # False when the quadrature fallback was used
 
 
-def _lift_cond(lift: np.ndarray) -> float:
-    try:
-        return float(np.linalg.cond(lift))
-    except np.linalg.LinAlgError:
-        return np.inf
+def _mean_flows(mean_rev: np.ndarray, t: float):
+    """(flow, int flow, double int flow) of the mean covariance ODE
+    dS/dt = drive + M S + S M' over [0, t], in column-stacked form."""
+    return matcalc.lift_flows(matcalc.kron_lift(mean_rev),
+                              np.array(float(t)))
 
 
 def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t: float) -> np.ndarray:
-    """E[Sigma_t | Sigma_0]: the affine-drift mean flow, exact."""
-    lift = matcalc.kron_lift(params.mean_rev)
-    v0 = matcalc.vec(np.asarray(sigma0, dtype=float))
-    et = matcalc.mat_exp(lift * t)
-    vom = matcalc.vec(params.omega)
-    if _lift_cond(lift) < COND_LIMIT:
-        drift_part = np.linalg.solve(lift, (et - np.eye(lift.shape[0])) @ vom)
-    else:
-        x, w = matcalc.gauss_legendre(0.0, t, _QUAD_NODES) if t > 0 else (np.array([]), np.array([]))
-        drift_part = sum(
-            (wi * matcalc.mat_exp(lift * xi) @ vom for xi, wi in zip(x, w)),
-            np.zeros(lift.shape[0]),
-        )
-    return matcalc.sym_part(matcalc.mat(et @ v0 + drift_part))
+    """E[Sigma_t | Sigma_0] = flow vec Sigma_0 + (int flow) vec Omega."""
+    flow, int1, _ = _mean_flows(params.mean_rev, t)
+    return matcalc.sym_part(matcalc.mat(
+        flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
+        + int1 @ matcalc.vec(params.omega)))
 
 
 def wasc_integrated_mean(params: WascParams, t: float, T: float) -> IntegratedMeanMap:
     """The (map, offset) pair with int_t^T E[vec Sigma_s|Sigma_t] ds =
-    map @ vec(Sigma_t) + offset; closed form via the lift inverse when well
-    conditioned, else 64-node Gauss-Legendre quadrature (flagged)."""
+    map @ vec(Sigma_t) + offset: the integrated flow, and the double
+    integrated flow applied to vec Omega."""
     if T < t:
         raise ValueError("need T >= t")
-    dt = T - t
-    lift = matcalc.kron_lift(params.mean_rev)
-    dim = lift.shape[0]
-    vom = matcalc.vec(params.omega)
-    if dt == 0.0:
-        return IntegratedMeanMap(np.zeros((dim, dim)), np.zeros(dim), True)
-    if _lift_cond(lift) < COND_LIMIT:
-        e = matcalc.mat_exp(lift * dt)
-        amap = np.linalg.solve(lift, e - np.eye(dim))
-        offset = np.linalg.solve(lift, np.linalg.solve(lift, e - np.eye(dim)) - dt * np.eye(dim)) @ vom
-        return IntegratedMeanMap(amap, offset, True)
-    x, w = matcalc.gauss_legendre(0.0, dt, _QUAD_NODES)
-    amap = np.zeros((dim, dim))
-    offset = np.zeros(dim)
-    for xi, wi in zip(x, w):
-        e = matcalc.mat_exp(lift * xi)
-        amap += wi * e
-        offset += wi * (dt - xi) * (e @ vom)
-    return IntegratedMeanMap(amap, offset, False)
+    _, int1, int2 = _mean_flows(params.mean_rev, T - t)
+    return IntegratedMeanMap(int1, int2 @ matcalc.vec(params.omega))
 
 
 def bns_mean_cov(params: BnsParams, sigma0: np.ndarray, t: float) -> np.ndarray:
-    """E[Sigma_t | Sigma_0] under pure-jump covariance with linear decay."""
-    b = params.mean_rev
-    ebt = matcalc.mat_exp(b * t)
-    lift = matcalc.kron_lift(b)
-    vml = matcalc.vec(params.jump_mean())
-    if _lift_cond(lift) < COND_LIMIT:
-        jump_part = np.linalg.solve(lift, (matcalc.mat_exp(lift * t) - np.eye(lift.shape[0])) @ vml)
-    else:
-        x, w = matcalc.gauss_legendre(0.0, t, _QUAD_NODES) if t > 0 else (np.array([]), np.array([]))
-        jump_part = sum(
-            (wi * matcalc.mat_exp(lift * xi) @ vml for xi, wi in zip(x, w)),
-            np.zeros(lift.shape[0]),
-        )
-    return matcalc.sym_part(ebt @ np.asarray(sigma0, dtype=float) @ ebt.T + matcalc.mat(jump_part))
+    """E[Sigma_t | Sigma_0] under pure-jump covariance with linear decay:
+    flow vec Sigma_0 + (int flow) vec(jump mean)."""
+    flow, int1, _ = _mean_flows(params.mean_rev, t)
+    return matcalc.sym_part(matcalc.mat(
+        flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
+        + int1 @ matcalc.vec(params.jump_mean())))
 
 
 def bns_integrated_mean(params: BnsParams, sigma0: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T E[Sigma_s] ds.  Uses the Lyapunov identity
-    B(int Sigma) = E[Sigma_T] - Sigma_0 - T * jump_mean with B(X) = bX + Xb',
-    falling back to quadrature when the lift is ill conditioned."""
-    sigma0 = np.asarray(sigma0, dtype=float)
-    lift = matcalc.kron_lift(params.mean_rev)
-    if _lift_cond(lift) < COND_LIMIT:
-        rhs = bns_mean_cov(params, sigma0, T) - sigma0 - T * params.jump_mean()
-        return matcalc.sym_part(matcalc.mat(np.linalg.solve(lift, matcalc.vec(rhs))))
-    x, w = matcalc.gauss_legendre(0.0, T, _QUAD_NODES)
-    out = np.zeros((params.d, params.d))
-    for xi, wi in zip(x, w):
-        out += wi * bns_mean_cov(params, sigma0, xi)
-    return matcalc.sym_part(out)
+    """int_0^T E[Sigma_s] ds = (int flow) vec Sigma_0 + (double int flow)
+    vec(jump mean)."""
+    _, int1, int2 = _mean_flows(params.mean_rev, T)
+    return matcalc.sym_part(matcalc.mat(
+        int1 @ matcalc.vec(np.asarray(sigma0, dtype=float))
+        + int2 @ matcalc.vec(params.jump_mean())))
 
 
 # ---------------------------------------------------------------------------

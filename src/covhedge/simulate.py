@@ -166,34 +166,6 @@ def _repair_psd_batch(mats: np.ndarray, reflect: bool) -> tuple[np.ndarray, int]
     return mats, material
 
 
-def _poly_flows(a: np.ndarray, taus: np.ndarray, terms: int = 20
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """expm(a*tau) and int_0^tau expm(a*s) ds for an array of tau, by a
-    truncated power series.  A tau with ||a|| * tau > 1 runs the series at
-    tau / 2^k and takes k squarings; any other tau runs it on tau itself.
-    The choice is made per tau, so a path's flow never depends on the other
-    paths of its batch."""
-    n = a.shape[0]
-    taus = np.asarray(taus, dtype=float)
-    nrm = np.linalg.norm(a, np.inf) * taus
-    doublings = np.ceil(np.log2(np.maximum(nrm, 1.0))).astype(int)
-    steps = taus / 2.0 ** doublings
-    ej = np.eye(n)
-    flow = np.zeros(taus.shape + (n, n))
-    integ = np.zeros_like(flow)
-    tp = np.ones_like(steps)
-    for j in range(terms):
-        flow = flow + tp[..., None, None] * ej
-        integ = integ + (tp * steps)[..., None, None] * (ej / (j + 1.0))
-        tp = tp * steps
-        ej = ej @ a / (j + 1.0)
-    for i in range(int(doublings.max(initial=0))):
-        more = (doublings > i)[..., None, None]
-        integ = np.where(more, integ + flow @ integ, integ)
-        flow = np.where(more, flow @ flow, flow)
-    return flow, integ
-
-
 def _philox(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
@@ -231,7 +203,7 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
     if scheme == "splitting":
         e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
         lift = matcalc.kron_lift(params.mean_rev)
-        _, k_half = _poly_flows(lift, np.array(0.5 * h))
+        _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
         c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
         sig = np.repeat(sigma0[None], n_chunk, axis=0)
         y = np.repeat(y0[None], n_chunk, axis=0)
@@ -310,7 +282,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     m = params.mean_rev
     lift = matcalc.kron_lift(m)
     e_h = matcalc.mat_exp(m * h)
-    _, k_h = _poly_flows(lift, np.array(h))
+    _, k_h, _ = matcalc.lift_flows(lift, np.array(h))
 
     # fixed-order draws, then a per-path padding so steps can be vectorized
     times_l, marks_l, bnorm_l = [], [], []
@@ -361,8 +333,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     def _advance(idx, taus):
         """Deterministic flow over a tau-long segment for the given paths:
         updates sig, y and the step integral; consumes one Brownian vector."""
-        flow, _ = _poly_flows(m, taus)
-        _, kint_l = _poly_flows(lift, taus)
+        flow, _, _ = matcalc.lift_flows(m, taus)
+        _, kint_l, _ = matcalc.lift_flows(lift, taus)
         vecsig = sig[idx].transpose(1, 2, 0).reshape(d * d, -1, order="F").T
         int_vec = np.einsum("pab,pb->pa", kint_l, vecsig)
         int_seg = int_vec.T.reshape(d, d, -1, order="F").transpose(2, 0, 1)

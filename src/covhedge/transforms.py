@@ -19,21 +19,21 @@ with tau = T - t.  This module computes (phi, psi):
 
   (Left inverse: substituting the first-order expansion of Theta shows this
   and only this block pairing reproduces the Riccati right-hand side.)
+  This module evaluates V = 0, psi = Theta_22^{-1} Theta_21, and
+  phi = int_0^tau Tr(Omega psi(s)) ds.
 
 * Pure-jump covariance: the Riccati is linear,
-  psi(tau) = e^{M' tau} V e^{M tau} + int_0^tau e^{M's} D e^{Ms} ds,
+  psi(tau) = int_0^tau e^{M's} D e^{Ms} ds,
   and phi integrates the Levy exponent of the leveraged jumps through the
   Wishart MGF at the shifted argument R_s(u) = psi(s, u) + Diag(rho * u).
 
-Transform-domain failures (blown-up flows, MGF strip violations, overflow in
-the final exponential) are reported through a ``valid`` flag, never raised:
-contour integration treats invalid nodes as missing data and accounts for
-the skipped mass.
+Transform-domain failures (blown-up flows, moment explosions, MGF strip
+violations) are reported through a ``valid`` flag, never raised: contour
+integration treats invalid nodes as missing data and accounts for the
+skipped mass.
 
-The scalar functions below integrate phi on [0, tau] with their own
-PHI_QUAD_NODES-point rule.  ``transform_grid``, the engine behind pricing
-and hedging, evaluates a whole (times-to-maturity) x (contour nodes)
-lattice at once:
+``transform_grid`` is the one engine, for V = 0.  It evaluates a whole
+(times-to-maturity) x (contour nodes) lattice at once:
 
 * Cumulative phi along tau.  The distinct positive tau are sorted, each
   span between neighbours is cut into equal panels no wider than
@@ -49,10 +49,20 @@ lattice at once:
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs one batched strip
   margin and log-determinant.
+* Moment explosion (diffusion).  The checks above only fire close to a
+  Riccati pole, so a pole between two evaluated points would pass.  For
+  each distinct real part a = Re(u) among the nodes, the real companion
+  node u = a is evaluated too: det Theta_22(s) is real for it, starts at 1
+  and vanishes exactly where its flow explodes.  From the first evaluated
+  s where it is not positive, E[exp(a'Y)] is infinite and every node with
+  real part a is invalid (Keller-Ressel 2011).
 * Forward validity.  A node is valid at tau only if every check passed at
   every evaluated point in [0, tau]: the quadrature points and the tau of
   the grid up to it.  Once a node fails it stays invalid for every later
   tau, and its phi and psi hold nan there.
+
+Single evaluations go through the same engine: a 1 x 1 lattice, and
+``hedging.kernels.basis_from_eval`` for H at a market state.
 """
 
 from __future__ import annotations
@@ -67,24 +77,16 @@ __all__ = [
     "TransformEval",
     "TransformGrid",
     "wasc_hamiltonian",
-    "wasc_psi",
-    "wasc_phi",
-    "bns_psi",
-    "bns_phi",
-    "transform",
-    "basis_value",
     "transform_grid",
 ]
 
-PHI_QUAD_NODES = 64
 # lattice engine: the phi panel rule along the tau grid, and the (node, s)
 # points evaluated per node block, which bounds the working set; chosen from
 # the error-versus-cost and memory curves recorded in CHANGES.md
 PHI_PANEL_NODES = 8
 PHI_PANEL_WIDTH = 0.125
 BLOCK_POINTS = 512
-_EIG_COND_LIMIT = 1e10
-_COND_LIMIT = 1e12
+_EIGVEC_COND_MAX = 1e10
 _BLOWUP_LIMIT = 1e12
 _ASYM_TOL = 1e-6
 
@@ -98,10 +100,6 @@ class TransformEval:
     phi: complex
     psi: np.ndarray
     valid: bool
-
-
-def _nan_mat(d: int) -> np.ndarray:
-    return np.full((d, d), np.nan + 1j * np.nan)
 
 
 def _as_cvec(u, d: int) -> np.ndarray:
@@ -144,7 +142,7 @@ def _flow_solve(lhs: np.ndarray, rhs: np.ndarray
     flag a blown-up or numerically singular flow.  Returns psi (0 where a
     check failed) and the per-entry flags."""
     ok = np.all(np.isfinite(lhs), axis=(-2, -1))
-    ok[ok] = np.linalg.cond(lhs[ok]) < _COND_LIMIT
+    ok[ok] = np.linalg.cond(lhs[ok]) < models.COND_LIMIT
     sol = np.linalg.solve(lhs[ok], rhs[ok])
     scale = np.maximum(np.max(np.abs(sol), axis=(-2, -1)), 1.0)
     asym = np.max(np.abs(sol - sol.swapaxes(-1, -2)), axis=(-2, -1))
@@ -156,124 +154,6 @@ def _flow_solve(lhs: np.ndarray, rhs: np.ndarray
     psi[ok] = np.where(sol_ok[:, None, None], matcalc.sym_part(sol), 0.0)
     ok[ok] = sol_ok
     return psi, ok
-
-
-def wasc_psi(params: models.WascParams, tau: float, u, v=None
-             ) -> tuple[np.ndarray, bool]:
-    """State coefficient psi(tau, u, V) of the Wishart-diffusion transform.
-
-    Closed form through the Hamiltonian matrix exponential; the returned flag
-    is False when the flow inverse is numerically singular (transform
-    blow-up), in which case callers should shrink the damping strip.
-    """
-    d = params.d
-    u = _as_cvec(u, d)
-    if v is not None:
-        v = np.asarray(v, dtype=complex)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return (np.zeros((d, d), dtype=complex) if v is None else v.copy()), True
-    theta = matcalc.mat_exp(tau * wasc_hamiltonian(params, u))
-    lhs, rhs = theta[d:, d:], theta[d:, :d]
-    if v is not None:
-        lhs, rhs = lhs + v @ theta[:d, d:], rhs + v @ theta[:d, :d]
-    with np.errstate(invalid="ignore"):
-        psi, ok = _flow_solve(lhs[None], rhs[None])
-    return (psi[0] if ok[0] else _nan_mat(d)), bool(ok[0])
-
-
-def wasc_phi(params: models.WascParams, tau: float, u, v=None
-             ) -> tuple[complex, bool]:
-    """phi(tau, u, V) = int_0^tau Tr(Omega psi(s)) ds by Gauss-Legendre."""
-    u = _as_cvec(u, params.d)
-    if tau == 0.0:
-        return 0.0 + 0.0j, True
-    x, w = matcalc.gauss_legendre(0.0, tau, PHI_QUAD_NODES)
-    total = 0.0 + 0.0j
-    for s, ws in zip(x, w):
-        psi, ok = wasc_psi(params, float(s), u, v)
-        if not ok:
-            return complex(np.nan, np.nan), False
-        total += ws * np.trace(params.omega @ psi)
-    return complex(total), True
-
-
-# ---------------------------------------------------------------------------
-# pure-jump covariance transform
-# ---------------------------------------------------------------------------
-
-def bns_psi(params: models.BnsParams, tau: float, u, v=None
-            ) -> tuple[np.ndarray, bool]:
-    """psi(tau,u,V) = e^{M'tau} V e^{M tau} + int_0^tau e^{M's} D e^{Ms} ds."""
-    d = params.d
-    u = _as_cvec(u, d)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    # vec of the integral: int_0^tau e^{M's} (x) e^{M's} ds applied to vec D
-    lift = matcalc.kron_lift(params.mean_rev.T)
-    flow, integ, _ = matcalc.lift_flows(lift, np.array(float(tau)))
-    psi = matcalc.mat(integ @ matcalc.vec(_source(u)))
-    if v is not None:
-        v = np.asarray(v, dtype=complex)
-        psi = psi + matcalc.mat(flow @ matcalc.vec(v))
-    return matcalc.sym_part(psi), True
-
-
-def bns_phi(params: models.BnsParams, tau: float, u, v=None
-            ) -> tuple[complex, bool]:
-    """phi(tau,u,V): integrated Levy exponent of the leveraged jumps minus
-    the martingale drift, int_0^tau lam*(mgf(R_s(u)) - 1) ds - tau * u'kappa.
-
-    The MGF strip condition is checked at every quadrature node; the first
-    violation invalidates the whole evaluation.
-    """
-    u = _as_cvec(u, params.d)
-    if tau == 0.0:
-        return 0.0 + 0.0j, True
-    x, w = matcalc.gauss_legendre(0.0, tau, PHI_QUAD_NODES)
-    r_s = np.stack([bns_psi(params, float(s), u, v)[0] for s in x])
-    mgf, ok = models.wishart_mgf(params.wishart_scale, params.wishart_shape,
-                                 r_s + np.diag(params.leverage_diag * u))
-    if not np.all(ok):
-        return complex(np.nan, np.nan), False
-    total = w @ (params.jump_intensity * (mgf - 1.0))
-    return complex(total - tau * (u @ params.drift_comp)), True
-
-
-# ---------------------------------------------------------------------------
-# dispatch and basis-claim evaluation
-# ---------------------------------------------------------------------------
-
-def transform(params, tau: float, u, v=None) -> TransformEval:
-    """(phi, psi) bundle for either model class."""
-    u = _as_cvec(u, params.d)
-    if params.kind == "wasc":
-        psi, ok1 = wasc_psi(params, tau, u, v)
-        phi, ok2 = (wasc_phi(params, tau, u, v) if ok1
-                    else (complex(np.nan, np.nan), False))
-    else:
-        psi, ok1 = bns_psi(params, tau, u, v)
-        phi, ok2 = (bns_phi(params, tau, u, v) if ok1
-                    else (complex(np.nan, np.nan), False))
-    return TransformEval(tau=tau, u=u, phi=phi, psi=psi, valid=ok1 and ok2)
-
-
-def basis_value(params, state: models.MarketState, horizon: float, u
-                ) -> tuple[complex, bool]:
-    """H_t(u) = E[exp(u'Y_T) | F_t] evaluated at the given market state.
-
-    Returns (nan, False) on transform-domain failure or when the real part of
-    the exponent exceeds the overflow guard.
-    """
-    tau = horizon - state.t
-    ev = transform(params, tau, u)
-    if not ev.valid:
-        return complex(np.nan, np.nan), False
-    expo = ev.phi + ev.u @ state.log_spot + np.trace(ev.psi @ state.cov)
-    if expo.real > models.OVERFLOW_RE:
-        return complex(np.nan, np.nan), False
-    return complex(np.exp(expo)), True
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +193,53 @@ def _phi_panels(knots: np.ndarray
     return pts.ravel(), wts.ravel(), PHI_PANEL_NODES * first
 
 
-def _wasc_block(params: models.WascParams, svals: np.ndarray):
-    """Block evaluator: (B, d) nodes -> psi (B, S, d, d), the phi integrand
+def _theta_low(params: models.WascParams, u: np.ndarray, svals: np.ndarray
+               ) -> np.ndarray:
+    """Lower block rows [Theta_21, Theta_22] of expm(s Ham(u)) for (B, d)
+    nodes at every s, shape (B, S, d, 2d)."""
+    d = params.d
+    ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
+    lam, q = np.linalg.eig(ham)
+    eig_ok = np.linalg.cond(q) <= _EIGVEC_COND_MAX
+    # sum_j e^{s lam_j} q[d:, j] (x) q^{-1}[j, :]: one batched product with
+    # no temporary the size of the result
+    modes = np.zeros((u.shape[0], 2 * d, 2 * d * d), dtype=complex)
+    modes[eig_ok] = (q[eig_ok, d:, :].swapaxes(-1, -2)[..., None]
+                     * np.linalg.inv(q[eig_ok])[:, :, None, :]
+                     ).reshape(-1, 2 * d, 2 * d * d)
+    low = (np.exp(svals[:, None] * lam[:, None, :]) @ modes).reshape(
+        u.shape[0], svals.size, d, 2 * d)
+    for b in np.flatnonzero(~eig_ok):
+        low[b] = matcalc.mat_exp(svals[:, None, None] * ham[b])[:, d:, :]
+    return low
+
+
+def _wasc_block(params: models.WascParams, svals: np.ndarray,
+                nodes: np.ndarray):
+    """Block evaluator: node columns -> psi (B, S, d, d), the phi integrand
     Tr(Omega psi) (B, S) and the validity checks (B, S) at every s."""
     d = params.d
+    # det Theta_22 of each distinct real part's companion node, in blocks
+    reals, which = np.unique(nodes.real, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    width = max(1, BLOCK_POINTS // svals.size)
+    sign = np.concatenate([
+        np.linalg.slogdet(_theta_low(params, reals[lo:lo + width]
+                                     .astype(complex), svals)[..., d:].real)[0]
+        for lo in range(0, reals.shape[0], width)])
+    pole_free = sign > 0                                   # (R, S)
 
-    def block(u: np.ndarray):
-        ham = wasc_hamiltonian(params, u)                  # (B, 2d, 2d)
-        lam, q = np.linalg.eig(ham)
-        eig_ok = np.linalg.cond(q) <= _EIG_COND_LIMIT
-        # lower block rows [Theta_21, Theta_22] of expm(s Ham), (B, S, d, 2d),
-        # as sum_j e^{s lam_j} q[d:, j] (x) q^{-1}[j, :]: one batched product
-        # with no temporary the size of the result
-        modes = np.zeros((u.shape[0], 2 * d, 2 * d * d), dtype=complex)
-        modes[eig_ok] = (q[eig_ok, d:, :].swapaxes(-1, -2)[..., None]
-                         * np.linalg.inv(q[eig_ok])[:, :, None, :]
-                         ).reshape(-1, 2 * d, 2 * d * d)
-        low = (np.exp(svals[:, None] * lam[:, None, :]) @ modes).reshape(
-            u.shape[0], svals.size, d, 2 * d)
-        for b in np.flatnonzero(~eig_ok):
-            low[b] = matcalc.mat_exp(svals[:, None, None] * ham[b])[:, d:, :]
+    def block(cols: slice):
+        low = _theta_low(params, nodes[cols], svals)
         psi, ok = _flow_solve(low[..., d:], low[..., :d])
+        ok &= pole_free[which[cols]]
         return psi, np.einsum("ab,...ba->...", params.omega, psi), ok
 
     return block
 
 
-def _bns_block(params: models.BnsParams, svals: np.ndarray):
+def _bns_block(params: models.BnsParams, svals: np.ndarray,
+               nodes: np.ndarray):
     """Block evaluator as in _wasc_block; the phi integrand is
     lam (mgf(R_s(u)) - 1) - u'kappa and the check is the mark strip."""
     d = params.d
@@ -347,7 +247,8 @@ def _bns_block(params: models.BnsParams, svals: np.ndarray):
     # dr does not depend on the node
     _, ops, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T), svals)
 
-    def block(u: np.ndarray):
+    def block(cols: slice):
+        u = nodes[cols]
         dvec = _source(u).reshape(u.shape[0], d * d)       # symmetric: = vec
         psi = np.einsum("sij,bj->bsi", ops, dvec)
         psi = matcalc.sym_part(psi.reshape(psi.shape[:2] + (d, d)))
@@ -385,22 +286,22 @@ def transform_grid(params, taus, nodes) -> TransformGrid:
     if n_k:
         pts, wts, starts = _phi_panels(knots[lead:])
         svals = np.concatenate([knots[lead:], pts])
-        block = (_wasc_block if params.kind == "wasc" else _bns_block)(
-            params, svals)
         width = max(1, BLOCK_POINTS // svals.size)
-        for lo in range(0, m_nodes, width):
-            cols = slice(lo, lo + width)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ps, rate, ok = block(nodes[cols])
-            # a node stays valid up to the first failed check along [0, tau]
-            bad = ~ok[:, :n_k] | np.logical_or.reduceat(~ok[:, n_k:], starts,
-                                                         axis=1)
-            good = ~np.logical_or.accumulate(bad, axis=1)      # (B, K)
-            ph = np.cumsum(np.add.reduceat(rate[:, n_k:] * wts, starts,
-                                           axis=1), axis=1)
-            phi[lead:, cols] = np.where(good, ph, np.nan).T
-            psi[lead:, cols] = np.where(good[..., None, None], ps[:, :n_k],
-                                        np.nan).swapaxes(0, 1)
-            valid[lead:, cols] = good.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = (_wasc_block if params.kind == "wasc" else _bns_block)(
+                params, svals, nodes)
+            for lo in range(0, m_nodes, width):
+                cols = slice(lo, lo + width)
+                ps, rate, ok = block(cols)
+                # a node stays valid up to the first failed check on [0, tau]
+                bad = ~ok[:, :n_k] | np.logical_or.reduceat(
+                    ~ok[:, n_k:], starts, axis=1)
+                good = ~np.logical_or.accumulate(bad, axis=1)  # (B, K)
+                ph = np.cumsum(np.add.reduceat(rate[:, n_k:] * wts, starts,
+                                               axis=1), axis=1)
+                phi[lead:, cols] = np.where(good, ph, np.nan).T
+                psi[lead:, cols] = np.where(good[..., None, None],
+                                            ps[:, :n_k], np.nan).swapaxes(0, 1)
+                valid[lead:, cols] = good.T
     return TransformGrid(taus=taus, nodes=nodes, phi=phi[row], psi=psi[row],
                          valid=valid[row])

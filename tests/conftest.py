@@ -1,6 +1,7 @@
 """Shared fixtures: the two-asset reference parameter set used across the
 test suite (matrix vol-of-vol A, mean reversion M, leverage rho, Wishart
-shape alpha, initial covariance and spots), plus desk-scale profile knobs."""
+shape alpha, initial covariance and spots), and ``basis_at``, the basis claim
+H at one market state through the lattice engine."""
 
 from __future__ import annotations
 
@@ -51,3 +52,19 @@ def state_ref():
 
     return models.MarketState.from_spot(t=0.0, spot=S0_REF.copy(),
                                         cov=SIGMA0_REF.copy())
+
+
+def basis_at(params, state, horizon: float, u) -> complex:
+    """H_t(u) = E[exp(u'Y_T) | F_t] from a 1 x 1 transform lattice and
+    ``kernels.basis_from_eval``; nan where the transform is invalid or the
+    exponent passes the overflow guard."""
+    from covhedge import transforms
+    from covhedge.hedging import kernels
+
+    u = np.asarray(u, dtype=complex)
+    tau = horizon - state.t
+    grid = transforms.transform_grid(params, [tau], u[None])
+    ev = transforms.TransformEval(tau=tau, u=u, phi=grid.phi[0, 0],
+                                  psi=grid.psi[0, 0],
+                                  valid=bool(grid.valid[0, 0]))
+    return kernels.basis_from_eval(ev, state)

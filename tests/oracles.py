@@ -99,12 +99,16 @@ def integrate_riccati(tau: float, u: np.ndarray, vol_of_vol: np.ndarray,
 
 def integrate_phi(tau: float, u: np.ndarray, omega: np.ndarray,
                   vol_of_vol: np.ndarray, mean_rev: np.ndarray,
-                  leverage: np.ndarray, n_nodes: int = 400) -> complex:
-    """phi(tau) = int_0^tau Tr(Omega psi(s)) ds by dense-output quadrature."""
+                  leverage: np.ndarray, v0: np.ndarray | None = None
+                  ) -> complex:
+    """phi(tau) = int_0^tau Tr(Omega psi(s)) ds, integrated along with the
+    Riccati system from psi(0) = v0 (default 0)."""
     u = np.asarray(u, dtype=complex)
     d = u.size
     aa = np.asarray(vol_of_vol).T @ np.asarray(vol_of_vol)
     a_rho = np.asarray(vol_of_vol).T @ np.asarray(leverage, dtype=float)
+    v0 = np.zeros((d, d), dtype=complex) if v0 is None else np.asarray(
+        v0, dtype=complex)
 
     def rhs(_t, y):
         psi = (y[: d * d] + 1j * y[d * d: 2 * d * d]).reshape(d, d)
@@ -113,7 +117,7 @@ def integrate_phi(tau: float, u: np.ndarray, omega: np.ndarray,
         return np.concatenate([dpsi.real.ravel(), dpsi.imag.ravel(),
                                [tr.real, tr.imag]])
 
-    y0 = np.zeros(2 * d * d + 2)
+    y0 = np.concatenate([v0.real.ravel(), v0.imag.ravel(), [0.0, 0.0]])
     sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=1e-11, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"phi ODE integration failed: {sol.message}")
@@ -126,12 +130,15 @@ def integrate_phi(tau: float, u: np.ndarray, omega: np.ndarray,
 
 def bns_phi_quadrature(tau: float, u: np.ndarray, mean_rev: np.ndarray,
                        jump_intensity: float, wishart_shape: float,
-                       wishart_scale: np.ndarray, leverage_diag: np.ndarray
+                       wishart_scale: np.ndarray, leverage_diag: np.ndarray,
+                       v0: np.ndarray | None = None
                        ) -> tuple[complex, np.ndarray]:
-    """(phi(tau), psi(tau)) of the jump model for V = 0.
+    """(phi(tau), psi(tau)) of the jump model started from psi(0) = v0
+    (default 0).
 
-    psi(s) = int_0^s e^{M'r} D e^{Mr} dr solves M'psi + psi M = e^{M's} D
-    e^{Ms} - D, here as a Kronecker system with ``series_expm``.  phi is
+    psi(s) = e^{M's} v0 e^{Ms} + int_0^s e^{M'r} D e^{Mr} dr; the integral
+    solves M'X + X M = e^{M's} D e^{Ms} - D, here as a Kronecker system
+    with ``series_expm``.  phi is
     int_0^tau lam (E[exp(Tr(R_s X))] - 1) ds - tau u'kappa with R_s = psi(s)
     + Diag(rho u), the Wishart MGF det(I - 2 R Theta)^(-n/2) taken on the
     branch that sums the principal logs of the eigenvalues, and kappa_k =
@@ -146,10 +153,13 @@ def bns_phi_quadrature(tau: float, u: np.ndarray, mean_rev: np.ndarray,
     lift = np.kron(eye, m.T) + np.kron(m.T, eye)     # column-stacking vec
     dmat = 0.5 * (np.outer(u, u) - np.diag(u))
 
+    v0 = np.zeros((d, d)) if v0 is None else np.asarray(v0, dtype=complex)
+
     def psi(s: float) -> np.ndarray:
         e = series_expm(m * s)
         rhs = (e.T @ dmat @ e - dmat).reshape(-1, order="F")
-        return np.linalg.solve(lift, rhs).reshape(d, d, order="F")
+        return (e.T @ v0 @ e
+                + np.linalg.solve(lift, rhs).reshape(d, d, order="F"))
 
     def levy(s: float) -> np.ndarray:
         r = psi(s) + np.diag(rho * u)

@@ -1,6 +1,7 @@
 """Hedging layer: the basis kernel against complex exp, the batched hedge
-engines against the scalar covariation kernels, and covariance-swap strikes
-against closed forms."""
+engines against the scalar covariation kernels, and covariance swaps: strikes
+against closed forms, values as martingales and the hedged variance against
+Monte Carlo."""
 
 import numpy as np
 import pytest
@@ -168,3 +169,55 @@ class TestCovswapStrikes:
         closed = (models.bns_integrated_mean(bns_ref, SIGMA0_REF, 1.0)[i, j]
                   + bns_ref.jump_intensity * rho[i] * rho[j] * pair_mom)
         assert system.fair_strike == pytest.approx(closed, rel=1e-10)
+
+
+SWAP_PATHS = 4096
+SWAP_STEPS = 100
+PAIRS = [(0, 1), (0, 0), (1, 1)]
+
+
+@pytest.fixture(scope="module")
+def swap_panels(wasc_ref, bns_ref, state_ref):
+    """Per model: a simulated panel and the three swap systems on its grid."""
+    out = {}
+    for params, seed in ((wasc_ref, 101), (bns_ref, 202)):
+        sim = simulate.simulate(params, state_ref, 1.0, SWAP_STEPS,
+                                SWAP_PATHS, seed=seed)
+        build = (covswap.wasc_covswap_system if params.kind == "wasc"
+                 else covswap.bns_covswap_system)
+        out[params.kind] = (params, sim, [
+            build(params, SIGMA0_REF, 1.0, pair, SWAP_STEPS)
+            for pair in PAIRS])
+    return out
+
+
+class TestCovswapValues:
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_zero_at_inception(self, swap_panels, kind):
+        _, sim, systems = swap_panels[kind]
+        for system in systems:
+            values = covswap.covswap_values(system, sim.integrated_cov,
+                                            sim.cov)
+            assert np.max(np.abs(values[:, 0])) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_mean_zero_at_every_date(self, swap_panels, kind):
+        _, sim, systems = swap_panels[kind]
+        for system in systems:
+            values = covswap.covswap_values(system, sim.integrated_cov,
+                                            sim.cov)[:, 1:]
+            se = values.std(axis=0, ddof=1) / np.sqrt(SWAP_PATHS)
+            assert np.all(np.abs(values.mean(axis=0)) <= 3.0 * se)
+
+    def test_wasc_hedged_variance_matches_closed_form(self, swap_panels):
+        params, sim, systems = swap_panels["wasc"]
+        jobs = [backtest.HedgeJob(str(s.pair), backtest.CovswapHedge(s, params),
+                                  covswap.covswap_payoff(s, sim.integrated_cov),
+                                  0.0) for s in systems]
+        for system, result in zip(systems, backtest.run_backtest(sim, jobs)):
+            err = result.pnl - result.pnl.mean()
+            mc = err @ err / (SWAP_PATHS - 1)
+            se = np.std(err * err, ddof=1) / np.sqrt(SWAP_PATHS)
+            closed = covswap.wasc_covswap_variance(params, SIGMA0_REF, 1.0,
+                                                   system.pair)
+            assert abs(mc - closed) <= 3.0 * se

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 from covhedge import matcalc
 
@@ -194,21 +196,30 @@ class TestPsd:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helper
+# lift_flows
 # ---------------------------------------------------------------------------
 
-class TestGaussLegendre:
-    def test_polynomial_exactness(self):
-        x, w = matcalc.gauss_legendre(0.0, 2.0, 6)
-        # degree-11 polynomial integrated exactly by 6 nodes
-        val = np.sum(w * x ** 11)
-        assert val == pytest.approx(2.0 ** 12 / 12.0, rel=1e-13)
+class TestLiftFlows:
+    # ||lift||_inf = 24: every delta past 1/24 is scaled and squared
+    LIFT = matcalc.kron_lift(3.0 * M_REF)
+    DELTAS = np.array([0.0, 0.01, 0.3, 1.0, 2.5])
 
-    def test_interval_mapping(self):
-        x, w = matcalc.gauss_legendre(-1.0, 3.0, 8)
-        assert x.min() > -1.0 and x.max() < 3.0
-        assert np.sum(w) == pytest.approx(4.0, rel=1e-14)
+    def test_against_expm_and_quadrature(self):
+        flow, int1, int2 = matcalc.lift_flows(self.LIFT, self.DELTAS)
+        for k, delta in enumerate(self.DELTAS):
+            want = [scipy.linalg.expm(delta * self.LIFT)]
+            for weight in (lambda s: 1.0, lambda s: delta - s):
+                val, _ = quad_vec(
+                    lambda s: weight(s) * scipy.linalg.expm(s * self.LIFT),
+                    0.0, delta, epsabs=1e-15, epsrel=1e-13)
+                want.append(val)
+            for got, ref in zip((flow[k], int1[k], int2[k]), want):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(
+                    np.max(np.abs(ref)), 1e-3)
 
-    def test_rejects_zero_nodes(self):
-        with pytest.raises(ValueError):
-            matcalc.gauss_legendre(0.0, 1.0, 0)
+    def test_entry_independent_of_batch(self):
+        batch = matcalc.lift_flows(self.LIFT, self.DELTAS)
+        for k, delta in enumerate(self.DELTAS):
+            alone = matcalc.lift_flows(self.LIFT, np.array(delta))
+            for b, a in zip(batch, alone):
+                assert np.array_equal(b[k], a)

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.integrate import quad_vec
 
-from covhedge import matcalc, models
+from covhedge import matcalc, models, simulate
 
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF)
 
@@ -57,6 +58,41 @@ class TestValidation:
                                log_spot=np.array([1.0]), cov=np.eye(1))
         st = models.MarketState.from_spot(0.0, S0_REF, SIGMA0_REF)
         np.testing.assert_allclose(st.log_spot, np.log(S0_REF), atol=1e-15)
+
+
+class TestMarketStateInput:
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            models.MarketState.from_spot(0.0, S0_REF, np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            models.MarketState.from_spot(0.0, S0_REF, np.ones(4))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            models.MarketState.from_spot(0.0, S0_REF,
+                                         np.array([[0.10, 0.07], [0.0, 0.10]]))
+
+    def test_rejects_negative_eigenvalue(self):
+        # eigenvalues 0.3 and -0.1
+        with pytest.raises(ValueError, match="eigenvalue"):
+            models.MarketState.from_spot(0.0, S0_REF,
+                                         np.array([[0.1, 0.2], [0.2, 0.1]]))
+
+    def test_accepts_rounding_below_zero(self):
+        # -1e-13 is inside the tolerance 1e-10 * ||cov||_2 = 1e-11
+        cov = np.diag([0.1, -1e-13])
+        state = models.MarketState.from_spot(0.0, S0_REF, cov)
+        np.testing.assert_array_equal(state.cov, cov)
+
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_accepts_simulated_states(self, model, wasc_ref, bns_ref,
+                                      state_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        sim = simulate.simulate(params, state_ref, 1.0, 4, 200, seed=5)
+        for p in range(sim.n_paths):
+            for k in range(sim.n_steps + 1):
+                models.MarketState.from_log(sim.times[k], sim.log_spot[p, k],
+                                            sim.cov[p, k])
 
 
 class TestWishartMgf:
@@ -121,14 +157,13 @@ class TestWascMoments:
 
     def test_integrated_mean_empty_interval(self, wasc_ref):
         imap = models.wasc_integrated_mean(wasc_ref, 1.0, 1.0)
-        assert imap.exact
         assert np.all(imap.map == 0.0) and np.all(imap.offset == 0.0)
 
     def test_integrated_mean_singular_lift_fallback(self):
+        # a singular lift (no mean reversion) needs no special case
         p = models.WascParams(d=2, mean_rev=np.zeros((2, 2)), vol_of_vol=A_REF,
                               leverage=[0.0, 0.0], omega=np.zeros((2, 2)))
         imap = models.wasc_integrated_mean(p, 0.0, 0.75)
-        assert not imap.exact
         np.testing.assert_allclose(imap.map, 0.75 * np.eye(4), atol=1e-10)
         np.testing.assert_allclose(imap.offset, 0.0, atol=1e-12)
 
@@ -146,9 +181,9 @@ class TestWascMoments:
         T = 1.0
         imap = models.wasc_integrated_mean(wasc_ref, 0.0, T)
         got = imap.map @ matcalc.vec(SIGMA0_REF) + imap.offset
-        x, w = matcalc.gauss_legendre(0.0, T, 64)
-        want = sum(wi * matcalc.vec(models.wasc_mean_cov(wasc_ref, SIGMA0_REF, xi))
-                   for xi, wi in zip(x, w))
+        want, _ = quad_vec(lambda t: matcalc.vec(
+            models.wasc_mean_cov(wasc_ref, SIGMA0_REF, t)), 0.0, T,
+            epsabs=1e-15, epsrel=1e-13)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -175,9 +210,8 @@ class TestBnsMoments:
 
     def test_integrated_mean_lyapunov_vs_quadrature(self, bns_ref):
         got = models.bns_integrated_mean(bns_ref, SIGMA0_REF, 1.0)
-        x, w = matcalc.gauss_legendre(0.0, 1.0, 64)
-        want = sum(wi * models.bns_mean_cov(bns_ref, SIGMA0_REF, xi)
-                   for xi, wi in zip(x, w))
+        want, _ = quad_vec(lambda t: models.bns_mean_cov(
+            bns_ref, SIGMA0_REF, t), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_mean_psd_on_grid(self, bns_ref):

@@ -1,5 +1,6 @@
-"""Transform layer: closed forms against independent ODE oracles, model
-reductions, flow identities and domain-validity flags."""
+"""Transform layer: the lattice engine against independent ODE and
+quadrature oracles, model reductions, flow identities and domain-validity
+flags."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from covhedge import models, transforms
 
 import oracles
-from conftest import ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
+from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
+                      basis_at)
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -21,47 +23,60 @@ CONTOUR_NODES = [
 TAUS = [0.1, 0.35, 1.0]
 
 
+def at(params, tau, u):
+    """(psi, phi, valid) at one (tau, u) from a 1 x 1 lattice."""
+    grid = transforms.transform_grid(params, [tau], np.asarray(u)[None])
+    return grid.psi[0, 0], grid.phi[0, 0], bool(grid.valid[0, 0])
+
+
+def wasc_flow_map(params, s, u, v):
+    """psi after s more units of time from psi = v: (Theta_22 + v Theta_12)
+    ^{-1} (Theta_21 + v Theta_11) with Theta = expm(s Ham) from scipy."""
+    d = params.d
+    theta = scipy.linalg.expm(s * transforms.wasc_hamiltonian(params, u))
+    return np.linalg.solve(theta[d:, d:] + v @ theta[:d, d:],
+                           theta[d:, :d] + v @ theta[:d, :d])
+
+
 class TestWascPsi:
     def test_zero_tau_returns_initial(self, wasc_ref):
-        psi, ok = transforms.wasc_psi(wasc_ref, 0.0, np.array([1.0, 2.0]))
-        assert ok and np.all(psi == 0)
-        v = np.array([[0.2, 0.1j], [0.1j, -0.3]])
-        psi, ok = transforms.wasc_psi(wasc_ref, 0.0, np.array([1.0, 2.0]), v)
-        assert ok and np.allclose(psi, v)
+        psi, phi, ok = at(wasc_ref, 0.0, np.array([1.0, 2.0]))
+        assert ok and np.all(psi == 0) and phi == 0
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("node", range(len(CONTOUR_NODES)))
     def test_matches_ode_oracle(self, wasc_ref, tau, node):
         u = CONTOUR_NODES[node]
-        psi, ok = transforms.wasc_psi(wasc_ref, tau, u)
+        psi, _, ok = at(wasc_ref, tau, u)
         assert ok
         ref = oracles.integrate_riccati(tau, u, A_REF, M_REF, RHO_REF)
         assert np.max(np.abs(psi - ref)) < 1e-8
 
     def test_matches_ode_oracle_nonzero_initial(self, wasc_ref):
+        # the ODE restarted at the lattice's psi(0.6) reaches its psi(1.2)
         u = CONTOUR_NODES[0]
-        v = np.array([[0.15, 0.05 - 0.02j], [0.05 - 0.02j, -0.1 + 0.08j]])
-        psi, ok = transforms.wasc_psi(wasc_ref, 0.6, u, v)
-        assert ok
-        ref = oracles.integrate_riccati(0.6, u, A_REF, M_REF, RHO_REF, v0=v)
-        assert np.max(np.abs(psi - ref)) < 1e-8
+        grid = transforms.transform_grid(wasc_ref, [0.6, 1.2], u[None])
+        assert np.all(grid.valid)
+        ref = oracles.integrate_riccati(0.6, u, A_REF, M_REF, RHO_REF,
+                                        v0=grid.psi[0, 0])
+        assert np.max(np.abs(grid.psi[1, 0] - ref)) < 1e-8
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_unit_vector_argument_vanishes(self, wasc_ref, k):
         # u = e_k makes the quadratic source term vanish identically
         u = np.zeros(2)
         u[k] = 1.0
-        psi, ok = transforms.wasc_psi(wasc_ref, 1.0, u)
+        psi, _, ok = at(wasc_ref, 1.0, u)
         assert ok
         assert np.max(np.abs(psi)) < 1e-12
 
     def test_flow_property(self, wasc_ref):
+        # psi(0.75) is the Hamiltonian flow map over 0.35 applied to psi(0.4)
         u = CONTOUR_NODES[1]
-        psi1, ok1 = transforms.wasc_psi(wasc_ref, 0.4, u)
-        psi2, ok2 = transforms.wasc_psi(wasc_ref, 0.35, u, v=psi1)
-        full, ok3 = transforms.wasc_psi(wasc_ref, 0.75, u)
-        assert ok1 and ok2 and ok3
-        assert np.max(np.abs(psi2 - full)) < 1e-8
+        grid = transforms.transform_grid(wasc_ref, [0.4, 0.75], u[None])
+        assert np.all(grid.valid)
+        moved = wasc_flow_map(wasc_ref, 0.35, u, grid.psi[0, 0])
+        assert np.max(np.abs(moved - grid.psi[1, 0])) < 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-4, 4), min_size=4, max_size=4),
@@ -70,11 +85,10 @@ class TestWascPsi:
         params = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
                                    leverage=RHO_REF, alpha=7.14283)
         u = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
-        a, oka = transforms.wasc_psi(params, tau, u)
-        b, okb = transforms.wasc_psi(params, tau, u.conj())
-        assert oka == okb
-        if oka:
-            assert np.max(np.abs(b - a.conj())) < 1e-12
+        grid = transforms.transform_grid(params, [tau], np.stack([u, u.conj()]))
+        assert grid.valid[0, 0] == grid.valid[0, 1]
+        if grid.valid[0, 0]:
+            assert np.max(np.abs(grid.psi[0, 1] - grid.psi[0, 0].conj())) < 1e-12
 
     def test_invalid_at_singular_flow_crossing(self):
         # zero drift, zero leverage, d = 1: the flow blocks are sine/cosine
@@ -83,58 +97,55 @@ class TestWascPsi:
                                    vol_of_vol=np.eye(1),
                                    leverage=np.zeros(1), alpha=0.0)
         tau_star = np.pi / (2.0 * np.sqrt(2.0))
-        psi, ok = transforms.wasc_psi(params, tau_star, np.array([2.0]))
+        psi, phi, ok = at(params, tau_star, np.array([2.0]))
         assert not ok
-        assert np.all(np.isnan(psi.real))
-        # just away from the crossing the evaluation is fine again
-        psi, ok = transforms.wasc_psi(params, 0.9 * tau_star, np.array([2.0]))
+        assert np.all(np.isnan(psi.real)) and np.isnan(phi.real)
+        # just before the crossing the evaluation is fine
+        psi, _, ok = at(params, 0.9 * tau_star, np.array([2.0]))
         assert ok and np.all(np.isfinite(psi))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_invalid_on_overflowing_flow(self, wasc_ref):
-        psi, ok = transforms.wasc_psi(wasc_ref, 400.0, CONTOUR_NODES[0])
+        psi, phi, ok = at(wasc_ref, 400.0, CONTOUR_NODES[0])
         assert not ok
-        assert np.all(np.isnan(psi.real))
+        assert np.all(np.isnan(psi.real)) and np.isnan(phi.real)
 
     def test_rejects_negative_tau(self, wasc_ref):
         with pytest.raises(ValueError):
-            transforms.wasc_psi(wasc_ref, -0.1, np.array([1.0, 0.0]))
+            transforms.transform_grid(wasc_ref, [-0.1], [[1.0, 0.0]])
 
 
 class TestWascPhi:
     def test_zero_tau(self, wasc_ref):
-        phi, ok = transforms.wasc_phi(wasc_ref, 0.0, CONTOUR_NODES[0])
+        _, phi, ok = at(wasc_ref, 0.0, CONTOUR_NODES[0])
         assert ok and phi == 0
 
     @pytest.mark.parametrize("node", range(len(CONTOUR_NODES)))
     def test_matches_ode_oracle(self, wasc_ref, node):
         u = CONTOUR_NODES[node]
-        phi, ok = transforms.wasc_phi(wasc_ref, 0.8, u)
+        _, phi, ok = at(wasc_ref, 0.8, u)
         assert ok
         ref = oracles.integrate_phi(0.8, u, wasc_ref.omega, A_REF, M_REF,
                                     RHO_REF)
         assert abs(phi - ref) < 1e-8
 
     def test_additive_along_the_flow(self, wasc_ref):
+        # phi(0.8) - phi(0.5) is phi over 0.3 from the initial value psi(0.5)
         u = CONTOUR_NODES[0]
-        mid, _ = transforms.wasc_psi(wasc_ref, 0.5, u)
-        phi_a, _ = transforms.wasc_phi(wasc_ref, 0.5, u)
-        phi_b, _ = transforms.wasc_phi(wasc_ref, 0.3, u, v=mid)
-        full, _ = transforms.wasc_phi(wasc_ref, 0.8, u)
-        assert abs((phi_a + phi_b) - full) < 1e-8
+        grid = transforms.transform_grid(wasc_ref, [0.5, 0.8], u[None])
+        assert np.all(grid.valid)
+        rest = oracles.integrate_phi(0.3, u, wasc_ref.omega, A_REF, M_REF,
+                                     RHO_REF, v0=grid.psi[0, 0])
+        assert abs((grid.phi[0, 0] + rest) - grid.phi[1, 0]) < 1e-8
 
     def test_unit_vector_argument_vanishes(self, wasc_ref):
-        phi, ok = transforms.wasc_phi(wasc_ref, 1.0, np.array([0.0, 1.0]))
+        _, phi, ok = at(wasc_ref, 1.0, np.array([0.0, 1.0]))
         assert ok and abs(phi) < 1e-12
 
 
 class TestBnsTransforms:
     def test_zero_tau(self, bns_ref):
-        u = np.array([1.0 + 1j, -0.5])
-        psi, ok = transforms.bns_psi(bns_ref, 0.0, u)
-        assert ok and np.all(psi == 0)
-        phi, ok = transforms.bns_phi(bns_ref, 0.0, u)
-        assert ok and phi == 0
+        psi, phi, ok = at(bns_ref, 0.0, np.array([1.0 + 1j, -0.5]))
+        assert ok and np.all(psi == 0) and phi == 0
 
     def test_psi_linear_in_time_without_mean_reversion(self):
         params = models.BnsParams(d=2, mean_rev=np.zeros((2, 2)),
@@ -143,15 +154,15 @@ class TestBnsTransforms:
                                   leverage_diag=np.array([-0.5, -0.5]))
         u = np.array([1.2 + 0.3j, -0.7 + 1.1j])
         dmat = 0.5 * (np.outer(u, u) - np.diag(u))
-        for tau in (0.2, 1.0):
-            psi, ok = transforms.bns_psi(params, tau, u)
-            assert ok
-            assert np.max(np.abs(psi - tau * dmat)) < 1e-12
+        grid = transforms.transform_grid(params, [0.2, 1.0], u[None])
+        assert np.all(grid.valid)
+        for k, tau in enumerate((0.2, 1.0)):
+            assert np.max(np.abs(grid.psi[k, 0] - tau * dmat)) < 1e-12
 
     def test_psi_closed_form_vs_quadrature(self, bns_ref):
         u = np.array([0.8 - 1.4j, 1.5 + 0.2j])
         tau = 0.7
-        psi, ok = transforms.bns_psi(bns_ref, tau, u)
+        psi, _, ok = at(bns_ref, tau, u)
         assert ok
         dmat = 0.5 * (np.outer(u, u) - np.diag(u))
         x, w = np.polynomial.legendre.leggauss(200)
@@ -164,29 +175,27 @@ class TestBnsTransforms:
         assert np.max(np.abs(psi - ref)) < 1e-10
 
     def test_flow_property(self, bns_ref):
+        # psi(0.75) = e^{0.3 M'} psi(0.45) e^{0.3 M} + psi(0.3), and phi(0.75)
+        # - phi(0.45) is phi over 0.3 from the initial value psi(0.45)
         u = np.array([1.5 + 2.0j, 1.5 - 0.8j])
-        psi1, _ = transforms.bns_psi(bns_ref, 0.45, u)
-        psi2, ok = transforms.bns_psi(bns_ref, 0.3, u, v=psi1)
-        full, _ = transforms.bns_psi(bns_ref, 0.75, u)
-        assert ok
-        assert np.max(np.abs(psi2 - full)) < 1e-10
-        phi_a, _ = transforms.bns_phi(bns_ref, 0.45, u)
-        phi_b, okb = transforms.bns_phi(bns_ref, 0.3, u, v=psi1)
-        phi_full, _ = transforms.bns_phi(bns_ref, 0.75, u)
-        assert okb
-        assert abs((phi_a + phi_b) - phi_full) < 1e-9
+        grid = transforms.transform_grid(bns_ref, [0.3, 0.45, 0.75], u[None])
+        assert np.all(grid.valid)
+        e = scipy.linalg.expm(0.3 * bns_ref.mean_rev)
+        moved = e.T @ grid.psi[1, 0] @ e + grid.psi[0, 0]
+        assert np.max(np.abs(moved - grid.psi[2, 0])) < 1e-10
+        rest, _ = oracles.bns_phi_quadrature(
+            0.3, u, M_REF, bns_ref.jump_intensity, bns_ref.wishart_shape,
+            bns_ref.wishart_scale, bns_ref.leverage_diag, v0=grid.psi[1, 0])
+        assert abs((grid.phi[1, 0] + rest) - grid.phi[2, 0]) < 1e-9
 
     def test_conjugate_symmetry(self, bns_ref):
         u = np.array([0.9 + 1.7j, -0.4 - 0.6j])
-        pa, _ = transforms.bns_psi(bns_ref, 0.6, u)
-        pb, _ = transforms.bns_psi(bns_ref, 0.6, u.conj())
-        assert np.max(np.abs(pb - pa.conj())) < 1e-12
-        fa, _ = transforms.bns_phi(bns_ref, 0.6, u)
-        fb, _ = transforms.bns_phi(bns_ref, 0.6, u.conj())
-        assert abs(fb - np.conj(fa)) < 1e-12
+        grid = transforms.transform_grid(bns_ref, [0.6], np.stack([u, u.conj()]))
+        assert np.max(np.abs(grid.psi[0, 1] - grid.psi[0, 0].conj())) < 1e-12
+        assert abs(grid.phi[0, 1] - np.conj(grid.phi[0, 0])) < 1e-12
 
     def test_strip_violation_flags_invalid(self, bns_ref):
-        phi, ok = transforms.bns_phi(bns_ref, 1.0, np.array([25.0, 0.0]))
+        _, phi, ok = at(bns_ref, 1.0, np.array([25.0, 0.0]))
         assert not ok
         assert np.isnan(phi.real)
 
@@ -196,22 +205,19 @@ class TestBasisValue:
     def test_martingale_normalization_wasc(self, wasc_ref, state_ref, k):
         u = np.zeros(2)
         u[k] = 1.0
-        val, ok = transforms.basis_value(wasc_ref, state_ref, 1.0, u)
-        assert ok
+        val = basis_at(wasc_ref, state_ref, 1.0, u)
         assert abs(val - S0_REF[k]) < 1e-6
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_martingale_normalization_bns(self, bns_ref, state_ref, k):
         u = np.zeros(2)
         u[k] = 1.0
-        val, ok = transforms.basis_value(bns_ref, state_ref, 1.0, u)
-        assert ok
+        val = basis_at(bns_ref, state_ref, 1.0, u)
         assert abs(val - S0_REF[k]) < 1e-6
 
     def test_zero_argument_gives_one(self, wasc_ref, state_ref):
-        val, ok = transforms.basis_value(wasc_ref, state_ref, 1.0,
-                                         np.zeros(2))
-        assert ok and abs(val - 1.0) < 1e-12
+        val = basis_at(wasc_ref, state_ref, 1.0, np.zeros(2))
+        assert abs(val - 1.0) < 1e-12
 
     def test_heston_reduction_one_dimension(self):
         params = models.WascParams(d=1, mean_rev=np.array([[-1.2]]),
@@ -225,9 +231,7 @@ class TestBasisValue:
         theta = params.omega[0, 0] / kappa
         for u in (1.5 + 2.0j, 0.5 - 1.0j, -0.5 + 0.3j):
             for tau in (0.25, 0.8):
-                val, ok = transforms.basis_value(params, state, tau,
-                                                 np.array([u]))
-                assert ok
+                val = basis_at(params, state, tau, np.array([u]))
                 ref = oracles.heston_cf(u, tau, y0, v0, kappa, theta, sigma,
                                         -0.7)
                 assert abs(val - ref) / abs(ref) < 1e-8
@@ -235,30 +239,19 @@ class TestBasisValue:
     def test_overflow_guard(self, wasc_ref):
         state = models.MarketState.from_log(0.0, np.array([705.0, 0.0]),
                                             SIGMA0_REF)
-        val, ok = transforms.basis_value(wasc_ref, state, 1.0,
-                                         np.array([1.0, 0.0]))
-        assert not ok and np.isnan(val.real)
+        val = basis_at(wasc_ref, state, 1.0, np.array([1.0, 0.0]))
+        assert np.isnan(val.real)
         state = models.MarketState.from_log(0.0, np.array([600.0, 0.0]),
                                             SIGMA0_REF)
-        val, ok = transforms.basis_value(wasc_ref, state, 1.0,
-                                         np.array([1.0, 0.0]))
-        assert ok and np.isfinite(val.real)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_transform_bundle_flags(self, wasc_ref):
-        ev = transforms.transform(wasc_ref, 0.5, CONTOUR_NODES[0])
-        assert ev.valid
-        psi, _ = transforms.wasc_psi(wasc_ref, 0.5, CONTOUR_NODES[0])
-        phi, _ = transforms.wasc_phi(wasc_ref, 0.5, CONTOUR_NODES[0])
-        assert np.allclose(ev.psi, psi) and abs(ev.phi - phi) < 1e-15
-        bad = transforms.transform(wasc_ref, 400.0, CONTOUR_NODES[0])
-        assert not bad.valid
+        val = basis_at(wasc_ref, state, 1.0, np.array([1.0, 0.0]))
+        assert np.isfinite(val.real)
 
 
 class TestTransformGrid:
     TAU_GRID = np.array([0.0, 0.2, 0.55, 1.0])
 
     def test_wasc_grid_matches_scalar(self, wasc_ref):
+        # every lattice entry against the pointwise ODE oracles
         nodes = np.stack(CONTOUR_NODES)
         grid = transforms.transform_grid(wasc_ref, self.TAU_GRID, nodes)
         assert grid.phi.shape == (4, 3)
@@ -266,19 +259,25 @@ class TestTransformGrid:
         assert np.all(grid.valid)
         for k, tau in enumerate(self.TAU_GRID):
             for m in range(3):
-                psi, _ = transforms.wasc_psi(wasc_ref, float(tau), nodes[m])
-                phi, _ = transforms.wasc_phi(wasc_ref, float(tau), nodes[m])
+                psi = oracles.integrate_riccati(tau, nodes[m], A_REF, M_REF,
+                                                RHO_REF)
+                phi = (oracles.integrate_phi(tau, nodes[m], wasc_ref.omega,
+                                             A_REF, M_REF, RHO_REF)
+                       if tau > 0 else 0.0)
                 assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-8
                 assert abs(grid.phi[k, m] - phi) < 1e-8
 
     def test_bns_grid_matches_scalar(self, bns_ref):
+        # every lattice entry against the pointwise quadrature oracle
         nodes = np.stack(CONTOUR_NODES)
         grid = transforms.transform_grid(bns_ref, self.TAU_GRID, nodes)
         assert np.all(grid.valid)
         for k, tau in enumerate(self.TAU_GRID):
             for m in range(3):
-                psi, _ = transforms.bns_psi(bns_ref, float(tau), nodes[m])
-                phi, _ = transforms.bns_phi(bns_ref, float(tau), nodes[m])
+                phi, psi = oracles.bns_phi_quadrature(
+                    tau, nodes[m], M_REF, bns_ref.jump_intensity,
+                    bns_ref.wishart_shape, bns_ref.wishart_scale,
+                    bns_ref.leverage_diag)
                 assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-8
                 assert abs(grid.phi[k, m] - phi) < 1e-8
 
@@ -345,8 +344,8 @@ class TestTransformGrid:
         taus = np.array([2.0, 0.5, tau_star, 1.0, 1.2])
         grid = transforms.transform_grid(params, taus, np.array([[2.0]]))
         assert grid.valid[:, 0].tolist() == [False, True, False, True, False]
-        _, ok_after = transforms.wasc_psi(params, 2.0, np.array([2.0]))
-        assert ok_after
+        assert np.isfinite(wasc_flow_map(params, 2.0, np.array([2.0]),
+                                         np.zeros((1, 1)))).all()
         assert np.all(np.isnan(grid.psi[~grid.valid].real))
         assert np.all(np.isnan(grid.phi[~grid.valid].real))
 
@@ -394,9 +393,29 @@ class TestTransformGrid:
         assert np.all(np.linalg.cond(q) > 1e10)
         grid = transforms.transform_grid(params, [0.3, 1.0], nodes)
         assert np.all(grid.valid)
+        # references from scipy's expm: psi = Theta_22^{-1} Theta_21, and
+        # phi by a 64-point Gauss-Legendre rule on Tr(Omega psi(s))
+        x, w = np.polynomial.legendre.leggauss(64)
         for k, tau in enumerate([0.3, 1.0]):
             for m, u in enumerate(nodes):
-                psi, _ = transforms.wasc_psi(params, tau, u)
-                phi, _ = transforms.wasc_phi(params, tau, u)
+                psi = wasc_flow_map(params, tau, u, np.zeros((2, 2)))
+                phi = sum(0.5 * tau * wi * np.trace(params.omega @ wasc_flow_map(
+                    params, 0.5 * tau * (xi + 1.0), u, np.zeros((2, 2))))
+                    for xi, wi in zip(x, w))
                 assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-12
                 assert abs(grid.phi[k, m] - phi) < 1e-12
+
+    @pytest.mark.parametrize("u", [2.0, 2.0 + 0.5j])
+    def test_pole_between_evaluated_points(self, u):
+        # the real companion u = 2 explodes at tau* = pi / (2 sqrt 2) ~ 1.11,
+        # between the evaluated tau = 1 and tau = 2, where the flow itself
+        # is finite and well conditioned again
+        params = models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                                   vol_of_vol=np.eye(1),
+                                   leverage=np.zeros(1), alpha=1.0)
+        grid = transforms.transform_grid(params, [1.0, 2.0], [[u]])
+        assert grid.valid[:, 0].tolist() == [True, False]
+        assert np.isnan(grid.phi[1, 0].real)
+        ref = oracles.integrate_phi(1.0, np.array([u]), params.omega,
+                                    np.eye(1), np.zeros((1, 1)), np.zeros(1))
+        assert abs(grid.phi[0, 0] - ref) < 1e-8
