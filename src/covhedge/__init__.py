@@ -4,8 +4,9 @@ covariance-sensitive derivatives under affine stochastic covariance models.
 Subpackages and modules
 -----------------------
 matcalc     dense symmetric/PSD matrix utilities (vec/mat, expm, drift flows,
-            pinv, PSD roots)
-models      parameter containers, admissibility checks, covariance first moments
+            pinv, the batched PSD root and repair)
+models      parameter containers, admissibility checks, the Wishart MGF and
+            jump covariation, covariance first moments, the overflow rule
 transforms  conditional exponential-affine transforms (phi, Psi) on a
             times-to-maturity x contour-node lattice
 simulate    seeded Monte Carlo path generation with common-random-number replay

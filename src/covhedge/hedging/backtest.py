@@ -41,7 +41,6 @@ import numpy as np
 
 from .. import gbm, models, payoffs, transforms
 from .covswap import CovswapSystem
-from .kernels import bns_jump_cov
 
 __all__ = [
     "BacktestResult",
@@ -52,8 +51,6 @@ __all__ = [
     "CovswapHedge",
     "run_backtest",
 ]
-
-_MAX_SKIP_MASS = 1e-3
 
 # basis kernel: the cis table size, and the (path, node) points per row
 # block, which keeps the block's temporaries in the L2 cache; chosen from the
@@ -197,7 +194,7 @@ class BasisCache:
         mass = np.abs(w)
         total = mass.sum()
         skipped = np.where(self.valid, 0.0, mass).sum(axis=1)
-        if total > 0 and skipped.max() > _MAX_SKIP_MASS * total:
+        if total > 0 and skipped.max() > payoffs.MAX_SKIP_MASS * total:
             raise ValueError(
                 f"{skipped.max() / total:.2%} of contour mass is invalid at "
                 "some rebalance date; use a tamer damping")
@@ -252,18 +249,15 @@ class FourierHedge:
     The hedge ratio is synthesized node by node from the claim's contour:
     for the continuous model theta(u) = H(u) diag(S)^-1 (u + 2 psi A'rho);
     for the jump model the spot covariation matrix (diffusive plus jump)
-    is solved against the claim-spot covariation.  constrain_asset
-    restricts trading to a single spot, scaling by that asset's own
-    quadratic variation instead.
+    is solved against the claim-spot covariation.
     """
 
     def __init__(self, params, cache: BasisCache, weights: np.ndarray,
-                 name: str = "fourier", constrain_asset: int | None = None):
+                 name: str = "fourier"):
         self.params = params
         self.cache = cache
         self.weights = np.asarray(weights, dtype=complex)
         self.name = name
-        self.constrain_asset = constrain_asset
 
     def prepare(self, sim) -> None:
         cache = self.cache
@@ -296,29 +290,16 @@ class FourierHedge:
                           * (m_uk - m_u[..., None] - m_k + 1.0), 0.0)
             self._uw = wk[..., None] * u[None]           # (K, M, d)
             self._jw = wk[..., None] * jv                # (K, M, d)
-            self._jump_cov = bns_jump_cov(params)
+            self._jump_cov = models.bns_jump_cov(params)
 
     def positions(self, chunk_id: int, k: int, spot: np.ndarray,
                   log_spot: np.ndarray, cov: np.ndarray) -> np.ndarray:
         h = self.cache.basis(chunk_id, k, log_spot, cov)  # (P, M)
         if self.params.kind == "wasc":
-            raw = (h @ self._gw[k]).real                  # (P, d)
-            if self.constrain_asset is None:
-                return raw / spot
-            m = self.constrain_asset
-            num = np.einsum("pab,pb->pa", cov, raw)[:, m]
-            out = np.zeros_like(spot)
-            out[:, m] = num / (spot[:, m] * cov[:, m, m])
-            return out
+            return (h @ self._gw[k]).real / spot
         cross = (np.einsum("pab,pb->pa", cov, (h @ self._uw[k]))
                  + h @ self._jw[k]).real                  # (P, d)
-        xi = cov + self._jump_cov
-        if self.constrain_asset is None:
-            return _solve_sym_batch(xi, cross) / spot
-        m = self.constrain_asset
-        out = np.zeros_like(spot)
-        out[:, m] = cross[:, m] / (spot[:, m] * xi[:, m, m])
-        return out
+        return _solve_sym_batch(cov + self._jump_cov, cross) / spot
 
 
 class GbmDeltaHedge:
@@ -357,7 +338,7 @@ class CovswapHedge:
         if (self.system.times.size != sim.times.size
                 or not np.allclose(self.system.times, sim.times)):
             raise ValueError("swap system grid must match the simulation")
-        self._jump_cov = (bns_jump_cov(self.params)
+        self._jump_cov = (models.bns_jump_cov(self.params)
                           if self.params.kind == "bns" else None)
 
     def positions(self, chunk_id: int, k: int, spot: np.ndarray,

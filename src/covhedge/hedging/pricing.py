@@ -25,27 +25,26 @@ def integrated_cov_rate(params, state: models.MarketState,
 
 
 def fourier_price(params, state: models.MarketState, horizon: float,
-                  kernel: payoffs.PayoffKernel, damping=None,
-                  nodes_per_dim: int = 24, decay=None,
-                  max_skip_mass: float = 1e-3) -> float:
-    """E[payoff(S_T)] by contour quadrature against the moment transform.
+                  kernel: payoffs.PayoffKernel,
+                  nodes_per_dim: int = 24) -> float:
+    """E[payoff(S_T)] by contour quadrature against the moment transform,
+    on the kernel's default damping with ``payoffs.suggest_decay``.
 
-    Transform-domain failures at individual nodes are skipped; the
-    evaluation refuses to produce a number when the skipped nodes carry
-    more than max_skip_mass of the contour weight.
+    Nodes that fail a transform-domain check, or whose exponent passes
+    models.OVERFLOW_RE, are skipped; the evaluation refuses to produce a
+    number when they carry more than payoffs.MAX_SKIP_MASS of the contour
+    weight.
     """
     tau = horizon - state.t
-    if decay is None:
-        decay = payoffs.suggest_decay(
-            kernel, integrated_cov_rate(params, state, horizon), tau,
-            nodes_per_dim)
-    ct = payoffs.build_contour(kernel, damping=damping,
-                               nodes_per_dim=nodes_per_dim, decay=decay)
+    decay = payoffs.suggest_decay(
+        kernel, integrated_cov_rate(params, state, horizon), tau,
+        nodes_per_dim)
+    ct = payoffs.build_contour(kernel, nodes_per_dim=nodes_per_dim,
+                               decay=decay)
     grid = transforms.transform_grid(params, np.array([tau]), ct.model_args)
     expo = (grid.phi[0]
             + ct.model_args @ state.log_spot
             + np.einsum("mab,ab->m", grid.psi[0], state.cov))
     valid = grid.valid[0] & (expo.real <= models.OVERFLOW_RE)
     hv = np.where(valid, np.exp(np.where(valid, expo, 0.0)), np.nan)
-    return payoffs.contour_price(ct, hv, valid=valid,
-                                 max_skip_mass=max_skip_mass)
+    return payoffs.contour_price(ct, hv, valid=valid)

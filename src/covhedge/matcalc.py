@@ -2,8 +2,9 @@
 
 All covariance-state algebra in this package runs through the helpers below:
 column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
-matrix exponentials, eigendecomposition-based pseudoinverses and PSD square
-roots, and the PSD projection used to repair discretized covariance states.
+matrix exponentials, eigendecomposition-based pseudoinverses, and the
+batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that the
+simulator applies to discretized covariance states at every step.
 
 ``lift_flows``, the flow of a lifted linear drift with its integral and
 double integral (Van Loan 1978), is the one matrix-flow helper: moments,
@@ -13,9 +14,11 @@ Conventions
 -----------
 * ``vec`` stacks *columns* (Fortran order). Every formula of the form
   ``lift(M) @ vec(X)`` in this package assumes that convention.
-* Positive semidefiniteness is always relative to ``psd_tolerance(M)``,
-  i.e. ``1e-10`` times the spectral norm: discretization of covariance
-  dynamics produces harmless eigenvalues of that size below zero.
+* Positive semidefiniteness is relative to ``PSD_RTOL`` = 1e-10:
+  discretization of covariance dynamics produces harmless eigenvalues of
+  that relative size below zero.  ``psd_tolerance(M)`` scales it by the
+  spectral norm; ``psd_repair`` scales it by each matrix's largest absolute
+  entry when it counts material repairs.
 
 All functions are pure and never mutate their inputs.
 """
@@ -36,12 +39,12 @@ __all__ = [
     "is_symmetric",
     "psd_tolerance",
     "min_eigenvalue",
-    "psd_project",
     "sqrt_psd",
+    "psd_repair",
     "pinv_psd",
 ]
 
-# Relative PSD tolerance: eigenvalues above -PSD_RTOL * ||M||_2 count as >= 0.
+# Relative PSD tolerance; the module docstring gives the scale of each use.
 PSD_RTOL = 1e-10
 # power-series terms of lift_flows, whose series runs on ||lift|| delta <= 1
 _FLOW_TERMS = 20
@@ -178,46 +181,57 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
 
 
-def psd_project(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project a symmetric matrix onto the PSD cone by eigenvalue clipping.
+def sqrt_psd(mats: np.ndarray) -> np.ndarray:
+    """Principal square roots of a (..., d, d) stack of symmetric PSD
+    matrices: closed form for d <= 2, eigendecomposition above.  Negative
+    eigenvalues (for d = 2, a negative determinant) are clipped to zero, so
+    rounding just outside the PSD cone is harmless."""
+    d = mats.shape[-1]
+    if d == 1:
+        return np.sqrt(np.clip(mats, 0.0, None))
+    if d == 2:
+        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+        det = np.clip(a * c - b * b, 0.0, None)
+        s = np.sqrt(det)
+        t = np.sqrt(np.clip(a + c + 2.0 * s, 0.0, None))
+        safe = np.where(t > 0.0, t, 1.0)
+        out = mats + s[..., None, None] * np.eye(2)
+        out = out / safe[..., None, None]
+        return np.where((t > 0.0)[..., None, None], out, 0.0)
+    w, v = np.linalg.eigh(mats)
+    w = np.sqrt(np.clip(w, 0.0, None))
+    return np.einsum("...ij,...j,...kj->...ik", v, w, v)
 
-    Args:
-        m: symmetric real matrix (symmetrized defensively before the eig).
+
+def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
+    """Clip the negative eigenvalues of a (..., d, d) stack of symmetric
+    matrices to zero, the nearest PSD matrix in Frobenius norm.
 
     Returns:
-        (projection, clipped): the nearest PSD matrix in Frobenius norm and
-        the magnitude of the most negative eigenvalue that was clipped
-        (0.0 when the input was already PSD).
+        (repaired, material): the input itself when no matrix has a negative
+        eigenvalue, otherwise a repaired copy; and the number of matrices
+        whose most negative eigenvalue is below -PSD_RTOL times their
+        largest absolute entry, i.e. repairs beyond floating-point noise.
     """
-    a = sym_part(np.asarray(m, dtype=float))
-    w, q = np.linalg.eigh(a)
-    clipped = max(0.0, -float(w[0]))
-    if clipped == 0.0:
-        return a, 0.0
+    d = mats.shape[-1]
+    if d == 2:
+        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+        half_tr = 0.5 * (a + c)
+        det = a * c - b * b
+        disc = np.sqrt(np.clip(half_tr * half_tr - det, 0.0, None))
+        lmin = half_tr - disc
+    else:
+        lmin = np.linalg.eigvalsh(mats)[..., 0]
+    bad = lmin < 0.0
+    if not np.any(bad):
+        return mats, 0
+    scale = np.maximum(np.abs(mats).max(axis=(-1, -2)), 1e-300)
+    material = int(np.count_nonzero(bad & (-lmin > PSD_RTOL * scale)))
+    w, v = np.linalg.eigh(mats[bad])
     w = np.clip(w, 0.0, None)
-    return (q * w) @ q.T, clipped
-
-
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root R with R @ R == M.
-
-    Eigenvalues in [-tol, 0) with tol = psd_tolerance(M) are clipped to zero;
-    anything more negative is treated as an invalid covariance state.
-
-    Raises:
-        ValueError: asymmetric input, or an eigenvalue below -tol.
-    """
-    a = np.asarray(m, dtype=float)
-    if not is_symmetric(a, rtol=1e-10):
-        raise ValueError("sqrt_psd: input must be symmetric")
-    tol = psd_tolerance(a)
-    w, q = np.linalg.eigh(sym_part(a))
-    if w[0] < -tol:
-        raise ValueError(
-            f"sqrt_psd: eigenvalue {w[0]:.3e} below -{tol:.3e}; not a covariance state"
-        )
-    w = np.clip(w, 0.0, None)
-    return (q * np.sqrt(w)) @ q.T
+    out = mats.copy()
+    out[bad] = np.einsum("...ij,...j,...kj->...ik", v, w, v)
+    return out, material
 
 
 def pinv_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:

@@ -40,6 +40,7 @@ __all__ = [
     "require_valid",
     "wishart_mgf",
     "wishart_strip_margin",
+    "bns_jump_cov",
     "wasc_mean_cov",
     "wasc_integrated_mean",
     "bns_mean_cov",
@@ -49,8 +50,12 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12  # condition-number threshold for trusting closed-form inverses
-# largest real part of a transform exponent that is exponentiated; beyond it
-# e^x overflows float64 (about 709.8) or swamps every other contour node
+# The one overflow rule: the largest real part of a transform exponent that
+# is exponentiated; beyond it e^x overflows float64 (about 709.8) or swamps
+# every other contour node.  A node whose real exponent passes it is skipped:
+# hedging.pricing.fourier_price counts it in the skipped contour mass, and
+# hedging.backtest.BasisCache.basis sets its H to 0 and counts it in
+# overflow_count.
 OVERFLOW_RE = 700.0
 
 
@@ -174,7 +179,6 @@ class MarketState:
         if self.cov.shape != (d, d):
             raise ValueError(f"cov: expected shape ({d}, {d}), got "
                              f"{self.cov.shape}")
-        # the rule of matcalc.sqrt_psd
         if not matcalc.is_symmetric(self.cov, rtol=1e-10):
             raise ValueError("cov must be symmetric")
         lo, tol = (matcalc.min_eigenvalue(self.cov),
@@ -289,6 +293,31 @@ def wishart_strip_margin(scale: np.ndarray, r: np.ndarray) -> float:
     m = np.linalg.inv(scale) - 2.0 * matcalc.sym_part(r_re)
     margin = np.linalg.eigvalsh(m)[..., 0]
     return float(margin) if r_re.ndim == 2 else margin
+
+
+def bns_jump_cov(params: BnsParams) -> np.ndarray:
+    """Jump covariation rate of the log spots: entry (k, l) is
+    lam * E[(exp(rho_k X_kk) - 1)(exp(rho_l X_ll) - 1)] over the mark law.
+
+    One stacked MGF over the marks R_k + R_l, R_k = rho_k E^kk, with R_0 = 0
+    prepended so the single marks and the empty one ride in the same stack.
+
+    Raises:
+        ValueError: a mark outside the MGF's convergence strip.
+    """
+    d = params.d
+    marks = np.zeros((d + 1, d, d))
+    idx = np.arange(d)
+    marks[idx + 1, idx, idx] = params.leverage_diag
+    mgf, ok = wishart_mgf(params.wishart_scale, params.wishart_shape,
+                          marks[:, None] + marks[None, :])
+    if not np.all(ok):
+        raise ValueError("mark transform argument outside the convergence "
+                         "strip; the leverage is too aggressive for the "
+                         "jump size law")
+    m = mgf.real
+    return params.jump_intensity * (m[1:, 1:] - m[0, 1:, None] - m[0, None, 1:]
+                                    + m[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 _POLE_MARGIN = 1e-6
+# largest share of a contour's absolute weight that may sit on skipped nodes
+# (transform-domain failures or overflow) before a price or hedge is refused;
+# contour_price, pricing.fourier_price and backtest.BasisCache all use it
+MAX_SKIP_MASS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -427,13 +431,12 @@ def suggest_decay(kernel: PayoffKernel, cov_rate: np.ndarray, horizon: float,
 
 
 def contour_price(contour: Contour, transform_values: np.ndarray,
-                  valid: np.ndarray | None = None,
-                  max_skip_mass: float = 1e-3) -> float:
+                  valid: np.ndarray | None = None) -> float:
     """Collapse transform values at the contour nodes into a price.
 
     Invalid nodes (transform-domain failures) are treated as missing data:
     they are skipped, and the evaluation aborts when the skipped nodes carry
-    more than max_skip_mass of the total absolute weight mass.
+    more than MAX_SKIP_MASS of the total absolute weight mass.
     """
     w = contour.weights
     if valid is not None:
@@ -441,7 +444,7 @@ def contour_price(contour: Contour, transform_values: np.ndarray,
         if not np.all(valid):
             total = float(np.sum(np.abs(w)))
             skipped = float(np.sum(np.abs(w[~valid])))
-            if total > 0 and skipped > max_skip_mass * total:
+            if total > 0 and skipped > MAX_SKIP_MASS * total:
                 raise ValueError(
                     f"{skipped / total:.2%} of contour weight mass is on "
                     "invalid transform nodes; shrink the damping")

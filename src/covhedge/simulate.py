@@ -21,17 +21,14 @@ Draw order per path, pure-jump covariance:
 
 Schemes
 -------
-wasc:  "splitting" (default)  Strang composition: exact half-step drift flow,
-                              Euler diffusion step, exact half-step flow. The
-                              one-step conditional spot mean is exact, so
-                              discrete martingale tests are unbiased.
-       "euler"                Euler-Maruyama with eigenvalue clipping at 0.
-       "euler_reflect"        Euler-Maruyama reflecting negative eigenvalues;
-                              aborts when more than 5% of steps need repair.
-bns:   "exact" (default)      piecewise-deterministic flow between jumps with
-                              jumps applied at their exact times; the state,
-                              the integrated covariance and the price bracket
-                              are exact in distribution on the grid.
+wasc:  Strang splitting: exact half-step drift flow, Euler diffusion step,
+       exact half-step flow.  The one-step conditional spot mean is exact, so
+       discrete martingale tests are unbiased.  A diffusion step that leaves
+       the PSD cone is repaired by ``matcalc.psd_repair``; repairs beyond
+       floating-point noise are counted in ``clip_count``.
+bns:   exact: piecewise-deterministic flow between jumps with jumps applied
+       at their exact times; the state, the integrated covariance and the
+       price bracket are exact in distribution on the grid.
 
 The integrated covariance accumulates the continuous-monitoring bracket of
 log prices: the trapezoid rule on the covariance skeleton for the diffusion
@@ -54,8 +51,6 @@ __all__ = [
     "load_paths",
 ]
 
-_MATERIAL_CLIP_RTOL = 1e-10
-_REFLECT_ABORT_FRACTION = 0.05
 _MAGIC = b"CVHPATH1"
 
 
@@ -70,7 +65,6 @@ class SimResult:
     integrated_cov: np.ndarray   # (P, N+1, d, d), cumulative price bracket
     seed: int
     path_start: int
-    scheme: str
     clip_count: int              # covariance repairs beyond fp tolerance
     clip_fraction: float
 
@@ -100,25 +94,6 @@ class SimResult:
 # small-matrix batched primitives
 # ---------------------------------------------------------------------------
 
-def _sqrt_psd_batch(mats: np.ndarray) -> np.ndarray:
-    """Principal square roots of a (..., d, d) stack of PSD matrices."""
-    d = mats.shape[-1]
-    if d == 1:
-        return np.sqrt(np.clip(mats, 0.0, None))
-    if d == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-        det = np.clip(a * c - b * b, 0.0, None)
-        s = np.sqrt(det)
-        t = np.sqrt(np.clip(a + c + 2.0 * s, 0.0, None))
-        safe = np.where(t > 0.0, t, 1.0)
-        out = mats + s[..., None, None] * np.eye(2)
-        out = out / safe[..., None, None]
-        return np.where((t > 0.0)[..., None, None], out, 0.0)
-    w, v = np.linalg.eigh(mats)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return np.einsum("...ij,...j,...kj->...ik", v, w, v)
-
-
 def _chol_psd_batch(mats: np.ndarray) -> np.ndarray:
     """A factor L with L L' = X for a stack of PSD matrices (lower for d<=2,
     eigenvector-based for larger d; semidefinite input is fine)."""
@@ -141,43 +116,18 @@ def _chol_psd_batch(mats: np.ndarray) -> np.ndarray:
     return v * w[..., None, :]
 
 
-def _repair_psd_batch(mats: np.ndarray, reflect: bool) -> tuple[np.ndarray, int]:
-    """Clip (or reflect) negative eigenvalues in place; returns the number of
-    matrices whose repair exceeded the fp tolerance."""
-    d = mats.shape[-1]
-    if d == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-        half_tr = 0.5 * (a + c)
-        det = a * c - b * b
-        disc = np.sqrt(np.clip(half_tr * half_tr - det, 0.0, None))
-        lmin = half_tr - disc
-        bad = lmin < 0.0
-    else:
-        lmin = np.linalg.eigvalsh(mats)[..., 0]
-        bad = lmin < 0.0
-    if not np.any(bad):
-        return mats, 0
-    scale = np.maximum(np.abs(mats).max(axis=(-1, -2)), 1e-300)
-    material = int(np.count_nonzero(bad & (-lmin > _MATERIAL_CLIP_RTOL * scale)))
-    idx = np.nonzero(bad)
-    w, v = np.linalg.eigh(mats[idx])
-    w = np.abs(w) if reflect else np.clip(w, 0.0, None)
-    mats[idx] = np.einsum("...ij,...j,...kj->...ik", v, w, v)
-    return mats, material
-
-
 def _philox(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
-# Wishart diffusion schemes
+# Wishart diffusion, splitting scheme
 # ---------------------------------------------------------------------------
 
 def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
                          sigma0: np.ndarray, h: float, n_steps: int,
-                         seed: int, idx0: int, n_chunk: int, scheme: str
+                         seed: int, idx0: int, n_chunk: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     d = params.d
     a_mat = params.vol_of_vol
@@ -200,49 +150,27 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
     intcov[:, 0] = 0.0
 
     clip = 0
-    if scheme == "splitting":
-        e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
-        lift = matcalc.kron_lift(params.mean_rev)
-        _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
-        c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
-        sig = np.repeat(sigma0[None], n_chunk, axis=0)
-        y = np.repeat(y0[None], n_chunk, axis=0)
-        for k in range(n_steps):
-            sa = np.einsum("ab,pbc,dc->pad", e_half, sig, e_half) + c_half
-            q = _sqrt_psd_batch(sa)
-            dw = sqh * w_norm[:, k]
-            shock = np.einsum("pab,pb->pa",
-                              q, dw @ rho + resid * sqh * z_norm[:, k])
-            y = y - 0.5 * h * np.diagonal(sa, axis1=1, axis2=2) + shock
-            term = np.einsum("pab,pbc,cd->pad", q, dw, a_mat)
-            sb = sa + term + term.transpose(0, 2, 1)
-            sb, n_bad = _repair_psd_batch(sb, reflect=False)
-            clip += n_bad
-            sig = np.einsum("ab,pbc,dc->pad", e_half, sb, e_half) + c_half
-            ys[:, k + 1] = y
-            covs[:, k + 1] = sig
-            intcov[:, k + 1] = intcov[:, k] + 0.5 * h * (covs[:, k] + sig)
-    else:
-        reflect = scheme == "euler_reflect"
-        m = params.mean_rev
-        sig = np.repeat(sigma0[None], n_chunk, axis=0)
-        y = np.repeat(y0[None], n_chunk, axis=0)
-        for k in range(n_steps):
-            q = _sqrt_psd_batch(sig)
-            dw = sqh * w_norm[:, k]
-            shock = np.einsum("pab,pb->pa",
-                              q, dw @ rho + resid * sqh * z_norm[:, k])
-            y = y - 0.5 * h * np.diagonal(sig, axis1=1, axis2=2) + shock
-            drift = params.omega + np.einsum("ab,pbc->pac", m, sig)
-            drift = drift + drift.transpose(0, 2, 1) - params.omega
-            term = np.einsum("pab,pbc,cd->pad", q, dw, a_mat)
-            nxt = sig + h * drift + term + term.transpose(0, 2, 1)
-            nxt, n_bad = _repair_psd_batch(nxt, reflect=reflect)
-            clip += n_bad
-            sig = nxt
-            ys[:, k + 1] = y
-            covs[:, k + 1] = sig
-            intcov[:, k + 1] = intcov[:, k] + 0.5 * h * (covs[:, k] + sig)
+    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
+    lift = matcalc.kron_lift(params.mean_rev)
+    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
+    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
+    sig = np.repeat(sigma0[None], n_chunk, axis=0)
+    y = np.repeat(y0[None], n_chunk, axis=0)
+    for k in range(n_steps):
+        sa = np.einsum("ab,pbc,dc->pad", e_half, sig, e_half) + c_half
+        q = matcalc.sqrt_psd(sa)
+        dw = sqh * w_norm[:, k]
+        shock = np.einsum("pab,pb->pa",
+                          q, dw @ rho + resid * sqh * z_norm[:, k])
+        y = y - 0.5 * h * np.diagonal(sa, axis1=1, axis2=2) + shock
+        term = np.einsum("pab,pbc,cd->pad", q, dw, a_mat)
+        sb = sa + term + term.transpose(0, 2, 1)
+        sb, n_bad = matcalc.psd_repair(sb)
+        clip += n_bad
+        sig = np.einsum("ab,pbc,dc->pad", e_half, sb, e_half) + c_half
+        ys[:, k + 1] = y
+        covs[:, k + 1] = sig
+        intcov[:, k + 1] = intcov[:, k] + 0.5 * h * (covs[:, k] + sig)
     return ys, covs, intcov, clip
 
 
@@ -395,13 +323,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
 # public entry points
 # ---------------------------------------------------------------------------
 
-_WASC_SCHEMES = ("splitting", "euler", "euler_reflect")
-_BNS_SCHEMES = ("exact",)
-
-
 def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
-             n_paths: int, seed: int, scheme: str | None = None,
-             path_start: int = 0, chunk_paths: int = 8192) -> SimResult:
+             n_paths: int, seed: int, path_start: int = 0, chunk_paths: int = 8192) -> SimResult:
     """Simulate n_paths over [state.t, horizon] on a uniform n_steps grid."""
     models.require_valid(params)
     if horizon <= state.t:
@@ -412,14 +335,6 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
         raise ValueError("seed and path_start must be nonnegative")
     span = horizon - state.t
     h = span / n_steps
-    if params.kind == "wasc":
-        scheme = scheme or "splitting"
-        if scheme not in _WASC_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r} for this model")
-    else:
-        scheme = scheme or "exact"
-        if scheme not in _BNS_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r} for this model")
 
     d = params.d
     log_spot = np.empty((n_paths, n_steps + 1, d))
@@ -433,7 +348,7 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
         if params.kind == "wasc":
             ys, cs, ic, n_bad = _simulate_wasc_chunk(
                 params, state.log_spot, state.cov, h, n_steps, seed, idx0,
-                n_chunk, scheme)
+                n_chunk)
             clip += n_bad
         else:
             ys, cs, ic = _simulate_bns_chunk(
@@ -445,15 +360,10 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
         done += n_chunk
 
     frac = clip / float(n_paths * n_steps)
-    if scheme == "euler_reflect" and frac > _REFLECT_ABORT_FRACTION:
-        raise RuntimeError(
-            f"eigenvalue reflection rate {frac:.1%} exceeds "
-            f"{_REFLECT_ABORT_FRACTION:.0%}: step size too coarse for this "
-            "scheme")
     times = state.t + h * np.arange(n_steps + 1)
     return SimResult(params=params, times=times, log_spot=log_spot, cov=cov,
                      integrated_cov=intcov, seed=seed, path_start=path_start,
-                     scheme=scheme, clip_count=clip, clip_fraction=frac)
+                     clip_count=clip, clip_fraction=frac)
 
 
 def realized_quadratic_covariation(sim: SimResult, kind: str = "log"
@@ -491,8 +401,8 @@ def dump_paths(sim: SimResult, path: str) -> None:
 
 
 def load_paths(path: str) -> SimResult:
-    """Read a panel written by dump_paths; params and scheme are not stored
-    and come back as None / 'file'."""
+    """Read a panel written by dump_paths; params are not stored and come
+    back as None."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a path panel file")
@@ -511,5 +421,4 @@ def load_paths(path: str) -> SimResult:
             n_paths, k, d, d).copy()
     return SimResult(params=None, times=times, log_spot=log_spot, cov=cov,
                      integrated_cov=intcov, seed=int(seed),
-                     path_start=int(path_start), scheme="file",
-                     clip_count=0, clip_fraction=0.0)
+                     path_start=int(path_start), clip_count=0, clip_fraction=0.0)

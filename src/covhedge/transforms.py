@@ -61,8 +61,10 @@ skipped mass.
   the grid up to it.  Once a node fails it stays invalid for every later
   tau, and its phi and psi hold nan there.
 
-Single evaluations go through the same engine: a 1 x 1 lattice, and
-``hedging.kernels.basis_from_eval`` for H at a market state.
+Single evaluations go through the same engine as a 1 x 1 lattice.  H at a
+market state is formed by the callers, ``hedging.pricing.fourier_price`` and
+``hedging.backtest.BasisCache.basis``, under the overflow rule stated at
+``models.OVERFLOW_RE``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ import numpy as np
 from . import matcalc, models
 
 __all__ = [
-    "TransformEval",
     "TransformGrid",
     "wasc_hamiltonian",
     "transform_grid",
@@ -89,17 +90,6 @@ BLOCK_POINTS = 512
 _EIGVEC_COND_MAX = 1e10
 _BLOWUP_LIMIT = 1e12
 _ASYM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TransformEval:
-    """(phi, psi) at one (tau, u) together with a domain-validity flag."""
-
-    tau: float
-    u: np.ndarray
-    phi: complex
-    psi: np.ndarray
-    valid: bool
 
 
 def _as_cvec(u, d: int) -> np.ndarray:

@@ -56,15 +56,15 @@ def state_ref():
 
 def basis_at(params, state, horizon: float, u) -> complex:
     """H_t(u) = E[exp(u'Y_T) | F_t] from a 1 x 1 transform lattice and
-    ``kernels.basis_from_eval``; nan where the transform is invalid or the
+    ``oracles.basis_from_eval``; nan where the transform is invalid or the
     exponent passes the overflow guard."""
+    import oracles
     from covhedge import transforms
-    from covhedge.hedging import kernels
 
     u = np.asarray(u, dtype=complex)
     tau = horizon - state.t
     grid = transforms.transform_grid(params, [tau], u[None])
-    ev = transforms.TransformEval(tau=tau, u=u, phi=grid.phi[0, 0],
-                                  psi=grid.psi[0, 0],
-                                  valid=bool(grid.valid[0, 0]))
-    return kernels.basis_from_eval(ev, state)
+    ev = oracles.TransformEval(tau=tau, u=u, phi=grid.phi[0, 0],
+                               psi=grid.psi[0, 0],
+                               valid=bool(grid.valid[0, 0]))
+    return oracles.basis_from_eval(ev, state)

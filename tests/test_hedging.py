@@ -1,16 +1,17 @@
 """Hedging layer: the basis kernel against complex exp, the batched hedge
-engines against the scalar covariation kernels, and covariance swaps: strikes
+engines against the scalar covariation oracles, the oracles' own identities,
+Fourier prices against Monte Carlo and parity, and covariance swaps: strikes
 against closed forms, values as martingales and the hedged variance against
 Monte Carlo."""
 
 import numpy as np
 import pytest
 
-from covhedge import models, payoffs, simulate
-from covhedge.hedging import backtest, covswap, kernels, pricing
-from covhedge.transforms import TransformEval
+from covhedge import models, payoffs, simulate, transforms
+from covhedge.hedging import backtest, covswap, pricing
 
-from conftest import SIGMA0_REF
+import oracles
+from conftest import S0_REF, SIGMA0_REF
 
 N_PATHS = 12
 N_STEPS = 4
@@ -148,12 +149,75 @@ class TestFourierHedge:
                                                 sim.log_spot[p, k],
                                                 sim.cov[p, k])
             want = sum(
-                weights[k, m] * kernels.gkw_theta(params, state, TransformEval(
-                    tau=tau, u=cache.model_args[m], phi=cache.phi[k, m],
-                    psi=cache.psi[k, m], valid=True))
+                weights[k, m] * oracles.gkw_theta(
+                    params, state, oracles.TransformEval(
+                        tau=tau, u=cache.model_args[m], phi=cache.phi[k, m],
+                        psi=cache.psi[k, m], valid=True))
                 for m in np.flatnonzero(cache.valid[k]))
             np.testing.assert_allclose(got[p], want.real, rtol=1e-9,
                                        atol=1e-12 * np.abs(want).max())
+
+
+ORACLE_NODES = np.array([[1.5 + 0.7j, 1.5 - 1.3j], [1.5 + 3.2j, 1.5 + 0.4j],
+                         [-0.5 - 2.1j, -0.5 + 5.0j], [1.0, 0.0], [0.0, 1.0]])
+ORACLE_STATES = [SIGMA0_REF, np.array([[0.05, -0.01], [-0.01, 0.2]])]
+
+
+def oracle_evals(params, tau=0.6):
+    """Transform evaluations at the oracle nodes; the last two are the spot
+    claims u = e_0 and u = e_1."""
+    grid = transforms.transform_grid(params, [tau], ORACLE_NODES)
+    assert np.all(grid.valid)
+    return [oracles.TransformEval(tau=tau, u=u, phi=grid.phi[0, m],
+                                  psi=grid.psi[0, m], valid=True)
+            for m, u in enumerate(ORACLE_NODES)]
+
+
+class TestCovariationOracles:
+    @pytest.mark.parametrize("cov", ORACLE_STATES)
+    def test_wasc_residual_closed_form_is_the_schur_complement(
+            self, wasc_ref, cov):
+        # 4 H1 H2 Tr(psi1 Sigma psi2 A'(I - rho rho')A) against the generic
+        # claim_claim - c1' css^-1 c2
+        state = models.MarketState.from_spot(0.4, S0_REF, cov)
+        evals = oracle_evals(wasc_ref)[:3]
+        css = oracles.spot_spot_rate(wasc_ref, state)
+        for ev1 in evals:
+            for ev2 in evals:
+                c1 = oracles.claim_spot_rate(wasc_ref, state, ev1)
+                c2 = oracles.claim_spot_rate(wasc_ref, state, ev2)
+                schur = (oracles.claim_claim_rate(wasc_ref, state, ev1, ev2)
+                         - c1 @ np.linalg.solve(css, c2))
+                got = oracles.residual_rate(wasc_ref, state, ev1, ev2)
+                np.testing.assert_allclose(got, schur, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_spot_claims_leave_no_residual(self, wasc_ref, bns_ref, state_ref,
+                                           kind):
+        # H(e_k) is the spot itself, which the spot hedge replicates exactly
+        params = wasc_ref if kind == "wasc" else bns_ref
+        evals = oracle_evals(params)
+        values = [oracles.basis_from_eval(ev, state_ref) for ev in evals]
+        for k in (3, 4):
+            assert abs(values[k]) == pytest.approx(S0_REF[k - 3], rel=1e-6)
+            for ev, h in zip(evals, values):
+                res = oracles.residual_rate(params, state_ref, evals[k], ev)
+                assert abs(res) <= 1e-12 * abs(values[k]) * abs(h)
+
+    def test_bns_jump_cov_matches_scalar_loop(self, bns_ref):
+        np.testing.assert_allclose(models.bns_jump_cov(bns_ref),
+                                   oracles.bns_jump_cov(bns_ref),
+                                   rtol=1e-13, atol=0)
+
+    def test_bns_jump_cov_rejects_mark_outside_strip(self, bns_ref):
+        # admissible (1 - 2 rho_0 Theta_00 = 0.2 > 0), but the doubled mark
+        # 2 rho_0 E^00 of the (0, 0) entry leaves the strip
+        wild = models.BnsParams(d=2, mean_rev=bns_ref.mean_rev,
+                                jump_intensity=3.0, wishart_shape=3.0,
+                                wishart_scale=bns_ref.wishart_scale,
+                                leverage_diag=np.array([20.0, -0.5]))
+        with pytest.raises(ValueError, match="convergence strip"):
+            models.bns_jump_cov(wild)
 
 
 class TestCovswapStrikes:
@@ -221,3 +285,39 @@ class TestCovswapValues:
             closed = covswap.wasc_covswap_variance(params, SIGMA0_REF, 1.0,
                                                    system.pair)
             assert abs(mc - closed) <= 3.0 * se
+
+
+PRICE_KERNELS = [payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0)),
+                 payoffs.exchange_option(2, 0, 1),
+                 payoffs.call_option(2, 0, 100.0),
+                 payoffs.put_option(2, 0, 100.0)]
+
+
+class TestFourierPrice:
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    @pytest.mark.parametrize("kernel", PRICE_KERNELS, ids=lambda k: k.name)
+    def test_matches_monte_carlo(self, swap_panels, state_ref, kind, kernel):
+        params, sim, _ = swap_panels[kind]
+        price = pricing.fourier_price(params, state_ref, 1.0, kernel)
+        pay = kernel.payoff(sim.terminal_spot)
+        se = pay.std(ddof=1) / np.sqrt(SWAP_PATHS)
+        assert abs(price - pay.mean()) <= 3.0 * se
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_put_call_parity(self, wasc_ref, bns_ref, state_ref, kind):
+        params = wasc_ref if kind == "wasc" else bns_ref
+        call, put = (pricing.fourier_price(params, state_ref, 1.0, k)
+                     for k in PRICE_KERNELS[2:])
+        assert abs(call - put - (S0_REF[0] - 100.0)) <= 1e-4
+
+    def test_refuses_past_the_moment_explosion(self):
+        # d = 1, zero drift and leverage: the order-1.5 moment the call's
+        # damping needs explodes at tau* = pi / sqrt(3) ~ 1.81
+        params = models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                                   vol_of_vol=np.eye(1),
+                                   leverage=np.zeros(1), alpha=1.0)
+        state = models.MarketState.from_spot(0.0, [100.0], [[0.04]])
+        call = payoffs.call_option(1, 0, 100.0)
+        assert 0.0 < pricing.fourier_price(params, state, 1.7, call) < 100.0
+        with pytest.raises(ValueError, match="invalid transform nodes"):
+            pricing.fourier_price(params, state, 1.9, call)

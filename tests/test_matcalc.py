@@ -151,7 +151,7 @@ class TestPinv:
 
 
 # ---------------------------------------------------------------------------
-# sqrt_psd / psd_project
+# sqrt_psd / psd_repair
 # ---------------------------------------------------------------------------
 
 class TestPsd:
@@ -173,22 +173,56 @@ class TestPsd:
         r = matcalc.sqrt_psd(m)
         np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-9)
 
-    def test_sqrt_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="covariance state"):
-            matcalc.sqrt_psd(np.diag([1.0, -0.5]))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sqrt_every_branch_on_a_stack(self, d):
+        # d = 1 and d = 2 have closed forms, d = 3 goes through eigh; the
+        # stack holds full-rank, rank-one and zero matrices
+        rng = np.random.default_rng(20 + d)
+        stack = np.stack([rand_psd(d, rng) for _ in range(4)]
+                         + [rand_psd(d, rng, rank=1), np.zeros((d, d))])
+        before = stack.copy()
+        r = matcalc.sqrt_psd(stack)
+        assert np.array_equal(stack, before)
+        assert r.shape == stack.shape
+        for root, m in zip(r, stack):
+            scale = max(np.max(np.abs(m)), 1.0)
+            assert np.max(np.abs(root @ root - m)) < 1e-12 * scale
+            assert matcalc.is_symmetric(root)
+            assert np.linalg.eigvalsh(root)[0] > -1e-12 * scale
+        assert np.all(r[-1] == 0.0)
 
     def test_project_reports_clip(self):
         m = np.diag([1.0, -0.25])
-        proj, clipped = matcalc.psd_project(m)
+        proj, material = matcalc.psd_repair(m)
         np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
-        assert clipped == pytest.approx(0.25)
+        assert material == 1
 
     def test_project_noop_on_psd(self):
         rng = np.random.default_rng(3)
-        m = rand_psd(3, rng)
-        proj, clipped = matcalc.psd_project(m)
-        assert clipped == 0.0
-        np.testing.assert_allclose(proj, 0.5 * (m + m.T), atol=0)
+        m = np.stack([rand_psd(3, rng) for _ in range(4)])
+        proj, material = matcalc.psd_repair(m)
+        assert material == 0
+        assert proj is m
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repair_counts_material_clips_and_copies(self, d):
+        # a PSD matrix, one whose negative eigenvalue is rounding noise
+        # (below PSD_RTOL times its largest entry) and one well below it
+        rng = np.random.default_rng(40 + d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spectra = [np.linspace(1.0, 2.0, d),
+                   np.r_[-1e-13, np.linspace(1.0, 2.0, d - 1)],
+                   np.r_[-0.25, np.linspace(1.0, 2.0, d - 1)]]
+        stack = np.stack([matcalc.sym_part((q * w) @ q.T) for w in spectra])
+        before = stack.copy()
+        fixed, material = matcalc.psd_repair(stack)
+        assert material == 1
+        assert np.array_equal(stack, before)
+        assert fixed is not stack
+        assert np.array_equal(fixed[0], stack[0])
+        for f, w in zip(fixed[1:], spectra[1:]):
+            want = (q * np.clip(w, 0.0, None)) @ q.T
+            np.testing.assert_allclose(f, want, atol=1e-12)
 
     def test_tolerance_scales_with_norm(self):
         assert matcalc.psd_tolerance(np.eye(2)) == pytest.approx(1e-10)

@@ -53,11 +53,8 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate.simulate(wasc_ref, state_ref, 1.0, 10, 10, seed=-1)
         with pytest.raises(ValueError):
-            simulate.simulate(wasc_ref, state_ref, 1.0, 10, 10, seed=1,
-                              scheme="exact")
-        with pytest.raises(ValueError):
             simulate.simulate(bns_ref, state_ref, 1.0, 10, 10, seed=1,
-                              scheme="splitting")
+                              path_start=-1)
 
 
 class TestDeterminism:
@@ -164,23 +161,6 @@ class TestBnsStatistics:
 
 
 class TestSchemes:
-    def test_euler_martingale(self, wasc_ref, state_ref):
-        sim = simulate.simulate(wasc_ref, state_ref, 1.0, 200, 4000, seed=5,
-                                scheme="euler")
-        st = sim.terminal_spot
-        # first-order scheme: allow discretization bias on top of MC noise
-        dev = np.abs(st.mean(axis=0) - S0_REF)
-        assert np.all(dev <= 4.0 * _se(st) + 0.5)
-
-    def test_reflect_aborts_when_too_coarse(self, state_ref):
-        rough = models.WascParams(d=2, mean_rev=np.diag([-0.5, -0.5]),
-                                  vol_of_vol=1.5 * np.eye(2),
-                                  leverage=np.zeros(2), alpha=1.2)
-        state = models.MarketState.from_spot(0.0, S0_REF, 0.005 * np.eye(2))
-        with pytest.raises(RuntimeError, match="reflection rate"):
-            simulate.simulate(rough, state, 1.0, 6, 300, seed=3,
-                              scheme="euler_reflect")
-
     def test_splitting_repairs_are_rare(self, wasc_sim):
         assert 0.0 <= wasc_sim.clip_fraction < 0.01
 
