@@ -1,5 +1,7 @@
-"""covhedge: pricing and semi-static variance-optimal hedging of multi-asset
+"""covhedge: Fourier pricing and dynamic hedging of multi-asset
 covariance-sensitive derivatives under affine stochastic covariance models.
+The hedges are dynamic (Fourier GKW, GBM delta, covariance swap); the
+semi-static variance-optimal hedge of the source paper is planned.
 
 Subpackages and modules
 -----------------------

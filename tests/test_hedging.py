@@ -7,11 +7,11 @@ Monte Carlo."""
 import numpy as np
 import pytest
 
-from covhedge import models, payoffs, simulate, transforms
+from covhedge import gbm, matcalc, models, payoffs, simulate, transforms
 from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
-from conftest import S0_REF, SIGMA0_REF
+from conftest import ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
 
 N_PATHS = 12
 N_STEPS = 4
@@ -309,6 +309,38 @@ class TestFourierPrice:
         call, put = (pricing.fourier_price(params, state_ref, 1.0, k)
                      for k in PRICE_KERNELS[2:])
         assert abs(call - put - (S0_REF[0] - 100.0)) <= 1e-4
+
+    @pytest.mark.parametrize("claim", ["cc", "cp", "pc", "pp", "exchange",
+                                       "geometric"])
+    def test_frozen_set_matches_lognormal_closed_forms(self, state_ref,
+                                                       claim):
+        # zero vol-of-vol: Sigma_t = e^{Mt} Sigma_0 e^{M't} is deterministic,
+        # log prices are Gaussian with covariance C = int_0^T Sigma_t dt, and
+        # the lattice takes the closed form with G = 0; the 24-node contour
+        # error is at most 1e-4 of each price
+        frozen = models.WascParams(d=2, mean_rev=M_REF,
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=RHO_REF, alpha=ALPHA_REF)
+        imap = models.wasc_integrated_mean(frozen, 0.0, 1.0)
+        cov = matcalc.mat(imap.map @ matcalc.vec(SIGMA0_REF) + imap.offset)
+        vols = np.sqrt(np.diag(cov))
+        rho = cov[0, 1] / (vols[0] * vols[1])
+        if claim == "exchange":
+            kernel = payoffs.exchange_option(2, 0, 1)
+            ref = oracles.margrabe_exchange(*S0_REF, *vols, rho, 1.0)
+        elif claim == "geometric":
+            w = np.array([0.5, 0.5])
+            kernel = payoffs.geometric_option(2, w, 100.0, "call")
+            var = w @ cov @ w
+            fwd = np.exp(w @ (np.log(S0_REF) - 0.5 * np.diag(cov))
+                         + 0.5 * var)
+            ref = oracles.black_scholes_call(fwd, 100.0, np.sqrt(var), 1.0)
+        else:
+            kernel = payoffs.quadrant_option(2, claim, (0, 1), (96.0, 104.0))
+            ref = gbm.lognormal_quadrant_price(claim, S0_REF, (96.0, 104.0),
+                                               vols, rho, 1.0)
+        price = pricing.fourier_price(frozen, state_ref, 1.0, kernel)
+        assert price == pytest.approx(ref, rel=5e-4)
 
     def test_refuses_past_the_moment_explosion(self):
         # d = 1, zero drift and leverage: the order-1.5 moment the call's

@@ -8,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covhedge import models, transforms
+from covhedge import models, payoffs, transforms
+from covhedge.hedging import pricing
 
 import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
@@ -419,3 +420,117 @@ class TestTransformGrid:
         ref = oracles.integrate_phi(1.0, np.array([u]), params.omega,
                                     np.eye(1), np.zeros((1, 1)), np.zeros(1))
         assert abs(grid.phi[0, 0] - ref) < 1e-8
+
+
+def atm_cc_nodes(params, state, nodes_per_dim):
+    """The contour fourier_price builds for the ATM cc quadrant at T = 1."""
+    kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+    rate = pricing.integrated_cov_rate(params, state, 1.0)
+    decay = payoffs.suggest_decay(kernel, rate, 1.0, nodes_per_dim)
+    return payoffs.build_contour(kernel, nodes_per_dim=nodes_per_dim,
+                                 decay=decay).model_args
+
+
+def marched_phi(params, tau, nodes, panels, order=16):
+    """phi(tau) by a composite Gauss-Legendre rule on Tr(Omega psi(s)) over
+    equal panels, with psi carried from panel to panel by the flow map of
+    scipy's expm over the offsets within one panel."""
+    d = params.d
+    width = tau / panels
+    x, w = np.polynomial.legendre.leggauss(order)
+    offsets = np.append(0.5 * width * (x + 1.0), width)
+    theta = scipy.linalg.expm(offsets[:, None, None, None]
+                              * transforms.wasc_hamiltonian(params, nodes))
+    psi = np.zeros((nodes.shape[0], d, d), dtype=complex)
+    phi = np.zeros(nodes.shape[0], dtype=complex)
+    for _ in range(panels):
+        moved = np.linalg.solve(theta[..., d:, d:] + psi @ theta[..., :d, d:],
+                                theta[..., d:, :d] + psi @ theta[..., :d, :d])
+        phi += 0.5 * width * np.einsum("p,ab,pmba->m", w, params.omega,
+                                       moved[:-1])
+        psi = moved[-1]
+    return phi
+
+
+class TestClosedFormPhi:
+    """phi = -alpha/2 [log det Theta_22 + tau Tr F] at the knots alone, with
+    the log taken from the eigen-split of the Hamiltonian."""
+
+    def test_branch_safe_log_at_two_years(self, wasc_ref, state_ref):
+        # the principal log of the plain det Theta_22 jumps branch on a
+        # large share of the 1,152 nodes at tau = 2; the factored log keeps
+        # phi on the ODE solution
+        nodes = atm_cc_nodes(wasc_ref, state_ref, 24)
+        grid = transforms.transform_grid(wasc_ref, [2.0], nodes)
+        assert np.all(grid.valid) and not np.any(grid.phi_quadrature)
+        ham = transforms.wasc_hamiltonian(wasc_ref, nodes)
+        theta22 = scipy.linalg.expm(2.0 * ham)[:, 2:, 2:]
+        plain = -0.5 * ALPHA_REF * (np.log(np.linalg.det(theta22))
+                                    + 2.0 * np.trace(ham[:, :2, :2], axis1=1,
+                                                     axis2=2))
+        wrong = np.flatnonzero(np.abs(plain - grid.phi[0]) > 1.0)
+        assert wrong.size > 100
+        for m in wrong[::20]:
+            ref = oracles.integrate_phi(2.0, nodes[m], wasc_ref.omega, A_REF,
+                                        M_REF, RHO_REF)
+            assert abs(grid.phi[0, m] - ref) < 1e-8
+
+    def test_long_maturity_matches_marched_reference(self, wasc_ref,
+                                                     state_ref):
+        nodes = atm_cc_nodes(wasc_ref, state_ref, 24)
+        grid = transforms.transform_grid(wasc_ref, [5.0], nodes)
+        ok = grid.valid[0]
+        assert ok.sum() > 1000 and not np.any(grid.phi_quadrature)
+        ref = marched_phi(wasc_ref, 5.0, nodes[ok], panels=100)
+        assert np.max(np.abs(grid.phi[0, ok] - ref)) < 1e-7
+
+    def test_closed_form_and_remainder_routes_agree(self, wasc_ref,
+                                                    state_ref):
+        # the same model built from alpha takes the closed form, built from
+        # omega = alpha A'A the remainder quadrature, on the 100 tau x 288
+        # node lattice of a hedge on 100 dates
+        by_omega = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                                     leverage=RHO_REF,
+                                     omega=ALPHA_REF * A_REF.T @ A_REF)
+        nodes = atm_cc_nodes(wasc_ref, state_ref, 12)
+        taus = 1.0 - np.arange(100) / 100.0
+        closed = transforms.transform_grid(wasc_ref, taus, nodes)
+        quad = transforms.transform_grid(by_omega, taus, nodes)
+        assert nodes.shape[0] == 288
+        assert not np.any(closed.phi_quadrature)
+        assert np.all(quad.phi_quadrature)
+        assert np.array_equal(closed.valid, quad.valid)
+        ok = closed.valid
+        assert np.max(np.abs(closed.psi[ok] - quad.psi[ok])) < 1e-12
+        assert np.max(np.abs(closed.phi[ok] - quad.phi[ok])) < 1e-9
+
+    def test_defective_frozen_set_falls_back_with_zero_alpha(self):
+        # a Jordan-block drift without vol-of-vol: every node takes the expm
+        # fallback, where alpha counts as 0, and the remainder omega -
+        # 0 A'A = alpha A'A is zero, so no node needs the panel rule
+        params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
+                                                           [0.0, -1.0]]),
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=np.zeros(2), alpha=ALPHA_REF)
+        nodes = np.stack(CONTOUR_NODES[:2])
+        _, q = np.linalg.eig(transforms.wasc_hamiltonian(params, nodes))
+        assert np.all(np.linalg.cond(q) > 1e10)
+        grid = transforms.transform_grid(params, [0.3, 1.0], nodes)
+        assert np.all(grid.valid) and not np.any(grid.phi_quadrature)
+        assert np.max(np.abs(grid.phi)) < 1e-12
+        for k, tau in enumerate([0.3, 1.0]):
+            for m, u in enumerate(nodes):
+                psi = wasc_flow_map(params, tau, u, np.zeros((2, 2)))
+                assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-12
+
+    def test_routes_of_the_reference_sets(self, wasc_ref, bns_ref,
+                                          state_ref):
+        frozen = models.WascParams(d=2, mean_rev=M_REF,
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=RHO_REF, alpha=ALPHA_REF)
+        nodes = atm_cc_nodes(wasc_ref, state_ref, 24)
+        for params in (wasc_ref, frozen):
+            grid = transforms.transform_grid(params, [0.5, 1.0], nodes)
+            assert not np.any(grid.phi_quadrature)
+        grid = transforms.transform_grid(bns_ref, [0.5, 1.0], nodes)
+        assert np.all(grid.phi_quadrature)
