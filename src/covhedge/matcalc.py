@@ -105,13 +105,14 @@ def lift_flows(lift: np.ndarray, deltas: np.ndarray
     order = np.arange(1.0, _FLOW_TERMS + 1.0)[:, None, None]
     mats[:, 1] = mats[:, 0] / order
     mats[:, 2] = mats[:, 1] / (order + 1.0)
-    mats = mats.reshape((_FLOW_TERMS, 3) + (1,) * deltas.ndim + (n, n))
-    powers = np.ones((_FLOW_TERMS + 2,) + deltas.shape)   # (delta / 2^k)^j
-    np.cumprod(np.broadcast_to(scaled, powers[1:].shape), axis=0,
-               out=powers[1:])
+    # series i takes term j with (delta / 2^k)^(j+i); one running power
+    # keeps the working set at one series term per batch entry
     acc = np.zeros((3,) + deltas.shape + (n, n))
-    for j in range(_FLOW_TERMS):
-        acc += powers[j:j + 3, ..., None, None] * mats[j]
+    power = np.ones(deltas.shape + (1, 1))
+    for t in range(_FLOW_TERMS + 2):
+        for i in range(max(0, t - _FLOW_TERMS + 1), min(t, 2) + 1):
+            acc[i] += power * mats[t - i, i]
+        power = power * scaled[..., None, None]
     flow, int1, int2 = acc
     for i in range(int(doublings.max(initial=0))):
         more = (doublings > i)[..., None, None]

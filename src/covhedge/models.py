@@ -49,7 +49,9 @@ __all__ = [
     "model_to_dict",
 ]
 
-COND_LIMIT = 1e12  # condition-number threshold for trusting closed-form inverses
+# threshold on the 1-norm condition number (within a factor n of the 2-norm
+# one for an n x n matrix) for trusting closed-form inverses
+COND_LIMIT = 1e12
 # The one overflow rule: the largest real part of a transform exponent that
 # is exponentiated; beyond it e^x overflows float64 (about 709.8) or swamps
 # every other contour node.  A node whose real exponent passes it is skipped:

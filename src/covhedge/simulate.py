@@ -33,6 +33,25 @@ bns:   exact: piecewise-deterministic flow between jumps with jumps applied
 The integrated covariance accumulates the continuous-monitoring bracket of
 log prices: the trapezoid rule on the covariance skeleton for the diffusion
 model, and the exact pathwise integral plus jump products for the jump model.
+
+Kernels
+-------
+The chunk kernels hold the state paths last: log prices as (d, P), Sigma and
+the running bracket as (d, d, P).  Every matrix product in a step, with a
+constant or per path, is a d-term sum of length-P ufunc products
+(``_pmul``); the (..., d, d) stack routines of ``matcalc`` take the
+transposed (P, d, d) view.  BLAS is kept off the path axis because its
+results for one column can depend on how many columns share the call, which
+would break chunk invariance.  In the jump model every path takes the
+jump-free step, and the paths with a jump in the step are then recomputed
+from their pre-step state through their flow segments.  All segment lengths
+follow from the draws, so their flows come from one ``lift_flows`` batch
+per chunk.  Each step is written straight into the slices of the returned
+panel; no chunk-sized copy of the panel exists.
+
+The reference kernels in ``tests/oracles.py`` step the same schemes path
+major with einsum; the two agree to about 1e-14, because their sums run in
+different orders.
 """
 
 from __future__ import annotations
@@ -91,7 +110,7 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# small-matrix batched primitives
+# small-matrix batched primitives, paths last
 # ---------------------------------------------------------------------------
 
 def _chol_psd_batch(mats: np.ndarray) -> np.ndarray:
@@ -116,9 +135,46 @@ def _chol_psd_batch(mats: np.ndarray) -> np.ndarray:
     return v * w[..., None, :]
 
 
+def _per_path(fn, mats: np.ndarray) -> np.ndarray:
+    """Apply a (..., d, d) stack routine to a (d, d, P) paths-last stack."""
+    return fn(mats.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pathwise products a_p b_p of (m, n, P) and (n, k, P) stacks; a
+    constant factor is passed as an (m, n, 1) or (n, k, 1) stack.
+
+    n sums of length-P products, so a path's value never depends on how
+    many paths share the call (BLAS products over the path axis do).
+    """
+    out = a[:, :1] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j]
+    return out
+
+
+def _sandwich(e: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """E_p S_p E_p' for (d, d, P) stacks, or (d, d, 1) for a constant E."""
+    return _pmul(_pmul(e, s), e.transpose(1, 0, 2))
+
+
 def _philox(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
+           y0: np.ndarray, sigma0: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write the initial state into the chunk's panel views and return the
+    paths-last state: y (d, P), Sigma (d, d, P) and the bracket (d, d, P)."""
+    n = out_y.shape[0]
+    out_y[:, 0] = y0
+    out_cov[:, 0] = sigma0
+    out_int[:, 0] = 0.0
+    y = np.repeat(y0[:, None], n, axis=1)
+    sig = np.repeat(sigma0[..., None], n, axis=2)
+    return y, sig, np.zeros_like(sig)
 
 
 # ---------------------------------------------------------------------------
@@ -126,197 +182,200 @@ def _philox(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
-                         sigma0: np.ndarray, h: float, n_steps: int,
-                         seed: int, idx0: int, n_chunk: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                         sigma0: np.ndarray, h: float, seed: int, idx0: int,
+                         out_y: np.ndarray, out_cov: np.ndarray,
+                         out_int: np.ndarray) -> int:
+    """Fill the chunk's panel views; returns the material repair count."""
+    n, n_steps = out_y.shape[0], out_y.shape[1] - 1
     d = params.d
-    a_mat = params.vol_of_vol
     rho = params.leverage
     resid = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
     sqh = np.sqrt(h)
 
-    w_norm = np.empty((n_chunk, n_steps, d, d))
-    z_norm = np.empty((n_chunk, n_steps, d))
-    for i in range(n_chunk):
+    w_norm = np.empty((n_steps, d, d, n))
+    z_norm = np.empty((n_steps, d, n))
+    for i in range(n):
         rng = _philox(seed, idx0 + i)
-        w_norm[i] = rng.standard_normal((n_steps, d, d))
-        z_norm[i] = rng.standard_normal((n_steps, d))
-
-    ys = np.empty((n_chunk, n_steps + 1, d))
-    covs = np.empty((n_chunk, n_steps + 1, d, d))
-    intcov = np.empty((n_chunk, n_steps + 1, d, d))
-    ys[:, 0] = y0
-    covs[:, 0] = sigma0
-    intcov[:, 0] = 0.0
+        w_norm[..., i] = rng.standard_normal((n_steps, d, d))
+        z_norm[..., i] = rng.standard_normal((n_steps, d))
 
     clip = 0
-    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
+    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))[..., None]
+    a_mat = params.vol_of_vol[..., None]
     lift = matcalc.kron_lift(params.mean_rev)
     _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
-    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
-    sig = np.repeat(sigma0[None], n_chunk, axis=0)
-    y = np.repeat(y0[None], n_chunk, axis=0)
+    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
+    y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
     for k in range(n_steps):
-        sa = np.einsum("ab,pbc,dc->pad", e_half, sig, e_half) + c_half
-        q = matcalc.sqrt_psd(sa)
-        dw = sqh * w_norm[:, k]
-        shock = np.einsum("pab,pb->pa",
-                          q, dw @ rho + resid * sqh * z_norm[:, k])
-        y = y - 0.5 * h * np.diagonal(sa, axis1=1, axis2=2) + shock
-        term = np.einsum("pab,pbc,cd->pad", q, dw, a_mat)
-        sb = sa + term + term.transpose(0, 2, 1)
-        sb, n_bad = matcalc.psd_repair(sb)
+        sa = _sandwich(e_half, sig) + c_half
+        q = _per_path(matcalc.sqrt_psd, sa)
+        dw = sqh * w_norm[k]
+        v = _pmul(dw, rho[:, None, None]) + resid * sqh * z_norm[k][:, None]
+        y = y - 0.5 * h * np.diagonal(sa).T + _pmul(q, v)[:, 0]
+        term = _pmul(_pmul(q, dw), a_mat)
+        sb, n_bad = matcalc.psd_repair(
+            (sa + term + term.transpose(1, 0, 2)).transpose(2, 0, 1))
         clip += n_bad
-        sig = np.einsum("ab,pbc,dc->pad", e_half, sb, e_half) + c_half
-        ys[:, k + 1] = y
-        covs[:, k + 1] = sig
-        intcov[:, k + 1] = intcov[:, k] + 0.5 * h * (covs[:, k] + sig)
-    return ys, covs, intcov, clip
+        sig_next = _sandwich(e_half, sb.transpose(1, 2, 0)) + c_half
+        bracket = bracket + 0.5 * h * (sig + sig_next)
+        sig = sig_next
+        out_y[:, k + 1] = y.T
+        out_cov[:, k + 1] = sig.transpose(2, 0, 1)
+        out_int[:, k + 1] = bracket.transpose(2, 0, 1)
+    return clip
 
 
 # ---------------------------------------------------------------------------
 # pure-jump covariance, exact scheme
 # ---------------------------------------------------------------------------
 
-def _draw_bns_path(rng: np.random.Generator, params: models.BnsParams,
-                   horizon: float, n_steps: int, chol_theta: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jump times, jump marks and Brownian normals for one path, drawn in the
-    documented order."""
+def _draw_jumps(rng: np.random.Generator, params: models.BnsParams,
+                horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draws 1-4 of the documented order for one path: sorted jump times,
+    Bartlett chi-square variates (n_jumps, d) and normals (n_jumps, d, d)."""
     d = params.d
-    lam_total = params.jump_intensity * horizon
-    n_jumps = int(rng.poisson(lam_total))
+    n_jumps = int(rng.poisson(params.jump_intensity * horizon))
     jump_times = np.sort(rng.random(n_jumps)) * horizon
     df = params.wishart_shape - np.arange(d)
     chi2 = rng.chisquare(np.broadcast_to(df, (n_jumps, d)))
-    gauss = rng.standard_normal((n_jumps, d, d))
+    return jump_times, chi2, rng.standard_normal((n_jumps, d, d))
+
+
+def _wishart_marks(chol_theta: np.ndarray, chi2: np.ndarray,
+                   gauss: np.ndarray) -> np.ndarray:
+    """Wishart jump marks L B B' L' from Bartlett factors B, paths last."""
+    d = chol_theta.shape[0]
     bart = np.tril(gauss, -1)
-    ii = np.arange(d)
-    bart[:, ii, ii] = np.sqrt(chi2)
-    half = chol_theta @ bart
-    marks = half @ half.transpose(0, 2, 1)
-    b_norm = rng.standard_normal((n_steps + n_jumps, d))
-    return jump_times, marks, b_norm
+    bart[:, np.arange(d), np.arange(d)] = np.sqrt(chi2)
+    half = _pmul(chol_theta[..., None], bart.transpose(1, 2, 0))
+    return _pmul(half, half.transpose(1, 0, 2))
+
+
+def _flow_segment(sig: np.ndarray, y: np.ndarray, bracket: np.ndarray,
+                  flow: np.ndarray, kint: np.ndarray, taus, xi: np.ndarray,
+                  kappa: np.ndarray) -> np.ndarray:
+    """Jump-free flow over one segment for every column of a paths-last
+    state: adds the segment's bracket to ``bracket`` and its log-price
+    increment, driven by the Brownian vectors xi, to ``y`` (both in place),
+    and returns the flowed covariance.  flow and kint are the segments'
+    exp(M tau) and lifted covariance integral, or (.., 1) constants.
+
+    The lifted integral commutes with transposition, so applying it to the
+    row-stacked reshape of Sigma equals the column-stacked vec/mat."""
+    d, _, n = sig.shape
+    int_seg = _pmul(kint, sig.reshape(d * d, 1, n)).reshape(d, d, n)
+    chol = _per_path(_chol_psd_batch, int_seg)
+    y += (-0.5 * np.diagonal(int_seg).T - kappa * taus
+          + _pmul(chol, xi[:, None])[:, 0])
+    bracket += int_seg
+    return _sandwich(flow, sig)
 
 
 def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
-                        sigma0: np.ndarray, h: float, n_steps: int,
-                        horizon: float, seed: int, idx0: int, n_chunk: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        sigma0: np.ndarray, h: float, horizon: float,
+                        seed: int, idx0: int, out_y: np.ndarray,
+                        out_cov: np.ndarray, out_int: np.ndarray) -> None:
+    """Fill the chunk's panel views.
+
+    Every path takes the jump-free step; the paths with a jump in the step
+    are then recomputed from their pre-step state through their flow
+    segments (one per jump, plus one to the step's end) and overwrite it.
+    All segment lengths are known from the draws, so their flows are
+    computed once for the chunk.
+    """
+    n, n_steps = out_y.shape[0], out_y.shape[1] - 1
     d = params.d
-    rho = params.leverage_diag
-    kappa = params.drift_comp
-    chol_theta = np.linalg.cholesky(params.wishart_scale)
+    rho = params.leverage_diag[:, None]
+    kappa = params.drift_comp[:, None]
     m = params.mean_rev
     lift = matcalc.kron_lift(m)
-    e_h = matcalc.mat_exp(m * h)
-    _, k_h, _ = matcalc.lift_flows(lift, np.array(h))
+    e_h = matcalc.mat_exp(m * h)[..., None]
+    k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
 
-    # fixed-order draws, then a per-path padding so steps can be vectorized
-    times_l, marks_l, bnorm_l = [], [], []
-    max_jumps = 0
-    for i in range(n_chunk):
-        rng = _philox(seed, idx0 + i)
-        jt, mk, bn = _draw_bns_path(rng, params, horizon, n_steps, chol_theta)
-        times_l.append(jt)
-        marks_l.append(mk)
-        bnorm_l.append(bn)
-        max_jumps = max(max_jumps, jt.size)
-    b_norm = np.zeros((n_chunk, n_steps + max_jumps, d))
-    for i, bn in enumerate(bnorm_l):
-        b_norm[i, : bn.shape[0]] = bn
+    # fixed-order draws: the jumps of every path first, so that the Brownian
+    # normals, drawn last, go straight into an array padded to the most jumps
+    rngs = [_philox(seed, idx0 + i) for i in range(n)]
+    jumps = [_draw_jumps(rng, params, horizon) for rng in rngs]
+    counts = np.array([jt.size for jt, _, _ in jumps])
+    b_norm = np.zeros((d, n_steps + counts.max(), n))
+    for i, rng in enumerate(rngs):
+        b_norm[:, : n_steps + counts[i], i] = rng.standard_normal(
+            (n_steps + counts[i], d)).T
+    ev_time, chi2, gauss = (np.concatenate(x) for x in zip(*jumps))
+    ev_mark = _wishart_marks(np.linalg.cholesky(params.wishart_scale), chi2,
+                             gauss)
+    del rngs, jumps, chi2, gauss
 
-    # jump bookkeeping: step index and within-step rank of every jump
-    jstep_l, jrank_l = [], []
-    for jt in times_l:
-        steps = np.minimum((jt / h).astype(np.int64), n_steps - 1)
-        ranks = np.zeros(jt.size, dtype=np.int64)
-        for r in range(1, jt.size):
-            ranks[r] = ranks[r - 1] + 1 if steps[r] == steps[r - 1] else 0
-        jstep_l.append(steps)
-        jrank_l.append(ranks)
+    # jump events in path-then-time order: step, rank within the step, and
+    # the Brownian index of the flow segment that ends at the jump
+    n_ev = ev_time.size
+    ev_path = np.repeat(np.arange(n), counts)
+    ev_step = np.minimum((ev_time / h).astype(np.int64), n_steps - 1)
+    first = np.ones(n_ev, dtype=bool)
+    first[1:] = (ev_path[1:] != ev_path[:-1]) | (ev_step[1:] != ev_step[:-1])
+    ev_rank = np.arange(n_ev) - np.maximum.accumulate(
+        np.where(first, np.arange(n_ev), 0))
+    ev_ptr = ev_step + np.arange(n_ev) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+    # (path, step) groups with a jump, each closed by a segment from its
+    # last jump to the end of the step; an event is last when the next one
+    # starts a group (the roll wraps the final event onto first[0] = True)
+    last = np.flatnonzero(np.roll(first, -1))
 
-    ys = np.empty((n_chunk, n_steps + 1, d))
-    covs = np.empty((n_chunk, n_steps + 1, d, d))
-    intcov = np.empty((n_chunk, n_steps + 1, d, d))
-    ys[:, 0] = y0
-    covs[:, 0] = sigma0
-    intcov[:, 0] = 0.0
+    # segment flows, events first and then group ends, in one batch each; a
+    # segment starts at the step start or at the group's previous jump
+    cursor = np.where(ev_rank == 0, ev_step * h, np.roll(ev_time, 1))
+    taus = np.concatenate([ev_time - cursor,
+                           (ev_step[last] * h + h) - ev_time[last]])
+    seg_flow = matcalc.lift_flows(m, taus)[0].transpose(1, 2, 0).copy()
+    seg_int = matcalc.lift_flows(lift, taus)[1].transpose(1, 2, 0).copy()
 
-    sig = np.repeat(sigma0[None], n_chunk, axis=0)
-    y = np.repeat(y0[None], n_chunk, axis=0)
-    ptr = np.zeros(n_chunk, dtype=np.int64)
-    rows = np.arange(n_chunk)
+    g_order = np.lexsort((ev_path[last], ev_step[last]))
+    g_path = ev_path[last][g_order]
+    g_seg = n_ev + g_order
+    g_ptr = ev_ptr[last][g_order] + 1
+    g_bounds = np.searchsorted(ev_step[last][g_order], np.arange(n_steps + 1))
+    by_step = np.lexsort((ev_path, ev_rank, ev_step))
+    ev_bounds = np.searchsorted(ev_step[by_step], np.arange(n_steps + 1))
 
-    # flat arrays of jump events for fast per-step selection
-    ev_path = np.concatenate([np.full(t.size, i) for i, t in enumerate(times_l)]
-                             ) if max_jumps else np.empty(0, dtype=np.int64)
-    ev_time = np.concatenate(times_l) if max_jumps else np.empty(0)
-    ev_step = np.concatenate(jstep_l) if max_jumps else np.empty(0, dtype=np.int64)
-    ev_rank = np.concatenate(jrank_l) if max_jumps else np.empty(0, dtype=np.int64)
-    ev_mark = (np.concatenate(marks_l, axis=0) if max_jumps
-               else np.empty((0, d, d)))
-    ev_path = ev_path.astype(np.int64)
-
-    def _advance(idx, taus):
-        """Deterministic flow over a tau-long segment for the given paths:
-        updates sig, y and the step integral; consumes one Brownian vector."""
-        flow, _, _ = matcalc.lift_flows(m, taus)
-        _, kint_l, _ = matcalc.lift_flows(lift, taus)
-        vecsig = sig[idx].transpose(1, 2, 0).reshape(d * d, -1, order="F").T
-        int_vec = np.einsum("pab,pb->pa", kint_l, vecsig)
-        int_seg = int_vec.T.reshape(d, d, -1, order="F").transpose(2, 0, 1)
-        chol = _chol_psd_batch(int_seg)
-        xi = b_norm[idx, ptr[idx]]
-        ptr[idx] += 1
-        y[idx] += (-0.5 * np.einsum("paa->pa", int_seg)
-                   - np.outer(taus, kappa)
-                   + np.einsum("pab,pb->pa", chol, xi))
-        sig[idx] = np.einsum("pab,pbc,pdc->pad", flow, sig[idx], flow)
-        step_int[idx] += int_seg
-
+    y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
+    ptr = np.zeros(n, dtype=np.int64)
+    cols = np.arange(n)
     for k in range(n_steps):
-        t_k = k * h
-        step_int = np.zeros((n_chunk, d, d))
-        in_step = ev_step == k if max_jumps else np.zeros(0, dtype=bool)
-        if max_jumps and np.any(in_step):
-            cursor = np.full(n_chunk, t_k)
-            max_rank = int(ev_rank[in_step].max())
-            for r in range(max_rank + 1):
-                sel = in_step & (ev_rank == r)
-                pid = ev_path[sel]
-                taus = ev_time[sel] - cursor[pid]
-                _advance(pid, taus)
-                cursor[pid] = ev_time[sel]
-                mk = ev_mark[sel]
-                sig[pid] += mk
-                jump_y = rho * np.einsum("paa->pa", mk)
-                y[pid] += jump_y
-                # jump contribution to the price bracket
-                step_int[pid] += np.einsum("pa,pb->pab", jump_y, jump_y)
-            jumped = np.unique(ev_path[in_step])
-            taus = (t_k + h) - cursor[jumped]
-            _advance(jumped, taus)
-            plain = np.setdiff1d(rows, jumped, assume_unique=False)
-        else:
-            plain = rows
-        if plain.size:
-            vecsig = sig[plain].transpose(1, 2, 0).reshape(d * d, -1,
-                                                           order="F").T
-            int_seg = (vecsig @ k_h.T).T.reshape(d, d, -1,
-                                                 order="F").transpose(2, 0, 1)
-            chol = _chol_psd_batch(int_seg)
-            xi = b_norm[plain, ptr[plain]]
-            ptr[plain] += 1
-            y[plain] += (-0.5 * np.einsum("paa->pa", int_seg)
-                         - h * kappa
-                         + np.einsum("pab,pb->pa", chol, xi))
-            sig[plain] = np.einsum("ab,pbc,dc->pad", e_h, sig[plain], e_h)
-            step_int[plain] += int_seg
-        ys[:, k + 1] = y
-        covs[:, k + 1] = sig
-        intcov[:, k + 1] = intcov[:, k] + step_int
-    return ys, covs, intcov
+        gsel = slice(g_bounds[k], g_bounds[k + 1])
+        jumped = g_path[gsel]
+        y_j, sig_j = y[:, jumped], sig[:, :, jumped]
+        step = np.zeros_like(sig)
+        sig = _flow_segment(sig, y, step, e_h, k_h, h, b_norm[:, ptr, cols],
+                            kappa)
+        ptr += 1
+        if jumped.size:
+            step_j = np.zeros_like(sig_j)
+            evs = by_step[ev_bounds[k]:ev_bounds[k + 1]]
+            for r in range(ev_rank[evs[-1]] + 1):
+                sel = evs[ev_rank[evs] == r]
+                pos = np.searchsorted(jumped, ev_path[sel])
+                y_r, step_r = y_j[:, pos], step_j[:, :, pos]
+                sig_r = _flow_segment(
+                    sig_j[:, :, pos], y_r, step_r, seg_flow[:, :, sel],
+                    seg_int[:, :, sel], taus[sel],
+                    b_norm[:, ev_ptr[sel], ev_path[sel]], kappa)
+                mark = ev_mark[:, :, sel]
+                jump_y = rho * np.diagonal(mark).T
+                sig_j[:, :, pos] = sig_r + mark
+                y_j[:, pos] = y_r + jump_y
+                step_j[:, :, pos] = step_r + jump_y[:, None] * jump_y[None]
+            segs = g_seg[gsel]
+            sig[:, :, jumped] = _flow_segment(
+                sig_j, y_j, step_j, seg_flow[:, :, segs], seg_int[:, :, segs],
+                taus[segs], b_norm[:, g_ptr[gsel], jumped], kappa)
+            y[:, jumped] = y_j
+            step[:, :, jumped] = step_j
+            ptr[jumped] = g_ptr[gsel] + 1
+        bracket = bracket + step
+        out_y[:, k + 1] = y.T
+        out_cov[:, k + 1] = sig.transpose(2, 0, 1)
+        out_int[:, k + 1] = bracket.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +388,8 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     models.require_valid(params)
     if horizon <= state.t:
         raise ValueError("horizon must exceed the state time")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be positive")
+    if n_steps < 1 or n_paths < 1 or chunk_paths < 1:
+        raise ValueError("n_steps, n_paths and chunk_paths must be positive")
     if seed < 0 or path_start < 0:
         raise ValueError("seed and path_start must be nonnegative")
     span = horizon - state.t
@@ -341,23 +400,15 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     cov = np.empty((n_paths, n_steps + 1, d, d))
     intcov = np.empty((n_paths, n_steps + 1, d, d))
     clip = 0
-    done = 0
-    while done < n_paths:
-        n_chunk = min(chunk_paths, n_paths - done)
-        idx0 = path_start + done
+    for lo in range(0, n_paths, chunk_paths):
+        sl = slice(lo, min(lo + chunk_paths, n_paths))
+        views = (log_spot[sl], cov[sl], intcov[sl])
         if params.kind == "wasc":
-            ys, cs, ic, n_bad = _simulate_wasc_chunk(
-                params, state.log_spot, state.cov, h, n_steps, seed, idx0,
-                n_chunk)
-            clip += n_bad
+            clip += _simulate_wasc_chunk(params, state.log_spot, state.cov, h,
+                                         seed, path_start + lo, *views)
         else:
-            ys, cs, ic = _simulate_bns_chunk(
-                params, state.log_spot, state.cov, h, n_steps, span, seed,
-                idx0, n_chunk)
-        log_spot[done: done + n_chunk] = ys
-        cov[done: done + n_chunk] = cs
-        intcov[done: done + n_chunk] = ic
-        done += n_chunk
+            _simulate_bns_chunk(params, state.log_spot, state.cov, h, span,
+                                seed, path_start + lo, *views)
 
     frac = clip / float(n_paths * n_steps)
     times = state.t + h * np.arange(n_steps + 1)

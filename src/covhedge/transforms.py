@@ -56,16 +56,16 @@ skipped mass.
   PHI_PANEL_NODES-point Gauss-Legendre rule runs on every panel, so
   phi(tau_k) = phi(tau_{k-1}) + the integral over [tau_{k-1}, tau_k].  A
   diffusion node whose eigenvector basis, or dominant block of it, has
-  condition number above 1e10 counts alpha as 0 and integrates Tr(Omega
-  psi).  ``TransformGrid.phi_quadrature`` marks the nodes of the panel
-  route.
+  1-norm condition number above 1e10 counts alpha as 0 and integrates
+  Tr(Omega psi).  ``TransformGrid.phi_quadrature`` marks the nodes of the
+  panel route.
 * Node blocks.  Each route takes its nodes in blocks of about
   BLOCK_POINTS (node, s) points, which bounds the working set.  For the
   diffusion, one batched eigendecomposition of every node's Hamiltonian
   gives the lower block rows of Theta at every s of its route (a node
-  whose eigenvector basis has condition number above 1e10 falls back to
-  expm), followed by one batched condition, solve, blow-up and asymmetry
-  check.  For the jump model the operator
+  whose eigenvector basis has 1-norm condition number above 1e10 falls
+  back to expm), followed by one batched condition, solve, blow-up and
+  asymmetry check.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs one batched strip
   margin and log-determinant.
@@ -112,6 +112,8 @@ __all__ = [
 PHI_PANEL_NODES = 8
 PHI_PANEL_WIDTH = 0.125
 BLOCK_POINTS = 512
+# 1-norm condition numbers, one LU inverse each (an n x n matrix's lies
+# within a factor n of the 2-norm one); singular input gives inf
 _EIGVEC_COND_MAX = 1e10
 _BLOWUP_LIMIT = 1e12
 _ASYM_TOL = 1e-6
@@ -157,7 +159,7 @@ def _flow_solve(lhs: np.ndarray, rhs: np.ndarray
     flag a blown-up or numerically singular flow.  Returns psi (0 where a
     check failed) and the per-entry flags."""
     ok = np.all(np.isfinite(lhs), axis=(-2, -1))
-    ok[ok] = np.linalg.cond(lhs[ok]) < models.COND_LIMIT
+    ok[ok] = np.linalg.cond(lhs[ok], 1) < models.COND_LIMIT
     sol = np.linalg.solve(lhs[ok], rhs[ok])
     scale = np.maximum(np.max(np.abs(sol), axis=(-2, -1)), 1.0)
     asym = np.max(np.abs(sol - sol.swapaxes(-1, -2)), axis=(-2, -1))
@@ -220,9 +222,10 @@ def _span_any(flags: np.ndarray, n_k: int, starts: np.ndarray) -> np.ndarray:
 
 class _Spectrum(NamedTuple):
     """Eigen-split of Ham(u) for a stack of nodes.  ok is False where the
-    eigenvector basis has condition number above 1e10 (the expm fallback);
-    dom lists the modes by descending real part, the first d dominant;
-    closed is ok with a well-conditioned dominant block Q_2D as well."""
+    eigenvector basis has 1-norm condition number above 1e10 (the expm
+    fallback); dom lists the modes by descending real part, the first d
+    dominant; closed is ok with a well-conditioned dominant block Q_2D as
+    well."""
 
     ham: np.ndarray
     lam: np.ndarray
@@ -240,12 +243,12 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     d = params.d
     ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
     lam, q = np.linalg.eig(ham)
-    ok = np.linalg.cond(q) <= _EIGVEC_COND_MAX
+    ok = np.linalg.cond(q, 1) <= _EIGVEC_COND_MAX
     qinv = np.zeros_like(q)
     qinv[ok] = np.linalg.inv(q[ok])
     dom = np.argsort(-lam.real, axis=-1)
     q2d = np.take_along_axis(q[:, d:, :], dom[:, None, :d], axis=-1)
-    closed = ok & (np.linalg.cond(q2d) <= _EIGVEC_COND_MAX)
+    closed = ok & (np.linalg.cond(q2d, 1) <= _EIGVEC_COND_MAX)
     return _Spectrum(ham, lam, q, qinv, ok, dom, closed)
 
 

@@ -459,3 +459,131 @@ def gkw_theta(params, state: models.MarketState, ev: TransformEval
     css = spot_spot_rate(params, state)
     csh = claim_spot_rate(params, state, ev)
     return matcalc.pinv_psd(css, rcond=1e-12) @ csh
+
+
+# ---------------------------------------------------------------------------
+# path-major simulation kernels
+# ---------------------------------------------------------------------------
+#
+# The simulator's schemes written path-major, (P, d, d) stacks stepped with
+# einsum, drawing from the per-path Philox streams in the order that the
+# ``simulate`` module docstring documents.  They return (log_spot, cov,
+# integrated_cov, clip_count) in the layout of ``simulate.SimResult``.
+
+def _path_rng(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _factor(mats: np.ndarray) -> np.ndarray:
+    """The simulator's factor L L' = X: Cholesky for d <= 2, V sqrt(W) from
+    the eigendecomposition above."""
+    if mats.shape[-1] <= 2:
+        return np.linalg.cholesky(mats)
+    w, v = np.linalg.eigh(mats)
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
+                         horizon: float, n_steps: int, n_paths: int,
+                         seed: int, path_start: int = 0):
+    """Strang splitting: exact half-step drift flows around an Euler
+    diffusion step, with the PSD repair of ``matcalc.psd_repair``."""
+    d = params.d
+    h = (horizon - state.t) / n_steps
+    a_mat = params.vol_of_vol
+    rho = params.leverage
+    resid = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+    sqh = np.sqrt(h)
+    w_norm = np.empty((n_paths, n_steps, d, d))
+    z_norm = np.empty((n_paths, n_steps, d))
+    for i in range(n_paths):
+        rng = _path_rng(seed, path_start + i)
+        w_norm[i] = rng.standard_normal((n_steps, d, d))
+        z_norm[i] = rng.standard_normal((n_steps, d))
+
+    ys = np.empty((n_paths, n_steps + 1, d))
+    covs = np.empty((n_paths, n_steps + 1, d, d))
+    intcov = np.empty((n_paths, n_steps + 1, d, d))
+    ys[:, 0] = state.log_spot
+    covs[:, 0] = state.cov
+    intcov[:, 0] = 0.0
+    clip = 0
+    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
+    lift = matcalc.kron_lift(params.mean_rev)
+    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
+    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
+    sig = np.repeat(state.cov[None], n_paths, axis=0)
+    y = np.repeat(state.log_spot[None], n_paths, axis=0)
+    for k in range(n_steps):
+        sa = np.einsum("ab,pbc,dc->pad", e_half, sig, e_half) + c_half
+        q = matcalc.sqrt_psd(sa)
+        dw = sqh * w_norm[:, k]
+        shock = np.einsum("pab,pb->pa",
+                          q, dw @ rho + resid * sqh * z_norm[:, k])
+        y = y - 0.5 * h * np.diagonal(sa, axis1=1, axis2=2) + shock
+        term = np.einsum("pab,pbc,cd->pad", q, dw, a_mat)
+        sb = sa + term + term.transpose(0, 2, 1)
+        sb, n_bad = matcalc.psd_repair(sb)
+        clip += n_bad
+        sig = np.einsum("ab,pbc,dc->pad", e_half, sb, e_half) + c_half
+        ys[:, k + 1] = y
+        covs[:, k + 1] = sig
+        intcov[:, k + 1] = intcov[:, k] + 0.5 * h * (covs[:, k] + sig)
+    return ys, covs, intcov, clip
+
+
+def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
+                        horizon: float, n_steps: int, n_paths: int,
+                        seed: int, path_start: int = 0):
+    """Exact scheme: every path flows from event to event (step ends and
+    jumps) in time order; a jump adds its Wishart mark to Sigma, rho *
+    diag(mark) to the log prices and the square of that to the bracket."""
+    d = params.d
+    span = horizon - state.t
+    h = span / n_steps
+    rho = params.leverage_diag
+    kappa = params.drift_comp
+    chol_theta = np.linalg.cholesky(params.wishart_scale)
+    m = params.mean_rev
+    lift = matcalc.kron_lift(m)
+    df = params.wishart_shape - np.arange(d)
+    ys = np.empty((n_paths, n_steps + 1, d))
+    covs = np.empty((n_paths, n_steps + 1, d, d))
+    intcov = np.empty((n_paths, n_steps + 1, d, d))
+    for i in range(n_paths):
+        rng = _path_rng(seed, path_start + i)
+        n_jumps = int(rng.poisson(params.jump_intensity * span))
+        times = np.sort(rng.random(n_jumps)) * span
+        chi2 = rng.chisquare(np.broadcast_to(df, (n_jumps, d)))
+        bart = np.tril(rng.standard_normal((n_jumps, d, d)), -1)
+        bart[:, np.arange(d), np.arange(d)] = np.sqrt(chi2)
+        half = chol_theta @ bart
+        marks = np.einsum("jab,jcb->jac", half, half)
+        b_norm = rng.standard_normal((n_steps + n_jumps, d))
+        steps = np.minimum((times / h).astype(np.int64), n_steps - 1)
+
+        y, sig, bracket = state.log_spot.copy(), state.cov.copy(), 0.0
+        ys[i, 0], covs[i, 0], intcov[i, 0] = y, sig, 0.0
+        ptr = 0
+        for k in range(n_steps):
+            cursor = k * h
+            for j in np.flatnonzero(steps == k).tolist() + [None]:
+                end = (k * h + h) if j is None else times[j]
+                tau = end - cursor
+                flow = matcalc.lift_flows(m, np.array([tau]))[0][0]
+                kint = matcalc.lift_flows(lift, np.array([tau]))[1][0]
+                int_seg = matcalc.mat(kint @ matcalc.vec(sig))
+                y = y + (-0.5 * np.diag(int_seg) - tau * kappa
+                         + _factor(int_seg) @ b_norm[ptr])
+                ptr += 1
+                sig = np.einsum("ab,bc,dc->ad", flow, sig, flow)
+                bracket = bracket + int_seg
+                if j is not None:
+                    jump_y = rho * np.diag(marks[j])
+                    sig = sig + marks[j]
+                    y = y + jump_y
+                    bracket = bracket + np.outer(jump_y, jump_y)
+                    cursor = times[j]
+            ys[i, k + 1], covs[i, k + 1], intcov[i, k + 1] = y, sig, bracket
+    return ys, covs, intcov, 0

@@ -1,19 +1,41 @@
 """Simulation engine: reproducibility contract, martingale property, moment
-agreement with the closed-form maps, and exactness of the jump-model scheme."""
+agreement with the closed-form maps, exactness of the jump-model scheme,
+agreement with the path-major reference kernels and the memory held."""
 
+import functools
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from covhedge import matcalc, models, simulate
 
+import oracles
 from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      basis_at)
+                      STEPS_REF, basis_at)
 
 N_PATHS = 6000
 N_STEPS = 200
+
+# a three-asset set of each model: d > 2 takes the eigendecomposition
+# branches of sqrt_psd, psd_repair and the jump model's segment factor
+M_3 = np.array([[-2.5, -0.5, -0.3], [-0.5, -2.0, -0.4], [-0.3, -0.4, -3.0]])
+SIGMA0_3 = np.array([[0.10, 0.03, 0.02], [0.03, 0.09, 0.025],
+                     [0.02, 0.025, 0.12]])
+STATE_3 = models.MarketState.from_spot(
+    t=0.0, spot=np.array([100.0, 90.0, 110.0]), cov=SIGMA0_3)
+WASC_3 = models.WascParams(
+    d=3, mean_rev=M_3,
+    vol_of_vol=np.array([[0.15, 0.03, 0.02], [0.03, 0.14, 0.03],
+                         [0.02, 0.03, 0.16]]),
+    leverage=np.array([-0.5, -0.3, -0.2]), alpha=8.0)
+BNS_3 = models.BnsParams(
+    d=3, mean_rev=M_3, jump_intensity=3.0, wishart_shape=4.0,
+    wishart_scale=np.array([[0.02, 0.006, 0.004], [0.006, 0.018, 0.005],
+                            [0.004, 0.005, 0.022]]),
+    leverage_diag=np.array([-0.6, -0.5, -0.4]))
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +77,9 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate.simulate(bns_ref, state_ref, 1.0, 10, 10, seed=1,
                               path_start=-1)
+        with pytest.raises(ValueError):
+            simulate.simulate(wasc_ref, state_ref, 1.0, 10, 10, seed=1,
+                              chunk_paths=0)
 
 
 class TestDeterminism:
@@ -237,6 +262,94 @@ class TestCoarseGrid:
         dev = np.abs(sim.cov[:, -1].mean(axis=0) - exact)
         assert sim.clip_count > 0
         assert np.all(dev <= 0.02 * np.abs(exact).max())
+
+
+class TestThreeAssets:
+    @pytest.mark.parametrize("params,mean_cov", [
+        (WASC_3, models.wasc_mean_cov), (BNS_3, models.bns_mean_cov)],
+        ids=["wasc", "bns"])
+    def test_terminal_covariance_mean(self, params, mean_cov):
+        sim = simulate.simulate(params, STATE_3, 1.0, 50, 2000, seed=17)
+        exact = mean_cov(params, SIGMA0_3, 1.0)
+        samp = sim.cov[:, -1]
+        dev = np.abs(samp.mean(axis=0) - exact)
+        assert np.all(dev <= 4.0 * _se(samp) + 1e-12)
+        # the Wishart run repairs states, so the eigen repair branch ran
+        assert (sim.clip_count > 0) == (params.kind == "wasc")
+
+
+REF_PATHS = 40
+REF_SEED = 77
+REF_START = 3
+
+
+@pytest.fixture(scope="module")
+def model_sets(wasc_ref, bns_ref, state_ref):
+    """(params, state) by (kind, d)."""
+    return {("wasc", 2): (wasc_ref, state_ref), ("bns", 2): (bns_ref, state_ref),
+            ("wasc", 3): (WASC_3, STATE_3), ("bns", 3): (BNS_3, STATE_3)}
+
+
+class TestReferenceKernels:
+    """The paths-last kernels against the path-major reference kernels of
+    ``oracles``.  Five steps put several jumps into some steps; one step
+    puts every jump into the last step."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, model_sets):
+        @functools.cache
+        def paths(kind, d, n_steps):
+            params, state = model_sets[kind, d]
+            run = (oracles.reference_wasc_paths if kind == "wasc"
+                   else oracles.reference_bns_paths)
+            return run(params, state, 1.0, n_steps, REF_PATHS, REF_SEED,
+                       REF_START)
+        return paths
+
+    @pytest.mark.parametrize("chunk", [1, 7, REF_PATHS])
+    @pytest.mark.parametrize("kind,d,n_steps", [
+        ("wasc", 2, 30), ("wasc", 3, 30), ("bns", 2, 30), ("bns", 3, 30),
+        ("bns", 2, 5), ("bns", 2, 1)])
+    def test_matches_reference(self, kind, d, n_steps, chunk, model_sets,
+                               reference):
+        params, state = model_sets[kind, d]
+        sim = simulate.simulate(params, state, 1.0, n_steps, REF_PATHS,
+                                seed=REF_SEED, path_start=REF_START,
+                                chunk_paths=chunk)
+        ys, covs, intcov, clip = reference(kind, d, n_steps)
+        assert np.max(np.abs(sim.log_spot - ys)) <= 1e-12
+        assert np.max(np.abs(sim.cov - covs)) <= 1e-12
+        assert np.max(np.abs(sim.integrated_cov - intcov)) <= 1e-12
+        assert sim.clip_count == clip
+
+
+class TestMemory:
+    """simulate writes each chunk straight into the panel it returns: the
+    traced peak stays within the panel, half a panel of working set and the
+    per-path draws.  Holding the panel twice (a chunk built in its own
+    arrays, then copied) breaks the bound.  The reference grid is used
+    because the jump model's per-chunk segment flows scale with the number
+    of jumps, not of steps."""
+
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_peak_within_panel_and_draws(self, model, wasc_ref, bns_ref,
+                                         state_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        n_paths, d = 1024, 2
+        panel = n_paths * (STEPS_REF + 1) * (d + 2 * d * d) * 8
+        per_step = d * d + d if model == "wasc" else d
+        draws = n_paths * STEPS_REF * per_step * 8
+        # first-call allocations (imports, caches) are not the kernels'
+        simulate.simulate(params, state_ref, 1.0, 2, 2, seed=1)
+        tracemalloc.start()
+        try:
+            sim = simulate.simulate(params, state_ref, 1.0, STEPS_REF,
+                                    n_paths, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.n_paths == n_paths
+        assert peak <= 1.5 * panel + draws
 
 
 class TestRealizedQuadratics:
