@@ -68,16 +68,27 @@ def _time_grid(horizon: float, n_steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
+def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
+                  drive: np.ndarray, taus: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """G = mat(int flow' vec E_pair) and c = vec(E_pair)' iint flow vec(drive)
+    at each remaining time tau, for the covariance flow of X -> M X + X M'
+    driven by the constant drift ``drive``."""
+    lift = matcalc.kron_lift(mean_rev)
+    _, int1, int2 = matcalc.lift_flows(lift, taus)
+    g_mats = np.array([matcalc.mat(a.T @ matcalc.vec(e_pair)) for a in int1])
+    c_vals = np.einsum("a,kab,b->k", matcalc.vec(e_pair), int2,
+                       matcalc.vec(drive))
+    return g_mats, c_vals
+
+
 def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
                         horizon: float, pair: tuple[int, int],
                         n_steps: int) -> CovswapSystem:
     times = _time_grid(horizon, n_steps)
-    e_pair = _pair_matrix(params.d, pair)
-    lift = matcalc.kron_lift(params.mean_rev)
-    _, int1, int2 = matcalc.lift_flows(lift, horizon - times)
-    g_mats = np.array([matcalc.mat(a.T @ matcalc.vec(e_pair)) for a in int1])
-    c_vals = np.einsum("a,kab,b->k", matcalc.vec(e_pair), int2,
-                       matcalc.vec(params.omega))
+    g_mats, c_vals = _coefficients(params.mean_rev,
+                                   _pair_matrix(params.d, pair),
+                                   params.omega, horizon - times)
     strike = float(np.trace(g_mats[0] @ sigma0) + c_vals[0])
     a_rho = params.vol_of_vol.T @ params.leverage
     theta_core = 2.0 * np.einsum("kab,b->ka", g_mats, a_rho)
@@ -95,54 +106,38 @@ def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int) -> float:
     return n * n * theta[i, i] * theta[j, j] + 2.0 * n * theta[i, j] ** 2
 
 
-def _tilted_scale(params: models.BnsParams, r: np.ndarray) -> np.ndarray:
-    theta = params.wishart_scale
-    shifted = np.linalg.inv(theta) - 2.0 * r
-    w = np.linalg.eigvalsh(shifted)
-    if w.min() <= 0:
-        raise ValueError("mark tilt leaves the transform strip")
-    return np.linalg.inv(shifted)
-
-
 def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
                        horizon: float, pair: tuple[int, int],
                        n_steps: int) -> CovswapSystem:
     d = params.d
     i, j = pair
     times = _time_grid(horizon, n_steps)
-    e_pair = _pair_matrix(d, pair)
-    lift = matcalc.kron_lift(params.mean_rev.T)   # vec(M'X + XM)
-    _, int1, int2 = matcalc.lift_flows(lift, horizon - times)
-    g_mats = np.array([matcalc.mat(a @ matcalc.vec(e_pair)) for a in int1])
+    drive = params.jump_mean()                    # covariance drift from jumps
+    g_mats, c_vals = _coefficients(params.mean_rev, _pair_matrix(d, pair),
+                                   drive, horizon - times)
 
     lam = params.jump_intensity
     n = params.wishart_shape
     theta = params.wishart_scale
     rho = params.leverage_diag
     a_ij = rho[i] * rho[j]
-    jump_pair = lam * a_ij * wishart_pair_mean(theta, n, i, j)
-    drive = params.jump_mean()                    # covariance drift from jumps
-    c_vals = (np.einsum("a,kab,b->k", matcalc.vec(drive), int2,
-                        matcalc.vec(e_pair))
-              + (horizon - times) * jump_pair)
+    pair_base = a_ij * wishart_pair_mean(theta, n, i, j)
+    c_vals = c_vals + (horizon - times) * lam * pair_base
     strike = float(np.trace(g_mats[0] @ sigma0) + c_vals[0])
 
     # jump covariation of each spot with the swap value, per grid time
     theta_core = np.zeros((times.size, d))
+    base = pair_base + n * np.einsum("kab,ba->k", g_mats, theta)
     for k in range(d):
         r_k = np.zeros((d, d))
         r_k[k, k] = rho[k]
         mgf_k, ok = models.wishart_mgf(theta, n, r_k)
         if not ok:
             raise ValueError("spot jump transform outside the mark strip")
-        tilted = _tilted_scale(params, r_k)
-        pair_tilt = a_ij * wishart_pair_mean(tilted, n, i, j)
-        pair_base = a_ij * wishart_pair_mean(theta, n, i, j)
-        for kt in range(times.size):
-            g = g_mats[kt]
-            theta_core[kt, k] = lam * (
-                mgf_k.real * (pair_tilt + n * np.trace(g @ tilted))
-                - (pair_base + n * np.trace(g @ theta)))
+        tilted = np.linalg.inv(np.linalg.inv(theta) - 2.0 * r_k)
+        tilt = (a_ij * wishart_pair_mean(tilted, n, i, j)
+                + n * np.einsum("kab,ba->k", g_mats, tilted))
+        theta_core[:, k] = lam * (mgf_k.real * tilt - base)
     return CovswapSystem(kind="bns", pair=tuple(pair), horizon=horizon,
                          times=times, g_mats=g_mats, c_vals=c_vals,
                          fair_strike=strike, theta_core=theta_core)

@@ -16,8 +16,8 @@ Draw order per path, pure-jump covariance:
     2. uniform jump times (unsorted draw, then sorted)
     3. Bartlett chi-square variates, shape (n_jumps, d)
     4. Bartlett off-diagonal normals, shape (n_jumps, d, d)
-    5. price Brownian increments, shape (n_steps + n_jumps, d); one vector
-       is consumed per deterministic-flow segment in time order
+    5. price Brownian increments, standard normals of shape (n_steps, d);
+       one vector per step
 
 Schemes
 -------
@@ -26,9 +26,12 @@ wasc:  Strang splitting: exact half-step drift flow, Euler diffusion step,
        discrete martingale tests are unbiased.  A diffusion step that leaves
        the PSD cone is repaired by ``matcalc.psd_repair``; repairs beyond
        floating-point noise are counted in ``clip_count``.
-bns:   exact: piecewise-deterministic flow between jumps with jumps applied
-       at their exact times; the state, the integrated covariance and the
-       price bracket are exact in distribution on the grid.
+bns:   exact: the covariance flow is linear between jumps, so a step's end
+       state and its integral are the jump-free flow plus each jump's mark
+       flowed to the end of the step; given that path the step's diffusive
+       log-price increment is Gaussian with the integral as covariance.  The
+       state, the integrated covariance and the price bracket are exact in
+       distribution on the grid.
 
 The integrated covariance accumulates the continuous-monitoring bracket of
 log prices: the trapezoid rule on the covariance skeleton for the diffusion
@@ -43,11 +46,11 @@ constant or per path, is a d-term sum of length-P ufunc products
 transposed (P, d, d) view.  BLAS is kept off the path axis because its
 results for one column can depend on how many columns share the call, which
 would break chunk invariance.  In the jump model every path takes the
-jump-free step, and the paths with a jump in the step are then recomputed
-from their pre-step state through their flow segments.  All segment lengths
-follow from the draws, so their flows come from one ``lift_flows`` batch
-per chunk.  Each step is written straight into the slices of the returned
-panel; no chunk-sized copy of the panel exists.
+jump-free step, and the terms of the step's jumps are then added on the
+path axis with ``np.add.at``, each path's in time order.  Those terms
+follow from the draws, so they come from one ``lift_flows`` batch over the
+chunk's jumps.  Each step is written straight into the slices of the
+returned panel; no chunk-sized copy of the panel exists.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
 major with einsum; the two agree to about 1e-14, because their sums run in
@@ -112,28 +115,6 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # small-matrix batched primitives, paths last
 # ---------------------------------------------------------------------------
-
-def _chol_psd_batch(mats: np.ndarray) -> np.ndarray:
-    """A factor L with L L' = X for a stack of PSD matrices (lower for d<=2,
-    eigenvector-based for larger d; semidefinite input is fine)."""
-    d = mats.shape[-1]
-    if d == 1:
-        return np.sqrt(np.clip(mats, 0.0, None))
-    if d == 2:
-        a = np.clip(mats[..., 0, 0], 0.0, None)
-        l11 = np.sqrt(a)
-        l21 = np.where(l11 > 0.0, mats[..., 1, 0] / np.where(l11 > 0, l11, 1.0),
-                       0.0)
-        l22 = np.sqrt(np.clip(mats[..., 1, 1] - l21 * l21, 0.0, None))
-        out = np.zeros_like(mats)
-        out[..., 0, 0] = l11
-        out[..., 1, 0] = l21
-        out[..., 1, 1] = l22
-        return out
-    w, v = np.linalg.eigh(mats)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return v * w[..., None, :]
-
 
 def _per_path(fn, mats: np.ndarray) -> np.ndarray:
     """Apply a (..., d, d) stack routine to a (d, d, P) paths-last stack."""
@@ -251,128 +232,70 @@ def _wishart_marks(chol_theta: np.ndarray, chi2: np.ndarray,
     return _pmul(half, half.transpose(1, 0, 2))
 
 
-def _flow_segment(sig: np.ndarray, y: np.ndarray, bracket: np.ndarray,
-                  flow: np.ndarray, kint: np.ndarray, taus, xi: np.ndarray,
-                  kappa: np.ndarray) -> np.ndarray:
-    """Jump-free flow over one segment for every column of a paths-last
-    state: adds the segment's bracket to ``bracket`` and its log-price
-    increment, driven by the Brownian vectors xi, to ``y`` (both in place),
-    and returns the flowed covariance.  flow and kint are the segments'
-    exp(M tau) and lifted covariance integral, or (.., 1) constants.
-
-    The lifted integral commutes with transposition, so applying it to the
-    row-stacked reshape of Sigma equals the column-stacked vec/mat."""
-    d, _, n = sig.shape
-    int_seg = _pmul(kint, sig.reshape(d * d, 1, n)).reshape(d, d, n)
-    chol = _per_path(_chol_psd_batch, int_seg)
-    y += (-0.5 * np.diagonal(int_seg).T - kappa * taus
-          + _pmul(chol, xi[:, None])[:, 0])
-    bracket += int_seg
-    return _sandwich(flow, sig)
-
-
 def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
                         sigma0: np.ndarray, h: float, horizon: float,
                         seed: int, idx0: int, out_y: np.ndarray,
                         out_cov: np.ndarray, out_int: np.ndarray) -> None:
     """Fill the chunk's panel views.
 
-    Every path takes the jump-free step; the paths with a jump in the step
-    are then recomputed from their pre-step state through their flow
-    segments (one per jump, plus one to the step's end) and overwrite it.
-    All segment lengths are known from the draws, so their flows are
-    computed once for the chunk.
+    The covariance flow is linear between jumps, so a step's end state and
+    its integral I are the jump-free flow of the step, plus each jump's mark
+    flowed to the end of the step and that flow's integral.  Given the
+    covariance path, the step's diffusive log-price increment is Gaussian
+    with covariance I: one Brownian vector per step.  The terms of every
+    jump come from one ``lift_flows`` batch per chunk.
     """
     n, n_steps = out_y.shape[0], out_y.shape[1] - 1
     d = params.d
-    rho = params.leverage_diag[:, None]
     kappa = params.drift_comp[:, None]
-    m = params.mean_rev
-    lift = matcalc.kron_lift(m)
-    e_h = matcalc.mat_exp(m * h)[..., None]
+    lift = matcalc.kron_lift(params.mean_rev)
+    e_h = matcalc.mat_exp(params.mean_rev * h)[..., None]
     k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
 
-    # fixed-order draws: the jumps of every path first, so that the Brownian
-    # normals, drawn last, go straight into an array padded to the most jumps
-    rngs = [_philox(seed, idx0 + i) for i in range(n)]
-    jumps = [_draw_jumps(rng, params, horizon) for rng in rngs]
-    counts = np.array([jt.size for jt, _, _ in jumps])
-    b_norm = np.zeros((d, n_steps + counts.max(), n))
-    for i, rng in enumerate(rngs):
-        b_norm[:, : n_steps + counts[i], i] = rng.standard_normal(
-            (n_steps + counts[i], d)).T
+    xi = np.empty((n_steps, d, n))
+    jumps = []
+    for i in range(n):
+        rng = _philox(seed, idx0 + i)
+        jumps.append(_draw_jumps(rng, params, horizon))
+        xi[..., i] = rng.standard_normal((n_steps, d))
     ev_time, chi2, gauss = (np.concatenate(x) for x in zip(*jumps))
-    ev_mark = _wishart_marks(np.linalg.cholesky(params.wishart_scale), chi2,
-                             gauss)
-    del rngs, jumps, chi2, gauss
+    ev_path = np.repeat(np.arange(n), [jt.size for jt, _, _ in jumps])
+    marks = _wishart_marks(np.linalg.cholesky(params.wishart_scale), chi2,
+                           gauss)
+    del jumps, chi2, gauss
 
-    # jump events in path-then-time order: step, rank within the step, and
-    # the Brownian index of the flow segment that ends at the jump
-    n_ev = ev_time.size
-    ev_path = np.repeat(np.arange(n), counts)
+    # per jump, in path-then-time order: the mark flowed to the end of its
+    # step and that flow's integral (the lift's flow maps vec J to
+    # vec(E J E'); both it and the integral commute with transposition, so
+    # the row-stacked reshape serves as vec), rho * diag(J) and its square
     ev_step = np.minimum((ev_time / h).astype(np.int64), n_steps - 1)
-    first = np.ones(n_ev, dtype=bool)
-    first[1:] = (ev_path[1:] != ev_path[:-1]) | (ev_step[1:] != ev_step[:-1])
-    ev_rank = np.arange(n_ev) - np.maximum.accumulate(
-        np.where(first, np.arange(n_ev), 0))
-    ev_ptr = ev_step + np.arange(n_ev) - np.repeat(np.cumsum(counts) - counts,
-                                                   counts)
-    # (path, step) groups with a jump, each closed by a segment from its
-    # last jump to the end of the step; an event is last when the next one
-    # starts a group (the roll wraps the final event onto first[0] = True)
-    last = np.flatnonzero(np.roll(first, -1))
-
-    # segment flows, events first and then group ends, in one batch each; a
-    # segment starts at the step start or at the group's previous jump
-    cursor = np.where(ev_rank == 0, ev_step * h, np.roll(ev_time, 1))
-    taus = np.concatenate([ev_time - cursor,
-                           (ev_step[last] * h + h) - ev_time[last]])
-    seg_flow = matcalc.lift_flows(m, taus)[0].transpose(1, 2, 0).copy()
-    seg_int = matcalc.lift_flows(lift, taus)[1].transpose(1, 2, 0).copy()
-
-    g_order = np.lexsort((ev_path[last], ev_step[last]))
-    g_path = ev_path[last][g_order]
-    g_seg = n_ev + g_order
-    g_ptr = ev_ptr[last][g_order] + 1
-    g_bounds = np.searchsorted(ev_step[last][g_order], np.arange(n_steps + 1))
-    by_step = np.lexsort((ev_path, ev_rank, ev_step))
-    ev_bounds = np.searchsorted(ev_step[by_step], np.arange(n_steps + 1))
+    flow, integral, _ = matcalc.lift_flows(lift, (ev_step + 1) * h - ev_time)
+    vec_j = marks.reshape(d * d, 1, -1)
+    ev_cov = _pmul(flow.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
+    ev_int = _pmul(integral.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
+    ev_y = params.leverage_diag[:, None] * np.diagonal(marks).T
+    ev_sq = ev_y[:, None] * ev_y[None]
+    del flow, integral, marks, vec_j
+    # a stable sort by step keeps each path's jumps in time order, and
+    # np.add.at adds repeated paths in index order: a path's sums never
+    # depend on the other paths of the chunk
+    by_step = np.argsort(ev_step, kind="stable")
+    bounds = np.searchsorted(ev_step[by_step], np.arange(n_steps + 1))
 
     y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
-    ptr = np.zeros(n, dtype=np.int64)
-    cols = np.arange(n)
     for k in range(n_steps):
-        gsel = slice(g_bounds[k], g_bounds[k + 1])
-        jumped = g_path[gsel]
-        y_j, sig_j = y[:, jumped], sig[:, :, jumped]
-        step = np.zeros_like(sig)
-        sig = _flow_segment(sig, y, step, e_h, k_h, h, b_norm[:, ptr, cols],
-                            kappa)
-        ptr += 1
-        if jumped.size:
-            step_j = np.zeros_like(sig_j)
-            evs = by_step[ev_bounds[k]:ev_bounds[k + 1]]
-            for r in range(ev_rank[evs[-1]] + 1):
-                sel = evs[ev_rank[evs] == r]
-                pos = np.searchsorted(jumped, ev_path[sel])
-                y_r, step_r = y_j[:, pos], step_j[:, :, pos]
-                sig_r = _flow_segment(
-                    sig_j[:, :, pos], y_r, step_r, seg_flow[:, :, sel],
-                    seg_int[:, :, sel], taus[sel],
-                    b_norm[:, ev_ptr[sel], ev_path[sel]], kappa)
-                mark = ev_mark[:, :, sel]
-                jump_y = rho * np.diagonal(mark).T
-                sig_j[:, :, pos] = sig_r + mark
-                y_j[:, pos] = y_r + jump_y
-                step_j[:, :, pos] = step_r + jump_y[:, None] * jump_y[None]
-            segs = g_seg[gsel]
-            sig[:, :, jumped] = _flow_segment(
-                sig_j, y_j, step_j, seg_flow[:, :, segs], seg_int[:, :, segs],
-                taus[segs], b_norm[:, g_ptr[gsel], jumped], kappa)
-            y[:, jumped] = y_j
-            step[:, :, jumped] = step_j
-            ptr[jumped] = g_ptr[gsel] + 1
-        bracket = bracket + step
+        step_int = _pmul(k_h, sig.reshape(d * d, 1, n)).reshape(d, d, n)
+        sig = _sandwich(e_h, sig)
+        evs = by_step[bounds[k]:bounds[k + 1]]
+        at = (slice(None), slice(None), ev_path[evs])
+        np.add.at(sig, at, ev_cov[..., evs])
+        np.add.at(step_int, at, ev_int[..., evs])
+        np.add.at(bracket, at, ev_sq[..., evs])
+        np.add.at(y, at[1:], ev_y[:, evs])
+        root = _per_path(matcalc.sqrt_psd, step_int)
+        y += (-0.5 * np.diagonal(step_int).T - kappa * h
+              + _pmul(root, xi[k][:, None])[:, 0])
+        bracket += step_int
         out_y[:, k + 1] = y.T
         out_cov[:, k + 1] = sig.transpose(2, 0, 1)
         out_int[:, k + 1] = bracket.transpose(2, 0, 1)

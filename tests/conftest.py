@@ -1,12 +1,18 @@
 """Shared fixtures: the two-asset reference parameter set used across the
 test suite (matrix vol-of-vol A, mean reversion M, leverage rho, Wishart
-shape alpha, initial covariance and spots), and ``basis_at``, the basis claim
-H at one market state through the lattice engine."""
+shape alpha, initial covariance and spots), ``basis_at``, the basis claim
+H at one market state through the lattice engine, and a derandomized
+hypothesis profile."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# the property tests check the same examples on every run and interpreter
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # Two-asset reference parameter set (used by most integration-level tests).
 A_REF = np.array([[0.21, 0.14], [0.14, 0.21]])

@@ -475,15 +475,6 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _factor(mats: np.ndarray) -> np.ndarray:
-    """The simulator's factor L L' = X: Cholesky for d <= 2, V sqrt(W) from
-    the eigendecomposition above."""
-    if mats.shape[-1] <= 2:
-        return np.linalg.cholesky(mats)
-    w, v = np.linalg.eigh(mats)
-    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-
-
 def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
                          horizon: float, n_steps: int, n_paths: int,
                          seed: int, path_start: int = 0):
@@ -538,7 +529,9 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
                         seed: int, path_start: int = 0):
     """Exact scheme: every path flows from event to event (step ends and
     jumps) in time order; a jump adds its Wishart mark to Sigma, rho *
-    diag(mark) to the log prices and the square of that to the bracket."""
+    diag(mark) to the log prices and the square of that to the bracket.
+    The step's Brownian vector enters through the root of the covariance
+    integral summed over the step's flow segments."""
     d = params.d
     span = horizon - state.t
     h = span / n_steps
@@ -560,30 +553,30 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
         bart[:, np.arange(d), np.arange(d)] = np.sqrt(chi2)
         half = chol_theta @ bart
         marks = np.einsum("jab,jcb->jac", half, half)
-        b_norm = rng.standard_normal((n_steps + n_jumps, d))
+        b_norm = rng.standard_normal((n_steps, d))
         steps = np.minimum((times / h).astype(np.int64), n_steps - 1)
 
         y, sig, bracket = state.log_spot.copy(), state.cov.copy(), 0.0
         ys[i, 0], covs[i, 0], intcov[i, 0] = y, sig, 0.0
-        ptr = 0
         for k in range(n_steps):
             cursor = k * h
+            int_step = np.zeros((d, d))
             for j in np.flatnonzero(steps == k).tolist() + [None]:
                 end = (k * h + h) if j is None else times[j]
                 tau = end - cursor
                 flow = matcalc.lift_flows(m, np.array([tau]))[0][0]
                 kint = matcalc.lift_flows(lift, np.array([tau]))[1][0]
                 int_seg = matcalc.mat(kint @ matcalc.vec(sig))
-                y = y + (-0.5 * np.diag(int_seg) - tau * kappa
-                         + _factor(int_seg) @ b_norm[ptr])
-                ptr += 1
+                y = y - 0.5 * np.diag(int_seg) - tau * kappa
                 sig = np.einsum("ab,bc,dc->ad", flow, sig, flow)
                 bracket = bracket + int_seg
+                int_step = int_step + int_seg
                 if j is not None:
                     jump_y = rho * np.diag(marks[j])
                     sig = sig + marks[j]
                     y = y + jump_y
                     bracket = bracket + np.outer(jump_y, jump_y)
                     cursor = times[j]
+            y = y + matcalc.sqrt_psd(int_step) @ b_norm[k]
             ys[i, k + 1], covs[i, k + 1], intcov[i, k + 1] = y, sig, bracket
     return ys, covs, intcov, 0

@@ -20,7 +20,7 @@ N_PATHS = 6000
 N_STEPS = 200
 
 # a three-asset set of each model: d > 2 takes the eigendecomposition
-# branches of sqrt_psd, psd_repair and the jump model's segment factor
+# branches of sqrt_psd and psd_repair
 M_3 = np.array([[-2.5, -0.5, -0.3], [-0.5, -2.0, -0.4], [-0.3, -0.4, -3.0]])
 SIGMA0_3 = np.array([[0.10, 0.03, 0.02], [0.03, 0.09, 0.025],
                      [0.02, 0.025, 0.12]])
@@ -239,6 +239,19 @@ class TestCoarseGrid:
         dev = np.abs(samp.mean(axis=0) - exact)
         assert np.all(dev <= 3.0 * _se(samp) + 1e-12)
 
+    def test_bns_one_step_law(self, fast_bns, state_ref):
+        # every jump lands inside the one step, so the step's diffusive
+        # variance must carry the integrals of the flowed marks
+        sim = simulate.simulate(fast_bns, state_ref, 1.0, 1, 6000, seed=3)
+        u = np.array([1.5 + 0.7j, 1.5 - 1.3j])
+        closed = basis_at(fast_bns, state_ref, 1.0, u)
+        assert np.isfinite(closed)
+        vals = np.exp(sim.log_spot[:, -1] @ u)
+        assert abs(vals.real.mean() - closed.real) <= 3.0 * _se(vals.real)
+        assert abs(vals.imag.mean() - closed.imag) <= 3.0 * _se(vals.imag)
+        st = sim.terminal_spot
+        assert np.all(np.abs(st.mean(axis=0) - S0_REF) <= 3.0 * _se(st))
+
     def test_splitting_flow_exact_without_vol_of_vol(self, state_ref):
         # zero vol-of-vol leaves only the two half-step drift flows, whose
         # composition is the exact mean flow
@@ -328,8 +341,8 @@ class TestMemory:
     traced peak stays within the panel, half a panel of working set and the
     per-path draws.  Holding the panel twice (a chunk built in its own
     arrays, then copied) breaks the bound.  The reference grid is used
-    because the jump model's per-chunk segment flows scale with the number
-    of jumps, not of steps."""
+    because the jump model's per-chunk jump terms scale with the number of
+    jumps, not of steps."""
 
     @pytest.mark.parametrize("model", ["wasc", "bns"])
     def test_peak_within_panel_and_draws(self, model, wasc_ref, bns_ref,
