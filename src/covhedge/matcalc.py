@@ -4,7 +4,8 @@ All covariance-state algebra in this package runs through the helpers below:
 column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 matrix exponentials, eigendecomposition-based pseudoinverses, and the
 batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that the
-simulator applies to discretized covariance states at every step.
+simulator applies to discretized covariance states at every step, and the
+batched elimination pivots (``elimination_pivots``) behind the Wishart MGF.
 
 ``lift_flows``, the flow of a lifted linear drift with its integral and
 double integral (Van Loan 1978), is the one matrix-flow helper: moments,
@@ -41,6 +42,7 @@ __all__ = [
     "min_eigenvalue",
     "sqrt_psd",
     "psd_repair",
+    "elimination_pivots",
     "pinv_psd",
 ]
 
@@ -233,6 +235,31 @@ def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
     out = mats.copy()
     out[bad] = np.einsum("...ij,...j,...kj->...ik", v, w, v)
     return out, material
+
+
+def elimination_pivots(mats: np.ndarray) -> np.ndarray:
+    """Diagonal pivots of Gaussian elimination without row exchanges on a
+    (..., d, d) stack, real or complex, as a (..., d) array.
+
+    Pivot k is the ratio of the leading principal minors of orders k + 1
+    and k, so the pivots multiply to the determinant.  The d steps are
+    unrolled into ufunc arithmetic along the batch, so each entry is
+    independent of the others.  A zero pivot leaves the later pivots of its
+    entry non-finite, without a warning.
+    """
+    d = mats.shape[-1]
+    # one batch axis even for one matrix: numpy's scalar arithmetic can
+    # round a complex product differently from its array loops
+    flat = mats.reshape((-1, d, d))
+    rows = [[flat[:, i, j] for j in range(d)] for i in range(d)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d - 1):
+            for i in range(k + 1, d):
+                f = rows[i][k] / rows[k][k]
+                for j in range(k + 1, d):
+                    rows[i][j] = rows[i][j] - f * rows[k][j]
+    return np.stack([rows[k][k] for k in range(d)], axis=-1
+                    ).reshape(mats.shape[:-1])
 
 
 def pinv_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:

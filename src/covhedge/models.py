@@ -39,7 +39,6 @@ __all__ = [
     "validate",
     "require_valid",
     "wishart_mgf",
-    "wishart_strip_margin",
     "bns_jump_cov",
     "wasc_mean_cov",
     "wasc_integrated_mean",
@@ -143,12 +142,10 @@ class BnsParams:
         if lev.size != d:
             raise ValueError(f"leverage_diag: expected length {d}, got {lev.size}")
         object.__setattr__(self, "leverage_diag", lev)
-        kappa = np.empty(d)
-        for k in range(d):
-            rk = np.zeros((d, d))
-            rk[k, k] = lev[k]
-            val, ok = wishart_mgf(self.wishart_scale, self.wishart_shape, rk)
-            kappa[k] = self.jump_intensity * (val.real - 1.0) if ok else np.nan
+        marks = np.zeros((d, d, d))                      # rho_k E^kk per asset
+        marks[np.arange(d), np.arange(d), np.arange(d)] = lev
+        val, ok = wishart_mgf(self.wishart_scale, self.wishart_shape, marks)
+        kappa = np.where(ok, self.jump_intensity * (val.real - 1.0), np.nan)
         object.__setattr__(self, "drift_comp", kappa)
         for name in ("mean_rev", "wishart_scale", "leverage_diag", "drift_comp"):
             getattr(self, name).setflags(write=False)
@@ -265,36 +262,49 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex
     """E[exp(Tr(R X))] for X ~ Wishart(shape, scale): det(I - 2 R scale)^(-shape/2).
 
     Accepts complex symmetric R, or a (..., d, d) stack of them, in which
-    case value and flag are arrays of the stack's batch shape.  Validity
-    requires the real part of R to lie in the convergence strip (see
-    :func:`wishart_strip_margin`); inside it, every eigenvalue of
-    I - 2 R scale has positive real part, so the sum of their principal
-    logarithms is an analytic branch of the log-determinant.
+    case value and flag are arrays of the stack's batch shape; each entry is
+    independent of the others.  Validity requires the real part of R to lie
+    in the convergence strip, where P = scale^{-1} - 2 Re R is positive
+    definite: by Sylvester's criterion, where every elimination pivot of P
+    is positive.  Inside it, log det(I - 2 R scale) = sum_k Log(c_k / a_k),
+    with c_k the elimination pivots of N = scale^{-1} - 2 R and a_k > 0
+    those of scale^{-1} (``matcalc.elimination_pivots``: no per-matrix
+    LAPACK call).
+
+    Branch: the Hermitian part of N is P, and every Schur complement keeps
+    a positive definite Hermitian part, so Re c_k > 0 along the whole path
+    Re R + i t Im R, 0 <= t <= 1, and the sum is a continuous log of the
+    determinant on it.  So is the sum of the principal logs of the
+    eigenvalues of I - 2 R scale, whose real parts stay positive too, and
+    the two agree at t = 0, so they are the same branch at every d (the
+    principal log of the determinant itself wraps once the eigenvalue
+    arguments sum past pi).
 
     Returns:
         (value, ok): ok is False when R is outside the strip, in which case
         value is nan (transform failures are data, not exceptions).
     """
-    r = np.asarray(r)
-    scale = np.asarray(scale, dtype=float)
-    ok = np.asarray(wishart_strip_margin(scale, r)) > 0.0
-    eigs = np.linalg.eigvals(np.eye(scale.shape[0]) - 2.0 * r @ scale)
-    logdet = np.sum(np.log(np.where(ok[..., None], eigs, 1.0)), axis=-1
-                    ).astype(complex)
-    val = np.where(ok, np.exp(-0.5 * shape * logdet), complex(np.nan, np.nan))
+    r = np.asarray(r, dtype=complex)
+    inv = np.linalg.inv(np.asarray(scale, dtype=float))
+    re = r.real
+    p = matcalc.elimination_pivots(inv - (re + re.swapaxes(-1, -2)))
+    c = matcalc.elimination_pivots(inv - 2.0 * r)
+    a = matcalc.elimination_pivots(inv)
+    # only a positive definite scale (every a_k > 0) has a Wishart law
+    ok = np.all(a > 0.0) & np.all(p > 0.0, axis=-1)
+    # Log(c_k / a_k) is exactly 0 at R = 0, so no cancellation near it;
+    # real ufuncs, as numpy's complex log is far slower (Re c_k > 0, so
+    # arctan2 is the principal argument).  Off the strip c_k is a_k.
+    mod, arg = 0.0, 0.0
+    for k in range(a.size):
+        q = np.where(ok, c[..., k], a[k]) / a[k]
+        mod = mod + np.log(np.abs(q))
+        arg = arg + np.arctan2(q.imag, q.real)
+    val = np.where(ok, np.exp(-0.5 * shape * (mod + 1j * arg)),
+                   complex(np.nan, np.nan))
     if r.ndim == 2:
         return complex(val), bool(ok)
     return val, ok
-
-
-def wishart_strip_margin(scale: np.ndarray, r: np.ndarray) -> float:
-    """Smallest eigenvalue of scale^{-1} - 2 Re(R); positive inside the
-    convergence strip of the Wishart MGF.  Batched over a stack of R."""
-    scale = np.asarray(scale, dtype=float)
-    r_re = np.asarray(r).real
-    m = np.linalg.inv(scale) - 2.0 * matcalc.sym_part(r_re)
-    margin = np.linalg.eigvalsh(m)[..., 0]
-    return float(margin) if r_re.ndim == 2 else margin
 
 
 def bns_jump_cov(params: BnsParams) -> np.ndarray:

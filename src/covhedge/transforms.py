@@ -67,8 +67,10 @@ skipped mass.
   back to expm), followed by one batched condition, solve, blow-up and
   asymmetry check.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
-  on the node and is built once; each block then needs one batched strip
-  margin and log-determinant.
+  on the node and is built once; each block then needs the Wishart MGF
+  at every (node, s), whose strip flag and log-determinant come from the
+  elimination pivots of scale^{-1} - 2 R, batched with ufunc arithmetic
+  (``models.wishart_mgf``).
 * Moment explosion (diffusion).  The checks above only fire close to a
   Riccati pole, so a pole between two evaluated points would pass.  For
   each distinct real part a = Re(u) among the nodes, the real companion

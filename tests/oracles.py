@@ -10,6 +10,9 @@ checked against themselves:
 * ``bns_phi_quadrature`` -- jump-model transform: psi from a Kronecker-lifted
                             Lyapunov identity, phi by adaptive quadrature
                             (``scipy.integrate.quad_vec``) of the Levy exponent
+* ``wishart_strip_margin`` / ``wishart_mgf_eig`` -- Wishart MGF from the
+                            eigenvalues of I - 2 R scale, flagged by the
+                            smallest eigenvalue of scale^{-1} - 2 Re R
 * ``heston_cf``          -- textbook one-dimensional Heston characteristic
                             function (the d=1 reduction of the matrix model)
 * ``black_scholes_call`` / ``margrabe_exchange`` -- closed forms for frozen
@@ -136,6 +139,34 @@ def integrate_phi(tau: float, u: np.ndarray, omega: np.ndarray,
     if not sol.success:
         raise RuntimeError(f"phi ODE integration failed: {sol.message}")
     return complex(sol.y[-2, -1], sol.y[-1, -1])
+
+
+# ---------------------------------------------------------------------------
+# Wishart moment generating function
+# ---------------------------------------------------------------------------
+
+def wishart_strip_margin(scale: np.ndarray, r: np.ndarray):
+    """Smallest eigenvalue of scale^{-1} - 2 Re(R); positive inside the
+    convergence strip of the Wishart MGF.  Batched over a stack of R."""
+    r_re = np.asarray(r).real
+    m = (np.linalg.inv(np.asarray(scale, dtype=float))
+         - (r_re + r_re.swapaxes(-1, -2)))
+    margin = np.linalg.eigvalsh(m)[..., 0]
+    return float(margin) if r_re.ndim == 2 else margin
+
+
+def wishart_mgf_eig(scale: np.ndarray, shape: float, r: np.ndarray):
+    """det(I - 2 R scale)^(-shape/2) as exp(-shape/2 sum_k Log lam_k) over
+    the eigenvalues lam_k of I - 2 R scale, flagged by the eigenvalue strip
+    margin; nan outside the strip.  Batched like ``models.wishart_mgf``."""
+    r = np.asarray(r)
+    scale = np.asarray(scale, dtype=float)
+    ok = np.asarray(wishart_strip_margin(scale, r)) > 0.0
+    eigs = np.linalg.eigvals(np.eye(scale.shape[0]) - 2.0 * r @ scale)
+    logdet = np.sum(np.log(np.where(ok[..., None], eigs, 1.0)), axis=-1
+                    ).astype(complex)
+    val = np.where(ok, np.exp(-0.5 * shape * logdet), complex(np.nan, np.nan))
+    return val, ok
 
 
 # ---------------------------------------------------------------------------

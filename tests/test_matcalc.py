@@ -1,5 +1,7 @@
 """Tests for the dense matrix utilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -227,6 +229,41 @@ class TestPsd:
     def test_tolerance_scales_with_norm(self):
         assert matcalc.psd_tolerance(np.eye(2)) == pytest.approx(1e-10)
         assert matcalc.psd_tolerance(100.0 * np.eye(2)) == pytest.approx(1e-8)
+
+
+# ---------------------------------------------------------------------------
+# elimination_pivots
+# ---------------------------------------------------------------------------
+
+class TestEliminationPivots:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pivots_are_ratios_of_leading_minors(self, d):
+        rng = np.random.default_rng(60 + d)
+        stack = (rng.standard_normal((5, 2, d, d))
+                 + 1j * rng.standard_normal((5, 2, d, d)))
+        before = stack.copy()
+        piv = matcalc.elimination_pivots(stack)
+        assert np.array_equal(stack, before)
+        assert piv.shape == (5, 2, d)
+        minors = np.stack([np.linalg.det(stack[..., :k, :k])
+                           for k in range(1, d + 1)], axis=-1)
+        np.testing.assert_allclose(np.cumprod(piv, axis=-1), minors,
+                                   rtol=1e-12)
+
+    def test_real_stack_and_sylvester(self):
+        rng = np.random.default_rng(5)
+        pd = np.stack([rand_psd(3, rng) + 0.1 * np.eye(3) for _ in range(3)])
+        piv = matcalc.elimination_pivots(pd)
+        assert piv.dtype == float and np.all(piv > 0.0)
+        indefinite = np.diag([1.0, -1.0, 2.0])
+        assert np.any(matcalc.elimination_pivots(indefinite) <= 0.0)
+
+    def test_zero_pivot_is_quiet(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            piv = matcalc.elimination_pivots(m)
+        assert piv[0] == 0.0 and not np.isfinite(piv[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for parameter containers, validation, and covariance first moments."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad_vec
 
 from covhedge import matcalc, models, simulate
 
+import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF)
 
 
@@ -42,6 +44,17 @@ class TestValidation:
                              wishart_shape=0.5, wishart_scale=0.01 * np.eye(2),
                              leverage_diag=[-0.5, -0.5])
         assert any("wishart_shape" in msg for msg in models.validate(p))
+
+    def test_bns_scale_not_positive_definite(self):
+        scale = np.array([[0.01, 0.02], [0.02, 0.01]])
+        p = models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=1.0,
+                             wishart_shape=3.0, wishart_scale=scale,
+                             leverage_diag=[-0.5, -0.5])
+        problems = models.validate(p)
+        assert any("positive definite" in msg for msg in problems)
+        assert any("compensator undefined" in msg for msg in problems)
+        val, ok = models.wishart_mgf(scale, 3.0, -np.eye(2))
+        assert not ok and np.isnan(val.real)
 
     def test_bns_reference_ok(self, bns_ref):
         assert models.validate(bns_ref) == []
@@ -130,7 +143,74 @@ class TestWishartMgf:
         big = np.eye(2) * (0.51 / theta[0, 0])
         val, ok = models.wishart_mgf(theta, bns_ref.wishart_shape, big)
         assert not ok and np.isnan(val.real)
-        assert models.wishart_strip_margin(theta, big) <= 0.0
+        assert oracles.wishart_strip_margin(theta, big) <= 0.0
+
+    @staticmethod
+    def _random_cases(d, rng, count=400):
+        """A PD scale and complex symmetric R: real parts on both sides of
+        the strip edge, imaginary parts of mixed sign or semidefinite ones,
+        which turn every eigenvalue argument alike (their sum can pass pi)."""
+        g = rng.standard_normal((d, d))
+        scale = 0.1 * (g @ g.T / d + 0.2 * np.eye(d))
+        inv = np.linalg.inv(scale)
+        rs = np.empty((count, d, d), dtype=complex)
+        for c in range(count):
+            a, b = rng.standard_normal((2, d, d))
+            re = 0.5 * inv * rng.uniform(0.0, 1.5) + 0.3 * (a + a.T)
+            if c % 2:
+                im = (rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 20.0)
+                      * inv.max() * (b @ b.T))
+            else:
+                im = rng.uniform(0.0, 10.0) * (a @ b + b.T @ a.T)
+            rs[c] = re + 1j * im
+        return scale, rs
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_against_eigenvalue_oracle(self, d):
+        rng = np.random.default_rng(100 + d)
+        scale, rs = self._random_cases(d, rng)
+        n = d + 1.5
+        val, ok = models.wishart_mgf(scale, n, rs)
+        want, want_ok = oracles.wishart_mgf_eig(scale, n, rs)
+        np.testing.assert_array_equal(
+            ok, oracles.wishart_strip_margin(scale, rs) > 0.0)
+        np.testing.assert_array_equal(ok, want_ok)
+        assert 0 < np.count_nonzero(ok) < ok.size
+        np.testing.assert_allclose(val[ok], want[ok], rtol=1e-12, atol=0.0)
+        assert np.all(np.isnan(val[~ok]))
+        # some arguments sum past pi, where the principal log of the
+        # determinant would leave the branch that matched above
+        if d >= 3:
+            eigs = np.linalg.eigvals(np.eye(d) - 2.0 * rs @ scale)
+            assert np.any(ok & (np.abs(np.angle(eigs).sum(axis=-1)) > np.pi))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batch_entry_equals_single(self, d):
+        rng = np.random.default_rng(7 + d)
+        scale, rs = self._random_cases(d, rng, count=40)
+        val, ok = models.wishart_mgf(scale, 4.5, rs.reshape(4, 10, d, d))
+        assert 0 < np.count_nonzero(ok) < ok.size
+        for c in range(rs.shape[0]):
+            one, one_ok = models.wishart_mgf(scale, 4.5, rs[c])
+            assert one_ok == ok.reshape(-1)[c]
+            np.testing.assert_array_equal(one, val.reshape(-1)[c])
+
+    def test_zero_pivot_is_quiet(self):
+        # scale^{-1} - 2R has a zero leading entry, so the elimination
+        # divides by zero in both P and N; the entry is flagged, not warned
+        scale = np.eye(3)
+        rs = np.zeros((3, 3, 3), dtype=complex)
+        rs[0, 0, 0] = 0.5
+        rs[1, 0, 0] = 0.5 + 0.3j
+        rs[1, 1, 2] = rs[1, 2, 1] = 0.1j
+        rs[2] = 0.1j * np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, ok = models.wishart_mgf(scale, 3.0, rs)
+        np.testing.assert_array_equal(ok, [False, False, True])
+        assert np.all(np.isnan(val[:2]))
+        want, _ = oracles.wishart_mgf_eig(scale, 3.0, rs[2])
+        assert val[2] == pytest.approx(want, rel=1e-14)
 
     def test_drift_comp_closed_form(self, bns_ref):
         lam, n = bns_ref.jump_intensity, bns_ref.wishart_shape
