@@ -1,9 +1,7 @@
 """Constant-covariance lognormal benchmark model.
 
 Used as the misspecified hedging proxy: quadrant prices and deltas under a
-two-asset Black-Scholes model with a fixed instantaneous covariance, plus the
-moment transform that plugs the lognormal model into the same Fourier pricing
-machinery as the stochastic-covariance models.
+two-asset Black-Scholes model with a fixed instantaneous covariance.
 
 The bivariate normal orthant probability follows Genz's hybrid quadrature
 (plain Gauss-Legendre on the arcsine representation for moderate correlation,
@@ -20,7 +18,6 @@ __all__ = [
     "bvn_upper",
     "lognormal_quadrant_price",
     "quadrant_spot_delta",
-    "gbm_transform",
 ]
 
 _GL20_X, _GL20_W = np.polynomial.legendre.leggauss(20)
@@ -158,15 +155,3 @@ def quadrant_spot_delta(kind: str, spots, strikes, vols, rho: float,
     out = sign * np.stack([(t11 - k2 * t10) / s[:, 0],
                            (t11 - k1 * t01) / s[:, 1]], axis=-1)
     return out[0] if spots.ndim == 1 else out
-
-
-def gbm_transform(u: np.ndarray, log_spot: np.ndarray, cov: np.ndarray,
-                  tau: float) -> np.ndarray:
-    """E[exp(u'Y_{t+tau})] given Y_t = log_spot under constant-covariance
-    martingale dynamics, for a batch of complex argument vectors u (n, d)."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    log_spot = np.asarray(log_spot, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    drift = -0.5 * np.diag(cov)
-    quad = 0.5 * np.einsum("na,ab,nb->n", u, cov, u)
-    return np.exp(u @ (log_spot + tau * drift) + tau * quad)

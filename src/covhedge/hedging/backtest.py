@@ -28,8 +28,12 @@ same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
 nan or infinite b give nan.  Entries whose real exponent exceeds
 models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
-All position engines are deterministic functions of the path state, so the
-resulting wealth panels inherit the simulator's bitwise reproducibility.
+Paths are swept in chunks of CHUNK_PATHS.  Positions are functions of the
+path state only, so wealth depends on the chunking only through BLAS
+products whose rounding depends on the row count.  Fourier and
+covariance-swap wealth comes out bitwise equal across chunkings; the GBM
+delta, whose ``gbm.bvn_upper`` sums its quadrature with a matrix-vector
+product, can move in the last bits (a few 1e-16 relative).
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ __all__ = [
 # sweeps recorded in CHANGES.md
 CIS_TABLE = 2048
 BASIS_BLOCK_POINTS = 16384
+# paths per run_backtest sweep
+CHUNK_PATHS = 16384
 # adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
 # then sits in the low bits of the sum's mantissa
 _ROUND_MAGIC = 1.5 * 2.0 ** 52
@@ -84,7 +90,6 @@ _CIS = _cis_table()
 @dataclass
 class BacktestResult:
     name: str
-    initial_capital: float
     wealth: np.ndarray        # (P,) terminal wealth
     payoff: np.ndarray        # (P,) claim payout
 
@@ -92,12 +97,6 @@ class BacktestResult:
     def pnl(self) -> np.ndarray:
         """Terminal hedging error: wealth minus the claim payout."""
         return self.wealth - self.payoff
-
-    @property
-    def residual(self) -> np.ndarray:
-        """Claim payout minus wealth: the leg left unhedged, signed so a
-        perfectly replicated claim gives zero."""
-        return self.payoff - self.wealth
 
 
 @dataclass
@@ -190,15 +189,8 @@ class BasisCache:
     def weight_mask(self, weights: np.ndarray) -> np.ndarray:
         """Per-step weights with invalid nodes zeroed; refuses claims whose
         contour loses more than the allowed mass at any rebalance date."""
-        w = np.broadcast_to(weights, self.valid.shape[1:])
-        mass = np.abs(w)
-        total = mass.sum()
-        skipped = np.where(self.valid, 0.0, mass).sum(axis=1)
-        if total > 0 and skipped.max() > payoffs.MAX_SKIP_MASS * total:
-            raise ValueError(
-                f"{skipped.max() / total:.2%} of contour mass is invalid at "
-                "some rebalance date; use a tamer damping")
-        return np.where(self.valid, w, 0.0)              # (K, M)
+        payoffs.check_skipped_mass(weights, self.valid)
+        return np.where(self.valid, weights, 0.0)        # (K, M)
 
     def basis(self, chunk_id: int, k: int, log_spot: np.ndarray,
               cov: np.ndarray) -> np.ndarray:
@@ -252,12 +244,10 @@ class FourierHedge:
     is solved against the claim-spot covariation.
     """
 
-    def __init__(self, params, cache: BasisCache, weights: np.ndarray,
-                 name: str = "fourier"):
+    def __init__(self, params, cache: BasisCache, weights: np.ndarray):
         self.params = params
         self.cache = cache
         self.weights = np.asarray(weights, dtype=complex)
-        self.name = name
 
     def prepare(self, sim) -> None:
         cache = self.cache
@@ -306,14 +296,12 @@ class GbmDeltaHedge:
     """Misspecified benchmark: quadrant deltas under a frozen lognormal law
     with preset volatilities and correlation."""
 
-    def __init__(self, kind: str, strikes, vols, corr: float, horizon: float,
-                 name: str = "gbm_delta"):
+    def __init__(self, kind: str, strikes, vols, corr: float, horizon: float):
         self.kind = kind
         self.strikes = tuple(strikes)
         self.vols = tuple(vols)
         self.corr = corr
         self.horizon = horizon
-        self.name = name
 
     def prepare(self, sim) -> None:
         self._times = sim.times
@@ -328,11 +316,9 @@ class GbmDeltaHedge:
 class CovswapHedge:
     """Variance-optimal spot positions for a covariance swap."""
 
-    def __init__(self, system: CovswapSystem, params,
-                 name: str = "covswap"):
+    def __init__(self, system: CovswapSystem, params):
         self.system = system
         self.params = params
-        self.name = name
 
     def prepare(self, sim) -> None:
         if (self.system.times.size != sim.times.size
@@ -351,8 +337,7 @@ class CovswapHedge:
         return _solve_sym_batch(xi, np.ascontiguousarray(rhs)) / spot
 
 
-def run_backtest(sim, jobs: Sequence[HedgeJob],
-                 chunk_paths: int = 16384) -> list[BacktestResult]:
+def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     """Run every job over the panel in one sweep and return results in
     order.  Jobs sharing a BasisCache reuse its transform values."""
     n_paths = sim.n_paths
@@ -373,8 +358,8 @@ def run_backtest(sim, jobs: Sequence[HedgeJob],
             job.strategy.prepare(sim)
 
     wealth = [np.full(n_paths, job.initial_capital) for job in jobs]
-    for chunk_id, start in enumerate(range(0, n_paths, chunk_paths)):
-        sl = slice(start, min(start + chunk_paths, n_paths))
+    for chunk_id, start in enumerate(range(0, n_paths, CHUNK_PATHS)):
+        sl = slice(start, min(start + CHUNK_PATHS, n_paths))
         log_spot = sim.log_spot[sl]
         spot = np.exp(log_spot)
         cov = sim.cov[sl]
@@ -386,6 +371,5 @@ def run_backtest(sim, jobs: Sequence[HedgeJob],
                 th = job.strategy.positions(chunk_id, k, spot[:, k],
                                             log_spot[:, k], cov[:, k])
                 wealth[j][sl] += np.einsum("pa,pa->p", th, ds)
-    return [BacktestResult(name=job.name, initial_capital=job.initial_capital,
-                           wealth=w, payoff=p)
+    return [BacktestResult(name=job.name, wealth=w, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

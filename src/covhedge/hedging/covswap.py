@@ -31,6 +31,9 @@ __all__ = [
     "wishart_pair_mean",
 ]
 
+# composite Simpson intervals of the time integral in wasc_covswap_variance
+_SIMPSON_INTERVALS = 128
+
 
 def _pair_matrix(d: int, pair: tuple[int, int]) -> np.ndarray:
     i, j = pair
@@ -162,8 +165,7 @@ def covswap_payoff(system: CovswapSystem, integrated_cov: np.ndarray
 
 
 def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
-                          horizon: float, pair: tuple[int, int],
-                          n_sub: int = 128) -> float:
+                          horizon: float, pair: tuple[int, int]) -> float:
     """Residual variance of the dynamically hedged swap, in closed form up
     to a one-dimensional time integral (composite Simpson).
 
@@ -171,10 +173,8 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     variance rate 4 Tr(G Sigma G V_perp); taking expectations moves the
     mean covariance flow inside the trace.
     """
-    if n_sub % 2 or n_sub < 2:
-        raise ValueError("n_sub must be even and positive")
     e_pair = _pair_matrix(params.d, pair)
-    ts = np.linspace(0.0, horizon, n_sub + 1)
+    ts = np.linspace(0.0, horizon, _SIMPSON_INTERVALS + 1)
     _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
                                         horizon - ts)
     vperp = (params.vol_of_vol.T
@@ -185,8 +185,8 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
         g = matcalc.mat(int1_rem[k].T @ matcalc.vec(e_pair))
         mean_cov = models.wasc_mean_cov(params, sigma0, ts[k])
         vals[k] = 4.0 * np.trace(g @ mean_cov @ g @ vperp)
-    h = horizon / n_sub
-    weights = np.ones(n_sub + 1)
+    h = horizon / _SIMPSON_INTERVALS
+    weights = np.ones(_SIMPSON_INTERVALS + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * weights @ vals)

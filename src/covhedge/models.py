@@ -23,9 +23,7 @@ int flow vec drive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,10 +40,7 @@ __all__ = [
     "bns_jump_cov",
     "wasc_mean_cov",
     "wasc_integrated_mean",
-    "bns_mean_cov",
     "bns_integrated_mean",
-    "load_model",
-    "model_to_dict",
 ]
 
 # threshold on the 1-norm condition number (within a factor n of the 2-norm
@@ -370,15 +365,6 @@ def wasc_integrated_mean(params: WascParams, t: float, T: float) -> IntegratedMe
     return IntegratedMeanMap(int1, int2 @ matcalc.vec(params.omega))
 
 
-def bns_mean_cov(params: BnsParams, sigma0: np.ndarray, t: float) -> np.ndarray:
-    """E[Sigma_t | Sigma_0] under pure-jump covariance with linear decay:
-    flow vec Sigma_0 + (int flow) vec(jump mean)."""
-    flow, int1, _ = _mean_flows(params.mean_rev, t)
-    return matcalc.sym_part(matcalc.mat(
-        flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
-        + int1 @ matcalc.vec(params.jump_mean())))
-
-
 def bns_integrated_mean(params: BnsParams, sigma0: np.ndarray, T: float) -> np.ndarray:
     """int_0^T E[Sigma_s] ds = (int flow) vec Sigma_0 + (double int flow)
     vec(jump mean)."""
@@ -386,65 +372,3 @@ def bns_integrated_mean(params: BnsParams, sigma0: np.ndarray, T: float) -> np.n
     return matcalc.sym_part(matcalc.mat(
         int1 @ matcalc.vec(np.asarray(sigma0, dtype=float))
         + int2 @ matcalc.vec(params.jump_mean())))
-
-
-# ---------------------------------------------------------------------------
-# JSON model files
-# ---------------------------------------------------------------------------
-
-def model_to_dict(params) -> dict:
-    if isinstance(params, WascParams):
-        return {
-            "model": "wasc",
-            "mean_rev": params.mean_rev.tolist(),
-            "vol_of_vol": params.vol_of_vol.tolist(),
-            "leverage": params.leverage.tolist(),
-            "alpha": params.alpha,
-            "omega": params.omega.tolist(),
-        }
-    if isinstance(params, BnsParams):
-        return {
-            "model": "bns",
-            "mean_rev": params.mean_rev.tolist(),
-            "jump_intensity": params.jump_intensity,
-            "wishart_shape": params.wishart_shape,
-            "wishart_scale": params.wishart_scale.tolist(),
-            "leverage_diag": params.leverage_diag.tolist(),
-        }
-    raise TypeError(f"not a model parameter object: {type(params).__name__}")
-
-
-def load_model(source) -> WascParams | BnsParams:
-    """Build a validated parameter object from a dict, JSON string, or path.
-
-    A string whose first non-blank character is ``{`` is parsed as JSON
-    without touching the filesystem (long JSON is no valid file name).
-    """
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    elif isinstance(source, (str, Path)) and Path(str(source)).exists():
-        payload = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        payload = json.loads(source)
-    else:
-        payload = dict(source)
-    kind = payload.get("model")
-    if kind == "wasc":
-        mats = {k: payload[k] for k in ("mean_rev", "vol_of_vol", "leverage")}
-        d = len(payload["mean_rev"])
-        params = WascParams(d=d, alpha=payload.get("alpha"),
-                            omega=payload.get("omega"), **mats)
-    elif kind == "bns":
-        d = len(payload["mean_rev"])
-        params = BnsParams(
-            d=d,
-            mean_rev=payload["mean_rev"],
-            jump_intensity=payload["jump_intensity"],
-            wishart_shape=payload["wishart_shape"],
-            wishart_scale=payload["wishart_scale"],
-            leverage_diag=payload["leverage_diag"],
-        )
-    else:
-        raise ValueError(f'model field must be "wasc" or "bns", got {kind!r}')
-    require_valid(params)
-    return params

@@ -15,18 +15,15 @@ loading @ u + offset.  Selection payoffs use plain selection columns; payoffs
 on log-linear combinations (geometric baskets, exchange ratios) use general
 loadings.
 
-Catalog (all strikes positive unless stated):
+Catalog (strikes positive):
     call, put                K^{1-u} / (u(u-1)),  call Re u > 1, put Re u < 0
     quadrant products        product of one-leg factors, per-leg strips
     spread                   K^{1-u1-u2} G(u1+u2-1) G(-u2) / G(u1+1)
-    basket spread            K^{1-su} G(su-1) prod_m G(-u_m) / G(u1+1)
-    put on a sum             K^{1-su} prod_m G(-u_m) / G(2-su)
-    worst-of call            K^{1-su} / ((su-1) prod_m u_m)
     exchange                 one-dimensional in the log ratio, offset leg
     geometric call/put       one-dimensional along the weight vector
 
-with G the gamma function and su the argument sum.  Best-of decomposes as
-call + call - worst-of and is returned as a weighted kernel list.
+with G the gamma function.  These are the static legs of a strip: vanillas,
+products and spreads.
 """
 
 from __future__ import annotations
@@ -44,10 +41,6 @@ __all__ = [
     "put_option",
     "quadrant_option",
     "spread_option",
-    "basket_spread_option",
-    "put_on_sum",
-    "worst_of_call",
-    "best_of_call",
     "exchange_option",
     "geometric_option",
     "build_contour",
@@ -58,7 +51,7 @@ __all__ = [
 _POLE_MARGIN = 1e-6
 # largest share of a contour's absolute weight that may sit on skipped nodes
 # (transform-domain failures or overflow) before a price or hedge is refused;
-# contour_price, pricing.fourier_price and backtest.BasisCache all use it
+# check_skipped_mass applies it for contour_price and backtest.BasisCache
 MAX_SKIP_MASS = 1e-3
 
 
@@ -246,103 +239,6 @@ def exchange_option(d: int, long_asset: int, short_asset: int) -> PayoffKernel:
 
 
 # ---------------------------------------------------------------------------
-# multi-asset kernels
-# ---------------------------------------------------------------------------
-
-def basket_spread_option(d: int, long_asset: int,
-                         short_assets: Sequence[int],
-                         strike: float) -> PayoffKernel:
-    """(S_long - sum_m S_m - K)^+ over the short basket, K > 0."""
-    k = _require_strike(strike)
-    assets = [long_asset, *short_assets]
-    n = len(assets)
-
-    def transform(u):
-        s = u.sum(axis=-1)
-        out = (np.exp((1.0 - s) * np.log(k)) * _gamma(s - 1.0)
-               / _gamma(u[..., 0] + 1.0))
-        for m in range(1, n):
-            out = out * _gamma(-u[..., m])
-        return out
-
-    def payoff(spot):
-        short = spot[:, list(short_assets)].sum(axis=1)
-        return np.maximum(spot[:, long_asset] - short - k, 0.0)
-
-    def margin(r):
-        parts = [-r[m] for m in range(1, n)]
-        parts.append(float(np.sum(r) - 1.0))
-        return float(min(parts))
-
-    damp = np.concatenate([[1.5 + len(short_assets)],
-                           -np.ones(len(short_assets))])
-    return PayoffKernel(
-        name=f"bspread_{long_asset}_{k:g}", n_args=n,
-        loading=_selection(d, assets), offset=np.zeros(d),
-        default_damping=damp, transform=transform, payoff=payoff,
-        strip_margin=margin)
-
-
-def put_on_sum(d: int, assets: Sequence[int], strike: float) -> PayoffKernel:
-    """(K - sum_m S_m)^+."""
-    k = _require_strike(strike)
-    n = len(assets)
-
-    def transform(u):
-        s = u.sum(axis=-1)
-        out = np.exp((1.0 - s) * np.log(k)) / _gamma(2.0 - s)
-        for m in range(n):
-            out = out * _gamma(-u[..., m])
-        return out
-
-    def payoff(spot):
-        return np.maximum(k - spot[:, list(assets)].sum(axis=1), 0.0)
-
-    def margin(r):
-        return float(min(-r[m] for m in range(n)))
-
-    return PayoffKernel(
-        name=f"sumput_{k:g}", n_args=n, loading=_selection(d, assets),
-        offset=np.zeros(d), default_damping=np.full(n, -0.5),
-        transform=transform, payoff=payoff, strip_margin=margin)
-
-
-def worst_of_call(d: int, assets: Sequence[int], strike: float
-                  ) -> PayoffKernel:
-    """(min_m S_m - K)^+."""
-    k = _require_strike(strike)
-    n = len(assets)
-
-    def transform(u):
-        s = u.sum(axis=-1)
-        return (np.exp((1.0 - s) * np.log(k))
-                / ((s - 1.0) * np.prod(u, axis=-1)))
-
-    def payoff(spot):
-        return np.maximum(spot[:, list(assets)].min(axis=1) - k, 0.0)
-
-    def margin(r):
-        parts = [float(r[m]) for m in range(n)]
-        parts.append(float(np.sum(r) - 1.0))
-        return float(min(parts))
-
-    return PayoffKernel(
-        name=f"worstcall_{k:g}", n_args=n, loading=_selection(d, assets),
-        offset=np.zeros(d), default_damping=np.full(n, 1.1),
-        transform=transform, payoff=payoff, strip_margin=margin)
-
-
-def best_of_call(d: int, assets: Sequence[int], strike: float
-                 ) -> list[tuple[float, PayoffKernel]]:
-    """(max(S_i, S_j) - K)^+ as a weighted kernel list:
-    call_i + call_j - worst_of."""
-    i, j = assets
-    return [(1.0, call_option(d, i, strike)),
-            (1.0, call_option(d, j, strike)),
-            (-1.0, worst_of_call(d, [i, j], strike))]
-
-
-# ---------------------------------------------------------------------------
 # contours
 # ---------------------------------------------------------------------------
 
@@ -368,17 +264,17 @@ class Contour:
         return self.args.shape[0]
 
 
-def build_contour(kernel: PayoffKernel, damping=None, nodes_per_dim: int = 16,
+def build_contour(kernel: PayoffKernel, nodes_per_dim: int = 16,
                   decay=1.0) -> Contour:
-    """Tensorized Gauss-Laguerre rule along the damped contour.
+    """Tensorized Gauss-Laguerre rule along the contour at the kernel's
+    default damping.
 
     decay rescales the node spread, scalar or one entry per transform
     dimension; larger values concentrate nodes near the real axis, which
     pays off when the moment transform decays fast along the contour.
     """
     m = kernel.n_args
-    damping = np.asarray(kernel.default_damping if damping is None
-                         else damping, dtype=float)
+    damping = np.asarray(kernel.default_damping, dtype=float)
     if damping.shape != (m,):
         raise ValueError(f"damping must have {m} entries")
     if not 4 <= nodes_per_dim <= 64:
@@ -413,13 +309,13 @@ def build_contour(kernel: PayoffKernel, damping=None, nodes_per_dim: int = 16,
 
 
 def suggest_decay(kernel: PayoffKernel, cov_rate: np.ndarray, horizon: float,
-                  nodes_per_dim: int, width: float = 5.0) -> np.ndarray:
+                  nodes_per_dim: int) -> np.ndarray:
     """Per-dimension decay matched to the moment transform's falloff.
 
     The transform magnitude along the contour drops roughly like a Gaussian
     whose per-dimension scale is the total log volatility seen through the
-    kernel loading, so the outermost Laguerre node is placed `width` of
-    those scales out.  cov_rate is a covariance-per-unit-time proxy (for
+    kernel loading, so the outermost Laguerre node is placed five of those
+    scales out.  cov_rate is a covariance-per-unit-time proxy (for
     stochastic covariance models, the mean integrated covariance divided by
     the horizon works well).
     """
@@ -427,7 +323,24 @@ def suggest_decay(kernel: PayoffKernel, cov_rate: np.ndarray, horizon: float,
     x_max = np.polynomial.laguerre.laggauss(nodes_per_dim)[0][-1]
     seff = np.sqrt(np.einsum("am,ab,bm->m", kernel.loading, cov_rate,
                              kernel.loading) * horizon)
-    return np.maximum(1.0, x_max * seff / width)
+    return np.maximum(1.0, x_max * seff / 5.0)
+
+
+def check_skipped_mass(weights: np.ndarray, valid: np.ndarray) -> None:
+    """Refuse a contour whose skipped nodes carry too much weight.
+
+    weights holds the M node weights and valid a (..., M) mask of the nodes
+    kept; each row of the mask is checked, and a ValueError reports the
+    worst row's share of the absolute weight mass when it passes
+    MAX_SKIP_MASS.
+    """
+    mass = np.abs(weights)
+    total = float(mass.sum())
+    skipped = float(np.max(np.where(valid, 0.0, mass).sum(axis=-1)))
+    if total > 0 and skipped > MAX_SKIP_MASS * total:
+        raise ValueError(
+            f"{skipped / total:.2%} of contour weight mass is on invalid "
+            "transform nodes")
 
 
 def contour_price(contour: Contour, transform_values: np.ndarray,
@@ -435,19 +348,13 @@ def contour_price(contour: Contour, transform_values: np.ndarray,
     """Collapse transform values at the contour nodes into a price.
 
     Invalid nodes (transform-domain failures) are treated as missing data:
-    they are skipped, and the evaluation aborts when the skipped nodes carry
-    more than MAX_SKIP_MASS of the total absolute weight mass.
+    they are skipped, and check_skipped_mass refuses the evaluation when
+    they carry too much of the weight.
     """
     w = contour.weights
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
-        if not np.all(valid):
-            total = float(np.sum(np.abs(w)))
-            skipped = float(np.sum(np.abs(w[~valid])))
-            if total > 0 and skipped > MAX_SKIP_MASS * total:
-                raise ValueError(
-                    f"{skipped / total:.2%} of contour weight mass is on "
-                    "invalid transform nodes; shrink the damping")
-            w = w[valid]
-            transform_values = transform_values[valid]
+        check_skipped_mass(w, valid)
+        w = w[valid]
+        transform_values = transform_values[valid]
     return float(np.real(np.sum(w * transform_values)))

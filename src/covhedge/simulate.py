@@ -40,17 +40,11 @@ model, and the exact pathwise integral plus jump products for the jump model.
 Kernels
 -------
 The chunk kernels hold the state paths last: log prices as (d, P), Sigma and
-the running bracket as (d, d, P).  Every matrix product in a step, with a
-constant or per path, is a d-term sum of length-P ufunc products
-(``_pmul``); the (..., d, d) stack routines of ``matcalc`` take the
-transposed (P, d, d) view.  BLAS is kept off the path axis because its
-results for one column can depend on how many columns share the call, which
-would break chunk invariance.  In the jump model every path takes the
-jump-free step, and the terms of the step's jumps are then added on the
-path axis with ``np.add.at``, each path's in time order.  Those terms
-follow from the draws, so they come from one ``lift_flows`` batch over the
-chunk's jumps.  Each step is written straight into the slices of the
-returned panel; no chunk-sized copy of the panel exists.
+the running bracket as (d, d, P).  Every matrix product in a step is a
+d-term sum of length-P ufunc products (``_pmul``): BLAS is kept off the path
+axis because its results for one column can depend on how many columns share
+the call, which would break chunk invariance.  Each step is written straight
+into the slices of the returned panel.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
 major with einsum; the two agree to about 1e-14, because their sums run in
@@ -65,30 +59,18 @@ import numpy as np
 
 from . import matcalc, models
 
-__all__ = [
-    "SimResult",
-    "simulate",
-    "realized_quadratic_covariation",
-    "dump_paths",
-    "load_paths",
-]
-
-_MAGIC = b"CVHPATH1"
+__all__ = ["SimResult", "simulate"]
 
 
 @dataclass
 class SimResult:
     """Simulated path panel on a uniform time grid."""
 
-    params: object
     times: np.ndarray            # (N+1,)
     log_spot: np.ndarray         # (P, N+1, d)
     cov: np.ndarray              # (P, N+1, d, d)
     integrated_cov: np.ndarray   # (P, N+1, d, d), cumulative price bracket
-    seed: int
-    path_start: int
     clip_count: int              # covariance repairs beyond fp tolerance
-    clip_fraction: float
 
     @property
     def n_paths(self) -> int:
@@ -97,10 +79,6 @@ class SimResult:
     @property
     def n_steps(self) -> int:
         return self.log_spot.shape[1] - 1
-
-    @property
-    def spot(self) -> np.ndarray:
-        return np.exp(self.log_spot)
 
     @property
     def terminal_spot(self) -> np.ndarray:
@@ -302,7 +280,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry point
 # ---------------------------------------------------------------------------
 
 def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
@@ -333,66 +311,6 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
             _simulate_bns_chunk(params, state.log_spot, state.cov, h, span,
                                 seed, path_start + lo, *views)
 
-    frac = clip / float(n_paths * n_steps)
     times = state.t + h * np.arange(n_steps + 1)
-    return SimResult(params=params, times=times, log_spot=log_spot, cov=cov,
-                     integrated_cov=intcov, seed=seed, path_start=path_start,
-                     clip_count=clip, clip_fraction=frac)
-
-
-def realized_quadratic_covariation(sim: SimResult, kind: str = "log"
-                                   ) -> np.ndarray:
-    """Discrete quadratic covariation of the sampled paths, (P, d, d).
-
-    kind "log":    sum_k dY_k dY_k'
-    kind "simple": sum_k (dS_k / S_{k-1}) (dS_k / S_{k-1})'
-    """
-    if kind == "log":
-        inc = np.diff(sim.log_spot, axis=1)
-    elif kind == "simple":
-        spot = sim.spot
-        inc = np.diff(spot, axis=1) / spot[:, :-1]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return np.einsum("pki,pkj->pij", inc, inc)
-
-
-def dump_paths(sim: SimResult, path: str) -> None:
-    """Write the panel to a little-endian binary file.
-
-    Layout: 8-byte magic, int64 fields (d, n_steps, n_paths, seed,
-    path_start), float64 horizon, then times, log_spot, cov and
-    integrated_cov as little-endian float64 in C order.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        head = np.array([sim.log_spot.shape[2], sim.n_steps, sim.n_paths,
-                         sim.seed, sim.path_start], dtype="<i8")
-        fh.write(head.tobytes())
-        fh.write(np.array([sim.times[-1]], dtype="<f8").tobytes())
-        for arr in (sim.times, sim.log_spot, sim.cov, sim.integrated_cov):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_paths(path: str) -> SimResult:
-    """Read a panel written by dump_paths; params are not stored and come
-    back as None."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a path panel file")
-        d, n_steps, n_paths, seed, path_start = np.frombuffer(
-            fh.read(5 * 8), dtype="<i8")
-        _horizon = np.frombuffer(fh.read(8), dtype="<f8")[0]
-        k = n_steps + 1
-        times = np.frombuffer(fh.read(8 * k), dtype="<f8").copy()
-        n1 = n_paths * k * d
-        n2 = n_paths * k * d * d
-        log_spot = np.frombuffer(fh.read(8 * n1), dtype="<f8").reshape(
-            n_paths, k, d).copy()
-        cov = np.frombuffer(fh.read(8 * n2), dtype="<f8").reshape(
-            n_paths, k, d, d).copy()
-        intcov = np.frombuffer(fh.read(8 * n2), dtype="<f8").reshape(
-            n_paths, k, d, d).copy()
-    return SimResult(params=None, times=times, log_spot=log_spot, cov=cov,
-                     integrated_cov=intcov, seed=int(seed),
-                     path_start=int(path_start), clip_count=0, clip_fraction=0.0)
+    return SimResult(times=times, log_spot=log_spot, cov=cov,
+                     integrated_cov=intcov, clip_count=clip)

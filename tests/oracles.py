@@ -15,8 +15,13 @@ checked against themselves:
                             smallest eigenvalue of scale^{-1} - 2 Re R
 * ``heston_cf``          -- textbook one-dimensional Heston characteristic
                             function (the d=1 reduction of the matrix model)
+* ``bns_mean_cov``       -- jump-model covariance mean from the drift flow
+                            of ``matcalc.lift_flows``
 * ``black_scholes_call`` / ``margrabe_exchange`` -- closed forms for frozen
                             lognormal checks
+* ``gbm_transform``      -- moment transform of a constant-covariance
+                            lognormal law, the frozen law of the payoff
+                            tests
 * ``bvn_quadrature``     -- bivariate normal CDF by direct 2-D quadrature
 * ``quadrant_price_quadrature`` -- bivariate lognormal quadrant option price
                             by high-order Gauss-Hermite quadrature
@@ -239,6 +244,21 @@ def heston_cf(u: complex, tau: float, y0: float, v0: float,
 
 
 # ---------------------------------------------------------------------------
+# jump-model covariance mean
+# ---------------------------------------------------------------------------
+
+def bns_mean_cov(params: models.BnsParams, sigma0: np.ndarray,
+                 t: float) -> np.ndarray:
+    """E[Sigma_t | Sigma_0] under pure-jump covariance with linear decay:
+    flow vec Sigma_0 + (int flow) vec(jump mean)."""
+    flow, int1, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
+                                       np.array(float(t)))
+    return matcalc.sym_part(matcalc.mat(
+        flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
+        + int1 @ matcalc.vec(params.jump_mean())))
+
+
+# ---------------------------------------------------------------------------
 # lognormal closed forms
 # ---------------------------------------------------------------------------
 
@@ -263,6 +283,18 @@ def margrabe_exchange(s1: float, s2: float, sig1: float, sig2: float,
         return max(s1 - s2, 0.0)
     d1 = (np.log(s1 / s2) + 0.5 * sig * sig * tau) / (sig * np.sqrt(tau))
     return s1 * norm.cdf(d1) - s2 * norm.cdf(d1 - sig * np.sqrt(tau))
+
+
+def gbm_transform(u: np.ndarray, log_spot: np.ndarray, cov: np.ndarray,
+                  tau: float) -> np.ndarray:
+    """E[exp(u'Y_{t+tau})] given Y_t = log_spot under constant-covariance
+    martingale dynamics, for a batch of complex argument vectors u (n, d)."""
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    log_spot = np.asarray(log_spot, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    drift = -0.5 * np.diag(cov)
+    quad = 0.5 * np.einsum("na,ab,nb->n", u, cov, u)
+    return np.exp(u @ (log_spot + tau * drift) + tau * quad)
 
 
 def bvn_quadrature(h: float, k: float, rho: float) -> float:

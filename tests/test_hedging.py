@@ -1,8 +1,8 @@
 """Hedging layer: the basis kernel against complex exp, the batched hedge
-engines against the scalar covariation oracles, the oracles' own identities,
-Fourier prices against Monte Carlo and parity, and covariance swaps: strikes
-against closed forms, values as martingales and the hedged variance against
-Monte Carlo."""
+engines against the scalar covariation oracles, chunked backtest sweeps
+against one chunk, the oracles' own identities, Fourier prices against
+Monte Carlo and parity, and covariance swaps: strikes against closed forms,
+values as martingales and the hedged variance against Monte Carlo."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,16 @@ def hedged(request, wasc_ref, bns_ref, state_ref):
     hedge = backtest.FourierHedge(params, cache, contour.weights)
     hedge.prepare(sim)
     return params, sim, cache, hedge, cache.weight_mask(contour.weights)
+
+
+def exploding_call():
+    """d = 1, zero drift and leverage: the order-1.5 moment that an ATM
+    call's damping needs explodes at tau* = pi / sqrt(3) ~ 1.81."""
+    params = models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                               vol_of_vol=np.eye(1), leverage=np.zeros(1),
+                               alpha=1.0)
+    state = models.MarketState.from_spot(0.0, [100.0], [[0.04]])
+    return params, state, payoffs.call_option(1, 0, 100.0)
 
 
 def complex_exp_basis(cache, k, log_spot, cov):
@@ -156,6 +166,88 @@ class TestFourierHedge:
                 for m in np.flatnonzero(cache.valid[k]))
             np.testing.assert_allclose(got[p], want.real, rtol=1e-9,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("horizon,refused", [(1.7, False), (1.9, True)])
+    def test_prepare_refuses_past_the_moment_explosion(self, horizon,
+                                                       refused):
+        # the first rebalance date sees the whole horizon as time to
+        # maturity, so past tau* its contour loses the nodes near the axis
+        params, state, call = exploding_call()
+        rate = pricing.integrated_cov_rate(params, state, horizon)
+        contour = payoffs.build_contour(
+            call, nodes_per_dim=12,
+            decay=payoffs.suggest_decay(call, rate, horizon, 12))
+        sim = simulate.simulate(params, state, horizon, 4, 2, seed=5)
+        cache = backtest.BasisCache(params, contour.model_args, horizon)
+        cache.prepare(sim)
+        hedge = backtest.FourierHedge(params, cache, contour.weights)
+        if refused:
+            with pytest.raises(ValueError, match="invalid transform nodes"):
+                hedge.prepare(sim)
+        else:
+            hedge.prepare(sim)
+
+
+class Recorder:
+    """A strategy that holds nothing and records the chunks it is shown."""
+
+    def prepare(self, sim):
+        self.chunks = set()
+
+    def positions(self, chunk_id, k, spot, log_spot, cov):
+        self.chunks.add((chunk_id, spot.shape[0]))
+        return np.zeros_like(spot)
+
+
+class TestRunBacktest:
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_chunked_sweep_matches_one_chunk(self, wasc_ref, bns_ref,
+                                             state_ref, monkeypatch, kind):
+        # 700 paths in chunks of 97: seven full chunks and one of 21
+        params = wasc_ref if kind == "wasc" else bns_ref
+        n_steps = 10
+        sim = simulate.simulate(params, state_ref, 1.0, n_steps, 700, seed=9)
+        kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+        rate = pricing.integrated_cov_rate(params, state_ref, 1.0)
+        contour = payoffs.build_contour(
+            kernel, nodes_per_dim=4,
+            decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
+        build = (covswap.wasc_covswap_system if kind == "wasc"
+                 else covswap.bns_covswap_system)
+        system = build(params, SIGMA0_REF, 1.0, (0, 1), n_steps)
+        vols = np.sqrt(np.diag(rate))
+        corr = rate[0, 1] / (vols[0] * vols[1])
+
+        def sweep(chunk_paths):
+            monkeypatch.setattr(backtest, "CHUNK_PATHS", chunk_paths)
+            cache = backtest.BasisCache(params, contour.model_args, 1.0)
+            cache.prepare(sim)
+            recorder = Recorder()
+            jobs = [
+                backtest.HedgeJob("fourier", backtest.FourierHedge(
+                    params, cache, contour.weights), kernel.payoff, 10.0),
+                backtest.HedgeJob("covswap", backtest.CovswapHedge(
+                    system, params), covswap.covswap_payoff(
+                        system, sim.integrated_cov), 0.0),
+                backtest.HedgeJob("gbm_delta", backtest.GbmDeltaHedge(
+                    "cc", (100.0, 100.0), vols, corr, 1.0), kernel.payoff,
+                    10.0),
+                backtest.HedgeJob("recorder", recorder, kernel.payoff, 0.0),
+            ]
+            wealth = [r.wealth for r in backtest.run_backtest(sim, jobs)]
+            return wealth, recorder.chunks
+
+        (fourier, swap, gbm_delta, _), one = sweep(700)
+        (fourier_c, swap_c, gbm_delta_c, _), many = sweep(97)
+        assert one == {(0, 700)}
+        assert many == {(c, 97) for c in range(7)} | {(7, 21)}
+        np.testing.assert_array_equal(fourier_c, fourier)
+        np.testing.assert_array_equal(swap_c, swap)
+        # gbm.bvn_upper sums its quadrature with a BLAS matrix-vector
+        # product, whose last bits depend on the number of rows
+        np.testing.assert_allclose(gbm_delta_c, gbm_delta, rtol=1e-12,
+                                   atol=0)
+        assert np.ptp(fourier) > 0 and np.ptp(gbm_delta) > 0
 
 
 ORACLE_NODES = np.array([[1.5 + 0.7j, 1.5 - 1.3j], [1.5 + 3.2j, 1.5 + 0.4j],
@@ -343,13 +435,7 @@ class TestFourierPrice:
         assert price == pytest.approx(ref, rel=5e-4)
 
     def test_refuses_past_the_moment_explosion(self):
-        # d = 1, zero drift and leverage: the order-1.5 moment the call's
-        # damping needs explodes at tau* = pi / sqrt(3) ~ 1.81
-        params = models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
-                                   vol_of_vol=np.eye(1),
-                                   leverage=np.zeros(1), alpha=1.0)
-        state = models.MarketState.from_spot(0.0, [100.0], [[0.04]])
-        call = payoffs.call_option(1, 0, 100.0)
+        params, state, call = exploding_call()
         assert 0.0 < pricing.fourier_price(params, state, 1.7, call) < 100.0
         with pytest.raises(ValueError, match="invalid transform nodes"):
             pricing.fourier_price(params, state, 1.9, call)

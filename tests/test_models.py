@@ -1,6 +1,5 @@
 """Tests for parameter containers, validation, and covariance first moments."""
 
-import json
 import warnings
 
 import numpy as np
@@ -272,11 +271,11 @@ class TestBnsMoments:
         p = models.BnsParams(d=2, mean_rev=np.zeros((2, 2)), jump_intensity=0.0,
                              wishart_shape=3.0, wishart_scale=0.01 * np.eye(2),
                              leverage_diag=[0.0, 0.0])
-        np.testing.assert_allclose(models.bns_mean_cov(p, SIGMA0_REF, 0.9),
+        np.testing.assert_allclose(oracles.bns_mean_cov(p, SIGMA0_REF, 0.9),
                                    SIGMA0_REF, atol=1e-12)
 
     def test_initial_condition(self, bns_ref):
-        np.testing.assert_allclose(models.bns_mean_cov(bns_ref, SIGMA0_REF, 0.0),
+        np.testing.assert_allclose(oracles.bns_mean_cov(bns_ref, SIGMA0_REF, 0.0),
                                    SIGMA0_REF, atol=1e-13)
 
     def test_jump_mean_vs_sampling(self, bns_ref):
@@ -290,51 +289,11 @@ class TestBnsMoments:
 
     def test_integrated_mean_lyapunov_vs_quadrature(self, bns_ref):
         got = models.bns_integrated_mean(bns_ref, SIGMA0_REF, 1.0)
-        want, _ = quad_vec(lambda t: models.bns_mean_cov(
+        want, _ = quad_vec(lambda t: oracles.bns_mean_cov(
             bns_ref, SIGMA0_REF, t), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_mean_psd_on_grid(self, bns_ref):
         for t in np.linspace(0.0, 2.0, 25):
-            m = models.bns_mean_cov(bns_ref, SIGMA0_REF, float(t))
+            m = oracles.bns_mean_cov(bns_ref, SIGMA0_REF, float(t))
             assert matcalc.min_eigenvalue(m) > -matcalc.psd_tolerance(m)
-
-
-class TestJsonInterface:
-    def test_round_trip_wasc(self, wasc_ref):
-        p2 = models.load_model(models.model_to_dict(wasc_ref))
-        np.testing.assert_array_equal(p2.mean_rev, wasc_ref.mean_rev)
-        np.testing.assert_array_equal(p2.omega, wasc_ref.omega)
-        assert p2.kind == "wasc"
-
-    def test_round_trip_bns(self, bns_ref):
-        p2 = models.load_model(json.dumps(models.model_to_dict(bns_ref)))
-        np.testing.assert_array_equal(p2.wishart_scale, bns_ref.wishart_scale)
-        np.testing.assert_allclose(p2.drift_comp, bns_ref.drift_comp, rtol=1e-15)
-
-    def test_round_trip_json_longer_than_a_file_name(self):
-        params = models.WascParams(
-            d=3, mean_rev=-2.0 * np.eye(3) - 0.3,
-            vol_of_vol=0.2 * np.eye(3) + 0.05,
-            leverage=np.array([-0.3, -0.2, -0.1]), alpha=4.0)
-        text = json.dumps(models.model_to_dict(params))
-        assert len(text) > 255
-        p2 = models.load_model(text)
-        np.testing.assert_array_equal(p2.omega, params.omega)
-        np.testing.assert_array_equal(p2.mean_rev, params.mean_rev)
-
-    def test_file_load(self, wasc_ref, tmp_path):
-        f = tmp_path / "model.json"
-        f.write_text(json.dumps(models.model_to_dict(wasc_ref)))
-        p2 = models.load_model(f)
-        np.testing.assert_array_equal(p2.vol_of_vol, wasc_ref.vol_of_vol)
-
-    def test_bad_tag_rejected(self):
-        with pytest.raises(ValueError, match="wasc"):
-            models.load_model({"model": "heston"})
-
-    def test_invalid_params_rejected_on_load(self, wasc_ref):
-        payload = models.model_to_dict(wasc_ref)
-        payload["leverage"] = [0.9, 0.9]
-        with pytest.raises(ValueError, match="invalid model"):
-            models.load_model(payload)

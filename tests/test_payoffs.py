@@ -6,6 +6,8 @@ or adaptive quadrature of the raw payoff, so the Laplace transform formulas
 and the contour construction are validated end to end.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import oracles
-from covhedge import gbm, payoffs
+from covhedge import payoffs
 
 Y0 = np.log(np.array([100.0, 95.0]))
 VOLS = np.array([0.25, 0.32])
@@ -27,11 +29,11 @@ TAU = 0.75
 SPOTS = np.exp(Y0)
 
 
-def fourier_price(kernel, nodes_per_dim=32, damping=None):
+def fourier_price(kernel, nodes_per_dim=32):
     decay = payoffs.suggest_decay(kernel, COV, TAU, nodes_per_dim)
-    ct = payoffs.build_contour(kernel, damping=damping,
-                               nodes_per_dim=nodes_per_dim, decay=decay)
-    hv = gbm.gbm_transform(ct.model_args, Y0, COV, TAU)
+    ct = payoffs.build_contour(kernel, nodes_per_dim=nodes_per_dim,
+                               decay=decay)
+    hv = oracles.gbm_transform(ct.model_args, Y0, COV, TAU)
     return payoffs.contour_price(ct, hv)
 
 
@@ -146,63 +148,6 @@ class TestTwoAssetKernels:
         assert fourier_price(ker, nodes_per_dim=48) == pytest.approx(
             ref, rel=1e-3)
 
-    def test_basket_spread_reduces_to_spread(self):
-        # with a single short asset the two transforms are the same function
-        sp = payoffs.spread_option(2, 0, 1, 6.0)
-        bs = payoffs.basket_spread_option(2, 0, [1], 6.0)
-        rng = np.random.default_rng(7)
-        u = (sp.default_damping + 1j * rng.standard_normal((40, 2)) * 3.0)
-        np.testing.assert_allclose(bs.transform(u), sp.transform(u),
-                                   rtol=1e-12)
-        spots = rng.uniform(50.0, 150.0, size=(64, 2))
-        np.testing.assert_allclose(bs.payoff(spots), sp.payoff(spots),
-                                   rtol=0, atol=0)
-
-    def test_put_on_sum_matches_conditioning_quadrature(self):
-        strike = 190.0
-        ker = payoffs.put_on_sum(2, [0, 1], strike)
-
-        def inner(z):
-            fwd, resid = conditional_forward(z)
-            kk = strike - spot1(z)
-            if kk <= 0:
-                return 0.0
-            return cond_call(fwd, kk, resid) - fwd + kk
-
-        ref = lognormal_expect(inner)
-        assert fourier_price(ker) == pytest.approx(ref, rel=1e-5)
-
-    def test_worst_of_call_matches_conditioning_quadrature(self):
-        strike = 92.0
-        ker = payoffs.worst_of_call(2, [0, 1], strike)
-
-        def inner(z):
-            # (min(s1, S2) - K)^+ = (S2-K)^+ - (S2 - max(s1, K))^+
-            fwd, resid = conditional_forward(z)
-            s1 = spot1(z)
-            return cond_call(fwd, strike, resid) - cond_call(
-                fwd, max(s1, strike), resid)
-
-        ref = lognormal_expect(inner)
-        assert fourier_price(ker) == pytest.approx(ref, rel=2e-4)
-
-    def test_best_of_call_decomposition(self):
-        strike = 94.0
-        legs = payoffs.best_of_call(2, (0, 1), strike)
-        assert [w for w, _ in legs] == [1.0, 1.0, -1.0]
-        got = sum(w * fourier_price(k) for w, k in legs)
-        c1 = oracles.black_scholes_call(SPOTS[0], strike, VOLS[0], TAU)
-        c2 = oracles.black_scholes_call(SPOTS[1], strike, VOLS[1], TAU)
-
-        def inner(z):
-            fwd, resid = conditional_forward(z)
-            s1 = spot1(z)
-            return cond_call(fwd, strike, resid) - cond_call(
-                fwd, max(s1, strike), resid)
-
-        ref = c1 + c2 - lognormal_expect(inner)
-        assert got == pytest.approx(ref, rel=2e-4)
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
@@ -211,13 +156,6 @@ def test_payoff_identities(seed):
     rng = np.random.default_rng(seed)
     spots = np.exp(rng.uniform(np.log(40.0), np.log(250.0), size=(32, 2)))
     k = float(rng.uniform(60.0, 160.0))
-    worst = payoffs.worst_of_call(2, [0, 1], k).payoff(spots)
-    best = sum(w * ker.payoff(spots)
-               for w, ker in payoffs.best_of_call(2, (0, 1), k))
-    np.testing.assert_allclose(
-        best, np.maximum(spots.max(axis=1) - k, 0.0), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(
-        worst, np.maximum(spots.min(axis=1) - k, 0.0), rtol=0, atol=0)
     # product quadrants multiply one-sided legs
     cc = payoffs.quadrant_option(2, "cc", (0, 1), (k, 0.9 * k)).payoff(spots)
     np.testing.assert_allclose(
@@ -232,7 +170,7 @@ class TestContourConstruction:
         decay = payoffs.suggest_decay(ker, COV, TAU, n)
         ct = payoffs.build_contour(ker, nodes_per_dim=n, decay=decay)
         half = payoffs.contour_price(
-            ct, gbm.gbm_transform(ct.model_args, Y0, COV, TAU))
+            ct, oracles.gbm_transform(ct.model_args, Y0, COV, TAU))
 
         x, w = np.polynomial.laguerre.laggauss(n)
         w = np.exp(np.log(w) + x)
@@ -243,7 +181,7 @@ class TestContourConstruction:
         v = np.stack([g.ravel() for g in grids], axis=-1)
         wprod = wg[0].ravel() * wg[1].ravel()
         args = ker.default_damping + 1j * v
-        hv = gbm.gbm_transform(ker.model_args(args), Y0, COV, TAU)
+        hv = oracles.gbm_transform(ker.model_args(args), Y0, COV, TAU)
         total = np.sum(wprod * ker.transform(args) * hv) / (2 * np.pi) ** 2
         assert abs(total.imag) < 1e-12 * abs(total.real)
         assert half == pytest.approx(float(total.real), rel=1e-12)
@@ -261,20 +199,22 @@ class TestContourConstruction:
             payoffs.build_contour(ker, decay=0.0)
 
     def test_damping_shape_checked(self):
-        ker = payoffs.spread_option(2, 0, 1, 5.0)
+        ker = dataclasses.replace(payoffs.spread_option(2, 0, 1, 5.0),
+                                  default_damping=np.array([2.5]))
         with pytest.raises(ValueError, match="entries"):
-            payoffs.build_contour(ker, damping=[2.5])
+            payoffs.build_contour(ker)
 
     @pytest.mark.parametrize("ker,damping", [
         (payoffs.call_option(2, 0, 100.0), [1.0 + 1e-9]),
         (payoffs.put_option(2, 0, 100.0), [0.0]),
         (payoffs.spread_option(2, 0, 1, 5.0), [2.0, -1.0]),
-        (payoffs.worst_of_call(2, [0, 1], 95.0), [0.5, 0.5]),
+        (payoffs.spread_option(2, 0, 1, 5.0), [2.5, 0.0]),
         (payoffs.quadrant_option(2, "cp", (0, 1), (1e2, 1e2)), [1.5, 0.5]),
     ])
     def test_boundary_damping_rejected(self, ker, damping):
+        ker = dataclasses.replace(ker, default_damping=np.array(damping))
         with pytest.raises(ValueError, match="margin"):
-            payoffs.build_contour(ker, damping=damping)
+            payoffs.build_contour(ker)
 
     def test_suggest_decay_scales_with_vol(self):
         ker = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
@@ -291,7 +231,7 @@ class TestContourConstruction:
         ct = payoffs.build_contour(
             ker, nodes_per_dim=24,
             decay=payoffs.suggest_decay(ker, COV, TAU, 24))
-        hv = gbm.gbm_transform(ct.model_args, Y0, COV, TAU)
+        hv = oracles.gbm_transform(ct.model_args, Y0, COV, TAU)
         full = payoffs.contour_price(ct, hv)
 
         mass = np.abs(ct.weights)
