@@ -161,6 +161,9 @@ class BasisCache:
     def prepare(self, sim) -> None:
         if abs(sim.times[-1] - self.horizon) > 1e-12:
             raise ValueError("claim maturity must match the simulation span")
+        # the memo is keyed by (chunk, date) alone, so it cannot outlive
+        # the panel it was computed on
+        self._memo_key = self._memo_val = None
         d = self.params.d
         times = sim.times[:-1]
         taus = self.horizon - times

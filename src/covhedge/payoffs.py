@@ -28,6 +28,7 @@ products and spreads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -264,6 +265,16 @@ class Contour:
         return self.args.shape[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Laguerre nodes and weights for int_0^inf f(v) dv (the
+    weights carry the e^x), built once per node count and read-only."""
+    x, w = np.polynomial.laguerre.laggauss(n)
+    w = np.exp(np.log(w) + x)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def build_contour(kernel: PayoffKernel, nodes_per_dim: int = 16,
                   decay=1.0) -> Contour:
     """Tensorized Gauss-Laguerre rule along the contour at the kernel's
@@ -288,8 +299,7 @@ def build_contour(kernel: PayoffKernel, nodes_per_dim: int = 16,
             f"damping {damping} leaves margin {margin:.2e} to the admissible "
             f"region boundary of {kernel.name}; need more than {_POLE_MARGIN}")
 
-    x, w = np.polynomial.laguerre.laggauss(nodes_per_dim)
-    w = np.exp(np.log(w) + x)              # weights for int_0^inf f(v) dv
+    x, w = _laguerre(nodes_per_dim)
     vg = np.meshgrid(*[np.concatenate([x, -x]) / g for g in decay],
                      indexing="ij")
     wg = np.meshgrid(*[np.concatenate([w, w]) / g for g in decay],
@@ -320,7 +330,7 @@ def suggest_decay(kernel: PayoffKernel, cov_rate: np.ndarray, horizon: float,
     the horizon works well).
     """
     cov_rate = np.asarray(cov_rate, dtype=float)
-    x_max = np.polynomial.laguerre.laggauss(nodes_per_dim)[0][-1]
+    x_max = _laguerre(nodes_per_dim)[0][-1]
     seff = np.sqrt(np.einsum("am,ab,bm->m", kernel.loading, cov_rate,
                              kernel.loading) * horizon)
     return np.maximum(1.0, x_max * seff / 5.0)

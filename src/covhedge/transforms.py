@@ -60,7 +60,14 @@ skipped mass.
   Tr(Omega psi).  ``TransformGrid.phi_quadrature`` marks the nodes of the
   panel route.
 * Node blocks.  Each route takes its nodes in blocks of about
-  BLOCK_POINTS (node, s) points, which bounds the working set.  For the
+  BLOCK_POINTS (node, s) points, which bounds the working set; every entry
+  is bitwise the same whatever the partition.  A block costs a fixed
+  overhead (one Wishart MGF call for the jump model) plus about 370 bytes
+  a point.  At 4096 points a jump-model block of the single-tau strip
+  lattice holds 63 nodes of 65 s values, and a jump-model pass of the
+  benchmark's 33-claim strip makes 232 MGF calls where 512 points made
+  1,904.  It took 0.43 s where 512 points took 0.88 (medians of 10, 2-core
+  VM); larger budgets were no faster and grow the working set.  For the
   diffusion, one batched eigendecomposition of every node's Hamiltonian
   gives the lower block rows of Theta at every s of its route (a node
   whose eigenvector basis has 1-norm condition number above 1e10 falls
@@ -109,11 +116,11 @@ __all__ = [
 
 # lattice engine: the panel rule along the tau grid, which integrates the
 # phi of the panel route and places the companion pole checks, and the
-# (node, s) points evaluated per node block, which bounds the working set;
-# chosen from the error-versus-cost and memory curves recorded in CHANGES.md
+# (node, s) points evaluated per node block ("Node blocks" above); chosen
+# from the error, cost and memory curves recorded in CHANGES.md
 PHI_PANEL_NODES = 8
 PHI_PANEL_WIDTH = 0.125
-BLOCK_POINTS = 512
+BLOCK_POINTS = 4096
 # 1-norm condition numbers, one LU inverse each (an n x n matrix's lies
 # within a factor n of the 2-norm one); singular input gives inf
 _EIGVEC_COND_MAX = 1e10
@@ -369,8 +376,10 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
         r_u = psi + lev[:, None]
         mgf, ok = models.wishart_mgf(params.wishart_scale,
                                      params.wishart_shape, r_u)
+        # u'kappa by a ufunc sum: a BLAS product's bits depend on the
+        # block's node count
         rate = (np.where(ok, params.jump_intensity * (mgf - 1.0), 0.0)
-                - (u @ params.drift_comp)[:, None])
+                - (u * params.drift_comp).sum(axis=-1)[:, None])
         return psi, np.zeros(rate.shape, dtype=complex), rate, ok
 
     return np.ones(nodes.shape[0], dtype=bool), block

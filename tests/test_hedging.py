@@ -102,6 +102,32 @@ class TestBasisCache:
                                    rtol=1e-13, atol=0)
         assert cache.overflow_count == 0
 
+    def test_prepare_forgets_the_last_panel(self, wasc_ref, state_ref):
+        # with one step the memo key of either panel is (chunk 0, date 0),
+        # so a memo kept across prepare hands panel 2 the H of panel 1
+        kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+        panels = []
+        for spot, seed in (((100.0, 100.0), 3), ((110.0, 95.0), 4)):
+            state = models.MarketState.from_spot(0.0, spot, SIGMA0_REF)
+            panels.append(simulate.simulate(wasc_ref, state, 1.0, 1, 256,
+                                            seed=seed))
+        rate = pricing.integrated_cov_rate(wasc_ref, state_ref, 1.0)
+        contour = payoffs.build_contour(
+            kernel, nodes_per_dim=12,
+            decay=payoffs.suggest_decay(kernel, rate, 1.0, 12))
+
+        def wealth(cache, sim):
+            cache.prepare(sim)
+            job = backtest.HedgeJob("fourier", backtest.FourierHedge(
+                wasc_ref, cache, contour.weights), kernel.payoff, 0.0)
+            return backtest.run_backtest(sim, [job])[0].wealth
+
+        reused = backtest.BasisCache(wasc_ref, contour.model_args, 1.0)
+        wealth(reused, panels[0])
+        fresh = backtest.BasisCache(wasc_ref, contour.model_args, 1.0)
+        np.testing.assert_array_equal(wealth(reused, panels[1]),
+                                      wealth(fresh, panels[1]))
+
 
 class TestScaledCis:
     @staticmethod

@@ -2,6 +2,8 @@
 quadrature oracles, model reductions, flow identities and domain-validity
 flags."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -534,3 +536,70 @@ class TestClosedFormPhi:
             assert not np.any(grid.phi_quadrature)
         grid = transforms.transform_grid(bns_ref, [0.5, 1.0], nodes)
         assert np.all(grid.phi_quadrature)
+
+
+class TestBlockPartition:
+    """The lattice does not depend on how its nodes are cut into blocks of
+    BLOCK_POINTS (node, s) points: every entry, valid or not, is bitwise the
+    same from one node per block to the whole route in one block.  Two
+    nodes with large real parts fail their checks, so invalid entries are
+    compared too."""
+
+    HEDGE_TAUS = 1.0 - np.linspace(0.0, 1.0, 21)[:-1]
+
+    @pytest.mark.parametrize("taus", ["multi", "single"])
+    @pytest.mark.parametrize("model", ["wasc", "wasc_omega", "bns"])
+    def test_bitwise_across_budgets(self, model, taus, wasc_ref, bns_ref,
+                                    state_ref, monkeypatch):
+        params = {"wasc": wasc_ref, "bns": bns_ref,
+                  "wasc_omega": models.WascParams(
+                      d=2, mean_rev=M_REF, vol_of_vol=A_REF, leverage=RHO_REF,
+                      omega=ALPHA_REF * A_REF.T @ A_REF)}[model]
+        taus = self.HEDGE_TAUS if taus == "multi" else [1.0]
+        nodes = np.concatenate([atm_cc_nodes(params, state_ref, 8),
+                                [[60.0, 0.0], [30.0 + 1j, 30.0 - 1j]]])
+        grids = []
+        for budget in (1, 512, transforms.BLOCK_POINTS, 2 ** 20):
+            monkeypatch.setattr(transforms, "BLOCK_POINTS", budget)
+            grids.append(transforms.transform_grid(params, taus, nodes))
+        assert not np.all(grids[0].valid) and np.any(grids[0].valid)
+        assert np.all(grids[0].phi_quadrature) == (model != "wasc")
+        for grid in grids[1:]:
+            for field in ("phi", "psi", "valid", "phi_quadrature"):
+                np.testing.assert_array_equal(getattr(grid, field),
+                                              getattr(grids[0], field))
+
+
+class TestMemory:
+    """transform_grid holds the lattice twice (its knot rows, then the
+    returned rows in tau order), lattice-wide tables under 0.5 MB (the
+    nodes' spectra, the s grid, the jump model's operator) and one node
+    block of about BLOCK_POINTS (node, s) points.  A block costs about 370
+    bytes a point (the largest slope of the traced peak against the budget
+    on this lattice, for budgets up to 65,536); the bound allows 1.5 times
+    that.
+    A budget change moves the bound by the same rule, and a block that
+    outgrows its budget, or an engine that evaluates a whole route at once,
+    breaks it.  The lattice is the hedge one: 100 tau x 288 nodes, with 900
+    s values per node on the panel route."""
+
+    BYTES_PER_POINT = 370
+
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_peak_within_lattice_and_one_block(self, model, wasc_ref, bns_ref,
+                                               state_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        taus = 1.0 - np.arange(100) / 100.0
+        nodes = atm_cc_nodes(params, state_ref, 12)
+        # first-call allocations (imports, caches) are not the engine's
+        transforms.transform_grid(params, [0.5], nodes[:2])
+        tracemalloc.start()
+        try:
+            grid = transforms.transform_grid(params, taus, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lattice = grid.phi.nbytes + grid.psi.nbytes + grid.valid.nbytes
+        assert grid.phi.shape == (100, 288)
+        assert peak <= (2 * lattice + 0.5e6 + 1.5 * self.BYTES_PER_POINT
+                        * transforms.BLOCK_POINTS)
