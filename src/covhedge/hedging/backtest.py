@@ -2,10 +2,10 @@
 
 The driver walks the simulation grid once per path chunk and asks every
 strategy for spot positions at each rebalancing date; wealth compounds as
-V_{k+1} = V_k + theta_k' (S_{k+1} - S_k).  Strategies that synthesize their
-positions from exponential basis claims share per-chunk transform values
-through a basis cache, so running several claims with the same contour
-geometry costs barely more than one.
+V_{k+1} = V_k + theta_k' (S_{k+1} - S_k).  A Fourier hedge synthesizes its
+positions from exponential basis claims, whose transform lattice a
+``BasisCache`` holds for one node set; the cache evaluates the claims at
+each (chunk, date) on request and keeps no H between calls.
 
 The basis claims H = exp(a + i b) on the (path, node) panel dominate the
 cost of a Fourier hedge, and complex exp spends nearly all its time in the
@@ -143,11 +143,10 @@ def _scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
 
 
 class BasisCache:
-    """Shared transform-value stream for one node set.
+    """Transform lattice of one node set.
 
     Holds phi/psi on the (rebalance times) x (nodes) lattice and evaluates
-    H = exp(phi + u'Y + Tr(psi Sigma)) per path chunk, memoizing the last
-    (chunk, step) so several strategies reuse it.
+    H = exp(phi + u'Y + Tr(psi Sigma)) on a chunk of paths at one date.
     """
 
     def __init__(self, params, model_args: np.ndarray, horizon: float):
@@ -155,15 +154,10 @@ class BasisCache:
         self.model_args = np.atleast_2d(np.asarray(model_args, dtype=complex))
         self.horizon = horizon
         self.overflow_count = 0
-        self._memo_key = None
-        self._memo_val = None
 
     def prepare(self, sim) -> None:
         if abs(sim.times[-1] - self.horizon) > 1e-12:
             raise ValueError("claim maturity must match the simulation span")
-        # the memo is keyed by (chunk, date) alone, so it cannot outlive
-        # the panel it was computed on
-        self._memo_key = self._memo_val = None
         d = self.params.d
         times = sim.times[:-1]
         taus = self.horizon - times
@@ -184,24 +178,16 @@ class BasisCache:
         self.coeff_re = np.ascontiguousarray(coeff.real)
         self.coeff_im = np.ascontiguousarray(coeff.imag)
 
-    @property
-    def phi(self) -> np.ndarray:
-        """phi on the (K, M) lattice, 0 at invalid nodes."""
-        return self.coeff_re[:, -1] + 1j * self.coeff_im[:, -1]
-
     def weight_mask(self, weights: np.ndarray) -> np.ndarray:
         """Per-step weights with invalid nodes zeroed; refuses claims whose
         contour loses more than the allowed mass at any rebalance date."""
         payoffs.check_skipped_mass(weights, self.valid)
         return np.where(self.valid, weights, 0.0)        # (K, M)
 
-    def basis(self, chunk_id: int, k: int, log_spot: np.ndarray,
+    def basis(self, k: int, log_spot: np.ndarray,
               cov: np.ndarray) -> np.ndarray:
         """H on the (P, M) panel of a chunk's paths at date k, 0 where the
         real exponent passes models.OVERFLOW_RE."""
-        key = (chunk_id, k)
-        if self._memo_key == key:
-            return self._memo_val
         n_paths = log_spot.shape[0]
         state = np.concatenate(
             [log_spot, cov[:, self._iu, self._ju] * self._off_scale,
@@ -222,7 +208,6 @@ class BasisCache:
             if n_bad:
                 out[bad] = 0.0
                 self.overflow_count += n_bad
-        self._memo_key, self._memo_val = key, h
         return h
 
 
@@ -285,9 +270,9 @@ class FourierHedge:
             self._jw = wk[..., None] * jv                # (K, M, d)
             self._jump_cov = models.bns_jump_cov(params)
 
-    def positions(self, chunk_id: int, k: int, spot: np.ndarray,
-                  log_spot: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        h = self.cache.basis(chunk_id, k, log_spot, cov)  # (P, M)
+    def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
+                  cov: np.ndarray) -> np.ndarray:
+        h = self.cache.basis(k, log_spot, cov)            # (P, M)
         if self.params.kind == "wasc":
             return (h @ self._gw[k]).real / spot
         cross = (np.einsum("pab,pb->pa", cov, (h @ self._uw[k]))
@@ -309,8 +294,8 @@ class GbmDeltaHedge:
     def prepare(self, sim) -> None:
         self._times = sim.times
 
-    def positions(self, chunk_id: int, k: int, spot: np.ndarray,
-                  log_spot: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
+                  cov: np.ndarray) -> np.ndarray:
         tau = self.horizon - self._times[k]
         return gbm.quadrant_spot_delta(self.kind, spot, self.strikes,
                                        self.vols, self.corr, tau)
@@ -330,8 +315,8 @@ class CovswapHedge:
         self._jump_cov = (models.bns_jump_cov(self.params)
                           if self.params.kind == "bns" else None)
 
-    def positions(self, chunk_id: int, k: int, spot: np.ndarray,
-                  log_spot: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
+                  cov: np.ndarray) -> np.ndarray:
         core = self.system.theta_core[k]
         if self.system.kind == "wasc":
             return np.broadcast_to(core, spot.shape) / spot
@@ -342,7 +327,7 @@ class CovswapHedge:
 
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     """Run every job over the panel in one sweep and return results in
-    order.  Jobs sharing a BasisCache reuse its transform values."""
+    order."""
     n_paths = sim.n_paths
     n_steps = sim.n_steps
     payoffs_out = []
@@ -361,7 +346,7 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
             job.strategy.prepare(sim)
 
     wealth = [np.full(n_paths, job.initial_capital) for job in jobs]
-    for chunk_id, start in enumerate(range(0, n_paths, CHUNK_PATHS)):
+    for start in range(0, n_paths, CHUNK_PATHS):
         sl = slice(start, min(start + CHUNK_PATHS, n_paths))
         log_spot = sim.log_spot[sl]
         spot = np.exp(log_spot)
@@ -371,8 +356,8 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
             for j, job in enumerate(jobs):
                 if job.strategy is None:
                     continue
-                th = job.strategy.positions(chunk_id, k, spot[:, k],
-                                            log_spot[:, k], cov[:, k])
+                th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
+                                            cov[:, k])
                 wealth[j][sl] += np.einsum("pa,pa->p", th, ds)
     return [BacktestResult(name=job.name, wealth=w, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

@@ -66,6 +66,8 @@ class CovswapSystem:
 
 
 def _time_grid(horizon: float, n_steps: int) -> np.ndarray:
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
     if n_steps < 1:
         raise ValueError("need at least one step")
     return np.linspace(0.0, horizon, n_steps + 1)
@@ -174,7 +176,7 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     mean covariance flow inside the trace.
     """
     e_pair = _pair_matrix(params.d, pair)
-    ts = np.linspace(0.0, horizon, _SIMPSON_INTERVALS + 1)
+    ts = _time_grid(horizon, _SIMPSON_INTERVALS)
     _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
                                         horizon - ts)
     vperp = (params.vol_of_vol.T

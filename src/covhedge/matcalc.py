@@ -2,10 +2,11 @@
 
 All covariance-state algebra in this package runs through the helpers below:
 column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
-matrix exponentials, eigendecomposition-based pseudoinverses, and the
-batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that the
-simulator applies to discretized covariance states at every step, and the
-batched elimination pivots (``elimination_pivots``) behind the Wishart MGF.
+the batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that
+the simulator applies to discretized covariance states at every step, and
+the batched elimination pivots (``elimination_pivots``) behind the Wishart
+MGF.  Plain matrix exponentials and pseudoinverses are scipy's
+(``scipy.linalg.expm``, ``scipy.linalg.pinvh``), called directly.
 
 ``lift_flows``, the flow of a lifted linear drift with its integral and
 double integral (Van Loan 1978), is the one matrix-flow helper: moments,
@@ -27,11 +28,9 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "PSD_RTOL",
-    "mat_exp",
     "lift_flows",
     "vec",
     "mat",
@@ -43,44 +42,12 @@ __all__ = [
     "sqrt_psd",
     "psd_repair",
     "elimination_pivots",
-    "pinv_psd",
 ]
 
 # Relative PSD tolerance; the module docstring gives the scale of each use.
 PSD_RTOL = 1e-10
 # power-series terms of lift_flows, whose series runs on ||lift|| delta <= 1
 _FLOW_TERMS = 20
-
-
-def _require_square(m: np.ndarray, who: str, stack: bool = False
-                    ) -> np.ndarray:
-    a = np.asarray(m)
-    if (a.ndim < 2 or (a.ndim > 2 and not stack)
-            or a.shape[-1] != a.shape[-2]):
-        raise ValueError(f"{who}: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
-        raise ValueError(f"{who}: input contains NaN or infinity")
-    return a
-
-
-def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real or complex square matrix, or of each
-    matrix in a (..., n, n) stack.
-
-    Uses the scaling-and-squaring Pade approximant; relative accuracy is
-    ~1e-12 or better for well-conditioned inputs.
-
-    Args:
-        m: square matrix or stack of them, real or complex.
-
-    Returns:
-        e^m with the same dtype kind as the input.
-
-    Raises:
-        ValueError: non-square input or non-finite entries.
-    """
-    a = _require_square(m, "mat_exp", stack=True)
-    return scipy.linalg.expm(a)
 
 
 def lift_flows(lift: np.ndarray, deltas: np.ndarray
@@ -151,7 +118,9 @@ def kron_lift(m: np.ndarray) -> np.ndarray:
     Returns the d^2 x d^2 matrix L with L @ vec(X) == vec(M X + X M^T)
     in the column-stacking convention, i.e. L = I (x) M + M (x) I.
     """
-    a = _require_square(m, "kron_lift")
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        raise ValueError("kron_lift: expected a finite square matrix")
     eye = np.eye(a.shape[0])
     return np.kron(eye, a) + np.kron(a, eye)
 
@@ -260,26 +229,3 @@ def elimination_pivots(mats: np.ndarray) -> np.ndarray:
                     rows[i][j] = rows[i][j] - f * rows[k][j]
     return np.stack([rows[k][k] for k in range(d)], axis=-1
                     ).reshape(mats.shape[:-1])
-
-
-def pinv_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
-
-    Computed from the eigendecomposition (the package never needs an SVD
-    here: every pseudoinverted matrix is symmetric PSD by construction).
-    Eigenvalues below ``rcond * max(eigenvalue)`` are treated as zero.
-
-    Raises:
-        ValueError: asymmetric input.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"pinv_psd: expected square matrix, got {a.shape}")
-    if not is_symmetric(a, rtol=1e-10):
-        raise ValueError("pinv_psd: input must be symmetric")
-    w, q = np.linalg.eigh(sym_part(a))
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        return np.zeros_like(a)
-    inv = np.where(w > rcond * wmax, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    return (q * inv) @ q.T

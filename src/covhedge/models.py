@@ -167,7 +167,14 @@ class MarketState:
         object.__setattr__(self, "spot", np.array(self.spot, dtype=float))
         object.__setattr__(self, "log_spot", np.array(self.log_spot, dtype=float))
         object.__setattr__(self, "cov", np.array(self.cov, dtype=float))
-        if np.max(np.abs(self.log_spot - np.log(self.spot))) > 1e-12:
+        if not np.isfinite(self.t):
+            raise ValueError("t must be finite")
+        if not np.all(np.isfinite(self.log_spot)):
+            raise ValueError("log_spot must be finite: every spot must be "
+                             "positive and finite")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.abs(self.log_spot - np.log(self.spot))
+        if not np.all(gap <= 1e-12):
             raise ValueError("log_spot is not the log of spot")
         d = self.spot.size
         if self.cov.shape != (d, d):
@@ -186,7 +193,10 @@ class MarketState:
     @classmethod
     def from_spot(cls, t: float, spot, cov) -> "MarketState":
         spot = np.array(spot, dtype=float)
-        return cls(t=t, spot=spot, log_spot=np.log(spot), cov=np.array(cov, dtype=float))
+        # a spot <= 0 has no finite log, and __post_init__ rejects it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_spot = np.log(spot)
+        return cls(t=t, spot=spot, log_spot=log_spot, cov=np.array(cov, dtype=float))
 
     @classmethod
     def from_log(cls, t: float, log_spot, cov) -> "MarketState":

@@ -15,15 +15,19 @@ loading @ u + offset.  Selection payoffs use plain selection columns; payoffs
 on log-linear combinations (geometric baskets, exchange ratios) use general
 loadings.
 
-Catalog (strikes positive):
-    call, put                K^{1-u} / (u(u-1)),  call Re u > 1, put Re u < 0
-    quadrant products        product of one-leg factors, per-leg strips
-    spread                   K^{1-u1-u2} G(u1+u2-1) G(-u2) / G(u1+1)
-    exchange                 one-dimensional in the log ratio, offset leg
-    geometric call/put       one-dimensional along the weight vector
+Catalog (strikes positive and finite), two transforms:
+    one-sided legs     prod_m K_m^{1-u_m} / (u_m (u_m - 1)), a call leg on
+                       Re u_m > 1 and a put leg on Re u_m < 0 (the damped
+                       call transform of Carr & Madan 1999).  Calls and puts
+                       are one leg on an asset, geometric options one leg
+                       along the weight vector, quadrants two legs, and the
+                       exchange option a call leg of strike 1 on the log
+                       ratio, its short leg in the offset.
+    spread             K^{1-u1-u2} G(u1+u2-1) G(-u2) / G(u1+1)
 
 with G the gamma function.  These are the static legs of a strip: vanillas,
-products and spreads.
+products and spreads.  Vanillas and products, the claims that Bakshi &
+Madan 2000 span payoffs with, are all products of one-sided legs.
 """
 
 from __future__ import annotations
@@ -83,50 +87,57 @@ def _selection(d: int, assets: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _vanilla_factor(strike: float, u: np.ndarray) -> np.ndarray:
-    return np.exp((1.0 - u) * np.log(strike)) / (u * (u - 1.0))
-
-
 def _require_strike(strike: float) -> float:
-    if strike <= 0:
-        raise ValueError("strike must be positive")
+    if not (np.isfinite(strike) and strike > 0):
+        raise ValueError("strike must be positive and finite")
     return float(strike)
 
 
+def _legs(name: str, loading: np.ndarray, offset: np.ndarray,
+          strikes: Sequence[float], calls: Sequence[bool],
+          payoff: Callable[[np.ndarray], np.ndarray]) -> PayoffKernel:
+    """Product over legs m of K_m^{1-u_m} / (u_m (u_m - 1)), the damped
+    transform of a call leg (Re u_m > 1, damping 1.5) or a put leg
+    (Re u_m < 0, damping -0.5) (Carr & Madan 1999); the strip margin is
+    the smallest over the legs."""
+    log_k = np.log(np.asarray(strikes, dtype=float))
+    calls = np.asarray(calls, dtype=bool)
+
+    def transform(u):
+        legs = np.exp((1.0 - u) * log_k) / (u * (u - 1.0))
+        # leg by leg: np.prod rounds complex products differently
+        return functools.reduce(np.multiply, np.moveaxis(legs, -1, 0))
+
+    return PayoffKernel(
+        name=name, n_args=calls.size, loading=loading, offset=offset,
+        default_damping=np.where(calls, 1.5, -0.5), transform=transform,
+        payoff=payoff,
+        strip_margin=lambda r: float(np.min(np.where(calls, r - 1.0, -r))))
+
+
 # ---------------------------------------------------------------------------
-# single-asset kernels
+# kernels: one-sided legs (vanillas, geometric options, quadrants and the
+# exchange), then the spread
 # ---------------------------------------------------------------------------
 
 def call_option(d: int, asset: int, strike: float) -> PayoffKernel:
     k = _require_strike(strike)
 
-    def transform(u):
-        return _vanilla_factor(k, u[..., 0])
-
     def payoff(spot):
         return np.maximum(spot[:, asset] - k, 0.0)
 
-    return PayoffKernel(
-        name=f"call_{asset}_{k:g}", n_args=1, loading=_selection(d, [asset]),
-        offset=np.zeros(d), default_damping=np.array([1.5]),
-        transform=transform, payoff=payoff,
-        strip_margin=lambda r: float(r[0] - 1.0))
+    return _legs(f"call_{asset}_{k:g}", _selection(d, [asset]), np.zeros(d),
+                 [k], [True], payoff)
 
 
 def put_option(d: int, asset: int, strike: float) -> PayoffKernel:
     k = _require_strike(strike)
 
-    def transform(u):
-        return _vanilla_factor(k, u[..., 0])
-
     def payoff(spot):
         return np.maximum(k - spot[:, asset], 0.0)
 
-    return PayoffKernel(
-        name=f"put_{asset}_{k:g}", n_args=1, loading=_selection(d, [asset]),
-        offset=np.zeros(d), default_damping=np.array([-0.5]),
-        transform=transform, payoff=payoff,
-        strip_margin=lambda r: float(-r[0]))
+    return _legs(f"put_{asset}_{k:g}", _selection(d, [asset]), np.zeros(d),
+                 [k], [False], payoff)
 
 
 def geometric_option(d: int, weights: Sequence[float], strike: float,
@@ -140,26 +151,14 @@ def geometric_option(d: int, weights: Sequence[float], strike: float,
         raise ValueError("kind must be 'call' or 'put'")
     sign = 1.0 if kind == "call" else -1.0
 
-    def transform(u):
-        return _vanilla_factor(k, u[..., 0])
-
     def payoff(spot):
         comp = np.exp(np.log(spot) @ w)
         return np.maximum(sign * (comp - k), 0.0)
 
-    margin = ((lambda r: float(r[0] - 1.0)) if kind == "call"
-              else (lambda r: float(-r[0])))
-    damp = np.array([1.5]) if kind == "call" else np.array([-0.5])
     tag = "x".join(f"{x:g}" for x in w)
-    return PayoffKernel(
-        name=f"geo{kind}_{tag}_{k:g}", n_args=1,
-        loading=w.reshape(d, 1), offset=np.zeros(d), default_damping=damp,
-        transform=transform, payoff=payoff, strip_margin=margin)
+    return _legs(f"geo{kind}_{tag}_{k:g}", w.reshape(d, 1), np.zeros(d),
+                 [k], [kind == "call"], payoff)
 
-
-# ---------------------------------------------------------------------------
-# two-asset kernels
-# ---------------------------------------------------------------------------
 
 def quadrant_option(d: int, kind: str, assets: Sequence[int],
                     strikes: Sequence[float]) -> PayoffKernel:
@@ -170,32 +169,34 @@ def quadrant_option(d: int, kind: str, assets: Sequence[int],
     i, j = assets
     k1, k2 = (_require_strike(s) for s in strikes)
 
-    def transform(u):
-        return _vanilla_factor(k1, u[..., 0]) * _vanilla_factor(k2, u[..., 1])
-
     def payoff(spot):
         a = spot[:, i] - k1 if kind[0] == "c" else k1 - spot[:, i]
         b = spot[:, j] - k2 if kind[1] == "c" else k2 - spot[:, j]
         return np.maximum(a, 0.0) * np.maximum(b, 0.0)
 
-    def margin(r):
-        m1 = r[0] - 1.0 if kind[0] == "c" else -r[0]
-        m2 = r[1] - 1.0 if kind[1] == "c" else -r[1]
-        return float(min(m1, m2))
+    return _legs(f"{kind}_{k1:g}_{k2:g}", _selection(d, [i, j]), np.zeros(d),
+                 [k1, k2], [kind[0] == "c", kind[1] == "c"], payoff)
 
-    damp = np.array([1.5 if kind[0] == "c" else -0.5,
-                     1.5 if kind[1] == "c" else -0.5])
-    return PayoffKernel(
-        name=f"{kind}_{k1:g}_{k2:g}", n_args=2,
-        loading=_selection(d, [i, j]), offset=np.zeros(d),
-        default_damping=damp, transform=transform, payoff=payoff,
-        strip_margin=margin)
 
+def exchange_option(d: int, long_asset: int, short_asset: int) -> PayoffKernel:
+    """(S_long - S_short)^+: a call leg of strike 1 on the log ratio, with
+    the short leg folded into the affine offset."""
+    if long_asset == short_asset:
+        raise ValueError("long and short asset must differ")
+
+    def payoff(spot):
+        return np.maximum(spot[:, long_asset] - spot[:, short_asset], 0.0)
+
+    loading = _selection(d, [long_asset]) - _selection(d, [short_asset])
+    return _legs(f"exchange_{long_asset}m{short_asset}", loading,
+                 _selection(d, [short_asset])[:, 0], [1.0], [True], payoff)
 
 def spread_option(d: int, long_asset: int, short_asset: int,
                   strike: float) -> PayoffKernel:
     """(S_long - S_short - K)^+ with K > 0."""
     k = _require_strike(strike)
+    if long_asset == short_asset:
+        raise ValueError("long and short asset must differ")
 
     def transform(u):
         u1, u2 = u[..., 0], u[..., 1]
@@ -216,29 +217,6 @@ def spread_option(d: int, long_asset: int, short_asset: int,
         payoff=payoff, strip_margin=margin)
 
 
-def exchange_option(d: int, long_asset: int, short_asset: int) -> PayoffKernel:
-    """(S_long - S_short)^+; one-dimensional in the log ratio with the short
-    leg folded into the affine offset."""
-
-    def transform(u):
-        uu = u[..., 0]
-        return 1.0 / (uu * (uu - 1.0))
-
-    def payoff(spot):
-        return np.maximum(spot[:, long_asset] - spot[:, short_asset], 0.0)
-
-    loading = np.zeros((d, 1))
-    loading[long_asset, 0] = 1.0
-    loading[short_asset, 0] = -1.0
-    offset = np.zeros(d)
-    offset[short_asset] = 1.0
-    return PayoffKernel(
-        name=f"exchange_{long_asset}m{short_asset}", n_args=1,
-        loading=loading, offset=offset, default_damping=np.array([1.5]),
-        transform=transform, payoff=payoff,
-        strip_margin=lambda r: float(r[0] - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # contours
 # ---------------------------------------------------------------------------
@@ -252,17 +230,8 @@ class Contour:
     weighted sum is doubled (the factor 2 is folded into the weights).
     """
 
-    kernel: PayoffKernel
-    damping: np.ndarray       # (n_args,)
-    nodes_per_dim: int
-    decay: np.ndarray         # (n_args,)
-    args: np.ndarray          # (n_nodes, n_args) complex
     model_args: np.ndarray    # (n_nodes, d) complex
     weights: np.ndarray       # (n_nodes,) complex, include hhat and 2/(2pi)^M
-
-    @property
-    def n_nodes(self) -> int:
-        return self.args.shape[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,9 +282,7 @@ def build_contour(kernel: PayoffKernel, nodes_per_dim: int = 16,
         raise ValueError(f"transform of {kernel.name} is not finite on the "
                          "contour; move the damping away from the boundary")
     weights = wprod[keep] * hhat * (2.0 / (2.0 * np.pi) ** m)
-    return Contour(kernel=kernel, damping=damping,
-                   nodes_per_dim=nodes_per_dim, decay=decay.copy(), args=args,
-                   model_args=kernel.model_args(args), weights=weights)
+    return Contour(model_args=kernel.model_args(args), weights=weights)
 
 
 def suggest_decay(kernel: PayoffKernel, cov_rate: np.ndarray, horizon: float,

@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matcalc, models
 
@@ -79,15 +80,6 @@ class SimResult:
     @property
     def n_steps(self) -> int:
         return self.log_spot.shape[1] - 1
-
-    @property
-    def terminal_spot(self) -> np.ndarray:
-        return np.exp(self.log_spot[:, -1])
-
-    @property
-    def realized_cov(self) -> np.ndarray:
-        """Full-horizon realized covariance (the continuous bracket)."""
-        return self.integrated_cov[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +151,7 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
         z_norm[..., i] = rng.standard_normal((n_steps, d))
 
     clip = 0
-    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))[..., None]
+    e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
     a_mat = params.vol_of_vol[..., None]
     lift = matcalc.kron_lift(params.mean_rev)
     _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
@@ -227,7 +219,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     d = params.d
     kappa = params.drift_comp[:, None]
     lift = matcalc.kron_lift(params.mean_rev)
-    e_h = matcalc.mat_exp(params.mean_rev * h)[..., None]
+    e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
     k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
 
     xi = np.empty((n_steps, d, n))
@@ -287,8 +279,8 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
              n_paths: int, seed: int, path_start: int = 0, chunk_paths: int = 8192) -> SimResult:
     """Simulate n_paths over [state.t, horizon] on a uniform n_steps grid."""
     models.require_valid(params)
-    if horizon <= state.t:
-        raise ValueError("horizon must exceed the state time")
+    if not (np.isfinite(horizon) and horizon > state.t):
+        raise ValueError("horizon must be finite and exceed the state time")
     if n_steps < 1 or n_paths < 1 or chunk_paths < 1:
         raise ValueError("n_steps, n_paths and chunk_paths must be positive")
     if seed < 0 or path_start < 0:

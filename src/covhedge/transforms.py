@@ -105,6 +105,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import matcalc, models
 
@@ -128,13 +129,6 @@ _BLOWUP_LIMIT = 1e12
 _ASYM_TOL = 1e-6
 
 
-def _as_cvec(u, d: int) -> np.ndarray:
-    a = np.asarray(u, dtype=complex).reshape(-1)
-    if a.size != d:
-        raise ValueError(f"u: expected length {d}, got {a.size}")
-    return a
-
-
 def _source(u: np.ndarray) -> np.ndarray:
     """The Riccati source term D = (u u' - diag u) / 2, batched over u."""
     d = u.shape[-1]
@@ -147,11 +141,11 @@ def _source(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def wasc_hamiltonian(params: models.WascParams, u) -> np.ndarray:
-    """The 2d x 2d linearization matrix [[F, -2A'A], [(uu'-diag u)/2, -F']];
-    a (B, d) stack of arguments gives a (B, 2d, 2d) stack."""
+    """The 2d x 2d linearization matrix [[F, -2A'A], [(uu'-diag u)/2, -F']]
+    for a (d,) argument; a (B, d) stack of arguments gives a (B, 2d, 2d)
+    stack."""
     d = params.d
     u = np.asarray(u, dtype=complex)
-    u = _as_cvec(u, d) if u.ndim != 2 else u
     a_rho = params.vol_of_vol.T @ params.leverage
     f = params.mean_rev + a_rho[:, None] * u[..., None, :]
     ham = np.zeros(u.shape[:-1] + (2 * d, 2 * d), dtype=complex)
@@ -191,13 +185,11 @@ class TransformGrid:
     """(phi, psi) for V = 0 on a lattice of times-to-maturity and u nodes.
 
     phi has shape (K, M), psi has shape (K, M, d, d), valid (K, M); row k
-    corresponds to taus[k] and column m to nodes[m].  phi_quadrature (M,)
-    marks the nodes whose phi took the panel rule (none when every tau is
-    0).
+    corresponds to the k-th time-to-maturity given to transform_grid and
+    column m to its m-th node.  phi_quadrature (M,) marks the nodes whose
+    phi took the panel rule (none when every tau is 0).
     """
 
-    taus: np.ndarray
-    nodes: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     valid: np.ndarray
@@ -274,7 +266,7 @@ def _theta_low(spec: _Spectrum, svals: np.ndarray) -> np.ndarray:
     low = (np.exp(svals[:, None] * spec.lam[:, None, :]) @ modes).reshape(
         n, svals.size, d, 2 * d)
     for b in np.flatnonzero(~ok):
-        low[b] = matcalc.mat_exp(svals[:, None, None] * spec.ham[b])[:, d:, :]
+        low[b] = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
     return low
 
 
@@ -388,23 +380,29 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
 def transform_grid(params, taus, nodes) -> TransformGrid:
     """Evaluate (phi, psi) with V = 0 on a times x nodes lattice.
 
-    taus: array (K,) of nonnegative times-to-maturity, in any order, with
-    repeats and 0 allowed.
+    taus: array (K,) of finite nonnegative times-to-maturity, in any order,
+    with repeats and 0 allowed.
     nodes: array (M, d) of complex arguments.
 
     Entries that fail a domain check hold nan in phi and psi.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=complex))
-    if np.any(taus < 0):
-        raise ValueError("times-to-maturity must be nonnegative")
+    if not np.all(np.isfinite(taus) & (taus >= 0)):
+        raise ValueError("times-to-maturity must be finite and nonnegative")
     m_nodes, d = nodes.shape[0], params.d
+    if nodes.shape[1] != d:
+        raise ValueError(f"nodes must have {d} columns, got {nodes.shape[1]}")
     knots, row = np.unique(taus, return_inverse=True)
-    lead = int(knots.size > 0 and knots[0] == 0.0)    # the tau = 0 row
+    lead = int(knots.size > 0 and knots[0] == 0.0)    # the tau = 0 knot
     n_k = knots.size - lead
-    phi = np.zeros((knots.size, m_nodes), dtype=complex)
-    psi = np.zeros((knots.size, m_nodes, d, d), dtype=complex)
-    valid = np.ones((knots.size, m_nodes), dtype=bool)
+    # the rows with tau > 0 and the positive knot each one reads; every
+    # block is gathered into them, so a repeated tau costs block-size work
+    at = np.flatnonzero(row >= lead)
+    knot = row[at] - lead
+    phi = np.zeros((taus.size, m_nodes), dtype=complex)
+    psi = np.zeros((taus.size, m_nodes, d, d), dtype=complex)
+    valid = np.ones((taus.size, m_nodes), dtype=bool)
     quad = np.zeros(m_nodes, dtype=bool)
     if n_k:
         pts, wts, starts = _phi_panels(knots[lead:])
@@ -427,11 +425,10 @@ def transform_grid(params, taus, nodes) -> TransformGrid:
                         bad = _span_any(~ok, n_k, starts)
                     # a node stays valid up to the first failed check on
                     # [0, tau]
-                    good = ~np.logical_or.accumulate(bad, axis=1)  # (B, K)
-                    phi[lead:, cols] = np.where(good, ph, np.nan).T
-                    psi[lead:, cols] = np.where(
-                        good[..., None, None], ps[:, :n_k], np.nan
-                    ).swapaxes(0, 1)
-                    valid[lead:, cols] = good.T
-    return TransformGrid(taus=taus, nodes=nodes, phi=phi[row], psi=psi[row],
-                         valid=valid[row], phi_quadrature=quad)
+                    good = ~np.logical_or.accumulate(bad, axis=1)[:, knot]
+                    cells = np.ix_(at, cols)
+                    phi[cells] = np.where(good, ph[:, knot], np.nan).T
+                    psi[cells] = np.where(good[..., None, None], ps[:, knot],
+                                          np.nan).swapaxes(0, 1)
+                    valid[cells] = good.T
+    return TransformGrid(phi=phi, psi=psi, valid=valid, phi_quadrature=quad)

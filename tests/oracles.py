@@ -33,7 +33,7 @@ checked against themselves:
                             batched hedge engines are checked against them
 
 The covariation rates take (phi, psi) from the package's transform engine as
-input and use ``models.wishart_mgf`` and ``matcalc.pinv_psd``: what they
+input and use ``models.wishart_mgf`` and ``scipy.linalg.pinvh``: what they
 check is the covariation algebra, not the transforms.
 """
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad_vec, solve_ivp
 from scipy.stats import norm
 
@@ -521,7 +522,7 @@ def gkw_theta(params, state: models.MarketState, ev: TransformEval
     the real part for an actual position)."""
     css = spot_spot_rate(params, state)
     csh = claim_spot_rate(params, state, ev)
-    return matcalc.pinv_psd(css, rcond=1e-12) @ csh
+    return scipy.linalg.pinvh(css, rtol=1e-12) @ csh
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +564,7 @@ def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
     covs[:, 0] = state.cov
     intcov[:, 0] = 0.0
     clip = 0
-    e_half = matcalc.mat_exp(params.mean_rev * (0.5 * h))
+    e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))
     lift = matcalc.kron_lift(params.mean_rev)
     _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))

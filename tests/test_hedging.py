@@ -34,6 +34,15 @@ def hedged(request, wasc_ref, bns_ref, state_ref):
     return params, sim, cache, hedge, cache.weight_mask(contour.weights)
 
 
+def lattice_phi(cache, sim):
+    """phi on the cache's (date, node) lattice, 0 at invalid nodes as the
+    cache holds it."""
+    grid = transforms.transform_grid(cache.params,
+                                     cache.horizon - sim.times[:-1],
+                                     cache.model_args)
+    return np.where(grid.valid, grid.phi, 0.0)
+
+
 def exploding_call():
     """d = 1, zero drift and leverage: the order-1.5 moment that an ATM
     call's damping needs explodes at tau* = pi / sqrt(3) ~ 1.81."""
@@ -44,9 +53,9 @@ def exploding_call():
     return params, state, payoffs.call_option(1, 0, 100.0)
 
 
-def complex_exp_basis(cache, k, log_spot, cov):
+def complex_exp_basis(cache, sim, k, log_spot, cov):
     """H = exp(phi + u'Y + Tr(psi Sigma)) by complex exp, node by node."""
-    expo = (cache.phi[k] + log_spot @ cache.model_args.T
+    expo = (lattice_phi(cache, sim)[k] + log_spot @ cache.model_args.T
             + np.einsum("mab,pab->pm", cache.psi[k], cov))
     return np.exp(expo), expo.real
 
@@ -58,8 +67,8 @@ class TestBasisCache:
         _, sim, cache, _, _ = hedged
         monkeypatch.setattr(backtest, "BASIS_BLOCK_POINTS",
                             5 * cache.model_args.shape[0] + 3)
-        got = cache.basis(0, k, sim.log_spot[:, k], sim.cov[:, k])
-        want, _ = complex_exp_basis(cache, k, sim.log_spot[:, k],
+        got = cache.basis(k, sim.log_spot[:, k], sim.cov[:, k])
+        want, _ = complex_exp_basis(cache, sim, k, sim.log_spot[:, k],
                                     sim.cov[:, k])
         assert got.shape == (N_PATHS, cache.model_args.shape[0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -72,10 +81,10 @@ class TestBasisCache:
         cov = sim.cov[:, k]
         log_spot[:4] += np.array([[150.0], [200.0], [300.0], [500.0]])
         with np.errstate(over="ignore"):
-            want, re = complex_exp_basis(cache, k, log_spot, cov)
+            want, re = complex_exp_basis(cache, sim, k, log_spot, cov)
         bad = re > models.OVERFLOW_RE
         assert 0 < bad.sum() < bad.size
-        got = cache.basis(0, k, log_spot, cov)
+        got = cache.basis(k, log_spot, cov)
         assert cache.overflow_count == bad.sum()
         assert np.all(got[bad] == 0)
         np.testing.assert_allclose(got[4:], want[4:], rtol=1e-13, atol=0)
@@ -93,8 +102,8 @@ class TestBasisCache:
         cov = sim.cov[:, k].copy()
         log_spot[3, 0] = np.nan
         cov[5, 0, 1] = cov[5, 1, 0] = np.nan
-        got = cache.basis(0, k, log_spot, cov)
-        want, _ = complex_exp_basis(cache, k, log_spot, cov)
+        got = cache.basis(k, log_spot, cov)
+        want, _ = complex_exp_basis(cache, sim, k, log_spot, cov)
         nan_rows = np.isin(np.arange(N_PATHS), [3, 5])
         assert np.all(np.isnan(got[nan_rows].real))
         assert np.all(np.isnan(got[nan_rows].imag))
@@ -103,8 +112,8 @@ class TestBasisCache:
         assert cache.overflow_count == 0
 
     def test_prepare_forgets_the_last_panel(self, wasc_ref, state_ref):
-        # with one step the memo key of either panel is (chunk 0, date 0),
-        # so a memo kept across prepare hands panel 2 the H of panel 1
+        # a cache prepared again on a second panel of the same dates must
+        # give that panel's hedge, not the first's
         kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
         panels = []
         for spot, seed in (((100.0, 100.0), 3), ((110.0, 95.0), 4)):
@@ -178,8 +187,9 @@ class TestFourierHedge:
     def test_positions_sum_gkw_theta_over_contour(self, hedged, k):
         params, sim, cache, hedge, weights = hedged
         spot = np.exp(sim.log_spot[:, k])
-        got = hedge.positions(0, k, spot, sim.log_spot[:, k], sim.cov[:, k])
+        got = hedge.positions(k, spot, sim.log_spot[:, k], sim.cov[:, k])
         tau = 1.0 - sim.times[k]
+        phi = lattice_phi(cache, sim)
         for p in range(N_PATHS):
             state = models.MarketState.from_log(sim.times[k],
                                                 sim.log_spot[p, k],
@@ -187,7 +197,7 @@ class TestFourierHedge:
             want = sum(
                 weights[k, m] * oracles.gkw_theta(
                     params, state, oracles.TransformEval(
-                        tau=tau, u=cache.model_args[m], phi=cache.phi[k, m],
+                        tau=tau, u=cache.model_args[m], phi=phi[k, m],
                         psi=cache.psi[k, m], valid=True))
                 for m in np.flatnonzero(cache.valid[k]))
             np.testing.assert_allclose(got[p], want.real, rtol=1e-9,
@@ -215,13 +225,15 @@ class TestFourierHedge:
 
 
 class Recorder:
-    """A strategy that holds nothing and records the chunks it is shown."""
+    """A strategy that holds nothing and records the chunk sizes it is
+    shown, date by date."""
 
     def prepare(self, sim):
-        self.chunks = set()
+        self.chunks = []
 
-    def positions(self, chunk_id, k, spot, log_spot, cov):
-        self.chunks.add((chunk_id, spot.shape[0]))
+    def positions(self, k, spot, log_spot, cov):
+        if k == 0:
+            self.chunks.append(spot.shape[0])
         return np.zeros_like(spot)
 
 
@@ -265,8 +277,8 @@ class TestRunBacktest:
 
         (fourier, swap, gbm_delta, _), one = sweep(700)
         (fourier_c, swap_c, gbm_delta_c, _), many = sweep(97)
-        assert one == {(0, 700)}
-        assert many == {(c, 97) for c in range(7)} | {(7, 21)}
+        assert one == [700]
+        assert many == [97] * 7 + [21]
         np.testing.assert_array_equal(fourier_c, fourier)
         np.testing.assert_array_equal(swap_c, swap)
         # gbm.bvn_upper sums its quadrature with a BLAS matrix-vector
@@ -352,6 +364,18 @@ class TestCovswapStrikes:
                   + bns_ref.jump_intensity * rho[i] * rho[j] * pair_mom)
         assert system.fair_strike == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_horizon(self, wasc_ref, bns_ref, horizon):
+        # a negative horizon gives negative strikes and a negative variance
+        with pytest.raises(ValueError, match="horizon"):
+            covswap.wasc_covswap_system(wasc_ref, SIGMA0_REF, horizon,
+                                        (0, 1), 3)
+        with pytest.raises(ValueError, match="horizon"):
+            covswap.bns_covswap_system(bns_ref, SIGMA0_REF, horizon, (0, 1), 3)
+        with pytest.raises(ValueError, match="horizon"):
+            covswap.wasc_covswap_variance(wasc_ref, SIGMA0_REF, horizon,
+                                          (0, 1))
+
 
 SWAP_PATHS = 4096
 SWAP_STEPS = 100
@@ -417,7 +441,7 @@ class TestFourierPrice:
     def test_matches_monte_carlo(self, swap_panels, state_ref, kind, kernel):
         params, sim, _ = swap_panels[kind]
         price = pricing.fourier_price(params, state_ref, 1.0, kernel)
-        pay = kernel.payoff(sim.terminal_spot)
+        pay = kernel.payoff(np.exp(sim.log_spot[:, -1]))
         se = pay.std(ddof=1) / np.sqrt(SWAP_PATHS)
         assert abs(price - pay.mean()) <= 3.0 * se
 

@@ -12,62 +12,12 @@ from scipy.integrate import quad_vec
 from covhedge import matcalc
 
 from conftest import M_REF, SIGMA0_REF
-from oracles import series_expm
-
-
-def rand_sym(d, rng, scale=1.0):
-    a = rng.standard_normal((d, d)) * scale
-    return 0.5 * (a + a.T)
 
 
 def rand_psd(d, rng, rank=None):
     rank = d if rank is None else rank
     b = rng.standard_normal((d, rank))
     return b @ b.T
-
-
-# ---------------------------------------------------------------------------
-# mat_exp
-# ---------------------------------------------------------------------------
-
-class TestMatExp:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(matcalc.mat_exp(np.zeros((2, 2))), np.eye(2))
-
-    def test_diagonal(self):
-        out = matcalc.mat_exp(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(out, np.diag([np.e, np.e ** 2]), rtol=1e-14)
-
-    def test_against_series_oracle_on_kron_lift(self):
-        # e^{0.5 * lift(M)} for the reference mean-reversion matrix
-        lifted = matcalc.kron_lift(M_REF)
-        got = matcalc.mat_exp(0.5 * lifted)
-        want = series_expm(0.5 * lifted, terms=40)
-        assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_complex_input(self):
-        m = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-        got = matcalc.mat_exp(m)
-        want = series_expm(m)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_commuting_pair_homomorphism(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            a = rand_sym(3, rng)
-            b = 0.3 * a @ a + 0.1 * a + 0.2 * np.eye(3)  # commutes with a
-            lhs = matcalc.mat_exp(a + b)
-            rhs = matcalc.mat_exp(a) @ matcalc.mat_exp(b)
-            assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            matcalc.mat_exp(np.zeros((2, 3)))
-
-    def test_rejects_nan(self):
-        m = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="NaN"):
-            matcalc.mat_exp(m)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +46,12 @@ class TestVecMat:
         with pytest.raises(ValueError, match="perfect square"):
             matcalc.mat(np.arange(3.0))
 
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros(4),
+                                   np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_kron_lift_rejects_non_square_or_non_finite(self, m):
+        with pytest.raises(ValueError, match="finite square"):
+            matcalc.kron_lift(m)
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_bitwise(self, d, seed):
@@ -112,44 +68,6 @@ class TestVecMat:
         lhs = matcalc.mat(matcalc.kron_lift(m) @ matcalc.vec(x))
         rhs = m @ x + x @ m.T
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-# ---------------------------------------------------------------------------
-# pinv_psd
-# ---------------------------------------------------------------------------
-
-class TestPinv:
-    def test_identity(self):
-        np.testing.assert_allclose(matcalc.pinv_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_rank_deficient_diagonal(self):
-        out = matcalc.pinv_psd(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_penrose_conditions_rank2(self):
-        rng = np.random.default_rng(11)
-        m = rand_psd(4, rng, rank=2)
-        p = matcalc.pinv_psd(m)
-        scale = np.linalg.norm(m)
-        assert np.linalg.norm(m @ p @ m - m) < 1e-9 * scale
-        assert np.linalg.norm(p @ m @ p - p) < 1e-9 * np.linalg.norm(p)
-        assert np.linalg.norm((m @ p).T - m @ p) < 1e-10
-        assert np.linalg.norm((p @ m).T - p @ m) < 1e-10
-
-    def test_double_application_full_rank(self):
-        rng = np.random.default_rng(12)
-        m = rand_psd(5, rng) + 0.5 * np.eye(5)
-        back = matcalc.pinv_psd(matcalc.pinv_psd(m))
-        assert np.max(np.abs(back - m)) < 1e-8 * np.max(np.abs(m))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            matcalc.pinv_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rcond_cutoff(self):
-        m = np.diag([1.0, 1e-14])
-        p = matcalc.pinv_psd(m, rcond=1e-10)
-        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,31 @@ class TestMarketStateInput:
             models.MarketState.from_spot(0.0, S0_REF,
                                          np.array([[0.1, 0.2], [0.2, 0.1]]))
 
+    @pytest.mark.parametrize("spot", [[-100.0, 100.0], [0.0, 100.0],
+                                      [np.inf, 100.0], [np.nan, 100.0]])
+    def test_rejects_spot_without_finite_log(self, spot):
+        # a nan log spot would reach pricing, which blames the contour, and
+        # simulate, which returns a nan asset
+        with pytest.raises(ValueError, match="log_spot must be finite"):
+            models.MarketState.from_spot(0.0, spot, SIGMA0_REF)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_time(self, t):
+        # simulate and fourier_price would blame the horizon instead
+        with pytest.raises(ValueError, match="t must be finite"):
+            models.MarketState.from_spot(t, S0_REF, SIGMA0_REF)
+
+    @pytest.mark.parametrize("log_spot", [[np.nan, 4.6], [4.6, np.inf]])
+    def test_rejects_non_finite_log_spot(self, log_spot):
+        with pytest.raises(ValueError, match="log_spot must be finite"):
+            models.MarketState.from_log(0.0, log_spot, SIGMA0_REF)
+
+    def test_rejects_spot_that_is_not_exp_of_log_spot(self):
+        with pytest.raises(ValueError, match="log of spot"):
+            models.MarketState(t=0.0, spot=np.array([-100.0]),
+                               log_spot=np.array([np.log(100.0)]),
+                               cov=np.eye(1))
+
     def test_accepts_rounding_below_zero(self):
         # -1e-13 is inside the tolerance 1e-10 * ||cov||_2 = 1e-11
         cov = np.diag([0.1, -1e-13])

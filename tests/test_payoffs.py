@@ -88,6 +88,19 @@ class TestVanillaKernels:
         with pytest.raises(ValueError, match="strike"):
             payoffs.spread_option(2, 0, 1, -3.0)
 
+    @pytest.mark.parametrize("strike", [np.nan, np.inf])
+    def test_non_finite_strike_rejected(self, strike):
+        # a nan strike would otherwise surface in build_contour as a
+        # damping error
+        with pytest.raises(ValueError, match="strike"):
+            payoffs.put_option(2, 0, strike)
+        with pytest.raises(ValueError, match="strike"):
+            payoffs.geometric_option(2, [0.5, 0.5], strike)
+        with pytest.raises(ValueError, match="strike"):
+            payoffs.quadrant_option(2, "cc", (0, 1), (100.0, strike))
+        with pytest.raises(ValueError, match="strike"):
+            payoffs.spread_option(2, 0, 1, strike)
+
     def test_bad_asset_index_rejected(self):
         with pytest.raises(ValueError, match="asset index"):
             payoffs.put_option(2, 5, 90.0)
@@ -121,6 +134,25 @@ class TestTwoAssetKernels:
             kind, SPOTS[0], SPOTS[1], k1, k2, VOLS[0], VOLS[1], RHO, TAU)
         assert fourier_price(ker, nodes_per_dim=24) == pytest.approx(
             ref, rel=2e-4, abs=1e-5)
+
+    def test_same_asset_rejected(self):
+        # on one asset both payoffs are identically 0, yet the transform
+        # prices the spread at -0.55 under the wasc reference set
+        with pytest.raises(ValueError, match="differ"):
+            payoffs.spread_option(2, 0, 0, 5.0)
+        with pytest.raises(ValueError, match="differ"):
+            payoffs.exchange_option(2, 1, 1)
+
+    def test_quadrant_transform_is_the_product_of_its_legs(self):
+        args = np.array([[1.5 + 0.4j, -0.5 - 2.0j], [1.5 - 3.0j, -0.5 + 0.1j]])
+        quad = payoffs.quadrant_option(2, "cp", (0, 1), (105.0, 88.0))
+        call = payoffs.call_option(2, 0, 105.0)
+        put = payoffs.put_option(2, 1, 88.0)
+        np.testing.assert_array_equal(
+            quad.transform(args),
+            call.transform(args[:, :1]) * put.transform(args[:, 1:]))
+        np.testing.assert_array_equal(quad.default_damping, [1.5, -0.5])
+        assert quad.strip_margin(np.array([1.2, -0.1])) == pytest.approx(0.1)
 
     def test_quadrant_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -239,12 +271,12 @@ class TestContourConstruction:
         cum = np.cumsum(mass[order]) / mass.sum()
         n_small = int(np.searchsorted(cum, 5e-4))
         assert n_small >= 1          # the far tail really is negligible
-        drop_small = np.ones(ct.n_nodes, dtype=bool)
+        drop_small = np.ones(ct.weights.size, dtype=bool)
         drop_small[order[:n_small]] = False
         assert payoffs.contour_price(ct, hv, valid=drop_small) == \
             pytest.approx(full, rel=1e-4, abs=1e-8)
 
-        drop_big = np.ones(ct.n_nodes, dtype=bool)
+        drop_big = np.ones(ct.weights.size, dtype=bool)
         drop_big[order[-4:]] = False
         with pytest.raises(ValueError, match="invalid transform nodes"):
             payoffs.contour_price(ct, hv, valid=drop_big)

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from covhedge import matcalc, models, simulate
 
@@ -79,6 +80,14 @@ class TestBasics:
             simulate.simulate(wasc_ref, state_ref, 1.0, 10, 10, seed=1,
                               chunk_paths=0)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_rejects_non_finite_horizon(self, horizon, wasc_ref, bns_ref,
+                                        state_ref):
+        # nothing downstream rejects a nan horizon: the panels come out nan
+        for params in (wasc_ref, bns_ref):
+            with pytest.raises(ValueError, match="finite"):
+                simulate.simulate(params, state_ref, horizon, 3, 2, seed=1)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("model", ["wasc", "bns"])
@@ -122,7 +131,7 @@ class TestDeterminism:
 
 class TestWascStatistics:
     def test_spot_martingale(self, wasc_sim):
-        st = wasc_sim.terminal_spot
+        st = np.exp(wasc_sim.log_spot[:, -1])
         dev = np.abs(st.mean(axis=0) - S0_REF)
         assert np.all(dev <= 3.0 * _se(st))
 
@@ -135,7 +144,7 @@ class TestWascStatistics:
     def test_integrated_covariance_mean(self, wasc_ref, wasc_sim):
         imap = models.wasc_integrated_mean(wasc_ref, 0.0, 1.0)
         exact = matcalc.mat(imap.map @ matcalc.vec(SIGMA0_REF) + imap.offset)
-        samp = wasc_sim.realized_cov
+        samp = wasc_sim.integrated_cov[:, -1]
         dev = np.abs(samp.mean(axis=0) - exact)
         assert np.all(dev <= 3.0 * _se(samp) + 1e-12)
 
@@ -152,7 +161,7 @@ class TestWascStatistics:
 
 class TestBnsStatistics:
     def test_spot_martingale(self, bns_sim):
-        st = bns_sim.terminal_spot
+        st = np.exp(bns_sim.log_spot[:, -1])
         dev = np.abs(st.mean(axis=0) - S0_REF)
         assert np.all(dev <= 3.0 * _se(st))
 
@@ -170,7 +179,7 @@ class TestBnsStatistics:
         pair_mom = (n * n * np.outer(np.diag(th), np.diag(th))
                     + 2.0 * n * th * th)
         jumps = bns_ref.jump_intensity * 1.0 * np.outer(rho, rho) * pair_mom
-        samp = bns_sim.realized_cov
+        samp = bns_sim.integrated_cov[:, -1]
         dev = np.abs(samp.mean(axis=0) - (cont + jumps))
         assert np.all(dev <= 3.0 * _se(samp) + 1e-12)
 
@@ -201,7 +210,7 @@ class TestBnsExactness:
         sim = simulate.simulate(quiet, state_ref, 1.0, 25, 3, seed=1)
         lift = matcalc.kron_lift(quiet.mean_rev)
         for k, t in enumerate(sim.times):
-            flow = matcalc.mat_exp(quiet.mean_rev * t)
+            flow = scipy.linalg.expm(quiet.mean_rev * t)
             exact = flow @ SIGMA0_REF @ flow.T
             assert np.max(np.abs(sim.cov[0, k] - exact)) < 1e-10
             exact_int = matcalc.mat(
@@ -248,7 +257,7 @@ class TestCoarseGrid:
         vals = np.exp(sim.log_spot[:, -1] @ u)
         assert abs(vals.real.mean() - closed.real) <= 3.0 * _se(vals.real)
         assert abs(vals.imag.mean() - closed.imag) <= 3.0 * _se(vals.imag)
-        st = sim.terminal_spot
+        st = np.exp(sim.log_spot[:, -1])
         assert np.all(np.abs(st.mean(axis=0) - S0_REF) <= 3.0 * _se(st))
 
     def test_splitting_flow_exact_without_vol_of_vol(self, state_ref):
@@ -372,11 +381,11 @@ def log_return_bracket(sim):
 
 class TestRealizedQuadratics:
     def test_log_kernel_tracks_bracket(self, wasc_sim):
-        diff = log_return_bracket(wasc_sim) - wasc_sim.realized_cov
+        diff = log_return_bracket(wasc_sim) - wasc_sim.integrated_cov[:, -1]
         dev = np.abs(diff.mean(axis=0))
         assert np.all(dev <= 4.0 * _se(diff) + 1e-4)
 
     def test_log_kernel_tracks_bracket_with_jumps(self, bns_sim):
-        diff = log_return_bracket(bns_sim) - bns_sim.realized_cov
+        diff = log_return_bracket(bns_sim) - bns_sim.integrated_cov[:, -1]
         dev = np.abs(diff.mean(axis=0))
         assert np.all(dev <= 4.0 * _se(diff) + 1e-4)

@@ -301,6 +301,21 @@ class TestTransformGrid:
             transforms.transform_grid(wasc_ref, [-0.5],
                                       np.stack(CONTOUR_NODES))
 
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, model, tau, wasc_ref, bns_ref):
+        # the panel rule would otherwise fail on it with a numpy shape error
+        params = wasc_ref if model == "wasc" else bns_ref
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            transforms.transform_grid(params, [0.5, tau],
+                                      np.stack(CONTOUR_NODES))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_nodes_of_wrong_width(self, width, wasc_ref):
+        with pytest.raises(ValueError, match="2 columns"):
+            transforms.transform_grid(wasc_ref, [0.5],
+                                      np.full((4, width), 1.5 + 0j))
+
     # unsorted, with a repeat and a zero: rows come back in the given order
     MIXED_TAUS = np.array([0.7, 0.0, 0.25, 0.7, 1.3, 0.05])
 
@@ -571,10 +586,10 @@ class TestBlockPartition:
 
 
 class TestMemory:
-    """transform_grid holds the lattice twice (its knot rows, then the
-    returned rows in tau order), lattice-wide tables under 0.5 MB (the
-    nodes' spectra, the s grid, the jump model's operator) and one node
-    block of about BLOCK_POINTS (node, s) points.  A block costs about 370
+    """transform_grid holds the lattice once (each block is written into
+    the returned rows), lattice-wide tables under 0.5 MB (the nodes'
+    spectra, the s grid, the jump model's operator) and one node block of
+    about BLOCK_POINTS (node, s) points.  A block costs about 370
     bytes a point (the largest slope of the traced peak against the budget
     on this lattice, for budgets up to 65,536); the bound allows 1.5 times
     that.
@@ -601,5 +616,5 @@ class TestMemory:
             tracemalloc.stop()
         lattice = grid.phi.nbytes + grid.psi.nbytes + grid.valid.nbytes
         assert grid.phi.shape == (100, 288)
-        assert peak <= (2 * lattice + 0.5e6 + 1.5 * self.BYTES_PER_POINT
+        assert peak <= (lattice + 0.5e6 + 1.5 * self.BYTES_PER_POINT
                         * transforms.BLOCK_POINTS)
