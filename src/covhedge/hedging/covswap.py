@@ -57,7 +57,6 @@ class CovswapSystem:
 
     kind: str
     pair: tuple[int, int]
-    horizon: float
     times: np.ndarray          # (K+1,)
     g_mats: np.ndarray         # (K+1, d, d)
     c_vals: np.ndarray         # (K+1,)
@@ -90,6 +89,7 @@ def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
 def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
                         horizon: float, pair: tuple[int, int],
                         n_steps: int) -> CovswapSystem:
+    models.require_valid(params)
     times = _time_grid(horizon, n_steps)
     g_mats, c_vals = _coefficients(params.mean_rev,
                                    _pair_matrix(params.d, pair),
@@ -97,9 +97,9 @@ def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
     strike = float(np.trace(g_mats[0] @ sigma0) + c_vals[0])
     a_rho = params.vol_of_vol.T @ params.leverage
     theta_core = 2.0 * np.einsum("kab,b->ka", g_mats, a_rho)
-    return CovswapSystem(kind="wasc", pair=tuple(pair), horizon=horizon,
-                         times=times, g_mats=g_mats, c_vals=c_vals,
-                         fair_strike=strike, theta_core=theta_core)
+    return CovswapSystem(kind="wasc", pair=tuple(pair), times=times,
+                         g_mats=g_mats, c_vals=c_vals, fair_strike=strike,
+                         theta_core=theta_core)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,7 @@ def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int) -> float:
 def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
                        horizon: float, pair: tuple[int, int],
                        n_steps: int) -> CovswapSystem:
+    models.require_valid(params)
     d = params.d
     i, j = pair
     times = _time_grid(horizon, n_steps)
@@ -143,9 +144,9 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
         tilt = (a_ij * wishart_pair_mean(tilted, n, i, j)
                 + n * np.einsum("kab,ba->k", g_mats, tilted))
         theta_core[:, k] = lam * (mgf_k.real * tilt - base)
-    return CovswapSystem(kind="bns", pair=tuple(pair), horizon=horizon,
-                         times=times, g_mats=g_mats, c_vals=c_vals,
-                         fair_strike=strike, theta_core=theta_core)
+    return CovswapSystem(kind="bns", pair=tuple(pair), times=times,
+                         g_mats=g_mats, c_vals=c_vals, fair_strike=strike,
+                         theta_core=theta_core)
 
 
 def covswap_values(system: CovswapSystem, integrated_cov: np.ndarray,
@@ -175,6 +176,7 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     variance rate 4 Tr(G Sigma G V_perp); taking expectations moves the
     mean covariance flow inside the trace.
     """
+    models.require_valid(params)
     e_pair = _pair_matrix(params.d, pair)
     ts = _time_grid(horizon, _SIMPSON_INTERVALS)
     _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),

@@ -1,8 +1,8 @@
 """Shared fixtures: the two-asset reference parameter set used across the
 test suite (matrix vol-of-vol A, mean reversion M, leverage rho, Wishart
-shape alpha, initial covariance and spots), ``basis_at``, the basis claim
-H at one market state through the lattice engine, and a derandomized
-hypothesis profile."""
+shape alpha, initial covariance and spots), ``inadmissible_params``, one
+rejected set per model, ``basis_at``, the basis claim H at one market state
+through the lattice engine, and a derandomized hypothesis profile."""
 
 from __future__ import annotations
 
@@ -58,6 +58,25 @@ def state_ref():
 
     return models.MarketState.from_spot(t=0.0, spot=S0_REF.copy(),
                                         cov=SIGMA0_REF.copy())
+
+
+def inadmissible_params(kind: str):
+    """A set that models.validate rejects, one per model: the wasc
+    reference set with leverage (0.9, 0.9), so rho'rho = 1.62 > 1, and the
+    bns reference set with jump intensity -3.  Unchecked, the first priced
+    the ATM call on asset 0 at 10.553 (10.311 at the reference set) and
+    gave a hedged swap variance of -1.03e-4; the second priced that call at
+    0.0."""
+    from covhedge import models
+
+    if kind == "wasc":
+        return models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                                 leverage=[0.9, 0.9], alpha=ALPHA_REF)
+    return models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=-3.0,
+                            wishart_shape=3.0,
+                            wishart_scale=np.array([[0.02, 0.008],
+                                                    [0.008, 0.02]]),
+                            leverage_diag=np.array([-0.8, -0.5]))
 
 
 def basis_at(params, state, horizon: float, u) -> complex:

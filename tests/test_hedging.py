@@ -11,7 +11,8 @@ from covhedge import gbm, matcalc, models, payoffs, simulate, transforms
 from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
-from conftest import ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF
+from conftest import (ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
+                      inadmissible_params)
 
 N_PATHS = 12
 N_STEPS = 4
@@ -375,6 +376,50 @@ class TestCovswapStrikes:
         with pytest.raises(ValueError, match="horizon"):
             covswap.wasc_covswap_variance(wasc_ref, SIGMA0_REF, horizon,
                                           (0, 1))
+
+
+INADMISSIBLE = "invalid model parameters"
+
+
+class TestInadmissibleParams:
+    """Every entry point that evaluates a model refuses the sets that
+    models.validate rejects, with its diagnostics, before any warning."""
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_fourier_price(self, state_ref, kind):
+        with pytest.raises(ValueError, match=INADMISSIBLE):
+            pricing.fourier_price(inadmissible_params(kind), state_ref, 1.0,
+                                  payoffs.call_option(2, 0, 100.0))
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_integrated_cov_rate(self, state_ref, kind):
+        with pytest.raises(ValueError, match=INADMISSIBLE):
+            pricing.integrated_cov_rate(inadmissible_params(kind), state_ref,
+                                        1.0)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_basis_cache(self, wasc_ref, state_ref, kind):
+        sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
+                                seed=5)
+        cache = backtest.BasisCache(inadmissible_params(kind),
+                                    [[1.5 + 1.0j, 1.5 - 1.0j]], 1.0)
+        with pytest.raises(ValueError, match=INADMISSIBLE):
+            cache.prepare(sim)
+
+    def test_wasc_covswap_system(self):
+        with pytest.raises(ValueError, match="leverage norm"):
+            covswap.wasc_covswap_system(inadmissible_params("wasc"),
+                                        SIGMA0_REF, 1.0, (0, 1), 3)
+
+    def test_bns_covswap_system(self):
+        with pytest.raises(ValueError, match="jump_intensity"):
+            covswap.bns_covswap_system(inadmissible_params("bns"),
+                                       SIGMA0_REF, 1.0, (0, 1), 3)
+
+    def test_wasc_covswap_variance(self):
+        with pytest.raises(ValueError, match="leverage norm"):
+            covswap.wasc_covswap_variance(inadmissible_params("wasc"),
+                                          SIGMA0_REF, 1.0, (0, 1))
 
 
 SWAP_PATHS = 4096

@@ -15,7 +15,7 @@ from covhedge.hedging import pricing
 
 import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      basis_at)
+                      basis_at, inadmissible_params)
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -310,6 +310,12 @@ class TestTransformGrid:
             transforms.transform_grid(params, [0.5, tau],
                                       np.stack(CONTOUR_NODES))
 
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_rejects_inadmissible_params(self, kind):
+        with pytest.raises(ValueError, match="invalid model parameters"):
+            transforms.transform_grid(inadmissible_params(kind), [0.5],
+                                      np.stack(CONTOUR_NODES))
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_nodes_of_wrong_width(self, width, wasc_ref):
         with pytest.raises(ValueError, match="2 columns"):
@@ -551,6 +557,103 @@ class TestClosedFormPhi:
             assert not np.any(grid.phi_quadrature)
         grid = transforms.transform_grid(bns_ref, [0.5, 1.0], nodes)
         assert np.all(grid.phi_quadrature)
+
+
+def eig_spectrum(params, nodes):
+    """The eigen-split of the Hamiltonians from LAPACK eig and inv, as
+    transforms takes it for d > 2."""
+    d = params.d
+    ham = transforms.wasc_hamiltonian(params, nodes)
+    lam, q = np.linalg.eig(ham)
+    ok = np.linalg.cond(q, 1) <= 1e10
+    dom = np.argsort(-lam.real, axis=-1)
+    q2d = np.take_along_axis(q[:, d:, :], dom[:, None, :d], axis=-1)
+    closed = ok & (np.linalg.cond(q2d, 1) <= 1e10)
+    return transforms._Spectrum(ham, lam, q, np.linalg.inv(q), ok, dom,
+                                closed)
+
+
+def strip_nodes(params, state):
+    """The contour nodes fourier_price builds for a strip of one-sided,
+    spread, exchange and geometric claims at T = 1, then fixed nodes far
+    out on the contours, where the source block D of Ham is large."""
+    d = params.d
+    if d == 1:
+        kernels = [payoffs.call_option(1, 0, 100.0),
+                   payoffs.put_option(1, 0, 90.0)]
+        far = [[1.5 + 80.0j], [-0.5 - 150.0j]]
+    else:
+        kernels = [payoffs.call_option(2, 0, 90.0),
+                   payoffs.put_option(2, 1, 110.0),
+                   payoffs.quadrant_option(2, "cp", (0, 1), (95.0, 105.0)),
+                   payoffs.spread_option(2, 0, 1, 5.0),
+                   payoffs.exchange_option(2, 0, 1),
+                   payoffs.geometric_option(2, (0.5, 0.5), 100.0)]
+        far = [[1.5 + 60.0j, 1.5 - 45.0j], [-0.5 + 80.0j, 1.5 + 0.3j],
+               [1.5 + 0.2j, -0.5 - 120.0j], [1.5 + 90.0j, -0.5 + 90.0j]]
+    rate = pricing.integrated_cov_rate(params, state, 1.0)
+    nodes = [payoffs.build_contour(
+        k, nodes_per_dim=24,
+        decay=payoffs.suggest_decay(k, rate, 1.0, 24)).model_args
+        for k in kernels]
+    return np.concatenate(nodes + [np.array(far, dtype=complex)])
+
+
+class TestClosedFormSpectrum:
+    """For d <= 2 the eigenpairs of Ham come in closed form from the roots
+    mu = lam^2 and the spectral projectors, with no LAPACK eig; the lower
+    block rows of Theta and log det Theta_22 agree with the eig route."""
+
+    S_VALUES = np.array([0.05, 0.5, 1.0])
+
+    @pytest.mark.parametrize("case", ["reference", "frozen", "exploding"])
+    def test_matches_eig_route(self, case, wasc_ref, state_ref):
+        params, state = {
+            "reference": (wasc_ref, state_ref),
+            "frozen": (models.WascParams(d=2, mean_rev=M_REF,
+                                         vol_of_vol=np.zeros((2, 2)),
+                                         leverage=RHO_REF, alpha=ALPHA_REF),
+                       state_ref),
+            # the d = 1 set of test_hedging.exploding_call
+            "exploding": (models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                                            vol_of_vol=np.eye(1),
+                                            leverage=np.zeros(1), alpha=1.0),
+                          models.MarketState.from_spot(0.0, [100.0],
+                                                       [[0.04]]))}[case]
+        nodes = strip_nodes(params, state)
+        closed = transforms._spectrum(params, nodes)
+        ref = eig_spectrum(params, nodes)
+        assert np.array_equal(closed.ok, ref.ok)
+        assert np.array_equal(closed.closed, ref.closed)
+        assert np.all(closed.closed)
+        low = transforms._theta_low(closed, self.S_VALUES)
+        low_ref = transforms._theta_low(ref, self.S_VALUES)
+        size = np.max(np.abs(low_ref), axis=(-2, -1))
+        assert np.max(np.max(np.abs(low - low_ref), axis=(-2, -1))
+                      / size) < 1e-12
+        log_det = transforms._log_det(closed, self.S_VALUES)
+        log_det_ref = transforms._log_det(ref, self.S_VALUES)
+        assert np.max(np.abs(log_det - log_det_ref)
+                      / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
+
+    def test_no_eig_for_d_up_to_2(self, wasc_ref, monkeypatch):
+        def refuse(_):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        grid = transforms.transform_grid(wasc_ref, [0.5, 1.0],
+                                         np.stack(CONTOUR_NODES))
+        assert np.all(grid.valid)
+        one = models.WascParams(d=1, mean_rev=-np.eye(1), vol_of_vol=np.eye(1),
+                                leverage=[-0.5], alpha=1.0)
+        assert np.all(transforms.transform_grid(one, [1.0],
+                                                [[1.5 + 2.0j]]).valid)
+        three = models.WascParams(d=3, mean_rev=-2.0 * np.eye(3),
+                                  vol_of_vol=0.2 * np.eye(3),
+                                  leverage=np.zeros(3), alpha=3.0)
+        with pytest.raises(AssertionError, match="eig called"):
+            transforms.transform_grid(three, [1.0],
+                                      [[1.5 + 1.0j, 0.5, -0.5 + 2.0j]])
 
 
 class TestBlockPartition:
