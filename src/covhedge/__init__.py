@@ -3,8 +3,9 @@ covariance-sensitive derivatives under affine stochastic covariance models.
 The semi-static variance-optimal hedge of the source paper is planned.
 
 matcalc     dense symmetric/PSD matrix utilities
-models      parameter containers and validation, the Wishart MGF, covariance
-            first moments, the overflow rule
+models      parameter containers that check their admissible domain when
+            built, the Wishart MGF and jump covariation, covariance first
+            moments, the overflow rule
 transforms  exponential-affine transforms (phi, Psi) on a times-to-maturity x
             contour-node lattice
 simulate    seeded, chunk-invariant Monte Carlo path panels

@@ -90,13 +90,8 @@ _CIS = _cis_table()
 @dataclass
 class BacktestResult:
     name: str
-    wealth: np.ndarray        # (P,) terminal wealth
+    pnl: np.ndarray           # (P,) terminal wealth minus the claim payout
     payoff: np.ndarray        # (P,) claim payout
-
-    @property
-    def pnl(self) -> np.ndarray:
-        """Terminal hedging error: wealth minus the claim payout."""
-        return self.wealth - self.payoff
 
 
 @dataclass
@@ -156,8 +151,7 @@ class BasisCache:
         self.overflow_count = 0
 
     def prepare(self, sim) -> None:
-        if abs(sim.times[-1] - self.horizon) > 1e-12:
-            raise ValueError("claim maturity must match the simulation span")
+        _check_span(sim, self.horizon)
         d = self.params.d
         times = sim.times[:-1]
         taus = self.horizon - times
@@ -211,6 +205,21 @@ class BasisCache:
         return h
 
 
+def _check_span(sim, horizon: float) -> None:
+    if abs(sim.times[-1] - horizon) > 1e-12:
+        raise ValueError("claim maturity must match the simulation span")
+
+
+def _jump_cov(params) -> np.ndarray:
+    """The spots' jump covariation matrix of a jump model (d, d)."""
+    cov, ok = models.jump_covariation(params, params.marks)
+    if not np.all(ok):
+        raise ValueError("mark transform argument outside the convergence "
+                         "strip; the leverage is too aggressive for the "
+                         "jump size law")
+    return cov.real
+
+
 def _solve_sym_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve symmetric (P,d,d) systems against (P,d) right-hand sides."""
     d = mats.shape[-1]
@@ -247,28 +256,17 @@ class FourierHedge:
             # (K, M, d): u + 2 psi(k, m) A'rho, weighted per step
             gv = u[None] + 2.0 * cache.psi @ a_rho
             self._gw = wk[..., None] * gv
-            self._jump_cov = None
         else:
             d = params.d
-            theta, shape = params.wishart_scale, params.wishart_shape
-            marks = np.zeros((d, d, d))                  # rho_k E^kk per asset
-            idx = np.arange(d)
-            marks[idx, idx, idx] = params.leverage_diag
             # R(u) = psi + Diag(rho * u) on the whole (K, M) lattice
             lev = np.eye(d) * (params.leverage_diag * u)[:, None, :]
-            r_u = cache.psi + lev
-            m_u, ok = models.wishart_mgf(theta, shape, r_u)
-            m_uk, ok_k = models.wishart_mgf(theta, shape,
-                                            r_u[..., None, :, :] + marks)
-            m_k, _ = models.wishart_mgf(theta, shape, marks)
-            if np.any(cache.valid & ~(ok & np.all(ok_k, axis=-1))):
+            jv, ok = models.jump_covariation(params, cache.psi + lev)
+            if np.any(cache.valid[..., None] & ~ok):
                 raise ValueError("claim transform node leaves the mark strip")
-            # lam * E[(e^{rho_k X_kk} - 1)(e^{Tr(R X)} - 1)] per asset k
-            jv = np.where(cache.valid[..., None], params.jump_intensity
-                          * (m_uk - m_u[..., None] - m_k + 1.0), 0.0)
+            jv = np.where(cache.valid[..., None], jv, 0.0)
             self._uw = wk[..., None] * u[None]           # (K, M, d)
             self._jw = wk[..., None] * jv                # (K, M, d)
-            self._jump_cov = models.bns_jump_cov(params)
+            self._jump_cov = _jump_cov(params)
 
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
                   cov: np.ndarray) -> np.ndarray:
@@ -292,6 +290,7 @@ class GbmDeltaHedge:
         self.horizon = horizon
 
     def prepare(self, sim) -> None:
+        _check_span(sim, self.horizon)
         self._times = sim.times
 
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
@@ -312,7 +311,7 @@ class CovswapHedge:
         if (self.system.times.size != sim.times.size
                 or not np.allclose(self.system.times, sim.times)):
             raise ValueError("swap system grid must match the simulation")
-        self._jump_cov = (models.bns_jump_cov(self.params)
+        self._jump_cov = (_jump_cov(self.params)
                           if self.params.kind == "bns" else None)
 
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
@@ -359,5 +358,5 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
                 th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
                                             cov[:, k])
                 wealth[j][sl] += np.einsum("pa,pa->p", th, ds)
-    return [BacktestResult(name=job.name, wealth=w, payoff=p)
+    return [BacktestResult(name=job.name, pnl=w - p, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

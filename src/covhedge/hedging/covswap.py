@@ -89,7 +89,6 @@ def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
 def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
                         horizon: float, pair: tuple[int, int],
                         n_steps: int) -> CovswapSystem:
-    models.require_valid(params)
     times = _time_grid(horizon, n_steps)
     g_mats, c_vals = _coefficients(params.mean_rev,
                                    _pair_matrix(params.d, pair),
@@ -107,20 +106,21 @@ def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
 # the shape, theta the scale matrix
 # ---------------------------------------------------------------------------
 
-def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int) -> float:
-    return n * n * theta[i, i] * theta[j, j] + 2.0 * n * theta[i, j] ** 2
+def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int):
+    """E[X_ii X_jj], for one scale matrix or a (..., d, d) stack of them."""
+    return (n * n * theta[..., i, i] * theta[..., j, j]
+            + 2.0 * n * theta[..., i, j] ** 2)
 
 
 def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
                        horizon: float, pair: tuple[int, int],
                        n_steps: int) -> CovswapSystem:
-    models.require_valid(params)
-    d = params.d
     i, j = pair
     times = _time_grid(horizon, n_steps)
     drive = params.jump_mean()                    # covariance drift from jumps
-    g_mats, c_vals = _coefficients(params.mean_rev, _pair_matrix(d, pair),
-                                   drive, horizon - times)
+    g_mats, c_vals = _coefficients(params.mean_rev,
+                                   _pair_matrix(params.d, pair), drive,
+                                   horizon - times)
 
     lam = params.jump_intensity
     n = params.wishart_shape
@@ -131,19 +131,16 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
     c_vals = c_vals + (horizon - times) * lam * pair_base
     strike = float(np.trace(g_mats[0] @ sigma0) + c_vals[0])
 
-    # jump covariation of each spot with the swap value, per grid time
-    theta_core = np.zeros((times.size, d))
-    base = pair_base + n * np.einsum("kab,ba->k", g_mats, theta)
-    for k in range(d):
-        r_k = np.zeros((d, d))
-        r_k[k, k] = rho[k]
-        mgf_k, ok = models.wishart_mgf(theta, n, r_k)
-        if not ok:
-            raise ValueError("spot jump transform outside the mark strip")
-        tilted = np.linalg.inv(np.linalg.inv(theta) - 2.0 * r_k)
-        tilt = (a_ij * wishart_pair_mean(tilted, n, i, j)
-                + n * np.einsum("kab,ba->k", g_mats, tilted))
-        theta_core[:, k] = lam * (mgf_k.real * tilt - base)
+    # jump covariation of each spot k with the swap value, per grid time:
+    # the mark law tilted by the price jump marks[k] has scale
+    # (Theta^{-1} - 2 marks[k])^{-1}, inside the strip since the
+    # compensator is finite
+    mgf, _ = models.wishart_mgf(theta, n, params.marks)
+    tilted = np.linalg.inv(np.linalg.inv(theta) - 2.0 * params.marks)
+    base = pair_base + n * np.einsum("tab,ba->t", g_mats, theta)
+    tilt = (a_ij * wishart_pair_mean(tilted, n, i, j)
+            + n * np.einsum("tab,kba->tk", g_mats, tilted))
+    theta_core = lam * (mgf.real * tilt - base[:, None])
     return CovswapSystem(kind="bns", pair=tuple(pair), times=times,
                          g_mats=g_mats, c_vals=c_vals, fair_strike=strike,
                          theta_core=theta_core)
@@ -176,7 +173,6 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     variance rate 4 Tr(G Sigma G V_perp); taking expectations moves the
     mean covariance flow inside the trace.
     """
-    models.require_valid(params)
     e_pair = _pair_matrix(params.d, pair)
     ts = _time_grid(horizon, _SIMPSON_INTERVALS)
     _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),

@@ -12,10 +12,7 @@ __all__ = ["integrated_cov_rate", "fourier_price"]
 def integrated_cov_rate(params, state: models.MarketState,
                         horizon: float) -> np.ndarray:
     """Mean integrated covariance over [t, T], divided by the span: the
-    covariance-per-unit-time proxy used to adapt contour decay.
-    Inadmissible params raise (models.require_valid), so fourier_price
-    rejects them before its contour is built."""
-    models.require_valid(params)
+    covariance-per-unit-time proxy used to adapt contour decay."""
     tau = horizon - state.t
     if tau <= 0:
         raise ValueError("horizon must exceed the state time")

@@ -1,5 +1,5 @@
-"""Model parameter containers, admissibility validation, and closed-form
-first moments of the covariance state.
+"""Model parameter containers, the Wishart MGF and the jump covariation
+built on it, and closed-form first moments of the covariance state.
 
 Two affine covariance classes are supported:
 
@@ -9,11 +9,15 @@ Two affine covariance classes are supported:
   matrix subordinator with Wishart-distributed marks and exponential decay;
   log prices jump through a diagonal leverage loading.
 
-Parameter objects are immutable after construction and safe to share across
-threads.  ``validate`` returns diagnostics instead of raising so a caller can
-report all violations at once; computational entry points call
-``require_valid`` which raises on the first violation.  ``MarketState``
-rejects a covariance that is not a symmetric PSD d x d matrix.
+Parameter objects are immutable after construction, with read-only arrays,
+and safe to share across threads.  Each checks its admissible domain when
+it is built and raises one ValueError naming every violation, so no set
+outside it reaches a formula and no entry point checks again: for the
+Wishart model rho'rho <= 1 and Omega - (d-1) A'A PSD (Cuchiero, Filipovic,
+Mayerhofer & Teichmann 2011), for the jump model a positive intensity, a
+shape above d - 1, a positive definite mark scale and a finite compensator.
+``MarketState`` rejects a covariance that is not a symmetric PSD d x d
+matrix in the same way.
 
 The mean covariance solves dS/dt = drive + M S + S M' (drive: Omega, or the
 jump mean), so ``matcalc.lift_flows`` gives it for any M as flow vec Sigma_0
@@ -34,10 +38,8 @@ __all__ = [
     "BnsParams",
     "MarketState",
     "IntegratedMeanMap",
-    "validate",
-    "require_valid",
     "wishart_mgf",
-    "bns_jump_cov",
+    "jump_covariation",
     "wasc_mean_cov",
     "wasc_integrated_mean",
     "bns_integrated_mean",
@@ -60,6 +62,15 @@ def _as_matrix(x, d: int, name: str) -> np.ndarray:
     if a.shape != (d, d):
         raise ValueError(f"{name}: expected shape ({d}, {d}), got {a.shape}")
     return a
+
+
+def _freeze(params, names: tuple[str, ...], problems: list[str]) -> None:
+    """Make the named arrays read-only, then raise one ValueError listing
+    every admissibility violation, if there is any."""
+    for name in names:
+        getattr(params, name).setflags(write=False)
+    if problems:
+        raise ValueError("invalid model parameters: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,22 @@ class WascParams:
         else:
             raise ValueError("provide either omega or alpha")
         object.__setattr__(self, "omega", om)
-        for name in ("mean_rev", "vol_of_vol", "leverage", "omega"):
-            getattr(self, name).setflags(write=False)
+        problems = []
+        rho_sq = float(lev @ lev)
+        if not rho_sq <= 1.0 + 1e-12:
+            problems.append(
+                f"leverage norm violation: rho'rho = {rho_sq:.6g} > 1")
+        gram = self.vol_of_vol.T @ self.vol_of_vol
+        tol = matcalc.psd_tolerance(om) + matcalc.psd_tolerance(gram)
+        lo = matcalc.min_eigenvalue(matcalc.sym_part(om - (d - 1) * gram))
+        if not lo >= -tol:
+            problems.append(
+                "covariance-drift admissibility violated: "
+                f"min eig of omega - (d-1) A'A is {lo:.6g} < -{tol:.3g}")
+        if not matcalc.is_symmetric(om, rtol=1e-10):
+            problems.append("omega must be symmetric")
+        _freeze(self, ("mean_rev", "vol_of_vol", "leverage", "omega"),
+                problems)
 
     @property
     def kind(self) -> str:
@@ -112,9 +137,11 @@ class WascParams:
 class BnsParams:
     """Jump-driven covariance parameters with diagonal jump leverage.
 
-    ``drift_comp`` (the vector making each discounted asset a martingale) is
-    derived at construction from the Levy exponent of the leveraged jumps:
-    kappa_k = jump_intensity * (mgf(rho_k E^kk) - 1).
+    Two fields are derived at construction: ``marks``, the price-jump
+    loadings rho_k E^kk stacked over the assets k (a jump X moves log spot
+    k by Tr(marks[k] X) = rho_k X_kk), and ``drift_comp``, the vector making
+    each discounted asset a martingale, from the Levy exponent of the
+    leveraged jumps: kappa_k = jump_intensity * (mgf(marks[k]) - 1).
     """
 
     d: int
@@ -123,6 +150,7 @@ class BnsParams:
     wishart_shape: float
     wishart_scale: np.ndarray
     leverage_diag: np.ndarray
+    marks: np.ndarray = field(init=False)
     drift_comp: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -137,13 +165,36 @@ class BnsParams:
         if lev.size != d:
             raise ValueError(f"leverage_diag: expected length {d}, got {lev.size}")
         object.__setattr__(self, "leverage_diag", lev)
-        marks = np.zeros((d, d, d))                      # rho_k E^kk per asset
+        marks = np.zeros((d, d, d))
         marks[np.arange(d), np.arange(d), np.arange(d)] = lev
-        val, ok = wishart_mgf(self.wishart_scale, self.wishart_shape, marks)
-        kappa = np.where(ok, self.jump_intensity * (val.real - 1.0), np.nan)
+        object.__setattr__(self, "marks", marks)
+        problems = []
+        if not self.jump_intensity > 0:
+            problems.append(
+                f"jump_intensity must be positive, got {self.jump_intensity}")
+        if not self.wishart_shape > d - 1:
+            problems.append(f"wishart_shape must exceed d-1 = {d - 1}, "
+                            f"got {self.wishart_shape}")
+        kappa = np.full(d, np.nan)
+        if not matcalc.is_symmetric(self.wishart_scale, rtol=1e-10):
+            problems.append("wishart_scale must be symmetric")
+        elif not (lo := matcalc.min_eigenvalue(self.wishart_scale)) > 0:
+            # a singular scale would fail the MGF's inverse
+            problems.append("wishart_scale must be positive definite "
+                            f"(min eig {lo:.6g})")
+        else:
+            val, ok = wishart_mgf(self.wishart_scale, self.wishart_shape,
+                                  marks)
+            kappa = np.where(ok, self.jump_intensity * (val.real - 1.0),
+                             np.nan)
         object.__setattr__(self, "drift_comp", kappa)
-        for name in ("mean_rev", "wishart_scale", "leverage_diag", "drift_comp"):
-            getattr(self, name).setflags(write=False)
+        if not np.all(np.isfinite(kappa)):
+            bad = np.flatnonzero(~np.isfinite(kappa))
+            problems.append(
+                "martingale compensator undefined for assets "
+                f"{bad.tolist()}: 1 - 2 rho_k Theta_kk must stay positive")
+        _freeze(self, ("mean_rev", "wishart_scale", "leverage_diag", "marks",
+                       "drift_comp"), problems)
 
     @property
     def kind(self) -> str:
@@ -156,15 +207,14 @@ class BnsParams:
 
 @dataclass(frozen=True)
 class MarketState:
-    """Joint market state (t, S_t, Y_t, Sigma_t) with Y = log S."""
+    """Joint market state (t, Y_t, Sigma_t) with Y = log S; ``from_spot``
+    builds it from the spots."""
 
     t: float
-    spot: np.ndarray
     log_spot: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "spot", np.array(self.spot, dtype=float))
         object.__setattr__(self, "log_spot", np.array(self.log_spot, dtype=float))
         object.__setattr__(self, "cov", np.array(self.cov, dtype=float))
         if not np.isfinite(self.t):
@@ -172,11 +222,7 @@ class MarketState:
         if not np.all(np.isfinite(self.log_spot)):
             raise ValueError("log_spot must be finite: every spot must be "
                              "positive and finite")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.abs(self.log_spot - np.log(self.spot))
-        if not np.all(gap <= 1e-12):
-            raise ValueError("log_spot is not the log of spot")
-        d = self.spot.size
+        d = self.log_spot.size
         if self.cov.shape != (d, d):
             raise ValueError(f"cov: expected shape ({d}, {d}), got "
                              f"{self.cov.shape}")
@@ -187,76 +233,15 @@ class MarketState:
         if lo < -tol:
             raise ValueError(f"cov has eigenvalue {lo:.3e} below -{tol:.3e}; "
                              "not a covariance state")
-        for name in ("spot", "log_spot", "cov"):
+        for name in ("log_spot", "cov"):
             getattr(self, name).setflags(write=False)
 
     @classmethod
     def from_spot(cls, t: float, spot, cov) -> "MarketState":
-        spot = np.array(spot, dtype=float)
         # a spot <= 0 has no finite log, and __post_init__ rejects it
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_spot = np.log(spot)
-        return cls(t=t, spot=spot, log_spot=log_spot, cov=np.array(cov, dtype=float))
-
-    @classmethod
-    def from_log(cls, t: float, log_spot, cov) -> "MarketState":
-        y = np.array(log_spot, dtype=float)
-        return cls(t=t, spot=np.exp(y), log_spot=y, cov=np.array(cov, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def validate(params) -> list[str]:
-    """Check every admissibility invariant; return a list of violations
-    (empty when the parameter set is usable)."""
-    out: list[str] = []
-    if isinstance(params, WascParams):
-        rho_sq = float(params.leverage @ params.leverage)
-        if rho_sq > 1.0 + 1e-12:
-            out.append(f"leverage norm violation: rho'rho = {rho_sq:.6g} > 1")
-        gram = params.vol_of_vol.T @ params.vol_of_vol
-        gap = params.omega - (params.d - 1) * gram
-        tol = matcalc.psd_tolerance(params.omega) + matcalc.psd_tolerance(gram)
-        lo = matcalc.min_eigenvalue(matcalc.sym_part(gap))
-        if lo < -tol:
-            out.append(
-                "covariance-drift admissibility violated: "
-                f"min eig of omega - (d-1) A'A is {lo:.6g} < -{tol:.3g}"
-            )
-        if not matcalc.is_symmetric(params.omega, rtol=1e-10):
-            out.append("omega must be symmetric")
-    elif isinstance(params, BnsParams):
-        if params.jump_intensity <= 0:
-            out.append(f"jump_intensity must be positive, got {params.jump_intensity}")
-        if params.wishart_shape <= params.d - 1:
-            out.append(
-                f"wishart_shape must exceed d-1 = {params.d - 1}, "
-                f"got {params.wishart_shape}"
-            )
-        if not matcalc.is_symmetric(params.wishart_scale, rtol=1e-10):
-            out.append("wishart_scale must be symmetric")
-        else:
-            lo = matcalc.min_eigenvalue(params.wishart_scale)
-            if lo <= 0:
-                out.append(f"wishart_scale must be positive definite (min eig {lo:.6g})")
-        if np.any(~np.isfinite(params.drift_comp)):
-            bad = np.where(~np.isfinite(params.drift_comp))[0]
-            out.append(
-                "martingale compensator undefined for assets "
-                f"{bad.tolist()}: 1 - 2 rho_k Theta_kk must stay positive"
-            )
-    else:
-        out.append(f"unknown parameter type {type(params).__name__}")
-    return out
-
-
-def require_valid(params) -> None:
-    """Raise ValueError with all diagnostics when params are inadmissible."""
-    problems = validate(params)
-    if problems:
-        raise ValueError("invalid model parameters: " + "; ".join(problems))
+            log_spot = np.log(np.array(spot, dtype=float))
+        return cls(t=t, log_spot=log_spot, cov=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -312,29 +297,23 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex
     return val, ok
 
 
-def bns_jump_cov(params: BnsParams) -> np.ndarray:
-    """Jump covariation rate of the log spots: entry (k, l) is
-    lam * E[(exp(rho_k X_kk) - 1)(exp(rho_l X_ll) - 1)] over the mark law.
-
-    One stacked MGF over the marks R_k + R_l, R_k = rho_k E^kk, with R_0 = 0
-    prepended so the single marks and the empty one ride in the same stack.
-
-    Raises:
-        ValueError: a mark outside the MGF's convergence strip.
+def jump_covariation(params: BnsParams, r: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Jump covariation rate of each log spot with exp(Tr(R Sigma)) per unit
+    of that claim: entry k is lam E[(e^{rho_k X_kk} - 1)(e^{Tr(R X)} - 1)]
+    over the mark law, = lam (m(R + marks[k]) - m(R)) - kappa_k with m the
+    mark MGF.  R is a (..., d, d) stack and the value (..., d), with a flag
+    per entry as ``wishart_mgf`` gives it: False (value nan) where R or
+    R + marks[k] leaves the MGF's convergence strip.  R = marks[l] gives
+    the spots' jump covariation matrix, entry (l, k).
     """
-    d = params.d
-    marks = np.zeros((d + 1, d, d))
-    idx = np.arange(d)
-    marks[idx + 1, idx, idx] = params.leverage_diag
-    mgf, ok = wishart_mgf(params.wishart_scale, params.wishart_shape,
-                          marks[:, None] + marks[None, :])
-    if not np.all(ok):
-        raise ValueError("mark transform argument outside the convergence "
-                         "strip; the leverage is too aggressive for the "
-                         "jump size law")
-    m = mgf.real
-    return params.jump_intensity * (m[1:, 1:] - m[0, 1:, None] - m[0, None, 1:]
-                                    + m[0, 0])
+    r = np.asarray(r)
+    m_r, ok_r = wishart_mgf(params.wishart_scale, params.wishart_shape, r)
+    m_rk, ok_rk = wishart_mgf(params.wishart_scale, params.wishart_shape,
+                              r[..., None, :, :] + params.marks)
+    value = (params.jump_intensity * (m_rk - np.expand_dims(m_r, -1))
+             - params.drift_comp)
+    return value, ok_rk & np.expand_dims(ok_r, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,8 @@ def build_contour(kernel: PayoffKernel, nodes_per_dim: int = 16,
     if not 4 <= nodes_per_dim <= 64:
         raise ValueError("nodes_per_dim must be between 4 and 64")
     decay = np.broadcast_to(np.asarray(decay, dtype=float), (m,))
-    if np.any(decay <= 0):
-        raise ValueError("decay must be positive")
+    if not np.all(np.isfinite(decay) & (decay > 0)):
+        raise ValueError("decay must be positive and finite")
     margin = kernel.strip_margin(damping)
     if margin <= _POLE_MARGIN:
         raise ValueError(

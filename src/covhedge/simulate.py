@@ -2,10 +2,10 @@
 
 Reproducibility contract: path i draws from its own Philox stream keyed by
 (seed, path_index), and every path consumes its variates in a fixed,
-documented order.  Results are therefore bitwise independent of chunk sizes
-and of how a path range is split across calls: simulating paths [0, P) in one
-call equals concatenating [0, P1) and [P1, P) simulated separately with
-path_start set accordingly.
+documented order.  Results are therefore bitwise independent of the chunk
+size CHUNK_PATHS and of how a path range is split across calls: simulating
+paths [0, P) in one call equals concatenating [0, P1) and [P1, P) simulated
+separately with path_start set accordingly.
 
 Draw order per path, Wishart diffusion:
     1. matrix Brownian increments, standard normals of shape (n_steps, d, d)
@@ -61,6 +61,9 @@ import scipy.linalg
 from . import matcalc, models
 
 __all__ = ["SimResult", "simulate"]
+
+# paths per kernel call; the panel is bitwise the same for any value
+CHUNK_PATHS = 8192
 
 
 @dataclass
@@ -276,13 +279,13 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
-             n_paths: int, seed: int, path_start: int = 0, chunk_paths: int = 8192) -> SimResult:
-    """Simulate n_paths over [state.t, horizon] on a uniform n_steps grid."""
-    models.require_valid(params)
+             n_paths: int, seed: int, path_start: int = 0) -> SimResult:
+    """Simulate n_paths over [state.t, horizon] on a uniform n_steps grid;
+    path i of the panel is path path_start + i of the seed's streams."""
     if not (np.isfinite(horizon) and horizon > state.t):
         raise ValueError("horizon must be finite and exceed the state time")
-    if n_steps < 1 or n_paths < 1 or chunk_paths < 1:
-        raise ValueError("n_steps, n_paths and chunk_paths must be positive")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("n_steps and n_paths must be positive")
     if seed < 0 or path_start < 0:
         raise ValueError("seed and path_start must be nonnegative")
     span = horizon - state.t
@@ -293,8 +296,8 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     cov = np.empty((n_paths, n_steps + 1, d, d))
     intcov = np.empty((n_paths, n_steps + 1, d, d))
     clip = 0
-    for lo in range(0, n_paths, chunk_paths):
-        sl = slice(lo, min(lo + chunk_paths, n_paths))
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        sl = slice(lo, min(lo + CHUNK_PATHS, n_paths))
         views = (log_spot[sl], cov[sl], intcov[sl])
         if params.kind == "wasc":
             clip += _simulate_wasc_chunk(params, state.log_spot, state.cov, h,

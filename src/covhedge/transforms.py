@@ -341,6 +341,9 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
         qinv = np.zeros_like(q)
         dom = np.argsort(-lam.real, axis=-1)
     ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
+    # an LU inverse, not |q|_1 |qinv|_1: on a defective Ham the closed-form
+    # qinv is no inverse (|qinv q - I| = 0.5 on a Jordan block), yet that
+    # product stays below the limit (1.3e9)
     ok[ok] = np.linalg.cond(q[ok], 1) <= _EIGVEC_COND_MAX
     if d > 2:
         qinv[ok] = np.linalg.inv(q[ok])
@@ -481,10 +484,8 @@ def transform_grid(params, taus, nodes) -> TransformGrid:
     with repeats and 0 allowed.
     nodes: array (M, d) of complex arguments.
 
-    Entries that fail a domain check hold nan in phi and psi; inadmissible
-    params raise (models.require_valid).
+    Entries that fail a domain check hold nan in phi and psi.
     """
-    models.require_valid(params)
     taus = np.asarray(taus, dtype=float).reshape(-1)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=complex))
     if not np.all(np.isfinite(taus) & (taus >= 0)):
@@ -503,7 +504,7 @@ def transform_grid(params, taus, nodes) -> TransformGrid:
     psi = np.zeros((taus.size, m_nodes, d, d), dtype=complex)
     valid = np.ones((taus.size, m_nodes), dtype=bool)
     quad = np.zeros(m_nodes, dtype=bool)
-    if n_k:
+    if n_k and m_nodes:
         pts, wts, starts = _phi_panels(knots[lead:])
         full = np.concatenate([knots[lead:], pts])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

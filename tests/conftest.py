@@ -1,8 +1,9 @@
 """Shared fixtures: the two-asset reference parameter set used across the
 test suite (matrix vol-of-vol A, mean reversion M, leverage rho, Wishart
-shape alpha, initial covariance and spots), ``inadmissible_params``, one
-rejected set per model, ``basis_at``, the basis claim H at one market state
-through the lattice engine, and a derandomized hypothesis profile."""
+shape alpha, initial covariance and spots), ``inadmissible_params``, which
+builds one rejected set per model, ``basis_at``, the basis claim H at one
+market state through the lattice engine, and a derandomized hypothesis
+profile."""
 
 from __future__ import annotations
 
@@ -61,12 +62,13 @@ def state_ref():
 
 
 def inadmissible_params(kind: str):
-    """A set that models.validate rejects, one per model: the wasc
-    reference set with leverage (0.9, 0.9), so rho'rho = 1.62 > 1, and the
-    bns reference set with jump intensity -3.  Unchecked, the first priced
-    the ATM call on asset 0 at 10.553 (10.311 at the reference set) and
-    gave a hedged swap variance of -1.03e-4; the second priced that call at
-    0.0."""
+    """Build a set outside the model's admissible domain, one per model,
+    which raises at construction: the wasc reference set with leverage
+    (0.9, 0.9), so rho'rho = 1.62 > 1, and the bns reference set with jump
+    intensity -3.  Unchecked, both give plausible wrong numbers: the first
+    priced the ATM call on asset 0 at 10.553 (10.311 at the reference set)
+    and gave a hedged swap variance of -1.03e-4; the second priced that call
+    at 0.0."""
     from covhedge import models
 
     if kind == "wasc":

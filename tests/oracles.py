@@ -455,7 +455,8 @@ def spot_spot_rate(params, state: models.MarketState) -> np.ndarray:
     inner = state.cov
     if params.kind == "bns":
         inner = inner + bns_jump_cov(params)
-    return np.outer(state.spot, state.spot) * inner
+    spot = np.exp(state.log_spot)
+    return np.outer(spot, spot) * inner
 
 
 def claim_spot_rate(params, state: models.MarketState,
@@ -464,9 +465,9 @@ def claim_spot_rate(params, state: models.MarketState,
     h = basis_from_eval(ev, state)
     if params.kind == "wasc":
         g = ev.u + 2.0 * ev.psi @ (params.vol_of_vol.T @ params.leverage)
-        return h * state.spot * (state.cov @ g)
+        return h * np.exp(state.log_spot) * (state.cov @ g)
     cross = state.cov @ ev.u + bns_jump_cross(params, ev)
-    return h * state.spot * cross
+    return h * np.exp(state.log_spot) * cross
 
 
 def claim_claim_rate(params, state: models.MarketState, ev1: TransformEval,

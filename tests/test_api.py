@@ -36,14 +36,17 @@ DIAGNOSTICS = {"SimResult.clip_count", "TransformGrid.phi_quadrature"}
 
 def _reads() -> tuple[set, set]:
     """The names, and the attribute names read, anywhere in src/ or
-    bench/."""
+    bench/.  A read through ``self`` or ``cls`` does not count: a field
+    that only its own class reads has no reader."""
     names, attrs = set(), set()
     for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("bench/**/*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))):
                 attrs.add(node.attr)
     return names, attrs
 

@@ -126,17 +126,17 @@ class TestBasisCache:
             kernel, nodes_per_dim=12,
             decay=payoffs.suggest_decay(kernel, rate, 1.0, 12))
 
-        def wealth(cache, sim):
+        def pnl(cache, sim):
             cache.prepare(sim)
             job = backtest.HedgeJob("fourier", backtest.FourierHedge(
                 wasc_ref, cache, contour.weights), kernel.payoff, 0.0)
-            return backtest.run_backtest(sim, [job])[0].wealth
+            return backtest.run_backtest(sim, [job])[0].pnl
 
         reused = backtest.BasisCache(wasc_ref, contour.model_args, 1.0)
-        wealth(reused, panels[0])
+        pnl(reused, panels[0])
         fresh = backtest.BasisCache(wasc_ref, contour.model_args, 1.0)
-        np.testing.assert_array_equal(wealth(reused, panels[1]),
-                                      wealth(fresh, panels[1]))
+        np.testing.assert_array_equal(pnl(reused, panels[1]),
+                                      pnl(fresh, panels[1]))
 
 
 class TestScaledCis:
@@ -192,9 +192,8 @@ class TestFourierHedge:
         tau = 1.0 - sim.times[k]
         phi = lattice_phi(cache, sim)
         for p in range(N_PATHS):
-            state = models.MarketState.from_log(sim.times[k],
-                                                sim.log_spot[p, k],
-                                                sim.cov[p, k])
+            state = models.MarketState(sim.times[k], sim.log_spot[p, k],
+                                       sim.cov[p, k])
             want = sum(
                 weights[k, m] * oracles.gkw_theta(
                     params, state, oracles.TransformEval(
@@ -273,8 +272,8 @@ class TestRunBacktest:
                     10.0),
                 backtest.HedgeJob("recorder", recorder, kernel.payoff, 0.0),
             ]
-            wealth = [r.wealth for r in backtest.run_backtest(sim, jobs)]
-            return wealth, recorder.chunks
+            pnl = [r.pnl for r in backtest.run_backtest(sim, jobs)]
+            return pnl, recorder.chunks
 
         (fourier, swap, gbm_delta, _), one = sweep(700)
         (fourier_c, swap_c, gbm_delta_c, _), many = sweep(97)
@@ -336,19 +335,29 @@ class TestCovariationOracles:
                 assert abs(res) <= 1e-12 * abs(values[k]) * abs(h)
 
     def test_bns_jump_cov_matches_scalar_loop(self, bns_ref):
-        np.testing.assert_allclose(models.bns_jump_cov(bns_ref),
-                                   oracles.bns_jump_cov(bns_ref),
+        # R = marks[l] gives the spots' jump covariation matrix
+        cov, ok = models.jump_covariation(bns_ref, bns_ref.marks)
+        assert np.all(ok)
+        np.testing.assert_allclose(cov.real, oracles.bns_jump_cov(bns_ref),
                                    rtol=1e-13, atol=0)
 
-    def test_bns_jump_cov_rejects_mark_outside_strip(self, bns_ref):
+    def test_bns_jump_cov_rejects_mark_outside_strip(self, bns_ref,
+                                                     state_ref):
         # admissible (1 - 2 rho_0 Theta_00 = 0.2 > 0), but the doubled mark
-        # 2 rho_0 E^00 of the (0, 0) entry leaves the strip
+        # 2 rho_0 E^00 of the (0, 0) entry leaves the strip: flagged by the
+        # model, refused by the hedge
         wild = models.BnsParams(d=2, mean_rev=bns_ref.mean_rev,
                                 jump_intensity=3.0, wishart_shape=3.0,
                                 wishart_scale=bns_ref.wishart_scale,
                                 leverage_diag=np.array([20.0, -0.5]))
+        cov, ok = models.jump_covariation(wild, wild.marks)
+        np.testing.assert_array_equal(ok, [[False, True], [True, True]])
+        assert np.isnan(cov[0, 0])
+        sim = simulate.simulate(bns_ref, state_ref, 1.0, N_STEPS, 2, seed=5)
+        system = covswap.bns_covswap_system(wild, SIGMA0_REF, 1.0, (0, 1),
+                                            N_STEPS)
         with pytest.raises(ValueError, match="convergence strip"):
-            models.bns_jump_cov(wild)
+            backtest.CovswapHedge(system, wild).prepare(sim)
 
 
 class TestCovswapStrikes:
@@ -364,6 +373,34 @@ class TestCovswapStrikes:
         closed = (models.bns_integrated_mean(bns_ref, SIGMA0_REF, 1.0)[i, j]
                   + bns_ref.jump_intensity * rho[i] * rho[j] * pair_mom)
         assert system.fair_strike == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 0), (1, 1)])
+    def test_bns_jump_core_matches_per_asset_loop(self, bns_ref, pair):
+        # lam E[(e^{rho_k X_kk} - 1) dV] for each asset k, date by date:
+        # under the mark law tilted by rho_k E^kk, X is Wishart with scale
+        # (Theta^{-1} - 2 rho_k E^kk)^{-1} and weight mgf(rho_k E^kk)
+        i, j = pair
+        system = covswap.bns_covswap_system(bns_ref, SIGMA0_REF, 1.0, pair, 7)
+        lam, n = bns_ref.jump_intensity, bns_ref.wishart_shape
+        theta, rho = bns_ref.wishart_scale, bns_ref.leverage_diag
+
+        def jump_move_mean(scale, g):
+            # E[rho_i rho_j X_ii X_jj + Tr(G X)] for X ~ Wishart(n, scale)
+            return (rho[i] * rho[j] * (n * n * scale[i, i] * scale[j, j]
+                                       + 2.0 * n * scale[i, j] ** 2)
+                    + n * np.trace(g @ scale))
+
+        for t, g in enumerate(system.g_mats):
+            for k in range(2):
+                r_k = np.zeros((2, 2))
+                r_k[k, k] = rho[k]
+                mgf, ok = models.wishart_mgf(theta, n, r_k)
+                tilted = np.linalg.inv(np.linalg.inv(theta) - 2.0 * r_k)
+                want = lam * (mgf.real * jump_move_mean(tilted, g)
+                              - jump_move_mean(theta, g))
+                assert ok
+                assert system.theta_core[t, k] == pytest.approx(
+                    want, rel=1e-13, abs=1e-16)
 
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
     def test_rejects_bad_horizon(self, wasc_ref, bns_ref, horizon):
@@ -382,44 +419,32 @@ INADMISSIBLE = "invalid model parameters"
 
 
 class TestInadmissibleParams:
-    """Every entry point that evaluates a model refuses the sets that
-    models.validate rejects, with its diagnostics, before any warning."""
+    """The sets of conftest.inadmissible_params cannot be built, so no entry
+    point ever sees them."""
+
+    VIOLATION = {"wasc": "leverage norm", "bns": "jump_intensity"}
 
     @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    def test_fourier_price(self, state_ref, kind):
-        with pytest.raises(ValueError, match=INADMISSIBLE):
-            pricing.fourier_price(inadmissible_params(kind), state_ref, 1.0,
-                                  payoffs.call_option(2, 0, 100.0))
+    def test_construction_raises(self, kind):
+        with pytest.raises(ValueError, match=INADMISSIBLE) as err:
+            inadmissible_params(kind)
+        assert self.VIOLATION[kind] in str(err.value)
 
-    @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    def test_integrated_cov_rate(self, state_ref, kind):
-        with pytest.raises(ValueError, match=INADMISSIBLE):
-            pricing.integrated_cov_rate(inadmissible_params(kind), state_ref,
-                                        1.0)
 
-    @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    def test_basis_cache(self, wasc_ref, state_ref, kind):
+class TestGbmDeltaHedge:
+    def test_prepare_refuses_a_panel_of_another_span(self, wasc_ref,
+                                                     state_ref):
+        # unchecked, a horizon-2 claim hedged on a 1-year panel takes
+        # deltas at the wrong time to maturity
         sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
                                 seed=5)
-        cache = backtest.BasisCache(inadmissible_params(kind),
-                                    [[1.5 + 1.0j, 1.5 - 1.0j]], 1.0)
-        with pytest.raises(ValueError, match=INADMISSIBLE):
-            cache.prepare(sim)
-
-    def test_wasc_covswap_system(self):
-        with pytest.raises(ValueError, match="leverage norm"):
-            covswap.wasc_covswap_system(inadmissible_params("wasc"),
-                                        SIGMA0_REF, 1.0, (0, 1), 3)
-
-    def test_bns_covswap_system(self):
-        with pytest.raises(ValueError, match="jump_intensity"):
-            covswap.bns_covswap_system(inadmissible_params("bns"),
-                                       SIGMA0_REF, 1.0, (0, 1), 3)
-
-    def test_wasc_covswap_variance(self):
-        with pytest.raises(ValueError, match="leverage norm"):
-            covswap.wasc_covswap_variance(inadmissible_params("wasc"),
-                                          SIGMA0_REF, 1.0, (0, 1))
+        for horizon in (2.0, 0.5):
+            hedge = backtest.GbmDeltaHedge("cc", (100.0, 100.0), (0.3, 0.3),
+                                           0.5, horizon)
+            with pytest.raises(ValueError, match="simulation span"):
+                hedge.prepare(sim)
+        backtest.GbmDeltaHedge("cc", (100.0, 100.0), (0.3, 0.3), 0.5,
+                               1.0).prepare(sim)
 
 
 SWAP_PATHS = 4096

@@ -1,4 +1,5 @@
-"""Tests for parameter containers, validation, and covariance first moments."""
+"""Tests for parameter containers, their admissibility checks, and
+covariance first moments."""
 
 import warnings
 
@@ -14,20 +15,28 @@ from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF)
 
 
 class TestValidation:
+    """Parameter sets check their own admissible domain at construction and
+    name every violation in one ValueError."""
+
     def test_reference_params_ok(self, wasc_ref):
-        assert models.validate(wasc_ref) == []
+        assert wasc_ref.leverage @ wasc_ref.leverage <= 1.0
 
     def test_leverage_norm_violation(self):
-        p = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+        with pytest.raises(ValueError, match="invalid model parameters") as e:
+            models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
                               leverage=[0.8, 0.8], alpha=ALPHA_REF)
-        problems = models.validate(p)
-        assert any("1.28" in msg for msg in problems)
+        assert "1.28" in str(e.value)
 
     def test_drift_admissibility_violation(self):
-        p = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+        with pytest.raises(ValueError, match="admissibility"):
+            models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
                               leverage=RHO_REF, omega=np.zeros((2, 2)))
-        problems = models.validate(p)
-        assert any("admissibility" in msg for msg in problems)
+
+    def test_every_violation_is_named(self):
+        with pytest.raises(ValueError) as e:
+            models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                              leverage=[0.8, 0.8], omega=np.zeros((2, 2)))
+        assert "1.28" in str(e.value) and "admissibility" in str(e.value)
 
     def test_alpha_materializes_omega(self, wasc_ref):
         np.testing.assert_allclose(wasc_ref.omega, ALPHA_REF * A_REF.T @ A_REF,
@@ -39,35 +48,49 @@ class TestValidation:
                               leverage=RHO_REF, alpha=ALPHA_REF, omega=np.eye(2))
 
     def test_bns_shape_bound(self):
-        p = models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=1.0,
+        with pytest.raises(ValueError, match="wishart_shape"):
+            models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=1.0,
                              wishart_shape=0.5, wishart_scale=0.01 * np.eye(2),
                              leverage_diag=[-0.5, -0.5])
-        assert any("wishart_shape" in msg for msg in models.validate(p))
 
     def test_bns_scale_not_positive_definite(self):
         scale = np.array([[0.01, 0.02], [0.02, 0.01]])
-        p = models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=1.0,
+        with pytest.raises(ValueError) as e:
+            models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=1.0,
                              wishart_shape=3.0, wishart_scale=scale,
                              leverage_diag=[-0.5, -0.5])
-        problems = models.validate(p)
-        assert any("positive definite" in msg for msg in problems)
-        assert any("compensator undefined" in msg for msg in problems)
+        assert "positive definite" in str(e.value)
+        assert "compensator undefined" in str(e.value)
         val, ok = models.wishart_mgf(scale, 3.0, -np.eye(2))
         assert not ok and np.isnan(val.real)
 
-    def test_bns_reference_ok(self, bns_ref):
-        assert models.validate(bns_ref) == []
+    def test_every_bns_violation_is_named(self):
+        # a singular scale has no inverse for the MGF; the other violations
+        # are still named
+        with pytest.raises(ValueError) as e:
+            models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=-1.0,
+                             wishart_shape=0.5, wishart_scale=np.zeros((2, 2)),
+                             leverage_diag=[-0.5, -0.5])
+        for part in ("jump_intensity", "wishart_shape", "positive definite",
+                     "compensator undefined"):
+            assert part in str(e.value)
 
-    def test_require_valid_raises(self):
-        p = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
-                              leverage=[0.9, 0.9], alpha=ALPHA_REF)
-        with pytest.raises(ValueError, match="invalid model parameters"):
-            models.require_valid(p)
+    @pytest.mark.parametrize("intensity", [0.0, np.nan])
+    def test_bns_intensity_must_be_positive(self, intensity):
+        with pytest.raises(ValueError, match="jump_intensity"):
+            models.BnsParams(d=2, mean_rev=M_REF, jump_intensity=intensity,
+                             wishart_shape=3.0, wishart_scale=0.01 * np.eye(2),
+                             leverage_diag=[-0.5, -0.5])
+
+    def test_bns_reference_ok(self, bns_ref):
+        assert np.all(np.isfinite(bns_ref.drift_comp))
+        # marks[k] = rho_k E^kk, read-only like every array field
+        want = np.zeros((2, 2, 2))
+        want[[0, 1], [0, 1], [0, 1]] = bns_ref.leverage_diag
+        np.testing.assert_array_equal(bns_ref.marks, want)
+        assert not bns_ref.marks.flags.writeable
 
     def test_market_state_consistency(self):
-        with pytest.raises(ValueError, match="log"):
-            models.MarketState(t=0.0, spot=np.array([100.0]),
-                               log_spot=np.array([1.0]), cov=np.eye(1))
         st = models.MarketState.from_spot(0.0, S0_REF, SIGMA0_REF)
         np.testing.assert_allclose(st.log_spot, np.log(S0_REF), atol=1e-15)
 
@@ -107,13 +130,7 @@ class TestMarketStateInput:
     @pytest.mark.parametrize("log_spot", [[np.nan, 4.6], [4.6, np.inf]])
     def test_rejects_non_finite_log_spot(self, log_spot):
         with pytest.raises(ValueError, match="log_spot must be finite"):
-            models.MarketState.from_log(0.0, log_spot, SIGMA0_REF)
-
-    def test_rejects_spot_that_is_not_exp_of_log_spot(self):
-        with pytest.raises(ValueError, match="log of spot"):
-            models.MarketState(t=0.0, spot=np.array([-100.0]),
-                               log_spot=np.array([np.log(100.0)]),
-                               cov=np.eye(1))
+            models.MarketState(0.0, log_spot, SIGMA0_REF)
 
     def test_accepts_rounding_below_zero(self):
         # -1e-13 is inside the tolerance 1e-10 * ||cov||_2 = 1e-11
@@ -128,8 +145,8 @@ class TestMarketStateInput:
         sim = simulate.simulate(params, state_ref, 1.0, 4, 200, seed=5)
         for p in range(sim.n_paths):
             for k in range(sim.n_steps + 1):
-                models.MarketState.from_log(sim.times[k], sim.log_spot[p, k],
-                                            sim.cov[p, k])
+                models.MarketState(sim.times[k], sim.log_spot[p, k],
+                                   sim.cov[p, k])
 
 
 class TestWishartMgf:
@@ -264,8 +281,11 @@ class TestWascMoments:
         assert np.all(imap.map == 0.0) and np.all(imap.offset == 0.0)
 
     def test_integrated_mean_singular_lift_fallback(self):
-        # a singular lift (no mean reversion) needs no special case
-        p = models.WascParams(d=2, mean_rev=np.zeros((2, 2)), vol_of_vol=A_REF,
+        # a singular lift (no mean reversion) needs no special case; with
+        # Omega = 0 the set is admissible only for A = 0, and the mean does
+        # not depend on A
+        p = models.WascParams(d=2, mean_rev=np.zeros((2, 2)),
+                              vol_of_vol=np.zeros((2, 2)),
                               leverage=[0.0, 0.0], omega=np.zeros((2, 2)))
         imap = models.wasc_integrated_mean(p, 0.0, 0.75)
         np.testing.assert_allclose(imap.map, 0.75 * np.eye(4), atol=1e-10)
@@ -293,11 +313,15 @@ class TestWascMoments:
 
 class TestBnsMoments:
     def test_no_jump_no_decay_constant(self):
-        p = models.BnsParams(d=2, mean_rev=np.zeros((2, 2)), jump_intensity=0.0,
-                             wishart_shape=3.0, wishart_scale=0.01 * np.eye(2),
-                             leverage_diag=[0.0, 0.0])
+        # no decay: the mean grows by the jump mean per unit time
+        p = models.BnsParams(d=2, mean_rev=np.zeros((2, 2)), jump_intensity=3.0,
+                             wishart_shape=3.0,
+                             wishart_scale=np.array([[0.02, 0.008],
+                                                     [0.008, 0.02]]),
+                             leverage_diag=[-0.8, -0.5])
         np.testing.assert_allclose(oracles.bns_mean_cov(p, SIGMA0_REF, 0.9),
-                                   SIGMA0_REF, atol=1e-12)
+                                   SIGMA0_REF + 0.9 * p.jump_mean(),
+                                   atol=1e-12)
 
     def test_initial_condition(self, bns_ref):
         np.testing.assert_allclose(oracles.bns_mean_cov(bns_ref, SIGMA0_REF, 0.0),

@@ -230,6 +230,17 @@ class TestContourConstruction:
         with pytest.raises(ValueError, match="decay"):
             payoffs.build_contour(ker, decay=0.0)
 
+    def test_non_finite_decay_rejected(self):
+        # a negative rate makes suggest_decay return nan; unchecked, the nan
+        # and an infinite decay each gave a contour of 0 nodes, priced at 0.0
+        ker = payoffs.call_option(2, 0, 100.0)
+        with np.errstate(invalid="ignore"):
+            nan_decay = payoffs.suggest_decay(ker, -0.01 * np.eye(2), 1.0, 24)
+        assert np.isnan(nan_decay).all()
+        for decay in (nan_decay, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                payoffs.build_contour(ker, nodes_per_dim=24, decay=decay)
+
     def test_damping_shape_checked(self):
         ker = dataclasses.replace(payoffs.spread_option(2, 0, 1, 5.0),
                                   default_damping=np.array([2.5]))

@@ -76,9 +76,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate.simulate(bns_ref, state_ref, 1.0, 10, 10, seed=1,
                               path_start=-1)
-        with pytest.raises(ValueError):
-            simulate.simulate(wasc_ref, state_ref, 1.0, 10, 10, seed=1,
-                              chunk_paths=0)
 
     @pytest.mark.parametrize("horizon", [np.nan, np.inf])
     def test_rejects_non_finite_horizon(self, horizon, wasc_ref, bns_ref,
@@ -100,12 +97,13 @@ class TestDeterminism:
         assert np.array_equal(a.integrated_cov, b.integrated_cov)
 
     @pytest.mark.parametrize("model", ["wasc", "bns"])
-    def test_chunk_size_invariance(self, model, wasc_ref, bns_ref, state_ref):
+    def test_chunk_size_invariance(self, model, wasc_ref, bns_ref, state_ref,
+                                   monkeypatch):
         params = wasc_ref if model == "wasc" else bns_ref
-        a = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9,
-                              chunk_paths=7)
-        b = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9,
-                              chunk_paths=64)
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", 7)
+        a = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9)
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", 64)
+        b = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9)
         assert np.array_equal(a.log_spot, b.log_spot)
         assert np.array_equal(a.cov, b.cov)
 
@@ -218,13 +216,13 @@ class TestBnsExactness:
             assert np.max(np.abs(sim.integrated_cov[0, k] - exact_int)) < 1e-10
 
     def test_jump_steps_preserve_partition_invariance(self, bns_ref,
-                                                      state_ref):
+                                                      state_ref, monkeypatch):
         # coarse grid forces several jumps per step; the per-path stream
         # must still be independent of how paths are batched
-        a = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42,
-                              chunk_paths=11)
-        b = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42,
-                              chunk_paths=60)
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", 11)
+        a = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42)
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", 60)
+        b = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42)
         assert np.array_equal(a.log_spot, b.log_spot)
         assert np.array_equal(a.integrated_cov, b.integrated_cov)
 
@@ -332,11 +330,11 @@ class TestReferenceKernels:
         ("wasc", 2, 30), ("wasc", 3, 30), ("bns", 2, 30), ("bns", 3, 30),
         ("bns", 2, 5), ("bns", 2, 1)])
     def test_matches_reference(self, kind, d, n_steps, chunk, model_sets,
-                               reference):
+                               reference, monkeypatch):
         params, state = model_sets[kind, d]
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
         sim = simulate.simulate(params, state, 1.0, n_steps, REF_PATHS,
-                                seed=REF_SEED, path_start=REF_START,
-                                chunk_paths=chunk)
+                                seed=REF_SEED, path_start=REF_START)
         ys, covs, intcov, clip = reference(kind, d, n_steps)
         assert np.max(np.abs(sim.log_spot - ys)) <= 1e-12
         assert np.max(np.abs(sim.cov - covs)) <= 1e-12

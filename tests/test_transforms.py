@@ -15,7 +15,7 @@ from covhedge.hedging import pricing
 
 import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      basis_at, inadmissible_params)
+                      basis_at)
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -228,8 +228,7 @@ class TestBasisValue:
                                    leverage=np.array([-0.7]), alpha=2.5)
         v0 = 0.09
         y0 = float(np.log(100.0))
-        state = models.MarketState.from_log(0.0, np.array([y0]),
-                                            np.array([[v0]]))
+        state = models.MarketState(0.0, np.array([y0]), np.array([[v0]]))
         kappa, sigma = 2.4, 0.6
         theta = params.omega[0, 0] / kappa
         for u in (1.5 + 2.0j, 0.5 - 1.0j, -0.5 + 0.3j):
@@ -240,12 +239,12 @@ class TestBasisValue:
                 assert abs(val - ref) / abs(ref) < 1e-8
 
     def test_overflow_guard(self, wasc_ref):
-        state = models.MarketState.from_log(0.0, np.array([705.0, 0.0]),
-                                            SIGMA0_REF)
+        state = models.MarketState(0.0, np.array([705.0, 0.0]),
+                                   SIGMA0_REF)
         val = basis_at(wasc_ref, state, 1.0, np.array([1.0, 0.0]))
         assert np.isnan(val.real)
-        state = models.MarketState.from_log(0.0, np.array([600.0, 0.0]),
-                                            SIGMA0_REF)
+        state = models.MarketState(0.0, np.array([600.0, 0.0]),
+                                   SIGMA0_REF)
         val = basis_at(wasc_ref, state, 1.0, np.array([1.0, 0.0]))
         assert np.isfinite(val.real)
 
@@ -310,11 +309,14 @@ class TestTransformGrid:
             transforms.transform_grid(params, [0.5, tau],
                                       np.stack(CONTOUR_NODES))
 
-    @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    def test_rejects_inadmissible_params(self, kind):
-        with pytest.raises(ValueError, match="invalid model parameters"):
-            transforms.transform_grid(inadmissible_params(kind), [0.5],
-                                      np.stack(CONTOUR_NODES))
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_no_nodes_give_an_empty_lattice(self, model, wasc_ref, bns_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        grid = transforms.transform_grid(params, [0.0, 0.5, 1.0],
+                                         np.zeros((0, 2), dtype=complex))
+        assert grid.phi.shape == grid.valid.shape == (3, 0)
+        assert grid.psi.shape == (3, 0, 2, 2)
+        assert grid.phi_quadrature.shape == (0,)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_nodes_of_wrong_width(self, width, wasc_ref):
