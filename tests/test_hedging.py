@@ -419,8 +419,9 @@ INADMISSIBLE = "invalid model parameters"
 
 
 class TestInadmissibleParams:
-    """The sets of conftest.inadmissible_params cannot be built, so no entry
-    point ever sees them."""
+    """The sets of conftest.inadmissible_params cannot be built, so a call of
+    any entry point that evaluates a model on one raises with the set's
+    diagnostics instead of giving a number."""
 
     VIOLATION = {"wasc": "leverage norm", "bns": "jump_intensity"}
 
@@ -429,6 +430,44 @@ class TestInadmissibleParams:
         with pytest.raises(ValueError, match=INADMISSIBLE) as err:
             inadmissible_params(kind)
         assert self.VIOLATION[kind] in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_fourier_price(self, state_ref, kind):
+        with pytest.raises(ValueError, match=INADMISSIBLE) as err:
+            pricing.fourier_price(inadmissible_params(kind), state_ref, 1.0,
+                                  payoffs.call_option(2, 0, 100.0))
+        assert self.VIOLATION[kind] in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_integrated_cov_rate(self, state_ref, kind):
+        with pytest.raises(ValueError, match=INADMISSIBLE) as err:
+            pricing.integrated_cov_rate(inadmissible_params(kind), state_ref,
+                                        1.0)
+        assert self.VIOLATION[kind] in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_basis_cache(self, wasc_ref, state_ref, kind):
+        sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
+                                seed=5)
+        with pytest.raises(ValueError, match=INADMISSIBLE) as err:
+            backtest.BasisCache(inadmissible_params(kind),
+                                [[1.5 + 1.0j, 1.5 - 1.0j]], 1.0).prepare(sim)
+        assert self.VIOLATION[kind] in str(err.value)
+
+    def test_wasc_covswap_system(self):
+        with pytest.raises(ValueError, match="leverage norm"):
+            covswap.wasc_covswap_system(inadmissible_params("wasc"),
+                                        SIGMA0_REF, 1.0, (0, 1), 3)
+
+    def test_bns_covswap_system(self):
+        with pytest.raises(ValueError, match="jump_intensity"):
+            covswap.bns_covswap_system(inadmissible_params("bns"),
+                                       SIGMA0_REF, 1.0, (0, 1), 3)
+
+    def test_wasc_covswap_variance(self):
+        with pytest.raises(ValueError, match="leverage norm"):
+            covswap.wasc_covswap_variance(inadmissible_params("wasc"),
+                                          SIGMA0_REF, 1.0, (0, 1))
 
 
 class TestGbmDeltaHedge:

@@ -32,6 +32,12 @@ class TestValidation:
             models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
                               leverage=RHO_REF, omega=np.zeros((2, 2)))
 
+    def test_require_valid_raises(self):
+        with pytest.raises(ValueError, match="invalid model parameters") as e:
+            models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                              leverage=[0.9, 0.9], alpha=ALPHA_REF)
+        assert "1.62" in str(e.value)
+
     def test_every_violation_is_named(self):
         with pytest.raises(ValueError) as e:
             models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,

@@ -15,7 +15,7 @@ from covhedge.hedging import pricing
 
 import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      basis_at)
+                      basis_at, inadmissible_params)
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -317,6 +317,13 @@ class TestTransformGrid:
         assert grid.phi.shape == grid.valid.shape == (3, 0)
         assert grid.psi.shape == (3, 0, 2, 2)
         assert grid.phi_quadrature.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_rejects_inadmissible_params(self, kind):
+        # the set raises when built, before any lattice is evaluated on it
+        with pytest.raises(ValueError, match="invalid model parameters"):
+            transforms.transform_grid(inadmissible_params(kind), [0.5],
+                                      np.stack(CONTOUR_NODES))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_nodes_of_wrong_width(self, width, wasc_ref):
