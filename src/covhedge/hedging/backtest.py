@@ -149,11 +149,12 @@ class BasisCache:
         self.model_args = np.atleast_2d(np.asarray(model_args, dtype=complex))
         self.horizon = horizon
         self.overflow_count = 0
+        self.times = None              # rebalancing times of the lattice
 
     def prepare(self, sim) -> None:
         _check_span(sim, self.horizon)
         d = self.params.d
-        times = sim.times[:-1]
+        times = self.times = sim.times[:-1]
         taus = self.horizon - times
         grid = transforms.transform_grid(self.params, taus, self.model_args)
         self.valid = grid.valid                          # (K, M)
@@ -210,6 +211,15 @@ def _check_span(sim, horizon: float) -> None:
         raise ValueError("claim maturity must match the simulation span")
 
 
+def _check_grid(times: np.ndarray | None, grid: np.ndarray,
+                what: str) -> None:
+    """Refuse coefficients built on other times than the panel's grid, or
+    on none (times None)."""
+    if (times is None or times.size != grid.size
+            or not np.allclose(times, grid)):
+        raise ValueError(f"{what} grid must match the simulation")
+
+
 def _jump_cov(params) -> np.ndarray:
     """The spots' jump covariation matrix of a jump model (d, d)."""
     cov, ok = models.jump_covariation(params, params.marks)
@@ -221,13 +231,14 @@ def _jump_cov(params) -> np.ndarray:
 
 
 def _solve_sym_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve symmetric (P,d,d) systems against (P,d) right-hand sides."""
+    """Solve symmetric (P,d,d) systems against (P,d) right-hand sides, or
+    against one (d,) right-hand side shared by every path."""
     d = mats.shape[-1]
     if d == 2:
         det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] ** 2
-        out = np.empty_like(rhs)
-        out[:, 0] = (mats[:, 1, 1] * rhs[:, 0] - mats[:, 0, 1] * rhs[:, 1])
-        out[:, 1] = (mats[:, 0, 0] * rhs[:, 1] - mats[:, 0, 1] * rhs[:, 0])
+        out = np.empty(mats.shape[:-1])
+        out[:, 0] = (mats[:, 1, 1] * rhs[..., 0] - mats[:, 0, 1] * rhs[..., 1])
+        out[:, 1] = (mats[:, 0, 0] * rhs[..., 1] - mats[:, 0, 1] * rhs[..., 0])
         return out / det[:, None]
     return np.linalg.solve(mats, rhs[..., None])[..., 0]
 
@@ -248,6 +259,7 @@ class FourierHedge:
 
     def prepare(self, sim) -> None:
         cache = self.cache
+        _check_grid(cache.times, sim.times[:-1], "basis cache")
         params = self.params
         wk = cache.weight_mask(self.weights)             # (K, M)
         u = cache.model_args                             # (M, d)
@@ -308,9 +320,7 @@ class CovswapHedge:
         self.params = params
 
     def prepare(self, sim) -> None:
-        if (self.system.times.size != sim.times.size
-                or not np.allclose(self.system.times, sim.times)):
-            raise ValueError("swap system grid must match the simulation")
+        _check_grid(self.system.times, sim.times, "swap system")
         self._jump_cov = (_jump_cov(self.params)
                           if self.params.kind == "bns" else None)
 
@@ -318,10 +328,8 @@ class CovswapHedge:
                   cov: np.ndarray) -> np.ndarray:
         core = self.system.theta_core[k]
         if self.system.kind == "wasc":
-            return np.broadcast_to(core, spot.shape) / spot
-        xi = cov + self._jump_cov
-        rhs = np.broadcast_to(core, spot.shape)
-        return _solve_sym_batch(xi, np.ascontiguousarray(rhs)) / spot
+            return core / spot
+        return _solve_sym_batch(cov + self._jump_cov, core) / spot
 
 
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
@@ -347,6 +355,8 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     wealth = [np.full(n_paths, job.initial_capital) for job in jobs]
     for start in range(0, n_paths, CHUNK_PATHS):
         sl = slice(start, min(start + CHUNK_PATHS, n_paths))
+        # simulate stores its panels time major, so [:, k] is one contiguous
+        # block per date; np.exp keeps its input's layout
         log_spot = sim.log_spot[sl]
         spot = np.exp(log_spot)
         cov = sim.cov[sl]

@@ -12,10 +12,11 @@ Two affine covariance classes are supported:
 Parameter objects are immutable after construction, with read-only arrays,
 and safe to share across threads.  Each checks its admissible domain when
 it is built and raises one ValueError naming every violation, so no set
-outside it reaches a formula and no entry point checks again: for the
-Wishart model rho'rho <= 1 and Omega - (d-1) A'A PSD (Cuchiero, Filipovic,
-Mayerhofer & Teichmann 2011), for the jump model a positive intensity, a
-shape above d - 1, a positive definite mark scale and a finite compensator.
+outside it reaches a formula and no entry point checks again: every entry
+finite (checked first), then for the Wishart model rho'rho <= 1 and
+Omega - (d-1) A'A PSD (Cuchiero, Filipovic, Mayerhofer & Teichmann 2011),
+for the jump model a positive intensity, a shape above d - 1, a positive
+definite mark scale and a finite compensator.
 ``MarketState`` rejects a covariance that is not a symmetric PSD d x d
 matrix in the same way.
 
@@ -64,13 +65,26 @@ def _as_matrix(x, d: int, name: str) -> np.ndarray:
     return a
 
 
+def _reject(problems: list[str]) -> None:
+    """Raise the one ValueError listing every violation, if there is any."""
+    if problems:
+        raise ValueError("invalid model parameters: " + "; ".join(problems))
+
+
+def _require_finite(params, names: tuple[str, ...]) -> None:
+    """Reject every named field (array or scalar; None is skipped) that
+    holds a nan or infinity, before any check factors a matrix of them."""
+    _reject([f"{name} must be finite" for name in names
+             if (v := getattr(params, name)) is not None
+             and not np.all(np.isfinite(v))])
+
+
 def _freeze(params, names: tuple[str, ...], problems: list[str]) -> None:
     """Make the named arrays read-only, then raise one ValueError listing
     every admissibility violation, if there is any."""
     for name in names:
         getattr(params, name).setflags(write=False)
-    if problems:
-        raise ValueError("invalid model parameters: " + "; ".join(problems))
+    _reject(problems)
 
 
 @dataclass(frozen=True)
@@ -100,14 +114,18 @@ class WascParams:
         if lev.size != d:
             raise ValueError(f"leverage: expected length {d}, got {lev.size}")
         object.__setattr__(self, "leverage", lev)
+        if self.omega is not None:
+            object.__setattr__(self, "omega", _as_matrix(self.omega, d, "omega"))
+        _require_finite(self, ("mean_rev", "vol_of_vol", "leverage", "alpha",
+                               "omega"))
         if self.alpha is not None:
             om = float(self.alpha) * self.vol_of_vol.T @ self.vol_of_vol
             if self.omega is not None and not np.allclose(
-                om, _as_matrix(self.omega, d, "omega"), rtol=1e-10, atol=1e-14
+                om, self.omega, rtol=1e-10, atol=1e-14
             ):
                 raise ValueError("omega and alpha * A'A disagree; provide one of them")
         elif self.omega is not None:
-            om = _as_matrix(self.omega, d, "omega")
+            om = self.omega
         else:
             raise ValueError("provide either omega or alpha")
         object.__setattr__(self, "omega", om)
@@ -165,6 +183,8 @@ class BnsParams:
         if lev.size != d:
             raise ValueError(f"leverage_diag: expected length {d}, got {lev.size}")
         object.__setattr__(self, "leverage_diag", lev)
+        _require_finite(self, ("mean_rev", "jump_intensity", "wishart_shape",
+                               "wishart_scale", "leverage_diag"))
         marks = np.zeros((d, d, d))
         marks[np.arange(d), np.arange(d), np.arange(d)] = lev
         object.__setattr__(self, "marks", marks)

@@ -13,7 +13,7 @@ Draw order per path, Wishart diffusion:
 
 Draw order per path, pure-jump covariance:
     1. Poisson jump count over the horizon
-    2. uniform jump times (unsorted draw, then sorted)
+    2. uniform jump times, unsorted (they are sorted after the draws)
     3. Bartlett chi-square variates, shape (n_jumps, d)
     4. Bartlett off-diagonal normals, shape (n_jumps, d, d)
     5. price Brownian increments, standard normals of shape (n_steps, d);
@@ -39,12 +39,20 @@ model, and the exact pathwise integral plus jump products for the jump model.
 
 Kernels
 -------
-The chunk kernels hold the state paths last: log prices as (d, P), Sigma and
-the running bracket as (d, d, P).  Every matrix product in a step is a
-d-term sum of length-P ufunc products (``_pmul``): BLAS is kept off the path
-axis because its results for one column can depend on how many columns share
-the call, which would break chunk invariance.  Each step is written straight
-into the slices of the returned panel.
+The panels are stored time major, (N+1, P, ...), and ``SimResult`` shows
+them path major through a transposed view: a step of every path is one
+contiguous block, written once by the kernels and read once per rebalancing
+date by the backtests.  The chunk kernels hold the state paths last: log
+prices as (d, P), Sigma and the running bracket as (d, d, P).  Every matrix
+product in a step is a d-term sum of length-P ufunc products (``_pmul``):
+BLAS is kept off the path axis because its results for one column can depend
+on how many columns share the call, which would break chunk invariance.
+Each step is written straight into its block of the returned panel.
+
+A chunk draws from one Philox generator, re-keyed to each path's stream in
+turn (``_path_streams``); re-keying costs about a quarter of building a
+generator, and the variates are the same.  The jump model's per-path jump
+times are drawn unsorted and sorted once per chunk.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
 major with einsum; the two agree to about 1e-14, because their sums run in
@@ -71,6 +79,7 @@ class SimResult:
     """Simulated path panel on a uniform time grid."""
 
     times: np.ndarray            # (N+1,)
+    # the panels are views of time-major storage: [:, k] is C-contiguous
     log_spot: np.ndarray         # (P, N+1, d)
     cov: np.ndarray              # (P, N+1, d, d)
     integrated_cov: np.ndarray   # (P, N+1, d, d), cumulative price bracket
@@ -112,9 +121,18 @@ def _sandwich(e: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _pmul(_pmul(e, s), e.transpose(1, 0, 2))
 
 
-def _philox(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+def _path_streams(seed: int, idx0: int, n: int):
+    """Yield the stream of each path idx0 + i, i < n, in turn: one generator
+    re-keyed per path to counter 0, key [seed, idx0 + i] and an empty buffer,
+    so it draws exactly what Generator(Philox(key=[seed, idx0 + i])) draws.
+    Each path's stream is used up before the next one is yielded."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, idx0], dtype=np.uint64)))
+    state = rng.bit_generator.state          # a fresh stream's state
+    for i in range(n):
+        state["state"]["key"] = (seed, idx0 + i)
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
@@ -122,10 +140,10 @@ def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Write the initial state into the chunk's panel views and return the
     paths-last state: y (d, P), Sigma (d, d, P) and the bracket (d, d, P)."""
-    n = out_y.shape[0]
-    out_y[:, 0] = y0
-    out_cov[:, 0] = sigma0
-    out_int[:, 0] = 0.0
+    n = out_y.shape[1]
+    out_y[0] = y0
+    out_cov[0] = sigma0
+    out_int[0] = 0.0
     y = np.repeat(y0[:, None], n, axis=1)
     sig = np.repeat(sigma0[..., None], n, axis=2)
     return y, sig, np.zeros_like(sig)
@@ -139,8 +157,9 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
                          sigma0: np.ndarray, h: float, seed: int, idx0: int,
                          out_y: np.ndarray, out_cov: np.ndarray,
                          out_int: np.ndarray) -> int:
-    """Fill the chunk's panel views; returns the material repair count."""
-    n, n_steps = out_y.shape[0], out_y.shape[1] - 1
+    """Fill the chunk's time-major panel views; returns the material repair
+    count."""
+    n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
     rho = params.leverage
     resid = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
@@ -148,8 +167,7 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
 
     w_norm = np.empty((n_steps, d, d, n))
     z_norm = np.empty((n_steps, d, n))
-    for i in range(n):
-        rng = _philox(seed, idx0 + i)
+    for i, rng in enumerate(_path_streams(seed, idx0, n)):
         w_norm[..., i] = rng.standard_normal((n_steps, d, d))
         z_norm[..., i] = rng.standard_normal((n_steps, d))
 
@@ -173,9 +191,9 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
         sig_next = _sandwich(e_half, sb.transpose(1, 2, 0)) + c_half
         bracket = bracket + 0.5 * h * (sig + sig_next)
         sig = sig_next
-        out_y[:, k + 1] = y.T
-        out_cov[:, k + 1] = sig.transpose(2, 0, 1)
-        out_int[:, k + 1] = bracket.transpose(2, 0, 1)
+        out_y[k + 1] = y.T
+        out_cov[k + 1] = sig.transpose(2, 0, 1)
+        out_int[k + 1] = bracket.transpose(2, 0, 1)
     return clip
 
 
@@ -183,16 +201,33 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
 # pure-jump covariance, exact scheme
 # ---------------------------------------------------------------------------
 
-def _draw_jumps(rng: np.random.Generator, params: models.BnsParams,
-                horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draws 1-4 of the documented order for one path: sorted jump times,
-    Bartlett chi-square variates (n_jumps, d) and normals (n_jumps, d, d)."""
-    d = params.d
-    n_jumps = int(rng.poisson(params.jump_intensity * horizon))
-    jump_times = np.sort(rng.random(n_jumps)) * horizon
+def _draw_jumps(params: models.BnsParams, horizon: float, seed: int,
+                idx0: int, xi: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Make every draw of a chunk's n paths, path by path in the documented
+    order: draws 1-4 are returned and each path's price normals (draw 5) go
+    to xi[..., i], of shape (n_steps, d, n).
+
+    Returns the chunk's jumps in path-then-time order: each jump's path and
+    time, and its Bartlett chi-square variates (n_jumps, d) and normals
+    (n_jumps, d, d) in draw order.  The times are drawn unsorted and sorted
+    within each path by one lexsort of the chunk; as the marks do not depend
+    on the times, the sorted k-th time of a path goes with its k-th mark."""
+    d, n_steps, n = params.d, xi.shape[0], xi.shape[-1]
+    mean_count = params.jump_intensity * horizon
     df = params.wishart_shape - np.arange(d)
-    chi2 = rng.chisquare(np.broadcast_to(df, (n_jumps, d)))
-    return jump_times, chi2, rng.standard_normal((n_jumps, d, d))
+    counts = np.empty(n, dtype=np.int64)
+    times, chi2, gauss = [], [], []
+    for i, rng in enumerate(_path_streams(seed, idx0, n)):
+        counts[i] = n_jumps = rng.poisson(mean_count)
+        times.append(rng.random(n_jumps))
+        chi2.append(rng.chisquare(df, size=(n_jumps, d)))
+        gauss.append(rng.standard_normal((n_jumps, d, d)))
+        xi[..., i] = rng.standard_normal((n_steps, d))
+    ev_path = np.repeat(np.arange(n), counts)
+    ev_time = np.concatenate(times)
+    ev_time = ev_time[np.lexsort((ev_time, ev_path))] * horizon
+    return ev_path, ev_time, np.concatenate(chi2), np.concatenate(gauss)
 
 
 def _wishart_marks(chol_theta: np.ndarray, chi2: np.ndarray,
@@ -209,7 +244,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
                         sigma0: np.ndarray, h: float, horizon: float,
                         seed: int, idx0: int, out_y: np.ndarray,
                         out_cov: np.ndarray, out_int: np.ndarray) -> None:
-    """Fill the chunk's panel views.
+    """Fill the chunk's time-major panel views.
 
     The covariance flow is linear between jumps, so a step's end state and
     its integral I are the jump-free flow of the step, plus each jump's mark
@@ -218,7 +253,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     with covariance I: one Brownian vector per step.  The terms of every
     jump come from one ``lift_flows`` batch per chunk.
     """
-    n, n_steps = out_y.shape[0], out_y.shape[1] - 1
+    n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
     kappa = params.drift_comp[:, None]
     lift = matcalc.kron_lift(params.mean_rev)
@@ -226,16 +261,11 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
 
     xi = np.empty((n_steps, d, n))
-    jumps = []
-    for i in range(n):
-        rng = _philox(seed, idx0 + i)
-        jumps.append(_draw_jumps(rng, params, horizon))
-        xi[..., i] = rng.standard_normal((n_steps, d))
-    ev_time, chi2, gauss = (np.concatenate(x) for x in zip(*jumps))
-    ev_path = np.repeat(np.arange(n), [jt.size for jt, _, _ in jumps])
+    ev_path, ev_time, chi2, gauss = _draw_jumps(params, horizon, seed, idx0,
+                                                xi)
     marks = _wishart_marks(np.linalg.cholesky(params.wishart_scale), chi2,
                            gauss)
-    del jumps, chi2, gauss
+    del chi2, gauss
 
     # per jump, in path-then-time order: the mark flowed to the end of its
     # step and that flow's integral (the lift's flow maps vec J to
@@ -269,9 +299,9 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
         y += (-0.5 * np.diagonal(step_int).T - kappa * h
               + _pmul(root, xi[k][:, None])[:, 0])
         bracket += step_int
-        out_y[:, k + 1] = y.T
-        out_cov[:, k + 1] = sig.transpose(2, 0, 1)
-        out_int[:, k + 1] = bracket.transpose(2, 0, 1)
+        out_y[k + 1] = y.T
+        out_cov[k + 1] = sig.transpose(2, 0, 1)
+        out_int[k + 1] = bracket.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +322,13 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     h = span / n_steps
 
     d = params.d
-    log_spot = np.empty((n_paths, n_steps + 1, d))
-    cov = np.empty((n_paths, n_steps + 1, d, d))
-    intcov = np.empty((n_paths, n_steps + 1, d, d))
+    log_spot = np.empty((n_steps + 1, n_paths, d))
+    cov = np.empty((n_steps + 1, n_paths, d, d))
+    intcov = np.empty((n_steps + 1, n_paths, d, d))
     clip = 0
     for lo in range(0, n_paths, CHUNK_PATHS):
         sl = slice(lo, min(lo + CHUNK_PATHS, n_paths))
-        views = (log_spot[sl], cov[sl], intcov[sl])
+        views = (log_spot[:, sl], cov[:, sl], intcov[:, sl])
         if params.kind == "wasc":
             clip += _simulate_wasc_chunk(params, state.log_spot, state.cov, h,
                                          seed, path_start + lo, *views)
@@ -307,5 +337,6 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
                                 seed, path_start + lo, *views)
 
     times = state.t + h * np.arange(n_steps + 1)
-    return SimResult(times=times, log_spot=log_spot, cov=cov,
-                     integrated_cov=intcov, clip_count=clip)
+    return SimResult(times=times, log_spot=log_spot.swapaxes(0, 1),
+                     cov=cov.swapaxes(0, 1),
+                     integrated_cov=intcov.swapaxes(0, 1), clip_count=clip)

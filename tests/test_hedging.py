@@ -223,6 +223,24 @@ class TestFourierHedge:
         else:
             hedge.prepare(sim)
 
+    @pytest.mark.parametrize("n_steps", [N_STEPS // 2, 2 * N_STEPS])
+    def test_prepare_refuses_a_cache_of_another_grid(self, hedged,
+                                                     state_ref, n_steps):
+        # unchecked, the cache's lattice is read at the wrong times to
+        # maturity on a panel of the same span
+        params, _, _, hedge, _ = hedged
+        other = simulate.simulate(params, state_ref, 1.0, n_steps, N_PATHS,
+                                  seed=5)
+        with pytest.raises(ValueError, match="grid must match the simulation"):
+            hedge.prepare(other)
+
+    def test_prepare_refuses_an_unprepared_cache(self, hedged):
+        params, sim, cache, hedge, _ = hedged
+        unprepared = backtest.BasisCache(params, cache.model_args, 1.0)
+        with pytest.raises(ValueError, match="grid must match the simulation"):
+            backtest.FourierHedge(params, unprepared,
+                                  hedge.weights).prepare(sim)
+
 
 class Recorder:
     """A strategy that holds nothing and records the chunk sizes it is

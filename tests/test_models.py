@@ -88,6 +88,40 @@ class TestValidation:
                              wishart_shape=3.0, wishart_scale=0.01 * np.eye(2),
                              leverage_diag=[-0.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mean_rev", "vol_of_vol", "leverage",
+                                       "alpha", "omega"])
+    def test_wasc_rejects_non_finite_entries(self, field, bad):
+        # a nan vol_of_vol used to fail inside LAPACK, and a nan mean_rev
+        # built a set
+        fields = dict(d=2, mean_rev=M_REF.copy(), vol_of_vol=A_REF.copy(),
+                      leverage=np.array(RHO_REF, dtype=float))
+        fields["omega" if field == "omega" else "alpha"] = (
+            ALPHA_REF * A_REF.T @ A_REF if field == "omega" else ALPHA_REF)
+        if np.ndim(fields[field]):
+            fields[field].flat[0] = bad
+        else:
+            fields[field] = bad
+        with pytest.raises(ValueError, match="invalid model parameters") as e:
+            models.WascParams(**fields)
+        assert f"{field} must be finite" in str(e.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mean_rev", "jump_intensity",
+                                       "wishart_shape", "wishart_scale",
+                                       "leverage_diag"])
+    def test_bns_rejects_non_finite_entries(self, field, bad):
+        fields = dict(d=2, mean_rev=M_REF.copy(), jump_intensity=3.0,
+                      wishart_shape=3.0, wishart_scale=0.01 * np.eye(2),
+                      leverage_diag=np.array([-0.5, -0.5]))
+        if np.ndim(fields[field]):
+            fields[field].flat[0] = bad
+        else:
+            fields[field] = bad
+        with pytest.raises(ValueError, match="invalid model parameters") as e:
+            models.BnsParams(**fields)
+        assert f"{field} must be finite" in str(e.value)
+
     def test_bns_reference_ok(self, bns_ref):
         assert np.all(np.isfinite(bns_ref.drift_comp))
         # marks[k] = rho_k E^kk, read-only like every array field

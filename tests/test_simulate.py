@@ -127,6 +127,73 @@ class TestDeterminism:
         assert not np.array_equal(a.log_spot, b.log_spot)
 
 
+def fresh_stream(seed, index):
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+class TestStreams:
+    """A chunk re-keys one generator per path; each path must still draw
+    exactly its own fresh stream, in the documented order."""
+
+    SEED, IDX0, N, STEPS = 2**40 + 3, 1000, 64, 6
+
+    def test_wasc_draws_match_fresh_streams(self):
+        for i, rng in enumerate(simulate._path_streams(self.SEED, self.IDX0,
+                                                       self.N)):
+            ref = fresh_stream(self.SEED, self.IDX0 + i)
+            for shape in ((self.STEPS, 2, 2), (self.STEPS, 2)):
+                assert np.array_equal(rng.standard_normal(shape),
+                                      ref.standard_normal(shape))
+
+    def bns_draws(self, params):
+        xi = np.empty((self.STEPS, params.d, self.N))
+        draws = simulate._draw_jumps(params, 1.0, self.SEED, self.IDX0, xi)
+        return draws, xi
+
+    def test_bns_draws_match_fresh_streams(self, bns_ref):
+        (ev_path, ev_time, chi2, gauss), xi = self.bns_draws(bns_ref)
+        df = bns_ref.wishart_shape - np.arange(2)
+        want = {"time": [], "chi2": [], "gauss": []}
+        counts = []
+        for i in range(self.N):
+            ref = fresh_stream(self.SEED, self.IDX0 + i)
+            n_jumps = int(ref.poisson(bns_ref.jump_intensity))
+            counts.append(n_jumps)
+            want["time"].append(np.sort(ref.random(n_jumps)))
+            want["chi2"].append(ref.chisquare(np.broadcast_to(df,
+                                                              (n_jumps, 2))))
+            want["gauss"].append(ref.standard_normal((n_jumps, 2, 2)))
+            assert np.array_equal(xi[..., i],
+                                  ref.standard_normal((self.STEPS, 2)))
+        # a path without jumps must not shift the next path's draws
+        assert 0 in counts[:-1]
+        assert np.array_equal(ev_path, np.repeat(np.arange(self.N), counts))
+        assert np.array_equal(ev_time, np.concatenate(want["time"]))
+        assert np.array_equal(chi2, np.concatenate(want["chi2"]))
+        assert np.array_equal(gauss, np.concatenate(want["gauss"]))
+
+    def test_bns_jump_times_ascend_within_each_path(self, bns_ref):
+        (ev_path, ev_time, _, _), _ = self.bns_draws(bns_ref)
+        same_path = np.diff(ev_path) == 0
+        assert same_path.any() and not same_path.all()
+        assert np.all(np.diff(ev_time)[same_path] >= 0.0)
+        assert np.all((ev_time >= 0.0) & (ev_time < 1.0))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_each_date_is_one_contiguous_block(self, model, wasc_ref,
+                                               bns_ref, state_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        sim = simulate.simulate(params, state_ref, 1.0, 5, 7, seed=9)
+        assert sim.log_spot.shape == (7, 6, 2)
+        assert sim.cov.shape == sim.integrated_cov.shape == (7, 6, 2, 2)
+        for k in range(6):
+            for panel in (sim.log_spot, sim.cov, sim.integrated_cov):
+                assert panel[:, k].flags.c_contiguous
+
+
 class TestWascStatistics:
     def test_spot_martingale(self, wasc_sim):
         st = np.exp(wasc_sim.log_spot[:, -1])
