@@ -535,7 +535,7 @@ def gkw_theta(params, state: models.MarketState, ev: TransformEval
 # ``simulate`` module docstring documents.  They return (log_spot, cov,
 # integrated_cov, clip_count) in the layout of ``simulate.SimResult``.
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
+def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
@@ -554,7 +554,7 @@ def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
     w_norm = np.empty((n_paths, n_steps, d, d))
     z_norm = np.empty((n_paths, n_steps, d))
     for i in range(n_paths):
-        rng = _path_rng(seed, path_start + i)
+        rng = path_rng(seed, path_start + i)
         w_norm[i] = rng.standard_normal((n_steps, d, d))
         z_norm[i] = rng.standard_normal((n_steps, d))
 
@@ -610,7 +610,7 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
     covs = np.empty((n_paths, n_steps + 1, d, d))
     intcov = np.empty((n_paths, n_steps + 1, d, d))
     for i in range(n_paths):
-        rng = _path_rng(seed, path_start + i)
+        rng = path_rng(seed, path_start + i)
         n_jumps = int(rng.poisson(params.jump_intensity * span))
         times = np.sort(rng.random(n_jumps)) * span
         chi2 = rng.chisquare(np.broadcast_to(df, (n_jumps, d)))

@@ -127,11 +127,6 @@ class TestDeterminism:
         assert not np.array_equal(a.log_spot, b.log_spot)
 
 
-def fresh_stream(seed, index):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
 class TestStreams:
     """A chunk re-keys one generator per path; each path must still draw
     exactly its own fresh stream, in the documented order."""
@@ -141,7 +136,7 @@ class TestStreams:
     def test_wasc_draws_match_fresh_streams(self):
         for i, rng in enumerate(simulate._path_streams(self.SEED, self.IDX0,
                                                        self.N)):
-            ref = fresh_stream(self.SEED, self.IDX0 + i)
+            ref = oracles.path_rng(self.SEED, self.IDX0 + i)
             for shape in ((self.STEPS, 2, 2), (self.STEPS, 2)):
                 assert np.array_equal(rng.standard_normal(shape),
                                       ref.standard_normal(shape))
@@ -157,7 +152,7 @@ class TestStreams:
         want = {"time": [], "chi2": [], "gauss": []}
         counts = []
         for i in range(self.N):
-            ref = fresh_stream(self.SEED, self.IDX0 + i)
+            ref = oracles.path_rng(self.SEED, self.IDX0 + i)
             n_jumps = int(ref.poisson(bns_ref.jump_intensity))
             counts.append(n_jumps)
             want["time"].append(np.sort(ref.random(n_jumps)))
