@@ -28,7 +28,6 @@ __all__ = [
     "covswap_values",
     "covswap_payoff",
     "wasc_covswap_variance",
-    "wishart_pair_mean",
 ]
 
 # composite Simpson intervals of the time integral in wasc_covswap_variance
@@ -106,7 +105,7 @@ def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
 # the shape, theta the scale matrix
 # ---------------------------------------------------------------------------
 
-def wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int):
+def _wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int):
     """E[X_ii X_jj], for one scale matrix or a (..., d, d) stack of them."""
     return (n * n * theta[..., i, i] * theta[..., j, j]
             + 2.0 * n * theta[..., i, j] ** 2)
@@ -127,7 +126,7 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
     theta = params.wishart_scale
     rho = params.leverage_diag
     a_ij = rho[i] * rho[j]
-    pair_base = a_ij * wishart_pair_mean(theta, n, i, j)
+    pair_base = a_ij * _wishart_pair_mean(theta, n, i, j)
     c_vals = c_vals + (horizon - times) * lam * pair_base
     strike = float(np.trace(g_mats[0] @ sigma0) + c_vals[0])
 
@@ -138,7 +137,7 @@ def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
     mgf, _ = models.wishart_mgf(theta, n, params.marks)
     tilted = np.linalg.inv(np.linalg.inv(theta) - 2.0 * params.marks)
     base = pair_base + n * np.einsum("tab,ba->t", g_mats, theta)
-    tilt = (a_ij * wishart_pair_mean(tilted, n, i, j)
+    tilt = (a_ij * _wishart_pair_mean(tilted, n, i, j)
             + n * np.einsum("tab,kba->tk", g_mats, tilted))
     theta_core = lam * (mgf.real * tilt - base[:, None])
     return CovswapSystem(kind="bns", pair=tuple(pair), times=times,
@@ -173,18 +172,15 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     variance rate 4 Tr(G Sigma G V_perp); taking expectations moves the
     mean covariance flow inside the trace.
     """
-    e_pair = _pair_matrix(params.d, pair)
     ts = _time_grid(horizon, _SIMPSON_INTERVALS)
-    _, int1_rem, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
-                                        horizon - ts)
+    g_mats, _ = _coefficients(params.mean_rev, _pair_matrix(params.d, pair),
+                              params.omega, horizon - ts)
+    mean_cov = models.wasc_mean_cov(params, sigma0, ts)
     vperp = (params.vol_of_vol.T
              @ (np.eye(params.d) - np.outer(params.leverage, params.leverage))
              @ params.vol_of_vol)
-    vals = np.empty(ts.size)
-    for k in range(ts.size):
-        g = matcalc.mat(int1_rem[k].T @ matcalc.vec(e_pair))
-        mean_cov = models.wasc_mean_cov(params, sigma0, ts[k])
-        vals[k] = 4.0 * np.trace(g @ mean_cov @ g @ vperp)
+    vals = 4.0 * np.trace(g_mats @ mean_cov @ g_mats @ vperp, axis1=-2,
+                          axis2=-1)
     h = horizon / _SIMPSON_INTERVALS
     weights = np.ones(_SIMPSON_INTERVALS + 1)
     weights[1:-1:2] = 4.0

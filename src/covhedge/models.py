@@ -46,9 +46,6 @@ __all__ = [
     "bns_integrated_mean",
 ]
 
-# threshold on the 1-norm condition number (within a factor n of the 2-norm
-# one for an n x n matrix) for trusting closed-form inverses
-COND_LIMIT = 1e12
 # The one overflow rule: the largest real part of a transform exponent that
 # is exponentiated; beyond it e^x overflows float64 (about 709.8) or swamps
 # every other contour node.  A node whose real exponent passes it is skipped:
@@ -349,19 +346,24 @@ class IntegratedMeanMap:
     offset: np.ndarray
 
 
-def _mean_flows(mean_rev: np.ndarray, t: float):
+def _mean_flows(mean_rev: np.ndarray, t):
     """(flow, int flow, double int flow) of the mean covariance ODE
-    dS/dt = drive + M S + S M' over [0, t], in column-stacked form."""
+    dS/dt = drive + M S + S M' over [0, t], in column-stacked form, for a
+    time or an array of times."""
     return matcalc.lift_flows(matcalc.kron_lift(mean_rev),
-                              np.array(float(t)))
+                              np.asarray(t, dtype=float))
 
 
-def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t: float) -> np.ndarray:
-    """E[Sigma_t | Sigma_0] = flow vec Sigma_0 + (int flow) vec Omega."""
+def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t) -> np.ndarray:
+    """E[Sigma_t | Sigma_0] = flow vec Sigma_0 + (int flow) vec Omega, for a
+    time t or an array of times (shape t.shape + (d, d))."""
+    t = np.asarray(t, dtype=float)
     flow, int1, _ = _mean_flows(params.mean_rev, t)
-    return matcalc.sym_part(matcalc.mat(
-        flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
-        + int1 @ matcalc.vec(params.omega)))
+    mean = (flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
+            + int1 @ matcalc.vec(params.omega))
+    # column-stacked, so read back in C order the matrix is transposed; the
+    # symmetric part is the same
+    return matcalc.sym_part(mean.reshape(t.shape + (params.d, params.d)))
 
 
 def wasc_integrated_mean(params: WascParams, t: float, T: float) -> IntegratedMeanMap:

@@ -27,12 +27,14 @@ with tau = T - t.  This module computes (phi, psi):
       phi(tau) = -alpha/2 [log det Theta_22(tau) + tau Tr F]
                  + int_0^tau Tr((Omega - alpha A'A) psi(s)) ds.
 
-  The log is taken from the eigen-split of Ham: with the d dominant modes
-  (largest real parts) factored out, det Theta_22 = e^{tau sum lam_D}
-  det Y(tau) where no entry of Y grows with tau, so the principal log of
-  det Y stays on the branch continuous from tau = 0 (the Wishart form of
-  the "little Heston trap": Albrecher, Mayer, Schoutens & Tistaert 2007;
-  Gnoatto & Grasselli 2014).
+  Both come from one factoring of the eigen-split of Ham (Kenney &
+  Leipnik 1985): with the d dominant modes (largest real parts) taken out,
+  [Theta_21, Theta_22] = Q_2D e^{tau Lam_D} Z(tau) where no entry of Z
+  grows with tau.  So psi = Z_2^{-1} Z_1 never solves against the
+  ill-conditioned Theta_22, and det Theta_22 = e^{tau sum lam_D}
+  det(Q_2D Z_2), whose principal log stays on the branch continuous from
+  tau = 0 (the Wishart form of the "little Heston trap": Albrecher, Mayer,
+  Schoutens & Tistaert 2007; Gnoatto & Grasselli 2014).
 
 * Pure-jump covariance: the Riccati is linear,
   psi(tau) = int_0^tau e^{M's} D e^{Ms} ds,
@@ -55,10 +57,9 @@ skipped mass.
   cut into equal panels no wider than PHI_PANEL_WIDTH, and a
   PHI_PANEL_NODES-point Gauss-Legendre rule runs on every panel, so
   phi(tau_k) = phi(tau_{k-1}) + the integral over [tau_{k-1}, tau_k].  A
-  diffusion node whose eigenvector basis, or dominant block of it, has
-  1-norm condition number above 1e10 counts alpha as 0 and integrates
-  Tr(Omega psi).  ``TransformGrid.phi_quadrature`` marks the nodes of the
-  panel route.
+  diffusion node off the eigen route (below) counts alpha as 0 and
+  integrates Tr(Omega psi).  ``TransformGrid.phi_quadrature`` marks the
+  nodes of the panel route.
 * Node blocks.  Each route takes its nodes in blocks of about
   BLOCK_POINTS (node, s) points, which bounds the working set; every entry
   is bitwise the same whatever the partition.  A block costs a fixed
@@ -69,35 +70,44 @@ skipped mass.
   1,904.  It took 0.43 s where 512 points took 0.88 (medians of 10, 2-core
   VM); larger budgets were no faster and grow the working set.  For the
   diffusion, one batched eigendecomposition of every node's Hamiltonian
-  gives the lower block rows of Theta at every s of its route (a node
-  whose eigenvector basis has 1-norm condition number above 1e10 falls
-  back to expm), followed by one batched condition, solve, blow-up and
-  asymmetry check.  For d <= 2 the eigendecomposition is closed-form: the
-  eigenvalues of a Hamiltonian matrix come in pairs +-lam (Van Loan
-  1984), so lam^2 solves a polynomial of degree d, and the eigenvectors
-  and q^{-1} come from the spectral projectors (``_eigenpairs``).  LAPACK
-  eig took about 18 us a node; without it the benchmark's diffusion strip
-  share went from 0.71 to 0.45 s (medians of 10 paired runs, 2-core VM).
-  d > 2 takes np.linalg.eig.  For the jump model the operator
+  gives Z, and from it psi, the log-determinant and the sign of det
+  Theta_22, at every s of its route (``_flow``).  A node whose
+  eigenvector basis, or its dominant lower block Q_2D, has 1-norm
+  condition number above 1e10 is off the eigen route and takes the rows
+  of expm as Z; no benchmark lattice has such a node.  For d <= 2 the
+  eigendecomposition is closed-form: the eigenvalues of a Hamiltonian
+  matrix come in pairs +-lam (Van Loan 1984), so lam^2 solves a
+  polynomial of degree d, and the eigenvectors and q^{-1} come from the
+  spectral projectors (``_eigenpairs``).  LAPACK eig took about 18 us a
+  node; without it the benchmark's diffusion strip share went from 0.71 to
+  0.45 s (medians of 10 paired runs, 2-core VM).  d > 2 takes
+  np.linalg.eig.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs the Wishart MGF
   at every (node, s), whose strip flag and log-determinant come from the
   elimination pivots of scale^{-1} - 2 R, batched with ufunc arithmetic
   (``models.wishart_mgf``).
-* Moment explosion (diffusion).  The checks above only fire close to a
-  Riccati pole, so a pole between two evaluated points would pass.  For
-  each distinct real part a = Re(u) among the nodes, the real companion
-  node u = a is evaluated too: det Theta_22(s) is real for it, starts at 1
-  and vanishes exactly where its flow explodes.  From the first evaluated
-  s where it is not positive, E[exp(a'Y)] is infinite and every node with
-  real part a is invalid (Keller-Ressel 2011).  The companion nodes are
-  sampled at the tau of the grid and the panel points, whichever route
-  their nodes take; there is one per distinct real part, so a few rows.
+* Moment explosion (diffusion).  Validity is decided by the real part of
+  a node: |E[exp(u'Y)]| <= E[exp(Re(u)'Y)], and the transform formula
+  holds for complex u wherever that moment is finite (Keller-Ressel 2011;
+  Keller-Ressel & Mayerhofer 2015).  For each distinct real part a among
+  the nodes, the real companion node u = a is evaluated too: det
+  Theta_22(s) is real for it, starts at 1 and vanishes exactly where its
+  flow explodes.  From the first evaluated s where it is not positive,
+  E[exp(a'Y)] is infinite and every node with real part a is invalid.
+  The companion nodes are sampled at the tau of the grid and the panel
+  points, whichever route their nodes take, so a pole between two grid
+  tau is caught; there is one per distinct real part, so a few rows.
+  Beyond that a node's own point fails only where its psi is not finite
+  or exceeds 1e12 in modulus: a grid tau that lands on a pole to rounding
+  leaves a finite but huge psi, and the companion's det there (about
+  -1.6e-16 for d = 1, u = 2 at tau = pi / (2 sqrt 2)) may round to either
+  sign.
 * Forward validity.  A node is valid at tau only if its companion passed
-  on [0, tau] and its own checks passed at every point it was evaluated at
-  in [0, tau]: the tau of the grid up to it, and the panel points too on
-  the panel route.  Once a node fails it stays invalid for every later
-  tau, and its phi and psi hold nan there.
+  on [0, tau] and its psi passed at every point it was evaluated at in
+  [0, tau]: the tau of the grid up to it, and the panel points too on the
+  panel route.  Once a node fails it stays invalid for every later tau,
+  and its phi and psi hold nan there.
 
 Single evaluations go through the same engine as a 1 x 1 lattice.  H at a
 market state is formed by the callers, ``hedging.pricing.fourier_price`` and
@@ -128,11 +138,12 @@ __all__ = [
 PHI_PANEL_NODES = 8
 PHI_PANEL_WIDTH = 0.125
 BLOCK_POINTS = 4096
-# 1-norm condition numbers, one LU inverse each (an n x n matrix's lies
-# within a factor n of the 2-norm one); singular input gives inf
+# 1-norm condition numbers of the eigen route, one LU inverse each (an
+# n x n matrix's lies within a factor n of the 2-norm one); singular input
+# gives inf
 _EIGVEC_COND_MAX = 1e10
+# largest |psi| entry of a valid point ("Moment explosion" above)
 _BLOWUP_LIMIT = 1e12
-_ASYM_TOL = 1e-6
 
 
 def _source(u: np.ndarray) -> np.ndarray:
@@ -160,26 +171,6 @@ def wasc_hamiltonian(params: models.WascParams, u) -> np.ndarray:
     ham[..., d:, :d] = _source(u)
     ham[..., d:, d:] = -f.swapaxes(-1, -2)
     return ham
-
-
-def _flow_solve(lhs: np.ndarray, rhs: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """psi = lhs^{-1} rhs for a stack of flow blocks, with the checks that
-    flag a blown-up or numerically singular flow.  Returns psi (0 where a
-    check failed) and the per-entry flags."""
-    ok = np.all(np.isfinite(lhs), axis=(-2, -1))
-    ok[ok] = np.linalg.cond(lhs[ok], 1) < models.COND_LIMIT
-    sol = np.linalg.solve(lhs[ok], rhs[ok])
-    scale = np.maximum(np.max(np.abs(sol), axis=(-2, -1)), 1.0)
-    asym = np.max(np.abs(sol - sol.swapaxes(-1, -2)), axis=(-2, -1))
-    # magnitude guard: near a singular flow crossing the solve stays
-    # well conditioned for d = 1 yet the solution itself diverges
-    sol_ok = (np.all(np.isfinite(sol), axis=(-2, -1))
-              & (scale <= _BLOWUP_LIMIT) & (asym <= _ASYM_TOL * scale))
-    psi = np.zeros(lhs.shape, dtype=complex)
-    psi[ok] = np.where(sol_ok[:, None, None], matcalc.sym_part(sol), 0.0)
-    ok[ok] = sol_ok
-    return psi, ok
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +219,21 @@ def _span_any(flags: np.ndarray, n_k: int, starts: np.ndarray) -> np.ndarray:
 
 
 class _Spectrum(NamedTuple):
-    """Eigen-split of Ham(u) for a stack of nodes: eigenvalues lam (B, 2d),
-    eigenvectors q (B, 2d, 2d) as columns of unit 2-norm, and qinv = q^{-1}.
-    For d <= 2 they are closed-form (``_eigenpairs``): lam = +-sqrt(mu) over
-    the roots mu of mu^d - (tr Ham^2 / 2) mu^{d-1} + ... (for d = 2 the
-    last term is det Ham), and q, qinv come from the spectral projectors
-    P_j = q[:, j] qinv[j, :].  ok is False where the basis is not finite or
-    has 1-norm condition number above 1e10 (the expm fallback); dom lists
-    the modes by descending real part, the first d dominant; closed is ok
-    with a well-conditioned dominant block Q_2D as well."""
+    """Eigen-split of Ham(u) for a stack of nodes: eigenvalues lam (B, 2d)
+    with the d dominant modes (largest real parts) first, eigenvectors q
+    (B, 2d, 2d) as columns of unit 2-norm in the same order, and qinv =
+    q^{-1}.  For d <= 2 they are closed-form (``_eigenpairs``): lam =
+    +-sqrt(mu) over the roots mu of mu^d - (tr Ham^2 / 2) mu^{d-1} + ...
+    (for d = 2 the last term is det Ham), and q, qinv come from the
+    spectral projectors P_j = q[:, j] qinv[j, :].  ok is False where the
+    basis is not finite, or it or its dominant lower block Q_2D has 1-norm
+    condition number above 1e10 (the expm fallback)."""
 
     ham: np.ndarray
     lam: np.ndarray
     q: np.ndarray
     qinv: np.ndarray
     ok: np.ndarray
-    dom: np.ndarray
-    closed: np.ndarray
 
     def take(self, cols) -> "_Spectrum":
         return _Spectrum(*(a[cols] for a in self))
@@ -335,11 +324,12 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
     if d <= 2:
         lam, q, qinv = _eigenpairs(ham)
-        dom = np.broadcast_to(np.arange(2 * d), lam.shape)
     else:
         lam, q = np.linalg.eig(ham)
-        qinv = np.zeros_like(q)
         dom = np.argsort(-lam.real, axis=-1)
+        lam = np.take_along_axis(lam, dom, axis=-1)
+        q = np.take_along_axis(q, dom[:, None, :], axis=-1)
+        qinv = np.zeros_like(q)
     ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
     # an LU inverse, not |q|_1 |qinv|_1: on a defective Ham the closed-form
     # qinv is no inverse (|qinv q - I| = 0.5 on a Jordan block), yet that
@@ -347,56 +337,59 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     ok[ok] = np.linalg.cond(q[ok], 1) <= _EIGVEC_COND_MAX
     if d > 2:
         qinv[ok] = np.linalg.inv(q[ok])
-    q2d = np.take_along_axis(q[:, d:, :], dom[:, None, :d], axis=-1)
-    closed = ok.copy()
-    closed[ok] = np.linalg.cond(q2d[ok], 1) <= _EIGVEC_COND_MAX
-    return _Spectrum(ham, lam, q, qinv, ok, dom, closed)
+    ok[ok] = np.linalg.cond(q[ok, d:, :d], 1) <= _EIGVEC_COND_MAX
+    return _Spectrum(ham, lam, q, qinv, ok)
 
 
-def _theta_low(spec: _Spectrum, svals: np.ndarray) -> np.ndarray:
-    """Lower block rows [Theta_21, Theta_22] of expm(s Ham(u)) for B nodes
-    at every s, shape (B, S, d, 2d)."""
+def _flow(spec: _Spectrum, svals: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi(s), log det Theta_22(s) + s Tr F and the sign of Re det
+    Theta_22(s) for B nodes at every s, shapes (B, S, d, d), (B, S) and
+    (B, S); psi is nan where Z_2 below is singular or not finite.
+
+    With the dominant modes D split from the sub-dominant S and P = Q^{-1},
+    the lower block rows of Theta = Q e^{s Lam} P are [Theta_21, Theta_22]
+    = Q_2D e^{s Lam_D} Z(s), with
+    Z(s) = P_D + e^{-s Lam_D} Q_2D^{-1} Q_2S e^{s Lam_S} P_S, whose entries
+    do not grow with s.  So psi = Z_2^{-1} Z_1, free of the conditioning
+    of e^{s Lam_D}, and det Theta_22 = e^{s sum lam_D} det(Q_2D Z_2), where
+    det(Q_2D Z_2) is 1 at s = 0 and its principal log stays on the branch
+    continuous from there (the Wishart form of the little Heston trap).
+    A node off the eigen route takes the rows of expm(s Ham) as Z, with
+    Q_2D = I and Lam_D = 0; its log is plain principal."""
     n, d = spec.lam.shape[0], spec.lam.shape[1] // 2
     ok = spec.ok
-    # sum_j e^{s lam_j} q[d:, j] (x) q^{-1}[j, :]: one batched product with
-    # no temporary the size of the result
-    modes = np.zeros((n, 2 * d, 2 * d * d), dtype=complex)
-    modes[ok] = (spec.q[ok, d:, :].swapaxes(-1, -2)[..., None]
-                 * spec.qinv[ok][:, :, None, :]).reshape(-1, 2 * d, 2 * d * d)
-    low = (np.exp(svals[:, None] * spec.lam[:, None, :]) @ modes).reshape(
-        n, svals.size, d, 2 * d)
+    lam_d = np.where(ok[:, None], spec.lam[:, :d], 0.0)
+    q2d = np.where(ok[:, None, None], spec.q[:, d:, :d], np.eye(d))
+    # Z(s) = P_D + sum_ij e^{s (lam_Sj - lam_Di)} e_i K_ij P_S[j, :] with
+    # K = Q_2D^{-1} Q_2S: one batched product, every exponent of real part
+    # <= 0
+    terms = np.zeros((n, d * d, 2 * d * d), dtype=complex)
+    terms[ok] = np.einsum("ri,bij,bjc->bijrc", np.eye(d),
+                          np.linalg.solve(q2d[ok], spec.q[ok, d:, d:]),
+                          spec.qinv[ok, d:]).reshape(-1, d * d, 2 * d * d)
+    gaps = (spec.lam[:, None, d:] - lam_d[:, :, None]).reshape(n, 1, d * d)
+    z = np.exp(svals[:, None] * gaps) @ terms
+    z[ok] += spec.qinv[ok, :d].reshape(-1, 1, 2 * d * d)
+    z = z.reshape(n, svals.size, d, 2 * d)
     for b in np.flatnonzero(~ok):
-        low[b] = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
-    return low
-
-
-def _log_det(spec: _Spectrum, svals: np.ndarray) -> np.ndarray:
-    """log det Theta_22(s) + s Tr F for B closed-form nodes at every s,
-    shape (B, S), on the branch continuous from s = 0.
-
-    With the dominant modes D split from the sub-dominant S,
-    det Theta_22(s) = e^{s sum lam_D} det Y(s) where
-    Y(s) = Q_2D [P_D2 + e^{-s Lam_D} Q_2D^{-1} Q_2S e^{s Lam_S} P_S2] and
-    P = Q^{-1}.  No entry of the bracket grows with s, so the principal log
-    of det Y stays on one branch (the Wishart form of the little Heston
-    trap)."""
-    n, d = spec.lam.shape[0], spec.lam.shape[1] // 2
-    lam = np.take_along_axis(spec.lam, spec.dom, axis=-1)
-    q2 = np.take_along_axis(spec.q[:, d:, :], spec.dom[:, None, :], axis=-1)
-    p2 = np.take_along_axis(spec.qinv[:, :, d:], spec.dom[:, :, None],
-                            axis=-2)
-    q2d, q2s = q2[..., :d], q2[..., d:]
-    # Y(s) = Q_2D P_D2 + sum_ij e^{s (lam_Sj - lam_Di)} Q_2D[:, i] K_ij
-    # P_S2[j, :] with K = Q_2D^{-1} Q_2S; every exponent has real part <= 0
-    terms = np.einsum("bri,bij,bjc->bijrc", q2d, np.linalg.solve(q2d, q2s),
-                      p2[:, d:]).reshape(n, d * d, d * d)
-    gaps = (lam[:, None, d:] - lam[:, :d, None]).reshape(n, 1, d * d)
-    y = ((q2d @ p2[:, :d]).reshape(n, 1, d * d)
-         + np.exp(svals[:, None] * gaps) @ terms).reshape(
-             n, svals.size, d, d)
-    slope = lam[:, :d].sum(axis=-1) + np.trace(spec.ham[:, :d, :d],
-                                              axis1=-2, axis2=-1)
-    return svals * slope[:, None] + np.log(np.linalg.det(y))
+        z[b] = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
+    # det(Q_2D Z_2) as a phase and a log modulus, which the large expm
+    # rows of a node off the eigen route cannot overflow; a zero pivot
+    # gives phase 0
+    phase, log_mod = np.linalg.slogdet(z[..., d:])
+    psi = np.full((n, svals.size, d, d), np.nan, dtype=complex)
+    good = np.all(np.isfinite(z[..., d:]), axis=(-2, -1)) & (phase != 0)
+    psi[good] = matcalc.sym_part(np.linalg.solve(z[..., d:][good],
+                                                 z[..., :d][good]))
+    phase_q, log_mod_q = np.linalg.slogdet(q2d)
+    phase = phase * phase_q[:, None]
+    lead = lam_d.sum(axis=-1)[:, None]
+    slope = lead + np.trace(spec.ham[:, :d, :d], axis1=-2, axis2=-1)[:, None]
+    sign = np.sign((np.exp(1j * svals * lead.imag) * phase).real)
+    log_det = (svals * slope + log_mod + log_mod_q[:, None]
+               + 1j * np.angle(phase))
+    return psi, log_det, sign
 
 
 def _wasc_block(params: models.WascParams, full: np.ndarray,
@@ -411,14 +404,15 @@ def _wasc_block(params: models.WascParams, full: np.ndarray,
 
     phi = -alpha/2 [log det Theta_22 + s Tr F] + int Tr((Omega - alpha A'A)
     psi) ds, with alpha = 0 for params built from omega and for nodes off
-    the closed form; models.WascParams builds omega by the expression below,
-    so with alpha given the remainder of a closed-form node is exactly 0."""
-    d, n_k = params.d, starts.size
+    the eigen route; models.WascParams builds omega by the expression below,
+    so with alpha given the remainder of a node on that route is exactly
+    0."""
+    n_k = starts.size
     alpha = 0.0 if params.alpha is None else float(params.alpha)
     rem = params.omega - alpha * params.vol_of_vol.T @ params.vol_of_vol
     spec = _spectrum(params, nodes)
-    node_alpha = np.where(spec.closed, alpha, 0.0)
-    node_rem = np.where(spec.closed[:, None, None], rem, params.omega)
+    node_alpha = np.where(spec.ok, alpha, 0.0)
+    node_rem = np.where(spec.ok[:, None, None], rem, params.omega)
     quad = np.any(node_rem != 0, axis=(-2, -1))
     # det Theta_22 of each distinct real part's companion node at every
     # point, in blocks; a non-positive value anywhere in a knot's span
@@ -427,23 +421,16 @@ def _wasc_block(params: models.WascParams, full: np.ndarray,
     which = which.reshape(-1)
     width = max(1, BLOCK_POINTS // full.size)
     sign = np.concatenate([
-        np.linalg.slogdet(_theta_low(_spectrum(params, reals[lo:lo + width]
-                                               .astype(complex)), full)
-                          [..., d:].real)[0]
-        for lo in range(0, reals.shape[0], width)])
+        _flow(_spectrum(params, reals[lo:lo + width].astype(complex)),
+              full)[2] for lo in range(0, reals.shape[0], width)])
     pole_ok = ~_span_any(~(sign > 0), n_k, starts)        # (R, n_k)
 
     def block(cols: np.ndarray, n_s: int):
-        svals = full[:n_s]
-        sp = spec.take(cols)
-        low = _theta_low(sp, svals)
-        psi, ok = _flow_solve(low[..., d:], low[..., :d])
+        psi, log_det, _ = _flow(spec.take(cols), full[:n_s])
+        # a grid point on a pole, to rounding, gives a finite but huge psi
+        ok = np.max(np.abs(psi), axis=(-2, -1)) <= _BLOWUP_LIMIT
         ok[:, :n_k] &= pole_ok[which[cols]]
-        phi_cf = np.zeros(ok.shape, dtype=complex)
-        on = node_alpha[cols] != 0
-        if np.any(on):
-            phi_cf[on] = (-0.5 * node_alpha[cols][on, None]
-                          * _log_det(sp.take(on), svals))
+        phi_cf = -0.5 * node_alpha[cols, None] * log_det
         return psi, phi_cf, np.einsum("bij,bsji->bs", node_rem[cols], psi), ok
 
     return quad, block

@@ -316,6 +316,14 @@ class TestWascMoments:
             m = models.wasc_mean_cov(wasc_ref, SIGMA0_REF, float(t))
             assert matcalc.min_eigenvalue(m) > -matcalc.psd_tolerance(m)
 
+    def test_array_of_times_matches_single_times(self, wasc_ref):
+        ts = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+        batch = models.wasc_mean_cov(wasc_ref, SIGMA0_REF, ts)
+        assert batch.shape == (3, 4, 2, 2)
+        single = [[models.wasc_mean_cov(wasc_ref, SIGMA0_REF, float(t))
+                   for t in row] for row in ts]
+        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+
     def test_integrated_mean_empty_interval(self, wasc_ref):
         imap = models.wasc_integrated_mean(wasc_ref, 1.0, 1.0)
         assert np.all(imap.map == 0.0) and np.all(imap.offset == 0.0)

@@ -107,10 +107,21 @@ class TestWascPsi:
         psi, _, ok = at(params, 0.9 * tau_star, np.array([2.0]))
         assert ok and np.all(np.isfinite(psi))
 
-    def test_invalid_on_overflowing_flow(self, wasc_ref):
-        psi, phi, ok = at(wasc_ref, 400.0, CONTOUR_NODES[0])
-        assert not ok
-        assert np.all(np.isnan(psi.real)) and np.isnan(phi.real)
+    @pytest.mark.parametrize("tau", [50.0, 400.0])
+    def test_long_maturity_solves_algebraic_riccati(self, wasc_ref, tau):
+        # no companion of these nodes explodes, so they stay valid; far out
+        # psi has settled on the stationary point of the Riccati equation,
+        # 2 psi G psi + psi F + F' psi + D = 0, where Theta_22 itself is
+        # singular to working precision (tau = 50) or overflows (tau = 400)
+        nodes = np.stack(CONTOUR_NODES)
+        grid = transforms.transform_grid(wasc_ref, [tau], nodes)
+        assert np.all(grid.valid)
+        ham = transforms.wasc_hamiltonian(wasc_ref, nodes)
+        f, g, src = ham[:, :2, :2], -0.5 * ham[:, :2, 2:], ham[:, 2:, :2]
+        psi = grid.psi[0]
+        resid = (2.0 * psi @ g @ psi + psi @ f + f.swapaxes(1, 2) @ psi
+                 + src)
+        assert np.max(np.abs(resid)) < 1e-12
 
     def test_rejects_negative_tau(self, wasc_ref):
         with pytest.raises(ValueError):
@@ -438,6 +449,21 @@ class TestTransformGrid:
                 assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-12
                 assert abs(grid.phi[k, m] - phi) < 1e-12
 
+    def test_defective_hamiltonian_valid_at_long_maturity(self):
+        # without vol-of-vol the covariance is deterministic and every
+        # moment is finite; at tau = 600 the expm rows of the fallback reach
+        # 1e261, so det Theta_22 itself overflows, yet psi is the flow map's
+        params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
+                                                           [0.0, -1.0]]),
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=np.zeros(2), omega=0.05 * np.eye(2))
+        nodes = np.stack(CONTOUR_NODES[:2])
+        grid = transforms.transform_grid(params, [600.0], nodes)
+        assert np.all(grid.valid)
+        for m, u in enumerate(nodes):
+            psi = wasc_flow_map(params, 600.0, u, np.zeros((2, 2)))
+            assert np.max(np.abs(grid.psi[0, m] - psi)) < 1e-12
+
     @pytest.mark.parametrize("u", [2.0, 2.0 + 0.5j])
     def test_pole_between_evaluated_points(self, u):
         # the real companion u = 2 explodes at tau* = pi / (2 sqrt 2) ~ 1.11,
@@ -463,10 +489,10 @@ def atm_cc_nodes(params, state, nodes_per_dim):
                                  decay=decay).model_args
 
 
-def marched_phi(params, tau, nodes, panels, order=16):
-    """phi(tau) by a composite Gauss-Legendre rule on Tr(Omega psi(s)) over
-    equal panels, with psi carried from panel to panel by the flow map of
-    scipy's expm over the offsets within one panel."""
+def marched_flow(params, tau, nodes, panels, order=16):
+    """(phi, psi) at tau: psi carried from panel to panel of equal width by
+    the flow map of scipy's expm, and phi by a composite Gauss-Legendre rule
+    on Tr(Omega psi(s)) over the offsets within each panel."""
     d = params.d
     width = tau / panels
     x, w = np.polynomial.legendre.leggauss(order)
@@ -481,7 +507,7 @@ def marched_phi(params, tau, nodes, panels, order=16):
         phi += 0.5 * width * np.einsum("p,ab,pmba->m", w, params.omega,
                                        moved[:-1])
         psi = moved[-1]
-    return phi
+    return phi, psi
 
 
 class TestClosedFormPhi:
@@ -509,12 +535,14 @@ class TestClosedFormPhi:
 
     def test_long_maturity_matches_marched_reference(self, wasc_ref,
                                                      state_ref):
+        # the factored flow keeps every node of the contour: cond(Theta_22)
+        # reaches 1e16 here, and a solve against it loses psi's digits
         nodes = atm_cc_nodes(wasc_ref, state_ref, 24)
         grid = transforms.transform_grid(wasc_ref, [5.0], nodes)
-        ok = grid.valid[0]
-        assert ok.sum() > 1000 and not np.any(grid.phi_quadrature)
-        ref = marched_phi(wasc_ref, 5.0, nodes[ok], panels=100)
-        assert np.max(np.abs(grid.phi[0, ok] - ref)) < 1e-7
+        assert np.all(grid.valid) and not np.any(grid.phi_quadrature)
+        phi, psi = marched_flow(wasc_ref, 5.0, nodes, panels=100)
+        assert np.max(np.abs(grid.psi[0] - psi)) < 1e-12
+        assert np.max(np.abs(grid.phi[0] - phi)) < 1e-7
 
     def test_closed_form_and_remainder_routes_agree(self, wasc_ref,
                                                     state_ref):
@@ -569,17 +597,17 @@ class TestClosedFormPhi:
 
 
 def eig_spectrum(params, nodes):
-    """The eigen-split of the Hamiltonians from LAPACK eig and inv, as
-    transforms takes it for d > 2."""
+    """The eigen-split of the Hamiltonians from LAPACK eig and inv, dominant
+    modes first, as transforms takes it for d > 2."""
     d = params.d
     ham = transforms.wasc_hamiltonian(params, nodes)
     lam, q = np.linalg.eig(ham)
-    ok = np.linalg.cond(q, 1) <= 1e10
     dom = np.argsort(-lam.real, axis=-1)
-    q2d = np.take_along_axis(q[:, d:, :], dom[:, None, :d], axis=-1)
-    closed = ok & (np.linalg.cond(q2d, 1) <= 1e10)
-    return transforms._Spectrum(ham, lam, q, np.linalg.inv(q), ok, dom,
-                                closed)
+    lam = np.take_along_axis(lam, dom, axis=-1)
+    q = np.take_along_axis(q, dom[:, None, :], axis=-1)
+    ok = ((np.linalg.cond(q, 1) <= 1e10)
+          & (np.linalg.cond(q[:, d:, :d], 1) <= 1e10))
+    return transforms._Spectrum(ham, lam, q, np.linalg.inv(q), ok)
 
 
 def strip_nodes(params, state):
@@ -610,8 +638,8 @@ def strip_nodes(params, state):
 
 class TestClosedFormSpectrum:
     """For d <= 2 the eigenpairs of Ham come in closed form from the roots
-    mu = lam^2 and the spectral projectors, with no LAPACK eig; the lower
-    block rows of Theta and log det Theta_22 agree with the eig route."""
+    mu = lam^2 and the spectral projectors, with no LAPACK eig; psi and
+    log det Theta_22 of the factored flow agree with the eig route."""
 
     S_VALUES = np.array([0.05, 0.5, 1.0])
 
@@ -633,15 +661,12 @@ class TestClosedFormSpectrum:
         closed = transforms._spectrum(params, nodes)
         ref = eig_spectrum(params, nodes)
         assert np.array_equal(closed.ok, ref.ok)
-        assert np.array_equal(closed.closed, ref.closed)
-        assert np.all(closed.closed)
-        low = transforms._theta_low(closed, self.S_VALUES)
-        low_ref = transforms._theta_low(ref, self.S_VALUES)
-        size = np.max(np.abs(low_ref), axis=(-2, -1))
-        assert np.max(np.max(np.abs(low - low_ref), axis=(-2, -1))
+        assert np.all(closed.ok)
+        psi, log_det, _ = transforms._flow(closed, self.S_VALUES)
+        psi_ref, log_det_ref, _ = transforms._flow(ref, self.S_VALUES)
+        size = np.maximum(1.0, np.max(np.abs(psi_ref), axis=(-2, -1)))
+        assert np.max(np.max(np.abs(psi - psi_ref), axis=(-2, -1))
                       / size) < 1e-12
-        log_det = transforms._log_det(closed, self.S_VALUES)
-        log_det_ref = transforms._log_det(ref, self.S_VALUES)
         assert np.max(np.abs(log_det - log_det_ref)
                       / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
 
