@@ -41,7 +41,9 @@ def bvn_upper(h, k, rho: float):
         sn = np.sin(0.5 * asr * (_GL20_X + 1.0))          # (20,)
         terms = np.exp((np.multiply.outer(hk, sn) - hs[..., None])
                        / (1.0 - sn * sn))
-        bvn = terms @ _GL20_W * asr / (4.0 * np.pi)
+        # an elementwise product and a per-row sum, not a matrix-vector
+        # product: BLAS gemv rounds by the row count, the row sum does not
+        bvn = (terms * _GL20_W).sum(axis=-1) * asr / (4.0 * np.pi)
         out = bvn + ndtr(-h) * ndtr(-k)
         return out if out.ndim else float(out)
 

@@ -4,8 +4,9 @@ The driver walks the simulation grid once per path chunk and asks every
 strategy for spot positions at each rebalancing date; wealth compounds as
 V_{k+1} = V_k + theta_k' (S_{k+1} - S_k).  A Fourier hedge synthesizes its
 positions from exponential basis claims, whose transform lattice a
-``BasisCache`` holds for one node set; the cache evaluates the claims at
-each (chunk, date) on request and keeps no H between calls.
+``BasisCache`` holds for one node set; the cache evaluates the claims on
+each row block of a chunk, date by date, on request and keeps no H between
+calls.
 
 The basis claims H = exp(a + i b) on the (path, node) panel dominate the
 cost of a Fourier hedge, and complex exp spends nearly all its time in the
@@ -28,16 +29,39 @@ same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
 nan or infinite b give nan.  Entries whose real exponent exceeds
 models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
-Paths are swept in chunks of CHUNK_PATHS.  Positions are functions of the
-path state only, so wealth depends on the chunking only through BLAS
-products whose rounding depends on the row count.  Fourier and
-covariance-swap wealth comes out bitwise equal across chunkings; the GBM
-delta, whose ``gbm.bvn_upper`` sums its quadrature with a matrix-vector
-product, can move in the last bits (a few 1e-16 relative).
+``run_backtest`` splits the paths into shards, one contiguous range per CPU
+that the process may run on (one where the platform has no fork or no
+affinity call).  It evaluates the payoffs and prepares every strategy once,
+then forks one child per shard past the first and sweeps shard 0 itself.
+The children see the panel and the prepared strategies copy-on-write, so
+nothing is copied to them; each sends back its (n_jobs, shard) wealth and
+the increments of every ``BasisCache.overflow_count``, the only state that
+``positions`` changes, and the parent adds those in.  A child that raises
+sends its exception, which the parent raises after it has reaped every
+child.  Within a shard, paths are swept in chunks of CHUNK_PATHS.
+
+Positions are functions of the path state only, and every product keeps
+its rows apart, so wealth is bitwise independent of the chunking and of the
+shard count.  That rests on how each row is rounded: BLAS calls are matrix
+products whose rows each take one dot product over the inner dimension;
+``gbm.bvn_upper`` sums its quadrature per row, since a matrix-vector product
+rounds by the row count.  Every BLAS call in a shard is also kept small:
+``FourierHedge.positions`` takes the basis a row block of about
+BASIS_BLOCK_POINTS points at a time and multiplies it straight into the
+small weights matrix, so no call reaches the size at which OpenBLAS starts
+its own threads, which would contend with the shards for the cores.
+
+Whatever a strategy records during the sweep, and every span that a tracer
+wrapping its methods records, covers the parent's shard only: the
+children's copies end with them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -267,7 +291,7 @@ class FourierHedge:
             a_rho = params.vol_of_vol.T @ params.leverage
             # (K, M, d): u + 2 psi(k, m) A'rho, weighted per step
             gv = u[None] + 2.0 * cache.psi @ a_rho
-            self._gw = wk[..., None] * gv
+            self._w = wk[..., None] * gv
         else:
             d = params.d
             # R(u) = psi + Diag(rho * u) on the whole (K, M) lattice
@@ -276,17 +300,27 @@ class FourierHedge:
             if np.any(cache.valid[..., None] & ~ok):
                 raise ValueError("claim transform node leaves the mark strip")
             jv = np.where(cache.valid[..., None], jv, 0.0)
-            self._uw = wk[..., None] * u[None]           # (K, M, d)
-            self._jw = wk[..., None] * jv                # (K, M, d)
+            # (K, M, 2d): the weights of H Sigma-loading u and of the jump
+            # covariation, side by side so that one product serves both
+            self._w = wk[..., None] * np.concatenate(
+                [np.broadcast_to(u[None], jv.shape), jv], axis=-1)
             self._jump_cov = _jump_cov(params)
 
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
                   cov: np.ndarray) -> np.ndarray:
-        h = self.cache.basis(k, log_spot, cov)            # (P, M)
+        # one row block of H at a time, straight into the small weights: no
+        # (P, M) H is held, and no product reaches OpenBLAS's threading size
+        w = self._w[k]                                    # (M, d) or (M, 2d)
+        hw = np.empty((spot.shape[0], w.shape[1]), dtype=complex)
+        rows = max(1, BASIS_BLOCK_POINTS // w.shape[0])
+        for start in range(0, spot.shape[0], rows):
+            sl = slice(start, start + rows)
+            hw[sl] = self.cache.basis(k, log_spot[sl], cov[sl]) @ w
         if self.params.kind == "wasc":
-            return (h @ self._gw[k]).real / spot
-        cross = (np.einsum("pab,pb->pa", cov, (h @ self._uw[k]))
-                 + h @ self._jw[k]).real                  # (P, d)
+            return hw.real / spot
+        d = self.params.d
+        cross = (np.einsum("pab,pb->pa", cov, hw[:, :d])
+                 + hw[:, d:]).real                        # (P, d)
         return _solve_sym_batch(cov + self._jump_cov, cross) / spot
 
 
@@ -332,11 +366,77 @@ class CovswapHedge:
         return _solve_sym_batch(cov + self._jump_cov, core) / spot
 
 
+def _shard_count(n_paths: int) -> int:
+    """One path shard per CPU this process may run on, or one where the
+    platform has no fork or no affinity call."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_paths))
+
+
+def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
+           shard_cov: np.ndarray) -> np.ndarray:
+    """Wealth (n_jobs, P) of every job on the (P, dates, ...) panels of one
+    shard's paths, swept in chunks of CHUNK_PATHS."""
+    n_paths, n_dates = shard_log_spot.shape[:2]
+    wealth = np.empty((len(jobs), n_paths))
+    wealth[:] = np.array([job.initial_capital for job in jobs],
+                         dtype=float)[:, None]
+    for start in range(0, n_paths, CHUNK_PATHS):
+        sl = slice(start, start + CHUNK_PATHS)
+        # simulate stores its panels time major, so [:, k] is one contiguous
+        # block per date; np.exp keeps its input's layout
+        log_spot = shard_log_spot[sl]
+        spot = np.exp(log_spot)
+        cov = shard_cov[sl]
+        for k in range(n_dates - 1):
+            ds = spot[:, k + 1] - spot[:, k]
+            for j, job in enumerate(jobs):
+                if job.strategy is None:
+                    continue
+                th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
+                                            cov[:, k])
+                wealth[j, sl] += np.einsum("pa,pa->p", th, ds)
+    return wealth
+
+
+def _run_shard(fd: int, inherited: list[int], jobs, shard_log_spot,
+               shard_cov, caches: list[BasisCache]) -> None:
+    """Body of a forked shard process: close the inherited pipe ends, sweep
+    the shard and write ("ok", wealth, overflow increments) or ("error",
+    exception, traceback) to the pipe fd, then end the process without
+    returning to the caller's stack, whatever happened."""
+    code = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            counts = [c.overflow_count for c in caches]
+            wealth = _sweep(jobs, shard_log_spot, shard_cov)
+            msg = ("ok", wealth, [c.overflow_count - n
+                                  for c, n in zip(caches, counts)])
+            code = 0
+        except BaseException as exc:   # sent to the parent, which re-raises
+            msg = ("error", exc, traceback.format_exc())
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:          # an exception pickle cannot carry
+                msg = ("error", RuntimeError(f"{type(exc).__name__}: {exc}"),
+                       msg[2])
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(code)
+
+
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
-    """Run every job over the panel in one sweep and return results in
-    order."""
+    """Run every job over the panel and return results in order.
+
+    Payoffs and strategies are prepared once, here; the paths are then swept
+    in shards over forked processes, as the module docstring describes.
+    Every child has ended before this function returns or raises.
+    """
     n_paths = sim.n_paths
-    n_steps = sim.n_steps
     payoffs_out = []
     for job in jobs:
         if callable(job.payoff):
@@ -352,21 +452,43 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
         if job.strategy is not None:
             job.strategy.prepare(sim)
 
-    wealth = [np.full(n_paths, job.initial_capital) for job in jobs]
-    for start in range(0, n_paths, CHUNK_PATHS):
-        sl = slice(start, min(start + CHUNK_PATHS, n_paths))
-        # simulate stores its panels time major, so [:, k] is one contiguous
-        # block per date; np.exp keeps its input's layout
-        log_spot = sim.log_spot[sl]
-        spot = np.exp(log_spot)
-        cov = sim.cov[sl]
-        for k in range(n_steps):
-            ds = spot[:, k + 1] - spot[:, k]
-            for j, job in enumerate(jobs):
-                if job.strategy is None:
-                    continue
-                th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
-                                            cov[:, k])
-                wealth[j][sl] += np.einsum("pa,pa->p", th, ds)
+    # the only state positions change: each distinct cache's overflow count
+    caches = list({id(job.strategy.cache): job.strategy.cache for job in jobs
+                   if isinstance(job.strategy, FourierHedge)}.values())
+    n_shards = _shard_count(n_paths)
+    bounds = [n_paths * i // n_shards for i in range(n_shards + 1)]
+    wealth = np.empty((len(jobs), n_paths))
+    children = []                  # (pid, read end of its pipe, lo, hi)
+    done = False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_shard(w, [r] + [c[1].fileno() for c in children], jobs,
+                           sim.log_spot[lo:hi], sim.cov[lo:hi], caches)
+            os.close(w)
+            children.append((pid, open(r, "rb"), lo, hi))
+        own = slice(0, bounds[1])
+        wealth[:, own] = _sweep(jobs, sim.log_spot[own], sim.cov[own])
+        for _, pipe, lo, hi in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError("a backtest shard process ended without "
+                                   "a result")
+            status, value, extra = pickle.loads(data)
+            if status == "error":
+                raise value from RuntimeError(
+                    "raised in a backtest shard process:\n" + extra)
+            wealth[:, lo:hi] = value
+            for cache, n in zip(caches, extra):
+                cache.overflow_count += n
+        done = True
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return [BacktestResult(name=job.name, pnl=w - p, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

@@ -1,8 +1,12 @@
 """Hedging layer: the basis kernel against complex exp, the batched hedge
-engines against the scalar covariation oracles, chunked backtest sweeps
-against one chunk, the oracles' own identities, Fourier prices against
-Monte Carlo and parity, and covariance swaps: strikes against closed forms,
-values as martingales and the hedged variance against Monte Carlo."""
+engines against the scalar covariation oracles, chunked and sharded
+backtest sweeps against one chunk and one shard, the oracles' own
+identities, Fourier prices against Monte Carlo and parity, and covariance
+swaps: strikes against closed forms, values as martingales and the hedged
+variance against Monte Carlo."""
+
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -255,55 +259,143 @@ class Recorder:
         return np.zeros_like(spot)
 
 
+class Raiser:
+    """A strategy that holds nothing and raises once it is shown one given
+    path, which it knows by that path's log spot after the first date (at
+    the first, every path has the same)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def prepare(self, sim):
+        self.marks = sim.log_spot[self.path, :, 0]
+
+    def positions(self, k, spot, log_spot, cov):
+        if k > 0 and np.any(log_spot[:, 0] == self.marks[k]):
+            raise ValueError(f"shown path {self.path}")
+        return np.zeros_like(spot)
+
+
+@pytest.fixture(params=["wasc", "bns"])
+def sweep_case(request, wasc_ref, bns_ref, state_ref):
+    """A 700-path panel and a builder of its Fourier, covariance-swap and
+    GBM-delta jobs, with a fresh basis cache for each call."""
+    params = wasc_ref if request.param == "wasc" else bns_ref
+    n_steps = 10
+    sim = simulate.simulate(params, state_ref, 1.0, n_steps, 700, seed=9)
+    kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+    rate = pricing.integrated_cov_rate(params, state_ref, 1.0)
+    contour = payoffs.build_contour(
+        kernel, nodes_per_dim=4,
+        decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
+    build = (covswap.wasc_covswap_system if params.kind == "wasc"
+             else covswap.bns_covswap_system)
+    system = build(params, SIGMA0_REF, 1.0, (0, 1), n_steps)
+    vols = np.sqrt(np.diag(rate))
+    corr = rate[0, 1] / (vols[0] * vols[1])
+
+    def jobs():
+        cache = backtest.BasisCache(params, contour.model_args, 1.0)
+        cache.prepare(sim)
+        return [
+            backtest.HedgeJob("fourier", backtest.FourierHedge(
+                params, cache, contour.weights), kernel.payoff, 10.0),
+            backtest.HedgeJob("covswap", backtest.CovswapHedge(
+                system, params), covswap.covswap_payoff(
+                    system, sim.integrated_cov), 0.0),
+            backtest.HedgeJob("gbm_delta", backtest.GbmDeltaHedge(
+                "cc", (100.0, 100.0), vols, corr, 1.0), kernel.payoff,
+                10.0),
+            backtest.HedgeJob("cash", None, kernel.payoff, 10.0),
+        ]
+    return sim, jobs
+
+
+def shards(monkeypatch, n):
+    monkeypatch.setattr(backtest, "_shard_count", lambda n_paths: n)
+
+
 class TestRunBacktest:
-    @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    def test_chunked_sweep_matches_one_chunk(self, wasc_ref, bns_ref,
-                                             state_ref, monkeypatch, kind):
-        # 700 paths in chunks of 97: seven full chunks and one of 21
-        params = wasc_ref if kind == "wasc" else bns_ref
-        n_steps = 10
-        sim = simulate.simulate(params, state_ref, 1.0, n_steps, 700, seed=9)
-        kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
-        rate = pricing.integrated_cov_rate(params, state_ref, 1.0)
-        contour = payoffs.build_contour(
-            kernel, nodes_per_dim=4,
-            decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
-        build = (covswap.wasc_covswap_system if kind == "wasc"
-                 else covswap.bns_covswap_system)
-        system = build(params, SIGMA0_REF, 1.0, (0, 1), n_steps)
-        vols = np.sqrt(np.diag(rate))
-        corr = rate[0, 1] / (vols[0] * vols[1])
+    def test_chunked_sweep_matches_one_chunk(self, sweep_case, monkeypatch):
+        # 700 paths in chunks of 97: seven full chunks and one of 21; the
+        # recorder sees the chunks of the sweeping process only, so one
+        # shard
+        sim, jobs = sweep_case
+        shards(monkeypatch, 1)
 
         def sweep(chunk_paths):
             monkeypatch.setattr(backtest, "CHUNK_PATHS", chunk_paths)
-            cache = backtest.BasisCache(params, contour.model_args, 1.0)
-            cache.prepare(sim)
             recorder = Recorder()
-            jobs = [
-                backtest.HedgeJob("fourier", backtest.FourierHedge(
-                    params, cache, contour.weights), kernel.payoff, 10.0),
-                backtest.HedgeJob("covswap", backtest.CovswapHedge(
-                    system, params), covswap.covswap_payoff(
-                        system, sim.integrated_cov), 0.0),
-                backtest.HedgeJob("gbm_delta", backtest.GbmDeltaHedge(
-                    "cc", (100.0, 100.0), vols, corr, 1.0), kernel.payoff,
-                    10.0),
-                backtest.HedgeJob("recorder", recorder, kernel.payoff, 0.0),
-            ]
-            pnl = [r.pnl for r in backtest.run_backtest(sim, jobs)]
-            return pnl, recorder.chunks
+            run = jobs() + [backtest.HedgeJob("recorder", recorder,
+                                              np.zeros(sim.n_paths), 0.0)]
+            return ([r.pnl for r in backtest.run_backtest(sim, run)],
+                    recorder.chunks)
 
-        (fourier, swap, gbm_delta, _), one = sweep(700)
-        (fourier_c, swap_c, gbm_delta_c, _), many = sweep(97)
+        (fourier, swap, gbm_delta, _, _), one = sweep(700)
+        (fourier_c, swap_c, gbm_delta_c, _, _), many = sweep(97)
         assert one == [700]
         assert many == [97] * 7 + [21]
         np.testing.assert_array_equal(fourier_c, fourier)
         np.testing.assert_array_equal(swap_c, swap)
-        # gbm.bvn_upper sums its quadrature with a BLAS matrix-vector
-        # product, whose last bits depend on the number of rows
-        np.testing.assert_allclose(gbm_delta_c, gbm_delta, rtol=1e-12,
-                                   atol=0)
+        np.testing.assert_array_equal(gbm_delta_c, gbm_delta)
         assert np.ptp(fourier) > 0 and np.ptp(gbm_delta) > 0
+
+    def test_pnl_independent_of_the_shard_count(self, sweep_case,
+                                                monkeypatch):
+        sim, jobs = sweep_case
+        runs = []
+        for n in (1, 2, 3):
+            shards(monkeypatch, n)
+            runs.append([r.pnl for r in backtest.run_backtest(sim, jobs())])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                np.testing.assert_array_equal(got, want)
+        assert all(np.ptp(pnl) > 0 for pnl in runs[0])
+
+    def test_children_overflow_counts_are_merged(self, hedged, monkeypatch):
+        # the last path sits in the last shard, so with two shards its
+        # overflow is counted in the child
+        params, sim, cache, hedge, _ = hedged
+        sim.log_spot[-1, :, 0] += 500.0
+        counts = []
+        for n in (1, 2):
+            shards(monkeypatch, n)
+            cache.overflow_count = 0
+            backtest.run_backtest(sim, [backtest.HedgeJob(
+                "fourier", hedge, np.zeros(sim.n_paths), 0.0)])
+            counts.append(cache.overflow_count)
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize("path", [0, -1])
+    def test_failures_are_raised_and_every_child_reaped(self, wasc_ref,
+                                                        state_ref,
+                                                        monkeypatch, path):
+        # path 0 fails in this process's own shard, path -1 in a child's
+        sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
+                                seed=5)
+        shards(monkeypatch, 2)
+        run = [backtest.HedgeJob(name, strategy, np.zeros(N_PATHS), 0.0)
+               for name, strategy in (("recorder", Recorder()),
+                                      ("raiser", Raiser(path)))]
+        with pytest.raises(ValueError, match=f"shown path {path}") as err:
+            backtest.run_backtest(sim, run)
+        if path == -1:
+            assert "backtest shard process" in str(err.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_raises_no_warning(self, hedged, monkeypatch):
+        # Python 3.12 on warns when a process with more than one thread
+        # forks; OpenBLAS's own fork handler stops its threads first
+        _, sim, _, hedge, _ = hedged
+        shards(monkeypatch, 2)
+        big = np.ones((512, 512))
+        big @ big                      # large enough to wake OpenBLAS's pool
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            backtest.run_backtest(sim, [backtest.HedgeJob(
+                "fourier", hedge, np.zeros(N_PATHS), 0.0)])
 
 
 ORACLE_NODES = np.array([[1.5 + 0.7j, 1.5 - 1.3j], [1.5 + 3.2j, 1.5 + 0.4j],
