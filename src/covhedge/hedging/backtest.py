@@ -29,15 +29,20 @@ same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
 nan or infinite b give nan.  Entries whose real exponent exceeds
 models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
-``run_backtest`` splits the paths into shards, one contiguous range per CPU
-that the process may run on (one where the platform has no fork or no
-affinity call).  It evaluates the payoffs and prepares every strategy once,
-then forks one child per shard past the first and sweeps shard 0 itself.
-The children see the panel and the prepared strategies copy-on-write, so
-nothing is copied to them; each sends back its (n_jobs, shard) wealth and
-the increments of every ``BasisCache.overflow_count``, the only state that
-``positions`` changes, and the parent adds those in.  A child that raises
-sends its exception, which the parent raises after it has reaped every
+``run_backtest`` splits the paths into contiguous shards.  It evaluates the
+payoffs and prepares every strategy once, then forks one child per shard
+past the first and sweeps shard 0 itself.  A second process paid off only
+from about 1e6 to 2.5e6 basis points (paths x rebalancing dates x Fourier
+nodes) per shard in the runs recorded in CHANGES.md.  So it takes one shard
+per CPU it may run on, but at most two, the CPU count of those runs, and
+only as many as carry _MIN_SHARD_BASIS_POINTS each; a sweep without a
+Fourier hedge runs in one shard, and so does a process that has no fork or
+no affinity call or that runs other Python threads.  The children see the
+panel and the prepared strategies copy-on-write, so nothing is copied to
+them; each sends back its (n_jobs, shard) wealth and the increments of
+every ``BasisCache.overflow_count``, the only state that ``positions``
+changes, and the parent adds those in.  A child that raises sends its
+exception, which the parent raises after it has reaped every
 child.  Within a shard, paths are swept in chunks of CHUNK_PATHS.
 
 Positions are functions of the path state only, and every product keeps
@@ -45,15 +50,17 @@ its rows apart, so wealth is bitwise independent of the chunking and of the
 shard count.  That rests on how each row is rounded: BLAS calls are matrix
 products whose rows each take one dot product over the inner dimension;
 ``gbm.bvn_upper`` sums its quadrature per row, since a matrix-vector product
-rounds by the row count.  Every BLAS call in a shard is also kept small:
-``FourierHedge.positions`` takes the basis a row block of about
-BASIS_BLOCK_POINTS points at a time and multiplies it straight into the
-small weights matrix, so no call reaches the size at which OpenBLAS starts
-its own threads, which would contend with the shards for the cores.
+rounds by the row count.  ``FourierHedge.positions`` takes the basis a row
+block of about BASIS_BLOCK_POINTS points at a time, and fewer where the
+block's product with the small weights matrix would reach the size at which
+OpenBLAS starts its own threads (_GEMM_SERIAL_MNK): those threads contend
+with the shards for the cores, and made a two-shard ``bns`` sweep at 128
+nodes ten times slower than one shard.
 
 Whatever a strategy records during the sweep, and every span that a tracer
 wrapping its methods records, covers the parent's shard only: the
-children's copies end with them.
+children's copies end with them.  A strategy's positions must therefore
+not rest on state that its own ``positions`` calls change.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,6 +95,15 @@ CIS_TABLE = 2048
 BASIS_BLOCK_POINTS = 16384
 # paths per run_backtest sweep
 CHUNK_PATHS = 16384
+# OpenBLAS runs a zgemm on more than one thread from m n k = 65536 on (seen
+# with OpenBLAS 0.3.31)
+_GEMM_SERIAL_MNK = 65536
+# run_backtest forks only when each shard would take at least this many
+# basis points (paths x rebalancing dates x Fourier nodes), and into at most
+# _MAX_SHARDS shards: the break-even and the CPU count of the runs recorded
+# in CHANGES.md
+_MIN_SHARD_BASIS_POINTS = 4_000_000
+_MAX_SHARDS = 2
 # adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
 # then sits in the low bits of the sum's mantissa
 _ROUND_MAGIC = 1.5 * 2.0 ** 52
@@ -121,7 +138,15 @@ class BacktestResult:
 @dataclass
 class HedgeJob:
     """One backtest: a strategy (None = hold cash), a payoff (terminal array
-    or a callable on terminal spots), and the initial capital."""
+    or a callable on terminal spots), and the initial capital.
+
+    A strategy has ``prepare(sim)``, called once per run, and ``positions(k,
+    spot, log_spot, cov)``, called per date on a block of paths.  Positions
+    must depend on the paths' state and on what ``prepare`` set only: the
+    paths may be swept in forked processes, and state that ``positions``
+    changes stays in the process that changed it (``BasisCache``'s
+    ``overflow_count`` alone is merged back).
+    """
 
     name: str
     strategy: object | None
@@ -312,7 +337,8 @@ class FourierHedge:
         # (P, M) H is held, and no product reaches OpenBLAS's threading size
         w = self._w[k]                                    # (M, d) or (M, 2d)
         hw = np.empty((spot.shape[0], w.shape[1]), dtype=complex)
-        rows = max(1, BASIS_BLOCK_POINTS // w.shape[0])
+        rows = max(1, min(BASIS_BLOCK_POINTS // w.shape[0],
+                          (_GEMM_SERIAL_MNK - 1) // w.size))
         for start in range(0, spot.shape[0], rows):
             sl = slice(start, start + rows)
             hw[sl] = self.cache.basis(k, log_spot[sl], cov[sl]) @ w
@@ -366,12 +392,22 @@ class CovswapHedge:
         return _solve_sym_batch(cov + self._jump_cov, core) / spot
 
 
-def _shard_count(n_paths: int) -> int:
-    """One path shard per CPU this process may run on, or one where the
-    platform has no fork or no affinity call."""
+def _shard_count(jobs: Sequence[HedgeJob], n_paths: int,
+                 n_dates: int) -> int:
+    """Path shards for a sweep: one per CPU this process may run on, at most
+    _MAX_SHARDS, and only as many as carry _MIN_SHARD_BASIS_POINTS each.
+    One where the platform has no fork or no affinity call, or where the
+    process runs other Python threads: a child could inherit a lock that one
+    of them held at the fork, and Python 3.12 on warns of it."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_paths))
+    if threading.active_count() > 1:
+        return 1
+    nodes = sum(job.strategy.cache.model_args.shape[0] for job in jobs
+                if isinstance(job.strategy, FourierHedge))
+    points = n_paths * (n_dates - 1) * nodes
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_SHARDS,
+                      points // _MIN_SHARD_BASIS_POINTS))
 
 
 def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
@@ -434,7 +470,10 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
 
     Payoffs and strategies are prepared once, here; the paths are then swept
     in shards over forked processes, as the module docstring describes.
-    Every child has ended before this function returns or raises.
+    Every child has ended before this function returns or raises.  A
+    strategy's ``positions`` must not rest on state changed during the
+    sweep: a child's changes do not come back, except the overflow counts
+    of every ``BasisCache``.
     """
     n_paths = sim.n_paths
     payoffs_out = []
@@ -455,7 +494,7 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     # the only state positions change: each distinct cache's overflow count
     caches = list({id(job.strategy.cache): job.strategy.cache for job in jobs
                    if isinstance(job.strategy, FourierHedge)}.values())
-    n_shards = _shard_count(n_paths)
+    n_shards = _shard_count(jobs, n_paths, sim.log_spot.shape[1])
     bounds = [n_paths * i // n_shards for i in range(n_shards + 1)]
     wealth = np.empty((len(jobs), n_paths))
     children = []                  # (pid, read end of its pipe, lo, hi)

@@ -6,6 +6,7 @@ swaps: strikes against closed forms, values as martingales and the hedged
 variance against Monte Carlo."""
 
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -312,7 +313,7 @@ def sweep_case(request, wasc_ref, bns_ref, state_ref):
 
 
 def shards(monkeypatch, n):
-    monkeypatch.setattr(backtest, "_shard_count", lambda n_paths: n)
+    monkeypatch.setattr(backtest, "_shard_count", lambda *args: n)
 
 
 class TestRunBacktest:
@@ -384,6 +385,49 @@ class TestRunBacktest:
             assert "backtest shard process" in str(err.value.__cause__)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_shard_count_rule(self, hedged, monkeypatch):
+        _, _, cache, hedge, _ = hedged
+        fourier = [backtest.HedgeJob("fourier", hedge, np.zeros(N_PATHS),
+                                     0.0)]
+        cash = [backtest.HedgeJob("cash", None, np.zeros(N_PATHS), 0.0)]
+        # N_STEPS + 1 dates, so N_STEPS rebalancing dates
+        points = N_PATHS * N_STEPS * cache.model_args.shape[0]
+
+        def count(jobs, cpus, min_points):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+            monkeypatch.setattr(backtest, "_MIN_SHARD_BASIS_POINTS",
+                                min_points)
+            return backtest._shard_count(jobs, N_PATHS, N_STEPS + 1)
+
+        assert count(fourier, 8, 1) == backtest._MAX_SHARDS == 2
+        assert count(fourier, 1, 1) == 1
+        assert count(fourier, 8, points // 2) == 2
+        assert count(fourier, 8, points // 2 + 1) == 1
+        assert count(cash, 8, 1) == 1
+
+    def test_a_threaded_caller_forks_nothing(self, hedged, monkeypatch):
+        _, sim, _, hedge, _ = hedged
+        jobs = [backtest.HedgeJob("fourier", hedge, np.zeros(N_PATHS), 0.0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(backtest, "_MIN_SHARD_BASIS_POINTS", 1)
+        assert backtest._shard_count(jobs, N_PATHS, N_STEPS + 1) == 2
+        want = backtest.run_backtest(sim, jobs)[0].pnl
+
+        def fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = backtest.run_backtest(sim, jobs)[0].pnl
+        finally:
+            stop.set()
+            other.join()
+        np.testing.assert_array_equal(got, want)
 
     def test_fork_raises_no_warning(self, hedged, monkeypatch):
         # Python 3.12 on warns when a process with more than one thread
