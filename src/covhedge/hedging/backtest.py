@@ -29,21 +29,16 @@ same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
 nan or infinite b give nan.  Entries whose real exponent exceeds
 models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
-``run_backtest`` splits the paths into contiguous shards.  It evaluates the
-payoffs and prepares every strategy once, then forks one child per shard
-past the first and sweeps shard 0 itself.  A second process paid off only
-from about 1e6 to 2.5e6 basis points (paths x rebalancing dates x Fourier
-nodes) per shard in the runs recorded in CHANGES.md.  So it takes one shard
-per CPU it may run on, but at most two, the CPU count of those runs, and
-only as many as carry _MIN_SHARD_BASIS_POINTS each; a sweep without a
-Fourier hedge runs in one shard, and so does a process that has no fork or
-no affinity call or that runs other Python threads.  The children see the
-panel and the prepared strategies copy-on-write, so nothing is copied to
-them; each sends back its (n_jobs, shard) wealth and the increments of
-every ``BasisCache.overflow_count``, the only state that ``positions``
-changes, and the parent adds those in.  A child that raises sends its
-exception, which the parent raises after it has reaped every
-child.  Within a shard, paths are swept in chunks of CHUNK_PATHS.
+``run_backtest`` evaluates the payoffs and prepares every strategy once,
+then sweeps the paths in contiguous shards, the first in this process and
+each other in a forked child, by the one protocol of ``covhedge._shards``;
+the wealth rows live in a shared mapping, and each child sends back only
+the increments of every ``BasisCache.overflow_count``, the only state that
+``positions`` changes.  A second process paid off only from about 1e6 to
+2.5e6 basis points (paths x rebalancing dates x Fourier nodes) per shard in
+the runs recorded in CHANGES.md, so a sweep takes only as many shards as
+carry _MIN_SHARD_BASIS_POINTS each, and one without a Fourier hedge runs in
+one.  Within a shard, paths are swept in chunks of CHUNK_PATHS.
 
 Positions are functions of the path state only, and every product keeps
 its rows apart, so wealth is bitwise independent of the chunking and of the
@@ -65,17 +60,12 @@ not rest on state that its own ``positions`` calls change.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import gbm, models, payoffs, transforms
+from .. import _shards, gbm, models, payoffs, transforms
 from .covswap import CovswapSystem
 
 __all__ = [
@@ -99,11 +89,9 @@ CHUNK_PATHS = 16384
 # with OpenBLAS 0.3.31)
 _GEMM_SERIAL_MNK = 65536
 # run_backtest forks only when each shard would take at least this many
-# basis points (paths x rebalancing dates x Fourier nodes), and into at most
-# _MAX_SHARDS shards: the break-even and the CPU count of the runs recorded
-# in CHANGES.md
+# basis points (paths x rebalancing dates x Fourier nodes): the break-even
+# of the runs recorded in CHANGES.md
 _MIN_SHARD_BASIS_POINTS = 4_000_000
-_MAX_SHARDS = 2
 # adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
 # then sits in the low bits of the sum's mantissa
 _ROUND_MAGIC = 1.5 * 2.0 ** 52
@@ -394,28 +382,19 @@ class CovswapHedge:
 
 def _shard_count(jobs: Sequence[HedgeJob], n_paths: int,
                  n_dates: int) -> int:
-    """Path shards for a sweep: one per CPU this process may run on, at most
-    _MAX_SHARDS, and only as many as carry _MIN_SHARD_BASIS_POINTS each.
-    One where the platform has no fork or no affinity call, or where the
-    process runs other Python threads: a child could inherit a lock that one
-    of them held at the fork, and Python 3.12 on warns of it."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
+    """Path shards for a sweep by ``_shards.count``, each to carry
+    _MIN_SHARD_BASIS_POINTS."""
     nodes = sum(job.strategy.cache.model_args.shape[0] for job in jobs
                 if isinstance(job.strategy, FourierHedge))
-    points = n_paths * (n_dates - 1) * nodes
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_SHARDS,
-                      points // _MIN_SHARD_BASIS_POINTS))
+    return _shards.count(n_paths * (n_dates - 1) * nodes,
+                         _MIN_SHARD_BASIS_POINTS)
 
 
 def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
-           shard_cov: np.ndarray) -> np.ndarray:
-    """Wealth (n_jobs, P) of every job on the (P, dates, ...) panels of one
-    shard's paths, swept in chunks of CHUNK_PATHS."""
+           shard_cov: np.ndarray, wealth: np.ndarray) -> None:
+    """Write the wealth (n_jobs, P) of every job on the (P, dates, ...)
+    panels of one shard's paths, swept in chunks of CHUNK_PATHS."""
     n_paths, n_dates = shard_log_spot.shape[:2]
-    wealth = np.empty((len(jobs), n_paths))
     wealth[:] = np.array([job.initial_capital for job in jobs],
                          dtype=float)[:, None]
     for start in range(0, n_paths, CHUNK_PATHS):
@@ -433,43 +412,13 @@ def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
                 th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
                                             cov[:, k])
                 wealth[j, sl] += np.einsum("pa,pa->p", th, ds)
-    return wealth
-
-
-def _run_shard(fd: int, inherited: list[int], jobs, shard_log_spot,
-               shard_cov, caches: list[BasisCache]) -> None:
-    """Body of a forked shard process: close the inherited pipe ends, sweep
-    the shard and write ("ok", wealth, overflow increments) or ("error",
-    exception, traceback) to the pipe fd, then end the process without
-    returning to the caller's stack, whatever happened."""
-    code = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        try:
-            counts = [c.overflow_count for c in caches]
-            wealth = _sweep(jobs, shard_log_spot, shard_cov)
-            msg = ("ok", wealth, [c.overflow_count - n
-                                  for c, n in zip(caches, counts)])
-            code = 0
-        except BaseException as exc:   # sent to the parent, which re-raises
-            msg = ("error", exc, traceback.format_exc())
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:          # an exception pickle cannot carry
-                msg = ("error", RuntimeError(f"{type(exc).__name__}: {exc}"),
-                       msg[2])
-        with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
-    finally:
-        os._exit(code)
 
 
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     """Run every job over the panel and return results in order.
 
     Payoffs and strategies are prepared once, here; the paths are then swept
-    in shards over forked processes, as the module docstring describes.
+    in shards over forked processes (``covhedge._shards``).
     Every child has ended before this function returns or raises.  A
     strategy's ``positions`` must not rest on state changed during the
     sweep: a child's changes do not come back, except the overflow counts
@@ -494,40 +443,19 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     # the only state positions change: each distinct cache's overflow count
     caches = list({id(job.strategy.cache): job.strategy.cache for job in jobs
                    if isinstance(job.strategy, FourierHedge)}.values())
+    counts = [cache.overflow_count for cache in caches]
     n_shards = _shard_count(jobs, n_paths, sim.log_spot.shape[1])
-    bounds = [n_paths * i // n_shards for i in range(n_shards + 1)]
-    wealth = np.empty((len(jobs), n_paths))
-    children = []                  # (pid, read end of its pipe, lo, hi)
-    done = False
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_shard(w, [r] + [c[1].fileno() for c in children], jobs,
-                           sim.log_spot[lo:hi], sim.cov[lo:hi], caches)
-            os.close(w)
-            children.append((pid, open(r, "rb"), lo, hi))
-        own = slice(0, bounds[1])
-        wealth[:, own] = _sweep(jobs, sim.log_spot[own], sim.cov[own])
-        for _, pipe, lo, hi in children:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError("a backtest shard process ended without "
-                                   "a result")
-            status, value, extra = pickle.loads(data)
-            if status == "error":
-                raise value from RuntimeError(
-                    "raised in a backtest shard process:\n" + extra)
-            wealth[:, lo:hi] = value
-            for cache, n in zip(caches, extra):
-                cache.overflow_count += n
-        done = True
-    finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    wealth = _shards.empty((len(jobs), n_paths), shared=n_shards > 1)
+
+    def shard(lo: int, hi: int) -> list[int]:
+        before = [cache.overflow_count for cache in caches]
+        _sweep(jobs, sim.log_spot[lo:hi], sim.cov[lo:hi], wealth[:, lo:hi])
+        return [cache.overflow_count - n for cache, n in zip(caches, before)]
+
+    added = _shards.run(shard, n_paths, n_shards, "backtest")
+    # shards run here counted in place and children's counts ended with
+    # them: every count is its base plus the increments of all shards
+    for cache, n, per_shard in zip(caches, counts, zip(*added)):
+        cache.overflow_count = n + sum(per_shard)
     return [BacktestResult(name=job.name, pnl=w - p, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

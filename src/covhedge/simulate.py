@@ -3,9 +3,9 @@
 Reproducibility contract: path i draws from its own Philox stream keyed by
 (seed, path_index), and every path consumes its variates in a fixed,
 documented order.  Results are therefore bitwise independent of the chunk
-size CHUNK_PATHS and of how a path range is split across calls: simulating
+size CHUNK_PATHS, of how a path range is split across calls (simulating
 paths [0, P) in one call equals concatenating [0, P1) and [P1, P) simulated
-separately with path_start set accordingly.
+separately with path_start set accordingly) and of the shard count.
 
 Draw order per path, Wishart diffusion:
     1. matrix Brownian increments, standard normals of shape (n_steps, d, d)
@@ -49,6 +49,15 @@ BLAS is kept off the path axis because its results for one column can depend
 on how many columns share the call, which would break chunk invariance.
 Each step is written straight into its block of the returned panel.
 
+``simulate`` splits the paths into contiguous shards by the rule and the
+fork protocol of ``covhedge._shards``: shard 0 runs in this process and each
+other shard in a forked child.  A shard must carry _MIN_SHARD_PATH_STEPS
+path-steps, below which the fork costs more than the second core saves.
+When it forks, the three panels live in an anonymous shared mapping, into
+which each child writes its path range, so the parent returns them as they
+are; otherwise they come from np.empty.  A child sends back its shard's
+``clip_count`` only.
+
 A chunk draws from one Philox generator, re-keyed to each path's stream in
 turn (``_path_streams``); re-keying costs about a quarter of building a
 generator, and the variates are the same.  The jump model's per-path jump
@@ -66,12 +75,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import matcalc, models
+from . import _shards, matcalc, models
 
 __all__ = ["SimResult", "simulate"]
 
 # paths per kernel call; the panel is bitwise the same for any value
 CHUNK_PATHS = 8192
+# simulate forks only when each shard would take at least this many
+# path-steps: the break-even of the runs recorded in CHANGES.md.  Besides
+# the fork, a forked panel pays for its shared pages, which the kernel maps
+# without huge pages: about 50 ms more for a 4096 x 250 panel there
+_MIN_SHARD_PATH_STEPS = 400_000
 
 
 @dataclass
@@ -322,20 +336,27 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     h = span / n_steps
 
     d = params.d
-    log_spot = np.empty((n_steps + 1, n_paths, d))
-    cov = np.empty((n_steps + 1, n_paths, d, d))
-    intcov = np.empty((n_steps + 1, n_paths, d, d))
-    clip = 0
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        sl = slice(lo, min(lo + CHUNK_PATHS, n_paths))
-        views = (log_spot[:, sl], cov[:, sl], intcov[:, sl])
-        if params.kind == "wasc":
-            clip += _simulate_wasc_chunk(params, state.log_spot, state.cov, h,
-                                         seed, path_start + lo, *views)
-        else:
-            _simulate_bns_chunk(params, state.log_spot, state.cov, h, span,
-                                seed, path_start + lo, *views)
+    n_shards = _shards.count(n_paths * n_steps, _MIN_SHARD_PATH_STEPS)
+    shared = n_shards > 1
+    log_spot = _shards.empty((n_steps + 1, n_paths, d), shared)
+    cov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
+    intcov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
 
+    def shard(lo: int, hi: int) -> int:
+        clip = 0
+        for start in range(lo, hi, CHUNK_PATHS):
+            sl = slice(start, min(start + CHUNK_PATHS, hi))
+            views = (log_spot[:, sl], cov[:, sl], intcov[:, sl])
+            if params.kind == "wasc":
+                clip += _simulate_wasc_chunk(params, state.log_spot,
+                                             state.cov, h, seed,
+                                             path_start + start, *views)
+            else:
+                _simulate_bns_chunk(params, state.log_spot, state.cov, h,
+                                    span, seed, path_start + start, *views)
+        return clip
+
+    clip = sum(_shards.run(shard, n_paths, n_shards, "simulate"))
     times = state.t + h * np.arange(n_steps + 1)
     return SimResult(times=times, log_spot=log_spot.swapaxes(0, 1),
                      cov=cov.swapaxes(0, 1),

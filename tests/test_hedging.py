@@ -5,6 +5,7 @@ identities, Fourier prices against Monte Carlo and parity, and covariance
 swaps: strikes against closed forms, values as martingales and the hedged
 variance against Monte Carlo."""
 
+import errno
 import os
 import threading
 import warnings
@@ -12,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from covhedge import gbm, matcalc, models, payoffs, simulate, transforms
+from covhedge import (_shards, gbm, matcalc, models, payoffs, simulate,
+                      transforms)
 from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
@@ -386,6 +388,27 @@ class TestRunBacktest:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_a_failed_fork_sweeps_the_shard_here(self, sweep_case,
+                                                 monkeypatch):
+        sim, jobs = sweep_case
+        shards(monkeypatch, 2)
+        want = [r.pnl for r in backtest.run_backtest(sim, jobs())]
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            got = [r.pnl for r in backtest.run_backtest(sim, jobs())]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_shard_count_rule(self, hedged, monkeypatch):
         _, _, cache, hedge, _ = hedged
         fourier = [backtest.HedgeJob("fourier", hedge, np.zeros(N_PATHS),
@@ -401,7 +424,7 @@ class TestRunBacktest:
                                 min_points)
             return backtest._shard_count(jobs, N_PATHS, N_STEPS + 1)
 
-        assert count(fourier, 8, 1) == backtest._MAX_SHARDS == 2
+        assert count(fourier, 8, 1) == _shards._MAX_SHARDS == 2
         assert count(fourier, 1, 1) == 1
         assert count(fourier, 8, points // 2) == 2
         assert count(fourier, 8, points // 2 + 1) == 1

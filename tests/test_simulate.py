@@ -1,15 +1,20 @@
-"""Simulation engine: reproducibility contract, martingale property, moment
-agreement with the closed-form maps, exactness of the jump-model scheme,
-agreement with the path-major reference kernels and the memory held."""
+"""Simulation engine: reproducibility contract, forked path shards,
+martingale property, moment agreement with the closed-form maps, exactness
+of the jump-model scheme, agreement with the path-major reference kernels
+and the memory held."""
 
+import errno
 import functools
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from covhedge import matcalc, models, simulate
+from covhedge import _shards, matcalc, models, simulate
 
 import oracles
 from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
@@ -125,6 +130,133 @@ class TestDeterminism:
         a = simulate.simulate(wasc_ref, state_ref, 1.0, 40, 50, seed=9)
         b = simulate.simulate(wasc_ref, state_ref, 1.0, 40, 50, seed=10)
         assert not np.array_equal(a.log_spot, b.log_spot)
+
+
+def shards(monkeypatch, n):
+    monkeypatch.setattr(_shards, "count", lambda work, min_work: n)
+
+
+def count_forks(monkeypatch) -> list:
+    """Record every fork this process makes from now on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_same_panels(got, want):
+    for field in ("log_spot", "cov", "integrated_cov", "clip_count"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestShards:
+    """Path shards swept in forked children write into the panel that the
+    parent returns; the panel must not depend on the shard count.  Three
+    steps at three times the reference mean reversion make the wasc
+    diffusion step repair many paths, so the children's clip counts are
+    merged too."""
+
+    @pytest.fixture(params=["wasc", "bns"])
+    def params(self, request, bns_ref):
+        if request.param == "bns":
+            return bns_ref
+        return models.WascParams(d=2, mean_rev=3.0 * M_REF,
+                                 vol_of_vol=A_REF, leverage=RHO_REF,
+                                 alpha=ALPHA_REF)
+
+    def run(self, params, state_ref, n_paths=130):
+        return simulate.simulate(params, state_ref, 1.0, 3, n_paths, seed=9,
+                                 path_start=5)
+
+    def test_panels_independent_of_the_shard_count(self, params, state_ref,
+                                                   monkeypatch):
+        # 130 paths in 3 shards is a ragged 43 / 43 / 44 split, each swept
+        # in chunks of 16
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", 16)
+        forks = count_forks(monkeypatch)
+        runs = []
+        for n in (1, 2, 3):
+            shards(monkeypatch, n)
+            runs.append(self.run(params, state_ref))
+        assert len(forks) == 0 + 1 + 2
+        for run in runs[1:]:
+            assert_same_panels(run, runs[0])
+        if params.kind == "wasc":
+            assert runs[0].clip_count > 0
+
+    def test_failures_are_raised_and_every_child_reaped(self, params,
+                                                        state_ref,
+                                                        monkeypatch):
+        # the second of two shards, paths [65, 130), runs in a child
+        chunk = ("_simulate_wasc_chunk" if params.kind == "wasc"
+                 else "_simulate_bns_chunk")
+        kernel = getattr(simulate, chunk)
+
+        def failing(*args):
+            idx0 = args[-4]
+            if idx0 >= 5 + 65:
+                raise ValueError(f"shown path {idx0}")
+            return kernel(*args)
+
+        monkeypatch.setattr(simulate, chunk, failing)
+        shards(monkeypatch, 2)
+        with pytest.raises(ValueError, match="shown path 70") as err:
+            self.run(params, state_ref)
+        assert "simulate shard process of rows [65, 130)" in str(
+            err.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_a_failed_fork_runs_the_shard_here(self, params, state_ref,
+                                               monkeypatch):
+        shards(monkeypatch, 2)
+        want = self.run(params, state_ref)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert_same_panels(self.run(params, state_ref), want)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_threaded_caller_forks_nothing(self, params, state_ref,
+                                             monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(simulate, "_MIN_SHARD_PATH_STEPS", 1)
+        assert _shards.count(130 * 3, simulate._MIN_SHARD_PATH_STEPS) == 2
+        want = self.run(params, state_ref)
+
+        def fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = self.run(params, state_ref)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert_same_panels(got, want)
+
+    def test_fork_raises_no_warning(self, params, state_ref, monkeypatch):
+        # Python 3.12 on warns when a process with more than one thread
+        # forks; OpenBLAS's own fork handler stops its threads first
+        shards(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        big = np.ones((512, 512))
+        big @ big                      # large enough to wake OpenBLAS's pool
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.run(params, state_ref)
+        assert len(forks) == 1
 
 
 class TestStreams:
@@ -408,29 +540,48 @@ class TestMemory:
     """simulate writes each chunk straight into the panel it returns: the
     traced peak stays within the panel, half a panel of working set and the
     per-path draws.  Holding the panel twice (a chunk built in its own
-    arrays, then copied) breaks the bound.  The reference grid is used
-    because the jump model's per-chunk jump terms scale with the number of
-    jumps, not of steps."""
+    arrays, then copied) breaks the bound.  When it forks, the panel sits in
+    a shared mapping that tracemalloc does not see, and this process sweeps
+    one shard: its peak stays within that shard's working set and draws, so
+    a copy of the child's half of the panel breaks the bound.  The
+    reference grid is used because the jump model's per-chunk jump terms
+    scale with the number of jumps, not of steps."""
 
-    @pytest.mark.parametrize("model", ["wasc", "bns"])
-    def test_peak_within_panel_and_draws(self, model, wasc_ref, bns_ref,
-                                         state_ref):
-        params = wasc_ref if model == "wasc" else bns_ref
-        n_paths, d = 1024, 2
-        panel = n_paths * (STEPS_REF + 1) * (d + 2 * d * d) * 8
-        per_step = d * d + d if model == "wasc" else d
-        draws = n_paths * STEPS_REF * per_step * 8
+    N_PATHS, D = 1024, 2
+    PANEL = N_PATHS * (STEPS_REF + 1) * (D + 2 * D * D) * 8
+
+    def traced_peak(self, params, state_ref) -> tuple[int, int]:
+        """The traced peak of a reference-grid simulation and its draws."""
         # first-call allocations (imports, caches) are not the kernels'
         simulate.simulate(params, state_ref, 1.0, 2, 2, seed=1)
         tracemalloc.start()
         try:
             sim = simulate.simulate(params, state_ref, 1.0, STEPS_REF,
-                                    n_paths, seed=5)
+                                    self.N_PATHS, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sim.n_paths == n_paths
-        assert peak <= 1.5 * panel + draws
+        assert sim.n_paths == self.N_PATHS
+        per_step = (self.D * self.D + self.D if params.kind == "wasc"
+                    else self.D)
+        return peak, self.N_PATHS * STEPS_REF * per_step * 8
+
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_peak_within_panel_and_draws(self, model, wasc_ref, bns_ref,
+                                         state_ref):
+        params = wasc_ref if model == "wasc" else bns_ref
+        peak, draws = self.traced_peak(params, state_ref)
+        assert peak <= 1.5 * self.PANEL + draws
+
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_forked_peak_within_a_shard(self, model, wasc_ref, bns_ref,
+                                        state_ref, monkeypatch):
+        params = wasc_ref if model == "wasc" else bns_ref
+        shards(monkeypatch, 2)
+        peak, draws = self.traced_peak(params, state_ref)
+        # half the paths: half the draws, and a quarter of that half panel
+        # of working set
+        assert peak <= 0.125 * self.PANEL + 0.5 * draws
 
 
 def log_return_bracket(sim):
