@@ -36,6 +36,9 @@ __all__ = [
     "mat",
     "kron_lift",
     "sym_part",
+    "matmul_last",
+    "det_last",
+    "adj_last",
     "is_symmetric",
     "psd_tolerance",
     "min_eigenvalue",
@@ -206,6 +209,63 @@ def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
     return out, material
 
 
+def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a_p b_p of (m, n, P) and (n, k, P) stacks stored batch last;
+    a constant factor is passed as an (m, n, 1) or (n, k, 1) stack.
+
+    n sums of length-P ufunc products, so an entry never depends on how
+    many others share the call (BLAS products over the batch axis can).
+    """
+    out = a[:, :1] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j]
+    return out
+
+
+def _minor_det(a: np.ndarray, rows: tuple, cols: tuple, memo: dict):
+    """Determinant of the submatrix of rows x cols, by cofactor expansion
+    along its first row, each minor computed once per memo; 1 for an empty
+    one.
+
+    Each product takes the minor as its left factor: numpy's complex
+    product is not bitwise commutative, and it may swap the factors to
+    reuse a large temporary on the right, so a right temporary would make
+    an entry's bits depend on the size of the stack."""
+    if len(rows) <= 1:
+        return a[rows[0], cols[0]] if rows else 1.0
+    if (rows, cols) not in memo:
+        out = None
+        for k, c in enumerate(cols):
+            minor = _minor_det(a, rows[1:], cols[:k] + cols[k + 1:], memo)
+            term = minor * a[rows[0], c]
+            out = term if out is None else out - term if k % 2 else out + term
+        memo[rows, cols] = out
+    return memo[rows, cols]
+
+
+def det_last(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (d, d, ...) stack stored batch last, by cofactor
+    expansion: unrolled ufunc arithmetic, so each entry is independent of
+    the others.  Its cost grows like 2^d d, so it serves small d only."""
+    idx = tuple(range(a.shape[0]))
+    return _minor_det(a, idx, idx, {})
+
+
+def adj_last(a: np.ndarray) -> np.ndarray:
+    """Adjugates of a (d, d, ...) stack stored batch last (adj A = det A
+    A^{-1}), by cofactors as in det_last."""
+    d = a.shape[0]
+    idx = tuple(range(d))
+    adj = np.empty_like(a)
+    memo = {}
+    for i in range(d):
+        for j in range(d):
+            minor = _minor_det(a, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:],
+                               memo)
+            adj[i, j] = -minor if (i + j) % 2 else minor
+    return adj
+
+
 def elimination_pivots(mats: np.ndarray) -> np.ndarray:
     """Diagonal pivots of Gaussian elimination without row exchanges on a
     (..., d, d) stack, real or complex, as a (..., d) array.
@@ -213,19 +273,22 @@ def elimination_pivots(mats: np.ndarray) -> np.ndarray:
     Pivot k is the ratio of the leading principal minors of orders k + 1
     and k, so the pivots multiply to the determinant.  The d steps are
     unrolled into ufunc arithmetic along the batch, so each entry is
-    independent of the others.  A zero pivot leaves the later pivots of its
-    entry non-finite, without a warning.
+    independent of the others.  Each entry is read as mats[..., i, j], so a
+    stack stored entries first is used in place.  A zero pivot leaves the
+    later pivots of its entry non-finite, without a warning.
     """
     d = mats.shape[-1]
     # one batch axis even for one matrix: numpy's scalar arithmetic can
     # round a complex product differently from its array loops
-    flat = mats.reshape((-1, d, d))
-    rows = [[flat[:, i, j] for j in range(d)] for i in range(d)]
+    stack = mats[None] if mats.ndim == 2 else mats
+    rows = [[stack[..., i, j] for j in range(d)] for i in range(d)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1):
             for i in range(k + 1, d):
                 f = rows[i][k] / rows[k][k]
                 for j in range(k + 1, d):
                     rows[i][j] = rows[i][j] - f * rows[k][j]
-    return np.stack([rows[k][k] for k in range(d)], axis=-1
-                    ).reshape(mats.shape[:-1])
+    # pivot k of every entry is one contiguous row of the storage
+    piv = np.stack([rows[k][k] for k in range(d)])
+    return piv.transpose(tuple(range(1, piv.ndim)) + (0,)
+                         ).reshape(mats.shape[:-1])

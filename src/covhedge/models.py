@@ -265,7 +265,8 @@ class MarketState:
 # Wishart moment generating function
 # ---------------------------------------------------------------------------
 
-def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex, bool]:
+def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
+                ) -> tuple[complex, bool] | tuple[np.ndarray, np.ndarray]:
     """E[exp(Tr(R X))] for X ~ Wishart(shape, scale): det(I - 2 R scale)^(-shape/2).
 
     Accepts complex symmetric R, or a (..., d, d) stack of them, in which
@@ -276,7 +277,8 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex
     is positive.  Inside it, log det(I - 2 R scale) = sum_k Log(c_k / a_k),
     with c_k the elimination pivots of N = scale^{-1} - 2 R and a_k > 0
     those of scale^{-1} (``matcalc.elimination_pivots``: no per-matrix
-    LAPACK call).
+    LAPACK call).  P and N are laid out like R, so a stack stored entries
+    first (each entry one contiguous row) is read row by row.
 
     Branch: the Hermitian part of N is P, and every Schur complement keeps
     a positive definite Hermitian part, so Re c_k > 0 along the whole path
@@ -294,8 +296,12 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray) -> tuple[complex
     r = np.asarray(r, dtype=complex)
     inv = np.linalg.inv(np.asarray(scale, dtype=float))
     re = r.real
-    p = matcalc.elimination_pivots(inv - (re + re.swapaxes(-1, -2)))
-    c = matcalc.elimination_pivots(inv - 2.0 * r)
+    # out= keeps the layout of R: against the broadcast (d, d) inverse,
+    # numpy would lay a new result out matrix by matrix
+    p = matcalc.elimination_pivots(
+        np.subtract(inv, re + re.swapaxes(-1, -2), out=np.empty_like(re)))
+    c = matcalc.elimination_pivots(
+        np.subtract(inv, 2.0 * r, out=np.empty_like(r)))
     a = matcalc.elimination_pivots(inv)
     # only a positive definite scale (every a_k > 0) has a Wishart law
     ok = np.all(a > 0.0) & np.all(p > 0.0, axis=-1)

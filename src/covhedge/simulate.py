@@ -44,9 +44,10 @@ them path major through a transposed view: a step of every path is one
 contiguous block, written once by the kernels and read once per rebalancing
 date by the backtests.  The chunk kernels hold the state paths last: log
 prices as (d, P), Sigma and the running bracket as (d, d, P).  Every matrix
-product in a step is a d-term sum of length-P ufunc products (``_pmul``):
-BLAS is kept off the path axis because its results for one column can depend
-on how many columns share the call, which would break chunk invariance.
+product in a step is a d-term sum of length-P ufunc products
+(``matcalc.matmul_last``): BLAS is kept off the path axis because its
+results for one column can depend on how many columns share the call,
+which would break chunk invariance.
 Each step is written straight into its block of the returned panel.
 
 ``simulate`` splits the paths into contiguous shards by the rule and the
@@ -60,8 +61,12 @@ are; otherwise they come from np.empty.  A child sends back its shard's
 
 A chunk draws from one Philox generator, re-keyed to each path's stream in
 turn (``_path_streams``); re-keying costs about a quarter of building a
-generator, and the variates are the same.  The jump model's per-path jump
-times are drawn unsorted and sorted once per chunk.
+generator, and the variates are the same.  The normals of a path are drawn
+path major into a buffer of _DRAW_TILE paths, which is moved into the
+paths-last draw arrays a tile at a time.  The jump model's per-path jump
+times are drawn unsorted and sorted once per chunk.  The step maps of the
+schemes are made once per call (``_wasc_maps``, ``_bns_maps``), before
+any fork.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
 major with einsum; the two agree to about 1e-14, because their sums run in
@@ -76,11 +81,15 @@ import numpy as np
 import scipy.linalg
 
 from . import _shards, matcalc, models
+from .matcalc import matmul_last
 
 __all__ = ["SimResult", "simulate"]
 
 # paths per kernel call; the panel is bitwise the same for any value
 CHUNK_PATHS = 8192
+# paths whose draws are made path major into one buffer and then moved to
+# the paths-last draw arrays together (_tiled_streams)
+_DRAW_TILE = 64
 # simulate forks only when each shard would take at least this many
 # path-steps: the break-even of the runs recorded in CHANGES.md.  Besides
 # the fork, a forked panel pays for its shared pages, which the kernel maps
@@ -117,22 +126,9 @@ def _per_path(fn, mats: np.ndarray) -> np.ndarray:
     return fn(mats.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pathwise products a_p b_p of (m, n, P) and (n, k, P) stacks; a
-    constant factor is passed as an (m, n, 1) or (n, k, 1) stack.
-
-    n sums of length-P products, so a path's value never depends on how
-    many paths share the call (BLAS products over the path axis do).
-    """
-    out = a[:, :1] * b[0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j:j + 1] * b[j]
-    return out
-
-
 def _sandwich(e: np.ndarray, s: np.ndarray) -> np.ndarray:
     """E_p S_p E_p' for (d, d, P) stacks, or (d, d, 1) for a constant E."""
-    return _pmul(_pmul(e, s), e.transpose(1, 0, 2))
+    return matmul_last(matmul_last(e, s), e.transpose(1, 0, 2))
 
 
 def _path_streams(seed: int, idx0: int, n: int):
@@ -147,6 +143,22 @@ def _path_streams(seed: int, idx0: int, n: int):
         state["state"]["key"] = (seed, idx0 + i)
         rng.bit_generator.state = state
         yield rng
+
+
+def _tiled_streams(seed: int, idx0: int, outs: tuple):
+    """Yield (stream, rows) for each path i of _path_streams in turn, rows
+    holding one path-major buffer row per paths-last output (..., n): the
+    caller draws into them with out=, and every _DRAW_TILE paths the rows
+    are transposed into outputs[..., i] at once, rather than written there
+    path by path with a stride of n."""
+    n = outs[0].shape[-1]
+    tiles = [np.empty((_DRAW_TILE,) + out.shape[:-1]) for out in outs]
+    for i, rng in enumerate(_path_streams(seed, idx0, n)):
+        j = i % _DRAW_TILE
+        yield rng, [tile[j] for tile in tiles]
+        if j == _DRAW_TILE - 1 or i == n - 1:
+            for out, tile in zip(outs, tiles):
+                out[..., i - j:i + 1] = np.moveaxis(tile[:j + 1], 0, -1)
 
 
 def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
@@ -167,38 +179,46 @@ def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
 # Wishart diffusion, splitting scheme
 # ---------------------------------------------------------------------------
 
+def _wasc_maps(params: models.WascParams, h: float) -> tuple:
+    """(h, E, C) of the splitting scheme: Sigma -> E Sigma E' + C is the
+    exact drift flow over h / 2, with E and C as (d, d, 1) constants."""
+    e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
+    lift = matcalc.kron_lift(params.mean_rev)
+    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
+    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
+    return h, e_half, c_half
+
+
 def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
-                         sigma0: np.ndarray, h: float, seed: int, idx0: int,
-                         out_y: np.ndarray, out_cov: np.ndarray,
+                         sigma0: np.ndarray, maps: tuple, seed: int,
+                         idx0: int, out_y: np.ndarray, out_cov: np.ndarray,
                          out_int: np.ndarray) -> int:
-    """Fill the chunk's time-major panel views; returns the material repair
-    count."""
+    """Fill the chunk's time-major panel views, with the step maps of
+    _wasc_maps; returns the material repair count."""
     n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
+    h, e_half, c_half = maps
     rho = params.leverage
     resid = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
     sqh = np.sqrt(h)
 
     w_norm = np.empty((n_steps, d, d, n))
     z_norm = np.empty((n_steps, d, n))
-    for i, rng in enumerate(_path_streams(seed, idx0, n)):
-        w_norm[..., i] = rng.standard_normal((n_steps, d, d))
-        z_norm[..., i] = rng.standard_normal((n_steps, d))
+    for rng, (w_row, z_row) in _tiled_streams(seed, idx0, (w_norm, z_norm)):
+        rng.standard_normal(out=w_row)
+        rng.standard_normal(out=z_row)
 
     clip = 0
-    e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
     a_mat = params.vol_of_vol[..., None]
-    lift = matcalc.kron_lift(params.mean_rev)
-    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
-    c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
     y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
     for k in range(n_steps):
         sa = _sandwich(e_half, sig) + c_half
         q = _per_path(matcalc.sqrt_psd, sa)
         dw = sqh * w_norm[k]
-        v = _pmul(dw, rho[:, None, None]) + resid * sqh * z_norm[k][:, None]
-        y = y - 0.5 * h * np.diagonal(sa).T + _pmul(q, v)[:, 0]
-        term = _pmul(_pmul(q, dw), a_mat)
+        v = (matmul_last(dw, rho[:, None, None])
+             + resid * sqh * z_norm[k][:, None])
+        y = y - 0.5 * h * np.diagonal(sa).T + matmul_last(q, v)[:, 0]
+        term = matmul_last(matmul_last(q, dw), a_mat)
         sb, n_bad = matcalc.psd_repair(
             (sa + term + term.transpose(1, 0, 2)).transpose(2, 0, 1))
         clip += n_bad
@@ -220,7 +240,7 @@ def _draw_jumps(params: models.BnsParams, horizon: float, seed: int,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Make every draw of a chunk's n paths, path by path in the documented
     order: draws 1-4 are returned and each path's price normals (draw 5) go
-    to xi[..., i], of shape (n_steps, d, n).
+    to xi[..., i], of shape (n_steps, d, n), a tile of paths at a time.
 
     Returns the chunk's jumps in path-then-time order: each jump's path and
     time, and its Bartlett chi-square variates (n_jumps, d) and normals
@@ -232,12 +252,12 @@ def _draw_jumps(params: models.BnsParams, horizon: float, seed: int,
     df = params.wishart_shape - np.arange(d)
     counts = np.empty(n, dtype=np.int64)
     times, chi2, gauss = [], [], []
-    for i, rng in enumerate(_path_streams(seed, idx0, n)):
+    for i, (rng, (xi_row,)) in enumerate(_tiled_streams(seed, idx0, (xi,))):
         counts[i] = n_jumps = rng.poisson(mean_count)
         times.append(rng.random(n_jumps))
         chi2.append(rng.chisquare(df, size=(n_jumps, d)))
         gauss.append(rng.standard_normal((n_jumps, d, d)))
-        xi[..., i] = rng.standard_normal((n_steps, d))
+        rng.standard_normal(out=xi_row)
     ev_path = np.repeat(np.arange(n), counts)
     ev_time = np.concatenate(times)
     ev_time = ev_time[np.lexsort((ev_time, ev_path))] * horizon
@@ -250,15 +270,27 @@ def _wishart_marks(chol_theta: np.ndarray, chi2: np.ndarray,
     d = chol_theta.shape[0]
     bart = np.tril(gauss, -1)
     bart[:, np.arange(d), np.arange(d)] = np.sqrt(chi2)
-    half = _pmul(chol_theta[..., None], bart.transpose(1, 2, 0))
-    return _pmul(half, half.transpose(1, 0, 2))
+    half = matmul_last(chol_theta[..., None], bart.transpose(1, 2, 0))
+    return matmul_last(half, half.transpose(1, 0, 2))
+
+
+def _bns_maps(params: models.BnsParams, h: float) -> tuple:
+    """(h, L, E, K): the Kronecker lift L of the mean reversion M, for the
+    flows of the jumps, and the jump-free flow of one step, Sigma -> E Sigma
+    E' with its integral vec I = K vec Sigma, as (d, d, 1) and (d^2, d^2, 1)
+    constants."""
+    lift = matcalc.kron_lift(params.mean_rev)
+    e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
+    k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
+    return h, lift, e_h, k_h
 
 
 def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
-                        sigma0: np.ndarray, h: float, horizon: float,
+                        sigma0: np.ndarray, maps: tuple, horizon: float,
                         seed: int, idx0: int, out_y: np.ndarray,
                         out_cov: np.ndarray, out_int: np.ndarray) -> None:
-    """Fill the chunk's time-major panel views.
+    """Fill the chunk's time-major panel views, with the step maps of
+    _bns_maps.
 
     The covariance flow is linear between jumps, so a step's end state and
     its integral I are the jump-free flow of the step, plus each jump's mark
@@ -270,9 +302,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
     kappa = params.drift_comp[:, None]
-    lift = matcalc.kron_lift(params.mean_rev)
-    e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
-    k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
+    h, lift, e_h, k_h = maps
 
     xi = np.empty((n_steps, d, n))
     ev_path, ev_time, chi2, gauss = _draw_jumps(params, horizon, seed, idx0,
@@ -288,8 +318,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     ev_step = np.minimum((ev_time / h).astype(np.int64), n_steps - 1)
     flow, integral, _ = matcalc.lift_flows(lift, (ev_step + 1) * h - ev_time)
     vec_j = marks.reshape(d * d, 1, -1)
-    ev_cov = _pmul(flow.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
-    ev_int = _pmul(integral.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
+    ev_cov = matmul_last(flow.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
+    ev_int = matmul_last(integral.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
     ev_y = params.leverage_diag[:, None] * np.diagonal(marks).T
     ev_sq = ev_y[:, None] * ev_y[None]
     del flow, integral, marks, vec_j
@@ -301,7 +331,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
 
     y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
     for k in range(n_steps):
-        step_int = _pmul(k_h, sig.reshape(d * d, 1, n)).reshape(d, d, n)
+        step_int = matmul_last(k_h, sig.reshape(d * d, 1, n)).reshape(d, d, n)
         sig = _sandwich(e_h, sig)
         evs = by_step[bounds[k]:bounds[k + 1]]
         at = (slice(None), slice(None), ev_path[evs])
@@ -311,7 +341,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
         np.add.at(y, at[1:], ev_y[:, evs])
         root = _per_path(matcalc.sqrt_psd, step_int)
         y += (-0.5 * np.diagonal(step_int).T - kappa * h
-              + _pmul(root, xi[k][:, None])[:, 0])
+              + matmul_last(root, xi[k][:, None])[:, 0])
         bracket += step_int
         out_y[k + 1] = y.T
         out_cov[k + 1] = sig.transpose(2, 0, 1)
@@ -342,6 +372,11 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     cov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
     intcov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
 
+    # the step maps are the same for every chunk: made here, before any
+    # fork, as scipy's expm leaves its BLAS threads spinning for a while
+    # after it returns, and a forked shard would start threads of its own
+    maps = (_wasc_maps if params.kind == "wasc" else _bns_maps)(params, h)
+
     def shard(lo: int, hi: int) -> int:
         clip = 0
         for start in range(lo, hi, CHUNK_PATHS):
@@ -349,10 +384,10 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
             views = (log_spot[:, sl], cov[:, sl], intcov[:, sl])
             if params.kind == "wasc":
                 clip += _simulate_wasc_chunk(params, state.log_spot,
-                                             state.cov, h, seed,
+                                             state.cov, maps, seed,
                                              path_start + start, *views)
             else:
-                _simulate_bns_chunk(params, state.log_spot, state.cov, h,
+                _simulate_bns_chunk(params, state.log_spot, state.cov, maps,
                                     span, seed, path_start + start, *views)
         return clip
 

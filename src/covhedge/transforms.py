@@ -63,16 +63,18 @@ skipped mass.
 * Node blocks.  Each route takes its nodes in blocks of about
   BLOCK_POINTS (node, s) points, which bounds the working set; every entry
   is bitwise the same whatever the partition.  A block costs a fixed
-  overhead (one Wishart MGF call for the jump model) plus about 370 bytes
-  a point.  At 4096 points a jump-model block of the single-tau strip
-  lattice holds 63 nodes of 65 s values, and a jump-model pass of the
-  benchmark's 33-claim strip makes 232 MGF calls where 512 points made
-  1,904.  It took 0.43 s where 512 points took 0.88 (medians of 10, 2-core
-  VM); larger budgets were no faster and grow the working set.  For the
-  diffusion, one batched eigendecomposition of every node's Hamiltonian
-  gives Z, and from it psi, the log-determinant and the sign of det
-  Theta_22, at every s of its route (``_flow``).  A node whose
-  eigenvector basis, or its dominant lower block Q_2D, has 1-norm
+  overhead (one Wishart MGF call for the jump model) plus about 450 bytes
+  a point for the diffusion and 270 for the jump model (the largest slopes
+  of the traced peak on the hedge lattice of 100 tau x 288 nodes).  At
+  4096 points a jump-model block of the single-tau strip lattice holds 63
+  nodes of 65 s values, and a jump-model pass of the benchmark's 33-claim
+  strip makes 231 MGF calls where 512 points made 1,903.  It took 0.24 s
+  where 512 points took 0.65, and 6,144 to 12,288 points took 0.23 to
+  0.26 s (medians of 10 to 16, 2-core VM); larger budgets grow the
+  working set.  For the diffusion, one batched eigendecomposition of every
+  node's Hamiltonian gives Z, and from it psi, the log-determinant and
+  the sign of det Theta_22, at every s of its route (``_flow``).  A node
+  whose eigenvector basis, or its dominant lower block Q_2D, has 1-norm
   condition number above 1e10 is off the eigen route and takes the rows
   of expm as Z; no benchmark lattice has such a node.  For d <= 2 the
   eigendecomposition is closed-form: the eigenvalues of a Hamiltonian
@@ -87,6 +89,18 @@ skipped mass.
   at every (node, s), whose strip flag and log-determinant come from the
   elimination pivots of scale^{-1} - 2 R, batched with ufunc arithmetic
   (``models.wishart_mgf``).
+* Entries first.  The small matrices of a node stack are held one entry
+  per contiguous row over the nodes (and the s values): a d x d stack is a
+  (d, d, B) array, or a (B, d, d) view of one.  Products, determinants and
+  inverses are unrolled sums of ufunc products over those rows
+  (``matcalc.matmul_last``, ``det_last``, ``adj_last``), so no batched @,
+  einsum or LAPACK call runs on the node axis; the exceptions are the
+  eigendecomposition for d > 2 and the expm of a node off the eigen route.
+  numpy's complex product is not bitwise commutative, and numpy may swap
+  its factors to reuse a right-hand temporary of 256 KiB or more, so a
+  product whose right factor could be such a temporary would make an
+  entry's bits depend on the block size: those products take the
+  temporary on the left.
 * Moment explosion (diffusion).  Validity is decided by the real part of
   a node: |E[exp(u'Y)]| <= E[exp(Re(u)'Y)], and the transform formula
   holds for complex u wherever that moment is finite (Keller-Ressel 2011;
@@ -138,9 +152,10 @@ __all__ = [
 PHI_PANEL_NODES = 8
 PHI_PANEL_WIDTH = 0.125
 BLOCK_POINTS = 4096
-# 1-norm condition numbers of the eigen route, one LU inverse each (an
-# n x n matrix's lies within a factor n of the 2-norm one); singular input
-# gives inf
+_PANEL_RULE = np.polynomial.legendre.leggauss(PHI_PANEL_NODES)
+# 1-norm condition numbers of the eigen route, one inverse each (by
+# cofactors, and by LU for the basis at d > 2; an n x n matrix's lies within
+# a factor n of the 2-norm one); singular input fails
 _EIGVEC_COND_MAX = 1e10
 # largest |psi| entry of a valid point ("Moment explosion" above)
 _BLOWUP_LIMIT = 1e12
@@ -160,17 +175,18 @@ def _source(u: np.ndarray) -> np.ndarray:
 def wasc_hamiltonian(params: models.WascParams, u) -> np.ndarray:
     """The 2d x 2d linearization matrix [[F, -2A'A], [(uu'-diag u)/2, -F']]
     for a (d,) argument; a (B, d) stack of arguments gives a (B, 2d, 2d)
-    stack."""
+    stack, stored entries first (each entry one contiguous (B,) row)."""
     d = params.d
     u = np.asarray(u, dtype=complex)
+    stack = u.reshape(-1, d)
     a_rho = params.vol_of_vol.T @ params.leverage
-    f = params.mean_rev + a_rho[:, None] * u[..., None, :]
-    ham = np.zeros(u.shape[:-1] + (2 * d, 2 * d), dtype=complex)
-    ham[..., :d, :d] = f
-    ham[..., :d, d:] = -2.0 * params.vol_of_vol.T @ params.vol_of_vol
-    ham[..., d:, :d] = _source(u)
-    ham[..., d:, d:] = -f.swapaxes(-1, -2)
-    return ham
+    f = params.mean_rev + a_rho[:, None] * stack[:, None, :]
+    ham = np.zeros((2 * d, 2 * d, stack.shape[0]), dtype=complex)
+    ham[:d, :d] = f.transpose(1, 2, 0)
+    ham[:d, d:] = (-2.0 * params.vol_of_vol.T @ params.vol_of_vol)[..., None]
+    ham[d:, :d] = _source(stack).transpose(1, 2, 0)
+    ham[d:, d:] = -f.transpose(2, 1, 0)
+    return ham.transpose(2, 0, 1).reshape(u.shape[:-1] + (2 * d, 2 * d))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +215,7 @@ def _phi_panels(knots: np.ndarray
     [knots[k-1], knots[k]] (from 0 for k = 0) is cut into equal panels no
     wider than PHI_PANEL_WIDTH.  Returns the points, the weights and the
     index of each span's first point; the points run in span order."""
-    x, w = np.polynomial.legendre.leggauss(PHI_PANEL_NODES)
+    x, w = _PANEL_RULE
     lo = np.concatenate([[0.0], knots[:-1]])
     count = np.ceil((knots - lo) / PHI_PANEL_WIDTH).astype(int)
     first = np.cumsum(count) - count
@@ -260,61 +276,94 @@ def _eigenpairs(ham: np.ndarray
     exact similarity by S = diag(I, I / r), with r a power of 2, scales the
     source block D by r and -2A'A by 1 / r to about the size of F.  Far out
     on a contour D grows like |u|^2, and unbalanced it costs det Ham, and
-    so mu, digits that eig keeps."""
+    so mu, digits that eig keeps.
+
+    Entries first: every entry of Ham, of Ham^2 and of the projectors is
+    one (B,) row, and products, det Ham (``matcalc.det_last``) and the
+    projector entries are unrolled sums of ufunc products; q and qinv are
+    returned as (B, 2d, 2d) views of such rows."""
     n, m = ham.shape[0], ham.shape[-1]
     d = m // 2
-    f_n, g_n, d_n = (np.abs(blk).max(axis=(-2, -1)) for blk in
-                     (ham[:, :d, :d], ham[:, :d, d:], ham[:, d:, :d]))
+    h = ham.transpose(1, 2, 0)                            # (2d, 2d, B)
+    f_n, g_n, d_n = (np.abs(blk).max(axis=(0, 1)) for blk in
+                     (h[:d, :d], h[:d, d:], h[d:, :d]))
     target = np.maximum(f_n, np.sqrt(g_n * d_n))
     r = np.where((target > 0) & (d_n > 0),
                  target / np.where(d_n > 0, d_n, 1.0), 1.0)
-    r = np.exp2(np.round(np.log2(r)))[:, None, None]
-    ham = ham.copy()
-    ham[:, d:, :d] *= r
-    ham[:, :d, d:] /= r
-    h2 = ham @ ham
-    half = 0.5 * np.trace(h2, axis1=-2, axis2=-1)
-    eye = np.broadcast_to(np.eye(m), ham.shape)
+    r = np.exp2(np.round(np.log2(r)))
+    h = h.copy()
+    h[d:, :d] *= r
+    h[:d, d:] /= r
+    h2 = matcalc.matmul_last(h, h)
+    diag = np.arange(m)
+    half = 0.5 * sum(h2[i, i] for i in diag)
     if d == 1:
-        root = np.sqrt(half)[:, None]
-        lam = np.concatenate([root, -root], axis=-1)
-        powers = (eye, ham)
-        coef = (lam, np.ones_like(lam))
+        root = np.sqrt(half)[None]
+        lam = np.concatenate([root, -root])
         scale = 2.0 * lam
+        pdiag = h[diag, diag] + lam[:, None]
     else:
-        det = np.linalg.det(ham)
+        det = matcalc.det_last(h)
         disc = np.sqrt(half * half - 4.0 * det)
         disc = np.where((half.conj() * disc).real < 0.0, -disc, disc)
         big = 0.5 * (half + disc)
-        mu = np.stack([big, det / big], axis=-1)
+        mu = np.stack([big, det / big])
         root = np.sqrt(mu)
-        lam = np.concatenate([root, -root], axis=-1)
-        mu_j, mu_o = np.tile(mu, 2), np.tile(mu[:, ::-1], 2)
+        lam = np.concatenate([root, -root])
+        mu_o = np.tile(mu[::-1], (2, 1))[:, None]
+        scale = 2.0 * lam * (np.tile(mu, (2, 1)) - mu_o[:, 0])
         # (Ham + lam)(Ham^2 - mu') = Ham^3 + lam Ham^2 - mu' Ham - lam mu'
-        powers = (eye, ham, h2, h2 @ ham)
-        coef = (-lam * mu_o, -mu_o, lam, np.ones_like(lam))
-        scale = 2.0 * lam * (mu_j - mu_o)
+        h3d = sum(h2[:, i] * h[i] for i in diag)          # Ham^3[r, r]
+        pdiag = (h3d + lam[:, None] * h2[diag, diag]
+                 - (h[diag, diag] + lam[:, None]) * mu_o)
+    pdiag /= scale[:, None]                               # P_j[r, r]
+    c = np.argmax(np.abs(pdiag), axis=1)                  # (2d, B)
+    # column c_j and row c_j of a (2d, 2d, B) stack per mode j, gathered
+    # from its flat entries; e[j, i] is 1 where i = c_j
+    at = (c * n + np.arange(n))[:, None] + diag[:, None] * (m * n)
+    e = c[:, None] == diag[:, None]
 
-    def project(parts):
-        """(B, 2d, 2d) entries of every P_j, j on axis 1, from the same
-        entries of each power of Ham (taken one at a time)."""
-        return (sum(k[..., None] * p for k, p in zip(coef, parts))
-                / scale[..., None])
+    def column(a):
+        return np.take(a, at)
 
-    diag = project(np.diagonal(p, axis1=-2, axis2=-1)[:, None]
-                   for p in powers)                       # P_j[r, r]
-    c = np.argmax(np.abs(diag), axis=-1)                  # (B, 2d)
-    b = np.arange(n)[:, None]
+    def row(a):
+        return np.take(a.swapaxes(0, 1), at)
+
+    lam_e = lam[:, None] * e
+    # P_j e_c = (Ham + lam) v / scale with v = g(Ham) e_c, and e_c' P_j =
+    # w' g(Ham) / scale with w' = e_c' (Ham + lam), g(Ham) = I (d = 1) or
+    # Ham^2 - mu' (d = 2)
+    if d == 1:
+        col = column(h) + lam_e
+        rowv = row(h) + lam_e
+    else:
+        v = column(h2) - mu_o * e
+        col = matcalc.matmul_last(v, h.swapaxes(0, 1)) + lam[:, None] * v
+        w = row(h) + lam_e
+        rowv = matcalc.matmul_last(w, h2) - mu_o * w
+    col /= scale[:, None]
+    rowv /= scale[:, None]
     # P_j of Ham is S P_j S^{-1} of the balanced one: same diagonal
-    col = project(p[b, :, c] for p in powers)             # P_j[:, c_j]
-    row = project(p[b, c, :] for p in powers)             # P_j[c_j, :]
-    col[..., d:] /= r
-    row[..., d:] *= r
-    norm = np.linalg.norm(col, axis=-1)
-    pcc = np.take_along_axis(diag, c[..., None], axis=-1)[..., 0]
-    q = (col / norm[..., None]).swapaxes(-1, -2)
-    qinv = row * (norm / pcc)[..., None]
-    return lam, q, qinv
+    col[:, d:] /= r
+    rowv[:, d:] *= r
+    abs2 = (col.conj() * col).real
+    norm = np.sqrt(sum(abs2[:, i] for i in diag))
+    pcc = np.take_along_axis(pdiag, c[:, None], axis=1)[:, 0]
+    q = (col / norm[:, None]).transpose(2, 1, 0)
+    qinv = (rowv * (norm / pcc)[:, None]).transpose(2, 0, 1)
+    return lam.T, q, qinv
+
+
+def _cond_ok(a: np.ndarray) -> np.ndarray:
+    """Whether the 1-norm condition number of each matrix of a (n, n, B)
+    stack stored batch last is at most _EIGVEC_COND_MAX, from its cofactor
+    inverse adj / det; a singular matrix fails."""
+    n = a.shape[0]
+    adj = matcalc.adj_last(a)
+    det = sum(adj[j, 0] * a[0, j] for j in range(n))
+    norm = sum(np.abs(a[i]) for i in range(n)).max(axis=0)
+    norm_adj = sum(np.abs(adj[i]) for i in range(n)).max(axis=0)
+    return (det != 0) & (norm * norm_adj <= _EIGVEC_COND_MAX * np.abs(det))
 
 
 def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
@@ -324,20 +373,21 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
     if d <= 2:
         lam, q, qinv = _eigenpairs(ham)
+        ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
+        # a true inverse, not |q|_1 |qinv|_1: on a defective Ham the
+        # closed-form qinv is no inverse (|qinv q - I| = 0.5 on a Jordan
+        # block), yet that product stays below the limit (1.3e9)
+        ok[ok] = _cond_ok(q[ok].transpose(1, 2, 0))
     else:
         lam, q = np.linalg.eig(ham)
         dom = np.argsort(-lam.real, axis=-1)
         lam = np.take_along_axis(lam, dom, axis=-1)
         q = np.take_along_axis(q, dom[:, None, :], axis=-1)
         qinv = np.zeros_like(q)
-    ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
-    # an LU inverse, not |q|_1 |qinv|_1: on a defective Ham the closed-form
-    # qinv is no inverse (|qinv q - I| = 0.5 on a Jordan block), yet that
-    # product stays below the limit (1.3e9)
-    ok[ok] = np.linalg.cond(q[ok], 1) <= _EIGVEC_COND_MAX
-    if d > 2:
+        ok = np.all(np.isfinite(q), axis=(-2, -1))
+        ok[ok] = np.linalg.cond(q[ok], 1) <= _EIGVEC_COND_MAX
         qinv[ok] = np.linalg.inv(q[ok])
-    ok[ok] = np.linalg.cond(q[ok, d:, :d], 1) <= _EIGVEC_COND_MAX
+    ok[ok] = _cond_ok(q[ok, d:, :d].transpose(1, 2, 0))
     return _Spectrum(ham, lam, q, qinv, ok)
 
 
@@ -345,7 +395,8 @@ def _flow(spec: _Spectrum, svals: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi(s), log det Theta_22(s) + s Tr F and the sign of Re det
     Theta_22(s) for B nodes at every s, shapes (B, S, d, d), (B, S) and
-    (B, S); psi is nan where Z_2 below is singular or not finite.
+    (B, S); psi is nan where Z_2 below is singular or not finite, and it is
+    a view of entries stored first.
 
     With the dominant modes D split from the sub-dominant S and P = Q^{-1},
     the lower block rows of Theta = Q e^{s Lam} P are [Theta_21, Theta_22]
@@ -356,40 +407,49 @@ def _flow(spec: _Spectrum, svals: np.ndarray
     det(Q_2D Z_2) is 1 at s = 0 and its principal log stays on the branch
     continuous from there (the Wishart form of the little Heston trap).
     A node off the eigen route takes the rows of expm(s Ham) as Z, with
-    Q_2D = I and Lam_D = 0; its log is plain principal."""
+    Q_2D = I and Lam_D = 0; its log is plain principal.
+
+    Entries first: each entry of Z is one (B, S) row, and the d x d
+    inverses and determinants are cofactor sums (``matcalc.det_last``)."""
     n, d = spec.lam.shape[0], spec.lam.shape[1] // 2
     ok = spec.ok
     lam_d = np.where(ok[:, None], spec.lam[:, :d], 0.0)
-    q2d = np.where(ok[:, None, None], spec.q[:, d:, :d], np.eye(d))
-    # Z(s) = P_D + sum_ij e^{s (lam_Sj - lam_Di)} e_i K_ij P_S[j, :] with
-    # K = Q_2D^{-1} Q_2S: one batched product, every exponent of real part
-    # <= 0
-    terms = np.zeros((n, d * d, 2 * d * d), dtype=complex)
-    terms[ok] = np.einsum("ri,bij,bjc->bijrc", np.eye(d),
-                          np.linalg.solve(q2d[ok], spec.q[ok, d:, d:]),
-                          spec.qinv[ok, d:]).reshape(-1, d * d, 2 * d * d)
-    gaps = (spec.lam[:, None, d:] - lam_d[:, :, None]).reshape(n, 1, d * d)
-    z = np.exp(svals[:, None] * gaps) @ terms
-    z[ok] += spec.qinv[ok, :d].reshape(-1, 1, 2 * d * d)
-    z = z.reshape(n, svals.size, d, 2 * d)
+    q = np.where(ok, spec.q.transpose(1, 2, 0), 0.0)      # (2d, 2d, B)
+    qinv = np.where(ok, spec.qinv.transpose(1, 2, 0), 0.0)
+    q2d = np.where(ok, q[d:, :d], np.eye(d)[..., None])
+    det_q = matcalc.det_last(q2d)
+    # Z(s)[i, :] = P_D[i, :] + sum_j e^{s (lam_Sj - lam_Di)} K_ij P_S[j, :]
+    # with K = Q_2D^{-1} Q_2S; every exponent has real part <= 0
+    k = matcalc.matmul_last(matcalc.adj_last(q2d), q[d:, d:]) / det_q
+    gaps = spec.lam.T[d:] - lam_d.T[:, None]              # (d, d, B)
+    z = np.empty((d, 2 * d, n, svals.size), dtype=complex)
+    for i in range(d):
+        z[i] = qinv[i, :, :, None]
+        for j in range(d):
+            z[i] += (np.exp(gaps[i, j, :, None] * svals)
+                     * (k[i, j] * qinv[d + j])[:, :, None])
+    # a node off the eigen route: the expm rows, each scaled by a power of
+    # 2 (exact, and psi does not change) so that det Z_2 cannot overflow
+    log_scale = np.zeros((n, svals.size))
     for b in np.flatnonzero(~ok):
-        z[b] = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
-    # det(Q_2D Z_2) as a phase and a log modulus, which the large expm
-    # rows of a node off the eigen route cannot overflow; a zero pivot
-    # gives phase 0
-    phase, log_mod = np.linalg.slogdet(z[..., d:])
-    psi = np.full((n, svals.size, d, d), np.nan, dtype=complex)
-    good = np.all(np.isfinite(z[..., d:]), axis=(-2, -1)) & (phase != 0)
-    psi[good] = matcalc.sym_part(np.linalg.solve(z[..., d:][good],
-                                                 z[..., :d][good]))
-    phase_q, log_mod_q = np.linalg.slogdet(q2d)
-    phase = phase * phase_q[:, None]
+        rows = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
+        top = np.abs(rows).max(axis=-1, keepdims=True)
+        exp2 = np.where(top > 0, np.ceil(np.log2(top)), 0.0)
+        z[:, :, b] = (rows * np.exp2(-exp2)).transpose(1, 2, 0)
+        log_scale[b] = np.log(2.0) * exp2.sum(axis=(-2, -1))
+    det_z = matcalc.det_last(z[:, d:])
+    good = np.all(np.isfinite(z[:, d:]), axis=(0, 1)) & (det_z != 0)
+    safe = np.where(good, det_z, 1.0)
+    psi = matcalc.matmul_last(matcalc.adj_last(z[:, d:]), z[:, :d]) / safe
+    psi = np.where(good, 0.5 * (psi + psi.swapaxes(0, 1)), np.nan)
+    # det(Q_2D Z_2): its phase, and its log modulus from the two factors
+    det = det_z * det_q[:, None]
     lead = lam_d.sum(axis=-1)[:, None]
     slope = lead + np.trace(spec.ham[:, :d, :d], axis1=-2, axis2=-1)[:, None]
-    sign = np.sign((np.exp(1j * svals * lead.imag) * phase).real)
-    log_det = (svals * slope + log_mod + log_mod_q[:, None]
-               + 1j * np.angle(phase))
-    return psi, log_det, sign
+    sign = np.sign((np.exp(1j * svals * lead.imag) * det).real)
+    log_det = (svals * slope + np.log(np.abs(det_z)) + log_scale
+               + np.log(np.abs(det_q))[:, None] + 1j * np.angle(det))
+    return psi.transpose(2, 3, 0, 1), log_det, sign
 
 
 def _wasc_block(params: models.WascParams, full: np.ndarray,
@@ -407,22 +467,24 @@ def _wasc_block(params: models.WascParams, full: np.ndarray,
     the eigen route; models.WascParams builds omega by the expression below,
     so with alpha given the remainder of a node on that route is exactly
     0."""
-    n_k = starts.size
+    d, n_k = params.d, starts.size
     alpha = 0.0 if params.alpha is None else float(params.alpha)
     rem = params.omega - alpha * params.vol_of_vol.T @ params.vol_of_vol
-    spec = _spectrum(params, nodes)
+    # the nodes, then each distinct real part's companion node
+    reals, which = np.unique(nodes.real, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    spec = _spectrum(params, np.concatenate([nodes, reals]))
+    companion = spec.take(slice(nodes.shape[0], None))
+    spec = spec.take(slice(0, nodes.shape[0]))
     node_alpha = np.where(spec.ok, alpha, 0.0)
     node_rem = np.where(spec.ok[:, None, None], rem, params.omega)
     quad = np.any(node_rem != 0, axis=(-2, -1))
-    # det Theta_22 of each distinct real part's companion node at every
-    # point, in blocks; a non-positive value anywhere in a knot's span
-    # fails that knot
-    reals, which = np.unique(nodes.real, axis=0, return_inverse=True)
-    which = which.reshape(-1)
+    # det Theta_22 of the companions at every point, in blocks; a
+    # non-positive value anywhere in a knot's span fails that knot
     width = max(1, BLOCK_POINTS // full.size)
     sign = np.concatenate([
-        _flow(_spectrum(params, reals[lo:lo + width].astype(complex)),
-              full)[2] for lo in range(0, reals.shape[0], width)])
+        _flow(companion.take(slice(lo, lo + width)), full)[2]
+        for lo in range(0, reals.shape[0], width)])
     pole_ok = ~_span_any(~(sign > 0), n_k, starts)        # (R, n_k)
 
     def block(cols: np.ndarray, n_s: int):
@@ -431,7 +493,10 @@ def _wasc_block(params: models.WascParams, full: np.ndarray,
         ok = np.max(np.abs(psi), axis=(-2, -1)) <= _BLOWUP_LIMIT
         ok[:, :n_k] &= pole_ok[which[cols]]
         phi_cf = -0.5 * node_alpha[cols, None] * log_det
-        return psi, phi_cf, np.einsum("bij,bsji->bs", node_rem[cols], psi), ok
+        rem = node_rem[cols]
+        rate = sum(rem[:, i, j, None] * psi[..., j, i]
+                   for i in range(d) for j in range(d))
+        return psi, phi_cf, rate, ok
 
     return quad, block
 
@@ -440,26 +505,47 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
                starts: np.ndarray, nodes: np.ndarray):
     """Block evaluator as in _wasc_block: every node takes the panel rule,
     the phi integrand is lam (mgf(R_s(u)) - 1) - u'kappa and the check is
-    the mark strip."""
-    d = params.d
+    the mark strip.  psi is returned at the knots only.
+
+    Entries first: each entry of psi and R is one contiguous (node, s) row,
+    and R goes to the MGF as a (node, s, d, d) view of those rows."""
+    d, n_k = params.d, starts.size
     # psi(s, u) = mat(ops[s] @ vec D(u)): ops[s] = int_0^s e^{M'r} (x) e^{M'r}
-    # dr does not depend on the node
+    # dr does not depend on the node.  Symmetrised, entry (p, q) is the sum
+    # over the entries k <= l of D (symmetric) of coef[p, q, k, l](s) D_kl
     _, ops, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T), full)
+    ops = ops.reshape(full.size, d, d, d, d)
+    coef = 0.5 * (ops + ops.swapaxes(1, 2))
+    coef = coef + np.where(np.eye(d, dtype=bool), 0.0,
+                           coef.swapaxes(3, 4))
+    coef = np.ascontiguousarray(coef.transpose(1, 2, 3, 4, 0))
+    tri = list(zip(*np.triu_indices(d)))
 
     def block(cols: np.ndarray, n_s: int):
         u = nodes[cols]
-        dvec = _source(u).reshape(u.shape[0], d * d)       # symmetric: = vec
-        psi = np.einsum("sij,bj->bsi", ops[:n_s], dvec)
-        psi = matcalc.sym_part(psi.reshape(psi.shape[:2] + (d, d)))
-        lev = np.eye(d) * (params.leverage_diag * u)[:, None, :]
-        r_u = psi + lev[:, None]
+        src = _source(u)
+        lev = params.leverage_diag * u
+        r_u = np.empty((d, d, cols.size, n_s), dtype=complex)
+        psi = np.empty((d, d, cols.size, n_k), dtype=complex)
+        for p, q in tri:
+            ent = np.multiply(src[:, 0, 0, None], coef[p, q, 0, 0, :n_s],
+                              out=r_u[p, q])
+            for k, l in tri[1:]:
+                ent += src[:, k, l, None] * coef[p, q, k, l, :n_s]
+            psi[p, q] = psi[q, p] = ent[:, :n_k]
+            if p == q:
+                ent += lev[:, p, None]
+            else:
+                r_u[q, p] = ent
         mgf, ok = models.wishart_mgf(params.wishart_scale,
-                                     params.wishart_shape, r_u)
+                                     params.wishart_shape,
+                                     r_u.transpose(2, 3, 0, 1))
         # u'kappa by a ufunc sum: a BLAS product's bits depend on the
         # block's node count
         rate = (np.where(ok, params.jump_intensity * (mgf - 1.0), 0.0)
                 - (u * params.drift_comp).sum(axis=-1)[:, None])
-        return psi, np.zeros(rate.shape, dtype=complex), rate, ok
+        return (psi.transpose(2, 3, 0, 1), np.zeros((cols.size, n_k), complex),
+                rate, ok)
 
     return np.ones(nodes.shape[0], dtype=bool), block
 

@@ -1,9 +1,9 @@
 """Shared fixtures: the two-asset reference parameter set used across the
 test suite (matrix vol-of-vol A, mean reversion M, leverage rho, Wishart
-shape alpha, initial covariance and spots), ``inadmissible_params``, which
-builds one rejected set per model, ``basis_at``, the basis claim H at one
-market state through the lattice engine, and a derandomized hypothesis
-profile."""
+shape alpha, initial covariance and spots), ``three_asset_params``, a
+three-asset set per model, ``inadmissible_params``, which builds one
+rejected set per model, ``basis_at``, the basis claim H at one market state
+through the lattice engine, and a derandomized hypothesis profile."""
 
 from __future__ import annotations
 
@@ -24,6 +24,13 @@ SIGMA0_REF = np.array([[0.10, 0.07], [0.07, 0.10]])
 S0_REF = np.array([100.0, 100.0])
 HORIZON_REF = 1.0
 STEPS_REF = 250
+
+# a three-asset set of each model: d > 2 takes the eigendecomposition
+# branches of the simulation and of the diffusion transform
+M_3 = np.array([[-2.5, -0.5, -0.3], [-0.5, -2.0, -0.4], [-0.3, -0.4, -3.0]])
+SIGMA0_3 = np.array([[0.10, 0.03, 0.02], [0.03, 0.09, 0.025],
+                     [0.02, 0.025, 0.12]])
+S0_3 = np.array([100.0, 90.0, 110.0])
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +86,23 @@ def inadmissible_params(kind: str):
                             wishart_scale=np.array([[0.02, 0.008],
                                                     [0.008, 0.02]]),
                             leverage_diag=np.array([-0.8, -0.5]))
+
+
+def three_asset_params(kind: str):
+    """The three-asset set of a model (M_3 above)."""
+    from covhedge import models
+
+    if kind == "wasc":
+        return models.WascParams(
+            d=3, mean_rev=M_3,
+            vol_of_vol=np.array([[0.15, 0.03, 0.02], [0.03, 0.14, 0.03],
+                                 [0.02, 0.03, 0.16]]),
+            leverage=np.array([-0.5, -0.3, -0.2]), alpha=8.0)
+    return models.BnsParams(
+        d=3, mean_rev=M_3, jump_intensity=3.0, wishart_shape=4.0,
+        wishart_scale=np.array([[0.02, 0.006, 0.004], [0.006, 0.018, 0.005],
+                                [0.004, 0.005, 0.022]]),
+        leverage_diag=np.array([-0.6, -0.5, -0.4]))
 
 
 def basis_at(params, state, horizon: float, u) -> complex:

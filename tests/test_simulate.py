@@ -17,29 +17,18 @@ import scipy.linalg
 from covhedge import _shards, matcalc, models, simulate
 
 import oracles
-from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      STEPS_REF, basis_at)
+from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF,
+                      SIGMA0_3, SIGMA0_REF, STEPS_REF, basis_at,
+                      three_asset_params)
 
 N_PATHS = 6000
 N_STEPS = 200
 
-# a three-asset set of each model: d > 2 takes the eigendecomposition
-# branches of sqrt_psd and psd_repair
-M_3 = np.array([[-2.5, -0.5, -0.3], [-0.5, -2.0, -0.4], [-0.3, -0.4, -3.0]])
-SIGMA0_3 = np.array([[0.10, 0.03, 0.02], [0.03, 0.09, 0.025],
-                     [0.02, 0.025, 0.12]])
-STATE_3 = models.MarketState.from_spot(
-    t=0.0, spot=np.array([100.0, 90.0, 110.0]), cov=SIGMA0_3)
-WASC_3 = models.WascParams(
-    d=3, mean_rev=M_3,
-    vol_of_vol=np.array([[0.15, 0.03, 0.02], [0.03, 0.14, 0.03],
-                         [0.02, 0.03, 0.16]]),
-    leverage=np.array([-0.5, -0.3, -0.2]), alpha=8.0)
-BNS_3 = models.BnsParams(
-    d=3, mean_rev=M_3, jump_intensity=3.0, wishart_shape=4.0,
-    wishart_scale=np.array([[0.02, 0.006, 0.004], [0.006, 0.018, 0.005],
-                            [0.004, 0.005, 0.022]]),
-    leverage_diag=np.array([-0.6, -0.5, -0.4]))
+# the three-asset sets: d > 2 takes the eigendecomposition branches of
+# sqrt_psd and psd_repair
+STATE_3 = models.MarketState.from_spot(t=0.0, spot=S0_3, cov=SIGMA0_3)
+WASC_3 = three_asset_params("wasc")
+BNS_3 = three_asset_params("bns")
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +252,7 @@ class TestStreams:
     """A chunk re-keys one generator per path; each path must still draw
     exactly its own fresh stream, in the documented order."""
 
-    SEED, IDX0, N, STEPS = 2**40 + 3, 1000, 64, 6
+    SEED, IDX0, N, STEPS = 2**40 + 3, 1000, 100, 6
 
     def test_wasc_draws_match_fresh_streams(self):
         for i, rng in enumerate(simulate._path_streams(self.SEED, self.IDX0,

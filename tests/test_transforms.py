@@ -14,8 +14,9 @@ from covhedge import models, payoffs, transforms
 from covhedge.hedging import pricing
 
 import oracles
-from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      basis_at, inadmissible_params)
+from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_3, S0_REF,
+                      SIGMA0_3, SIGMA0_REF, basis_at, inadmissible_params,
+                      three_asset_params)
 
 # complex arguments typical of a damped Fourier contour
 CONTOUR_NODES = [
@@ -294,6 +295,34 @@ class TestTransformGrid:
                 assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-8
                 assert abs(grid.phi[k, m] - phi) < 1e-8
 
+    # three assets, off the real axis in every coordinate
+    NODES_3 = np.array([[1.5 + 0.7j, -0.5 - 1.3j, 0.4 + 0.9j],
+                        [0.8 - 2.1j, 1.2 + 0.4j, -0.3 - 0.6j],
+                        [-0.5 + 3.0j, 0.6 - 0.2j, 1.1 + 1.7j]])
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_three_asset_grid_matches_oracles(self, kind):
+        # the engine's entry loops run at d = 3 as at d = 2 (the diffusion
+        # eigen-split takes np.linalg.eig there)
+        params = three_asset_params(kind)
+        taus = [0.4, 1.0]
+        grid = transforms.transform_grid(params, taus, self.NODES_3)
+        assert np.all(grid.valid)
+        for k, tau in enumerate(taus):
+            for m, u in enumerate(self.NODES_3):
+                if kind == "wasc":
+                    model = (params.vol_of_vol, params.mean_rev,
+                             params.leverage)
+                    psi = oracles.integrate_riccati(tau, u, *model)
+                    phi = oracles.integrate_phi(tau, u, params.omega, *model)
+                else:
+                    phi, psi = oracles.bns_phi_quadrature(
+                        tau, u, params.mean_rev, params.jump_intensity,
+                        params.wishart_shape, params.wishart_scale,
+                        params.leverage_diag)
+                assert np.max(np.abs(grid.psi[k, m] - psi)) < 1e-8
+                assert abs(grid.phi[k, m] - phi) < 1e-8
+
     def test_zero_tau_row_is_trivial(self, wasc_ref):
         grid = transforms.transform_grid(wasc_ref, [0.0],
                                          np.stack(CONTOUR_NODES))
@@ -481,8 +510,10 @@ class TestTransformGrid:
 
 
 def atm_cc_nodes(params, state, nodes_per_dim):
-    """The contour fourier_price builds for the ATM cc quadrant at T = 1."""
-    kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+    """The contour fourier_price builds for the ATM cc quadrant at T = 1,
+    on the first and the last asset."""
+    kernel = payoffs.quadrant_option(params.d, "cc", (0, params.d - 1),
+                                     (100.0, 100.0))
     rate = pricing.integrated_cov_rate(params, state, 1.0)
     decay = payoffs.suggest_decay(kernel, rate, 1.0, nodes_per_dim)
     return payoffs.build_contour(kernel, nodes_per_dim=nodes_per_dim,
@@ -670,14 +701,18 @@ class TestClosedFormSpectrum:
         assert np.max(np.abs(log_det - log_det_ref)
                       / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
 
-    def test_no_eig_for_d_up_to_2(self, wasc_ref, monkeypatch):
-        def refuse(_):
-            raise AssertionError("np.linalg.eig called")
+    def test_no_eig_for_d_up_to_2(self, wasc_ref, bns_ref, monkeypatch):
+        def refuse(name):
+            def call(*_):
+                raise AssertionError(f"np.linalg.{name} called")
+            return call
 
-        monkeypatch.setattr(np.linalg, "eig", refuse)
-        grid = transforms.transform_grid(wasc_ref, [0.5, 1.0],
-                                         np.stack(CONTOUR_NODES))
-        assert np.all(grid.valid)
+        for name in ("eig", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+        for params in (wasc_ref, bns_ref):
+            grid = transforms.transform_grid(params, [0.5, 1.0],
+                                             np.stack(CONTOUR_NODES))
+            assert np.all(grid.valid)
         one = models.WascParams(d=1, mean_rev=-np.eye(1), vol_of_vol=np.eye(1),
                                 leverage=[-0.5], alpha=1.0)
         assert np.all(transforms.transform_grid(one, [1.0],
@@ -700,22 +735,30 @@ class TestBlockPartition:
     HEDGE_TAUS = 1.0 - np.linspace(0.0, 1.0, 21)[:-1]
 
     @pytest.mark.parametrize("taus", ["multi", "single"])
-    @pytest.mark.parametrize("model", ["wasc", "wasc_omega", "bns"])
+    @pytest.mark.parametrize("model", ["wasc", "wasc_omega", "bns", "wasc_3",
+                                       "bns_3"])
     def test_bitwise_across_budgets(self, model, taus, wasc_ref, bns_ref,
                                     state_ref, monkeypatch):
         params = {"wasc": wasc_ref, "bns": bns_ref,
                   "wasc_omega": models.WascParams(
                       d=2, mean_rev=M_REF, vol_of_vol=A_REF, leverage=RHO_REF,
-                      omega=ALPHA_REF * A_REF.T @ A_REF)}[model]
+                      omega=ALPHA_REF * A_REF.T @ A_REF),
+                  "wasc_3": three_asset_params("wasc"),
+                  "bns_3": three_asset_params("bns")}[model]
         taus = self.HEDGE_TAUS if taus == "multi" else [1.0]
-        nodes = np.concatenate([atm_cc_nodes(params, state_ref, 8),
-                                [[60.0, 0.0], [30.0 + 1j, 30.0 - 1j]]])
+        if params.d == 2:
+            state, far = state_ref, [[60.0, 0.0], [30.0 + 1j, 30.0 - 1j]]
+        else:
+            state = models.MarketState.from_spot(0.0, S0_3, SIGMA0_3)
+            far = [[60.0, 0.0, 0.0], [30.0 + 1j, 0.0, 30.0 - 1j]]
+        nodes = np.concatenate([atm_cc_nodes(params, state, 8), far])
         grids = []
         for budget in (1, 512, transforms.BLOCK_POINTS, 2 ** 20):
             monkeypatch.setattr(transforms, "BLOCK_POINTS", budget)
             grids.append(transforms.transform_grid(params, taus, nodes))
         assert not np.all(grids[0].valid) and np.any(grids[0].valid)
-        assert np.all(grids[0].phi_quadrature) == (model != "wasc")
+        assert (np.all(grids[0].phi_quadrature)
+                == (model in ("wasc_omega", "bns", "bns_3")))
         for grid in grids[1:]:
             for field in ("phi", "psi", "valid", "phi_quadrature"):
                 np.testing.assert_array_equal(getattr(grid, field),
@@ -724,12 +767,14 @@ class TestBlockPartition:
 
 class TestMemory:
     """transform_grid holds the lattice once (each block is written into
-    the returned rows), lattice-wide tables under 0.5 MB (the nodes'
-    spectra, the s grid, the jump model's operator) and one node block of
-    about BLOCK_POINTS (node, s) points.  A block costs about 370
-    bytes a point (the largest slope of the traced peak against the budget
-    on this lattice, for budgets up to 65,536); the bound allows 1.5 times
-    that.
+    the returned rows), lattice-wide tables (the nodes' spectra, the s
+    grid, the jump model's operator; with the smallest blocks the traced
+    peak is 1.1 to 1.2 MB above the lattice) and one node block of about
+    BLOCK_POINTS (node, s) points.  The bound allows 0.5 MB and 1.5 times
+    BYTES_PER_POINT a point.  The largest slope of the traced peak against
+    the budget on this lattice, for budgets up to 65,536, is 445 bytes a
+    point for the diffusion and 270 for the jump model (it was 523 and 408
+    before the engine held its entries first).
     A budget change moves the bound by the same rule, and a block that
     outgrows its budget, or an engine that evaluates a whole route at once,
     breaks it.  The lattice is the hedge one: 100 tau x 288 nodes, with 900
