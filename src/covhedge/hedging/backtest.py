@@ -12,22 +12,10 @@ The basis claims H = exp(a + i b) on the (path, node) panel dominate the
 cost of a Fourier hedge, and complex exp spends nearly all its time in the
 per-element cos and sin.  ``BasisCache.basis`` works in real arithmetic on
 row blocks of about BASIS_BLOCK_POINTS points: two real matrix products give
-a and b, numpy's vectorised real exp gives e^a, and ``_scaled_cis`` gives
-e^a (cos b + i sin b) from a table instead of libm trig.  It rounds
-b / (2 pi / CIS_TABLE) to the nearest integer k with the 1.5 * 2**52 trick,
-reads exp(i 2 pi k / CIS_TABLE) from a table indexed by the low bits of k,
-and multiplies it by cos r + i sin r for the remainder r = b - k 2 pi /
-CIS_TABLE, |r| <= pi / CIS_TABLE, taken as the Taylor polynomials of degree
-4 (cos) and 3 (sin).  r is exact up to rounding: 2 pi / CIS_TABLE is split
-Cody-Waite style into a 24-bit head, whose product with any |k| < 2**29 is
-exact, and a tail carrying the next 53 bits.  The polynomials' truncation
-error is below 8e-17 and the table entries are within 1.3e-16, so the
-computed exp(i b) is off by a few units in the last place, whatever |b| the
-split covers (at most 2.7e-16 absolute against a long double reference up
-to the largest |b| allowed, 1.65e6), and H agrees with complex exp of the
-same exponent to a few ulps relative.  Larger finite |b| raise ValueError;
-nan or infinite b give nan.  Entries whose real exponent exceeds
-models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
+a and b, numpy's vectorised real exp gives e^a, and ``matcalc.scaled_cis``
+gives e^a (cos b + i sin b) from a table instead of libm trig, within a few
+ulps of complex exp of the same exponent.  Entries whose real exponent
+exceeds models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
 ``run_backtest`` evaluates the payoffs and prepares every strategy once,
 then sweeps the paths in contiguous shards, the first in this process and
@@ -65,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import _shards, gbm, models, payoffs, transforms
+from .. import _shards, gbm, matcalc, models, payoffs, transforms
 from .covswap import CovswapSystem
 
 __all__ = [
@@ -78,10 +66,9 @@ __all__ = [
     "run_backtest",
 ]
 
-# basis kernel: the cis table size, and the (path, node) points per row
-# block, which keeps the block's temporaries in the L2 cache; chosen from the
-# sweeps recorded in CHANGES.md
-CIS_TABLE = 2048
+# basis kernel: the (path, node) points per row block, which keeps the
+# block's temporaries in the L2 cache; chosen from the sweeps recorded in
+# CHANGES.md
 BASIS_BLOCK_POINTS = 16384
 # paths per run_backtest sweep
 CHUNK_PATHS = 16384
@@ -92,30 +79,6 @@ _GEMM_SERIAL_MNK = 65536
 # basis points (paths x rebalancing dates x Fourier nodes): the break-even
 # of the runs recorded in CHANGES.md
 _MIN_SHARD_BASIS_POINTS = 4_000_000
-# adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
-# then sits in the low bits of the sum's mantissa
-_ROUND_MAGIC = 1.5 * 2.0 ** 52
-# pi/2 split into its leading 33 bits and the rest, as in fdlibm's rem_pio2
-_PIO2_HI = 1.57079632673412561417e+00
-_PIO2_LO = 6.07710050650619224932e-11
-_CIS_STEP = _PIO2_HI * (4.0 / CIS_TABLE)      # 2 pi / CIS_TABLE to 33 bits
-_CIS_C1 = float(np.float32(_CIS_STEP))      # 24-bit head: k * _CIS_C1 exact
-_CIS_C2 = (_CIS_STEP - _CIS_C1) + _PIO2_LO * (4.0 / CIS_TABLE)
-_CIS_MAX_ARG = (2.0 ** 29 - 1.0) * _CIS_STEP
-
-
-def _cis_table() -> np.ndarray:
-    """exp(i 2 pi j / CIS_TABLE) for j < CIS_TABLE: the first quadrant from
-    exp, whose angles below pi/2 round by at most 1.1e-16, and the others by
-    the exact rotations i, -1 and -i."""
-    j = np.arange(CIS_TABLE // 4)
-    quad = np.exp(1j * (j * _CIS_C1 + j * _CIS_C2))
-    return np.concatenate([quad, 1j * quad, -quad, -1j * quad])
-
-
-_CIS = _cis_table()
-
-
 @dataclass
 class BacktestResult:
     name: str
@@ -140,38 +103,6 @@ class HedgeJob:
     strategy: object | None
     payoff: np.ndarray | Callable[[np.ndarray], np.ndarray]
     initial_capital: float
-
-
-def _scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
-    """Write scale * exp(i b) into the complex array out, elementwise, for
-    real b and scale of out's shape, with no trigonometric call per element
-    (see the module docstring for the method and its error)."""
-    lo, hi = b.min(), b.max()
-    if not (-_CIS_MAX_ARG <= lo and hi <= _CIS_MAX_ARG):
-        # nan skips the fast test; only finite angles past the split raise
-        if np.any(np.isfinite(b) & (np.abs(b) > _CIS_MAX_ARG)):
-            raise ValueError(f"angle beyond +-{_CIS_MAX_ARG:.4g}, where the "
-                             "argument reduction stops being exact")
-    t = b * (CIS_TABLE / (2.0 * np.pi))
-    t += _ROUND_MAGIC
-    k = t - _ROUND_MAGIC
-    # masking keeps the index in bounds whatever t holds, nan included
-    idx = np.bitwise_and(t.view(np.int64), CIS_TABLE - 1)
-    r = np.multiply(k, _CIS_C1)
-    np.subtract(b, r, out=r)
-    k *= _CIS_C2
-    r -= k
-    r2 = np.multiply(r, r, out=t)
-    cos_r = np.multiply(r2, 1.0 / 24.0, out=k)
-    cos_r -= 0.5
-    cos_r *= r2
-    cos_r += 1.0
-    np.multiply(cos_r, scale, out=out.real)
-    sin_r = np.multiply(r2, -1.0 / 6.0, out=r2)
-    sin_r += 1.0
-    sin_r *= r
-    np.multiply(sin_r, scale, out=out.imag)
-    out *= _CIS[idx]
 
 
 class BasisCache:
@@ -236,7 +167,7 @@ class BasisCache:
                 a[bad] = 0.0
             np.exp(a, out=a)
             out = h[start:start + rows]
-            _scaled_cis(block @ coeff_im, a, out)
+            matcalc.scaled_cis(block @ coeff_im, a, out)
             if n_bad:
                 out[bad] = 0.0
                 self.overflow_count += n_bad
@@ -267,17 +198,24 @@ def _jump_cov(params) -> np.ndarray:
     return cov.real
 
 
-def _solve_sym_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve symmetric (P,d,d) systems against (P,d) right-hand sides, or
-    against one (d,) right-hand side shared by every path."""
+def _solve_sym_batch(mats: np.ndarray, shift: np.ndarray,
+                     rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric (P,d,d) systems mats + shift, with shift a
+    constant (d,d), against (P,d) right-hand sides, or against one (d,)
+    right-hand side shared by every path.  For d = 2 by Cramer's rule,
+    column by column: arithmetic broadcast over a trailing axis of d runs
+    numpy's inner loop on d elements at a time."""
     d = mats.shape[-1]
     if d == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] ** 2
+        a = mats[:, 0, 0] + shift[0, 0]
+        b = mats[:, 0, 1] + shift[0, 1]
+        c = mats[:, 1, 1] + shift[1, 1]
+        det = a * c - b ** 2
         out = np.empty(mats.shape[:-1])
-        out[:, 0] = (mats[:, 1, 1] * rhs[..., 0] - mats[:, 0, 1] * rhs[..., 1])
-        out[:, 1] = (mats[:, 0, 0] * rhs[..., 1] - mats[:, 0, 1] * rhs[..., 0])
-        return out / det[:, None]
-    return np.linalg.solve(mats, rhs[..., None])[..., 0]
+        out[:, 0] = (c * rhs[..., 0] - b * rhs[..., 1]) / det
+        out[:, 1] = (a * rhs[..., 1] - b * rhs[..., 0]) / det
+        return out
+    return np.linalg.solve(mats + shift, rhs[..., None])[..., 0]
 
 
 class FourierHedge:
@@ -335,7 +273,7 @@ class FourierHedge:
         d = self.params.d
         cross = (np.einsum("pab,pb->pa", cov, hw[:, :d])
                  + hw[:, d:]).real                        # (P, d)
-        return _solve_sym_batch(cov + self._jump_cov, cross) / spot
+        return _solve_sym_batch(cov, self._jump_cov, cross) / spot
 
 
 class GbmDeltaHedge:
@@ -375,9 +313,13 @@ class CovswapHedge:
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
                   cov: np.ndarray) -> np.ndarray:
         core = self.system.theta_core[k]
-        if self.system.kind == "wasc":
-            return core / spot
-        return _solve_sym_batch(cov + self._jump_cov, core) / spot
+        if self.system.kind == "bns":
+            return _solve_sym_batch(cov, self._jump_cov, core) / spot
+        # column by column, as in _solve_sym_batch
+        theta = np.empty_like(spot)
+        for a in range(spot.shape[1]):
+            np.divide(core[a], spot[:, a], out=theta[:, a])
+        return theta
 
 
 def _shard_count(jobs: Sequence[HedgeJob], n_paths: int,
@@ -411,7 +353,11 @@ def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
                     continue
                 th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
                                             cov[:, k])
-                wealth[j, sl] += np.einsum("pa,pa->p", th, ds)
+                # theta'ds column by column, as in _solve_sym_batch
+                gain = th[:, 0] * ds[:, 0]
+                for a in range(1, th.shape[1]):
+                    gain += th[:, a] * ds[:, a]
+                wealth[j, sl] += gain
 
 
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:

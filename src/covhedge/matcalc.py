@@ -5,8 +5,9 @@ column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 the batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that
 the simulator applies to discretized covariance states at every step, and
 the batched elimination pivots (``elimination_pivots``) behind the Wishart
-MGF.  Plain matrix exponentials and pseudoinverses are scipy's
-(``scipy.linalg.expm``, ``scipy.linalg.pinvh``), called directly.
+MGF, and the one cis kernel (``scaled_cis``).  Plain matrix exponentials
+and pseudoinverses are scipy's (``scipy.linalg.expm``,
+``scipy.linalg.pinvh``), called directly.
 
 ``lift_flows``, the flow of a lifted linear drift with its integral and
 double integral (Van Loan 1978), is the one matrix-flow helper: moments,
@@ -22,7 +23,24 @@ Conventions
   spectral norm; ``psd_repair`` scales it by each matrix's largest absolute
   entry when it counts material repairs.
 
-All functions are pure and never mutate their inputs.
+``scaled_cis`` writes s e^{ib} for real s and b with no trigonometric
+call per element; the basis claims of a Fourier hedge and the Wishart MGF
+use it, where complex exp spends nearly all its time in cos and sin.  It
+rounds b / (2 pi / CIS_TABLE) to the nearest integer k with the 1.5 * 2**52
+trick, reads exp(i 2 pi k / CIS_TABLE) from a table indexed by the low bits
+of k, and multiplies it by cos r + i sin r for the remainder r = b - k 2 pi
+/ CIS_TABLE, |r| <= pi / CIS_TABLE, taken as the Taylor polynomials of
+degree 4 (cos) and 3 (sin).  r is exact up to rounding: 2 pi / CIS_TABLE is
+split Cody-Waite style into a 24-bit head, whose product with any |k| <
+2**29 is exact, and a tail carrying the next 53 bits.  The polynomials'
+truncation error is below 8e-17 and the table entries are within 1.3e-16,
+so the computed exp(i b) is off by a few units in the last place, whatever
+|b| the split covers (at most 2.7e-16 absolute against a long double
+reference up to the largest |b| allowed, 1.65e6).  Larger finite |b| raise
+ValueError; nan or infinite b give nan.
+
+All functions are pure and never mutate their inputs; ``scaled_cis``
+writes only its ``out`` argument.
 """
 
 from __future__ import annotations
@@ -45,12 +63,26 @@ __all__ = [
     "sqrt_psd",
     "psd_repair",
     "elimination_pivots",
+    "CIS_TABLE",
+    "scaled_cis",
 ]
 
 # Relative PSD tolerance; the module docstring gives the scale of each use.
 PSD_RTOL = 1e-10
 # power-series terms of lift_flows, whose series runs on ||lift|| delta <= 1
 _FLOW_TERMS = 20
+# scaled_cis: the table size, chosen from the sweeps recorded in CHANGES.md
+CIS_TABLE = 2048
+# adding it to a float64 |x| < 2**51 rounds x to the nearest integer, which
+# then sits in the low bits of the sum's mantissa
+_ROUND_MAGIC = 1.5 * 2.0 ** 52
+# pi/2 split into its leading 33 bits and the rest, as in fdlibm's rem_pio2
+_PIO2_HI = 1.57079632673412561417e+00
+_PIO2_LO = 6.07710050650619224932e-11
+_CIS_STEP = _PIO2_HI * (4.0 / CIS_TABLE)      # 2 pi / CIS_TABLE to 33 bits
+_CIS_C1 = float(np.float32(_CIS_STEP))      # 24-bit head: k * _CIS_C1 exact
+_CIS_C2 = (_CIS_STEP - _CIS_C1) + _PIO2_LO * (4.0 / CIS_TABLE)
+_CIS_MAX_ARG = (2.0 ** 29 - 1.0) * _CIS_STEP
 
 
 def lift_flows(lift: np.ndarray, deltas: np.ndarray
@@ -62,38 +94,50 @@ def lift_flows(lift: np.ndarray, deltas: np.ndarray
     A 20-term power series, run on delta itself when ||lift|| * delta <= 1
     and otherwise on delta / 2^k followed by k squarings.  The scaling is
     chosen per delta, so one entry never depends on the others in the batch.
+    A caller that reads only the flow and its integral takes the first two
+    series from ``_lift_series``, with the same bits.
     """
+    return _lift_series(lift, deltas, 3)
+
+
+def _lift_series(lift: np.ndarray, deltas: np.ndarray, count: int) -> tuple:
+    """The first count (1 to 3) series of lift_flows: a later series is
+    built only when it is asked for, and an earlier one is the same
+    whatever count is."""
     n = lift.shape[0]
     deltas = np.asarray(deltas, dtype=float)
     nrm = np.linalg.norm(lift, np.inf) * deltas
     doublings = np.ceil(np.log2(np.maximum(nrm, 1.0))).astype(int)
     scaled = deltas / 2.0 ** doublings
-    # term j of the three series: delta^(j+i) lift^j / (j+i)! for i = 0, 1, 2
-    mats = np.empty((_FLOW_TERMS, 3, n, n))
+    # term j of series i: delta^(j+i) lift^j / (j+i)!
+    mats = np.empty((_FLOW_TERMS, count, n, n))
     ej = np.eye(n)                                   # lift^j / j!
     for j in range(_FLOW_TERMS):
         mats[j, 0] = ej
         ej = ej @ lift / (j + 1.0)
     order = np.arange(1.0, _FLOW_TERMS + 1.0)[:, None, None]
-    mats[:, 1] = mats[:, 0] / order
-    mats[:, 2] = mats[:, 1] / (order + 1.0)
+    for i in range(1, count):
+        mats[:, i] = mats[:, i - 1] / (order + (i - 1.0))
     # series i takes term j with (delta / 2^k)^(j+i); one running power
     # keeps the working set at one series term per batch entry
-    acc = np.zeros((3,) + deltas.shape + (n, n))
+    acc = np.zeros((count,) + deltas.shape + (n, n))
     power = np.ones(deltas.shape + (1, 1))
-    for t in range(_FLOW_TERMS + 2):
-        for i in range(max(0, t - _FLOW_TERMS + 1), min(t, 2) + 1):
+    for t in range(_FLOW_TERMS + count - 1):
+        for i in range(max(0, t - _FLOW_TERMS + 1), min(t, count - 1) + 1):
             acc[i] += power * mats[t - i, i]
         power = power * scaled[..., None, None]
-    flow, int1, int2 = acc
+    flow, *ints = acc
     for i in range(int(doublings.max(initial=0))):
         more = (doublings > i)[..., None, None]
         step = scaled[..., None, None]
-        int2 = np.where(more, int2 + step * int1 + flow @ int2, int2)
-        int1 = np.where(more, int1 + flow @ int1, int1)
+        if count > 2:
+            ints[1] = np.where(more, ints[1] + step * ints[0]
+                               + flow @ ints[1], ints[1])
+        if count > 1:
+            ints[0] = np.where(more, ints[0] + flow @ ints[0], ints[0])
         flow = np.where(more, flow @ flow, flow)
         scaled = np.where(doublings > i, 2.0 * scaled, scaled)
-    return flow, int1, int2
+    return (flow, *ints)
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -124,8 +168,12 @@ def kron_lift(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
         raise ValueError("kron_lift: expected a finite square matrix")
-    eye = np.eye(a.shape[0])
-    return np.kron(eye, a) + np.kron(a, eye)
+    d = a.shape[0]
+    eye = np.eye(d)
+    # entry (i d + k, j d + l) is eye_ij a_kl + a_ij eye_kl
+    lift = (eye[:, None, :, None] * a[None, :, None, :]
+            + a[:, None, :, None] * eye[None, :, None, :])
+    return lift.reshape(d * d, d * d)
 
 
 def sym_part(m: np.ndarray) -> np.ndarray:
@@ -169,10 +217,16 @@ def sqrt_psd(mats: np.ndarray) -> np.ndarray:
         det = np.clip(a * c - b * b, 0.0, None)
         s = np.sqrt(det)
         t = np.sqrt(np.clip(a + c + 2.0 * s, 0.0, None))
-        safe = np.where(t > 0.0, t, 1.0)
-        out = mats + s[..., None, None] * np.eye(2)
-        out = out / safe[..., None, None]
-        return np.where((t > 0.0)[..., None, None], out, 0.0)
+        pos = t > 0.0
+        safe = np.where(pos, t, 1.0)
+        # entry by entry, in the layout of mats: arithmetic broadcast over
+        # the trailing (2, 2) runs numpy's inner loop on 2 elements
+        out = np.empty_like(mats)
+        zero = s * 0.0                      # M + s I off the diagonal
+        for i, j, entry in ((0, 0, a + s), (0, 1, mats[..., 0, 1] + zero),
+                            (1, 0, mats[..., 1, 0] + zero), (1, 1, c + s)):
+            out[..., i, j] = np.where(pos, entry / safe, 0.0)
+        return out
     w, v = np.linalg.eigh(mats)
     w = np.sqrt(np.clip(w, 0.0, None))
     return np.einsum("...ij,...j,...kj->...ik", v, w, v)
@@ -253,8 +307,12 @@ def det_last(a: np.ndarray) -> np.ndarray:
 
 def adj_last(a: np.ndarray) -> np.ndarray:
     """Adjugates of a (d, d, ...) stack stored batch last (adj A = det A
-    A^{-1}), by cofactors as in det_last."""
+    A^{-1}), by cofactors as in det_last; for d = 4 from the six 2 x 2
+    minors of rows (0, 1) and the six of rows (2, 3) (Laplace expansion),
+    with no recursion."""
     d = a.shape[0]
+    if d == 4:
+        return _adj4(a)
     idx = tuple(range(d))
     adj = np.empty_like(a)
     memo = {}
@@ -262,6 +320,25 @@ def adj_last(a: np.ndarray) -> np.ndarray:
         for j in range(d):
             minor = _minor_det(a, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:],
                                memo)
+            adj[i, j] = -minor if (i + j) % 2 else minor
+    return adj
+
+
+def _adj4(a: np.ndarray) -> np.ndarray:
+    """adj_last of a 4 x 4 stack.  The cofactor of (j, i) keeps one row r
+    of the pair (0, 1) or (2, 3) that holds row j, and is expanded along it
+    with the 2 x 2 minors of the other pair; each product takes the minor
+    as its left factor, as in _minor_det."""
+    top, low = ({(j, k): a[r0, j] * a[r1, k] - a[r0, k] * a[r1, j]
+                 for j in range(4) for k in range(j + 1, 4)}
+                for r0, r1 in ((0, 1), (2, 3)))
+    adj = np.empty_like(a)
+    for i in range(4):
+        c0, c1, c2 = (c for c in range(4) if c != i)
+        for j in range(4):
+            r, pair = (1 - j, low) if j < 2 else (5 - j, top)
+            minor = (pair[c1, c2] * a[r, c0] - pair[c0, c2] * a[r, c1]
+                     + pair[c0, c1] * a[r, c2])
             adj[i, j] = -minor if (i + j) % 2 else minor
     return adj
 
@@ -292,3 +369,49 @@ def elimination_pivots(mats: np.ndarray) -> np.ndarray:
     piv = np.stack([rows[k][k] for k in range(d)])
     return piv.transpose(tuple(range(1, piv.ndim)) + (0,)
                          ).reshape(mats.shape[:-1])
+
+
+def _cis_table() -> np.ndarray:
+    """exp(i 2 pi j / CIS_TABLE) for j < CIS_TABLE: the first quadrant from
+    exp, whose angles below pi/2 round by at most 1.1e-16, and the others by
+    the exact rotations i, -1 and -i."""
+    j = np.arange(CIS_TABLE // 4)
+    quad = np.exp(1j * (j * _CIS_C1 + j * _CIS_C2))
+    return np.concatenate([quad, 1j * quad, -quad, -1j * quad])
+
+
+_CIS = _cis_table()
+
+
+def scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
+    """Write scale * exp(i b) into the complex array out, elementwise, for
+    real b and scale of out's shape, with no trigonometric call per element
+    (see the module docstring for the method and its error).  Each entry is
+    independent of the others, except that numpy rounds the final in-place
+    complex product differently when out holds one element."""
+    lo, hi = b.min(initial=np.inf), b.max(initial=-np.inf)
+    if not (-_CIS_MAX_ARG <= lo and hi <= _CIS_MAX_ARG):
+        # nan skips the fast test; only finite angles past the split raise
+        if np.any(np.isfinite(b) & (np.abs(b) > _CIS_MAX_ARG)):
+            raise ValueError(f"angle beyond +-{_CIS_MAX_ARG:.4g}, where the "
+                             "argument reduction stops being exact")
+    t = b * (CIS_TABLE / (2.0 * np.pi))
+    t += _ROUND_MAGIC
+    k = t - _ROUND_MAGIC
+    # masking keeps the index in bounds whatever t holds, nan included
+    idx = np.bitwise_and(t.view(np.int64), CIS_TABLE - 1)
+    r = np.multiply(k, _CIS_C1)
+    np.subtract(b, r, out=r)
+    k *= _CIS_C2
+    r -= k
+    r2 = np.multiply(r, r, out=t)
+    cos_r = np.multiply(r2, 1.0 / 24.0, out=k)
+    cos_r -= 0.5
+    cos_r *= r2
+    cos_r += 1.0
+    np.multiply(cos_r, scale, out=out.real)
+    sin_r = np.multiply(r2, -1.0 / 6.0, out=r2)
+    sin_r += 1.0
+    sin_r *= r
+    np.multiply(sin_r, scale, out=out.imag)
+    out *= _CIS[idx]

@@ -265,6 +265,29 @@ class MarketState:
 # Wishart moment generating function
 # ---------------------------------------------------------------------------
 
+def _log_det_factors(half: np.ndarray, x: np.ndarray) -> list:
+    """Complex factors whose principal Logs sum to log det(half - x), for a
+    real (d, d) half and a complex (..., d, d) stack x with half - x of
+    positive definite Hermitian part: the product of the elimination
+    pivots for d <= 2 (one Log, see ``wishart_mgf``), the d pivots above.
+    For d <= 2 each entry of x is read as one row x[..., i, j]."""
+    d = half.shape[0]
+    if d > 2:
+        # out= keeps the layout of x: against the broadcast (d, d) half,
+        # numpy would lay a new result out matrix by matrix
+        piv = matcalc.elimination_pivots(
+            np.subtract(half, x, out=np.empty_like(x)))
+        return [piv[..., k] for k in range(d)]
+    n00 = half[0, 0] - x[..., 0, 0]
+    if d == 1:
+        return [n00]
+    n01 = half[0, 1] - x[..., 0, 1]
+    n11 = half[1, 1] - x[..., 1, 1]
+    # the temporary on the left: numpy's complex product is not bitwise
+    # commutative, and it may swap the factors to reuse a large right one
+    return [(n11 - (half[1, 0] - x[..., 1, 0]) / n00 * n01) * n00]
+
+
 def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
                 ) -> tuple[complex, bool] | tuple[np.ndarray, np.ndarray]:
     """E[exp(Tr(R X))] for X ~ Wishart(shape, scale): det(I - 2 R scale)^(-shape/2).
@@ -274,49 +297,71 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
     independent of the others.  Validity requires the real part of R to lie
     in the convergence strip, where P = scale^{-1} - 2 Re R is positive
     definite: by Sylvester's criterion, where every elimination pivot of P
-    is positive.  Inside it, log det(I - 2 R scale) = sum_k Log(c_k / a_k),
-    with c_k the elimination pivots of N = scale^{-1} - 2 R and a_k > 0
-    those of scale^{-1} (``matcalc.elimination_pivots``: no per-matrix
-    LAPACK call).  P and N are laid out like R, so a stack stored entries
-    first (each entry one contiguous row) is read row by row.
+    is positive.  Inside it, with N = scale^{-1} - 2 R,
+    log det(I - 2 R scale) = log det(N / 2) - log det(scale^{-1} / 2), taken
+    from the elimination pivots c_k of N / 2 (no per-matrix LAPACK call).
+    Each is divided by its value at R = 0, so the log is exactly 0 there.
+    For d <= 2, P and N are read entry by entry, each entry of R one row
+    R[..., i, j], so a stack stored entries first (each entry one
+    contiguous row) is used in place; above, they are laid out like R and
+    reduced by ``matcalc.elimination_pivots``.
 
     Branch: the Hermitian part of N is P, and every Schur complement keeps
     a positive definite Hermitian part, so Re c_k > 0 along the whole path
-    Re R + i t Im R, 0 <= t <= 1, and the sum is a continuous log of the
-    determinant on it.  So is the sum of the principal logs of the
+    Re R + i t Im R, 0 <= t <= 1, and sum_k Log c_k is a continuous log of
+    the determinant on it.  So is the sum of the principal logs of the
     eigenvalues of I - 2 R scale, whose real parts stay positive too, and
     the two agree at t = 0, so they are the same branch at every d (the
     principal log of the determinant itself wraps once the eigenvalue
-    arguments sum past pi).
+    arguments sum past pi).  For d <= 2 the two pivot arguments lie in
+    (-pi/2, pi/2), so their sum lies in (-pi, pi) and is the principal
+    argument of the product c_0 c_1: one Log of the product serves.  Its
+    imaginary part is Re c_0 Im c_1 + Im c_0 Re c_1, whose terms share the
+    sign of the sum wherever it passes +-pi/2, so rounding cannot carry it
+    across the cut.  The power is then one real exp times a cis
+    (``matcalc.scaled_cis``): numpy's complex exp spends its time in cos
+    and sin.
 
     Returns:
         (value, ok): ok is False when R is outside the strip, in which case
         value is nan (transform failures are data, not exceptions).
     """
     r = np.asarray(r, dtype=complex)
+    # two batch entries for one matrix: numpy can round a complex product
+    # differently in scalar arithmetic or in place on one element
+    # (``matcalc.scaled_cis``) than in its array loops
+    stack = np.stack([r, r]) if r.ndim == 2 else r
     inv = np.linalg.inv(np.asarray(scale, dtype=float))
-    re = r.real
-    # out= keeps the layout of R: against the broadcast (d, d) inverse,
-    # numpy would lay a new result out matrix by matrix
-    p = matcalc.elimination_pivots(
-        np.subtract(inv, re + re.swapaxes(-1, -2), out=np.empty_like(re)))
-    c = matcalc.elimination_pivots(
-        np.subtract(inv, 2.0 * r, out=np.empty_like(r)))
-    a = matcalc.elimination_pivots(inv)
-    # only a positive definite scale (every a_k > 0) has a Wishart law
-    ok = np.all(a > 0.0) & np.all(p > 0.0, axis=-1)
-    # Log(c_k / a_k) is exactly 0 at R = 0, so no cancellation near it;
-    # real ufuncs, as numpy's complex log is far slower (Re c_k > 0, so
-    # arctan2 is the principal argument).  Off the strip c_k is a_k.
-    mod, arg = 0.0, 0.0
-    for k in range(a.size):
-        q = np.where(ok, c[..., k], a[k]) / a[k]
-        mod = mod + np.log(np.abs(q))
-        arg = arg + np.arctan2(q.imag, q.real)
-    val = np.where(ok, np.exp(-0.5 * shape * (mod + 1j * arg)),
-                   complex(np.nan, np.nan))
+    d = inv.shape[0]
+    re = stack.real
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # only a positive definite scale (every pivot > 0) has a Wishart law
+        ok = np.all(matcalc.elimination_pivots(inv) > 0.0)
+        if d > 2:
+            p = matcalc.elimination_pivots(np.subtract(
+                inv, re + re.swapaxes(-1, -2), out=np.empty_like(re)))
+            ok = ok & np.all(p > 0.0, axis=-1)
+        else:
+            p00 = inv[0, 0] - (re[..., 0, 0] + re[..., 0, 0])
+            ok = ok & (p00 > 0.0)
+            if d == 2:
+                s01 = re[..., 0, 1] + re[..., 1, 0]
+                p11 = inv[1, 1] - (re[..., 1, 1] + re[..., 1, 1])
+                ok &= p11 - (inv[1, 0] - s01) / p00 * (inv[0, 1] - s01) > 0.0
+        half = 0.5 * inv
+        at_zero = _log_det_factors(half, np.zeros((1, d, d), dtype=complex))
+        qs = [c / c_zero.real for c, c_zero in
+              zip(_log_det_factors(half, stack), at_zero)]
+        # real ufuncs, as numpy's complex log is far slower; arctan2 gives
+        # the principal argument of each factor, the branch above
+        log_mod = sum(np.log(np.abs(q)) for q in qs)
+        arg = sum(np.arctan2(q.imag, q.real) for q in qs)
+        val = np.empty(arg.shape, dtype=complex)
+        matcalc.scaled_cis(arg * (-0.5 * shape),
+                           np.exp(log_mod * (-0.5 * shape)), val)
+    val = np.where(ok, val, complex(np.nan, np.nan))
     if r.ndim == 2:
-        return complex(val), bool(ok)
+        return complex(val[0]), bool(ok[0])
     return val, ok
 
 
@@ -352,19 +397,19 @@ class IntegratedMeanMap:
     offset: np.ndarray
 
 
-def _mean_flows(mean_rev: np.ndarray, t):
-    """(flow, int flow, double int flow) of the mean covariance ODE
-    dS/dt = drive + M S + S M' over [0, t], in column-stacked form, for a
-    time or an array of times."""
-    return matcalc.lift_flows(matcalc.kron_lift(mean_rev),
-                              np.asarray(t, dtype=float))
+def _mean_flows(mean_rev: np.ndarray, t, count: int = 3):
+    """The first count of (flow, int flow, double int flow) of the mean
+    covariance ODE dS/dt = drive + M S + S M' over [0, t], in column-stacked
+    form, for a time or an array of times."""
+    return matcalc._lift_series(matcalc.kron_lift(mean_rev),
+                                np.asarray(t, dtype=float), count)
 
 
 def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t) -> np.ndarray:
     """E[Sigma_t | Sigma_0] = flow vec Sigma_0 + (int flow) vec Omega, for a
     time t or an array of times (shape t.shape + (d, d))."""
     t = np.asarray(t, dtype=float)
-    flow, int1, _ = _mean_flows(params.mean_rev, t)
+    flow, int1 = _mean_flows(params.mean_rev, t, 2)
     mean = (flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
             + int1 @ matcalc.vec(params.omega))
     # column-stacked, so read back in C order the matrix is transposed; the

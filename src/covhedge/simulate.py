@@ -184,7 +184,7 @@ def _wasc_maps(params: models.WascParams, h: float) -> tuple:
     exact drift flow over h / 2, with E and C as (d, d, 1) constants."""
     e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
     lift = matcalc.kron_lift(params.mean_rev)
-    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
+    _, k_half = matcalc._lift_series(lift, np.array(0.5 * h), 2)
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
     return h, e_half, c_half
 
@@ -281,7 +281,7 @@ def _bns_maps(params: models.BnsParams, h: float) -> tuple:
     constants."""
     lift = matcalc.kron_lift(params.mean_rev)
     e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
-    k_h = matcalc.lift_flows(lift, np.array(h))[1][..., None]
+    k_h = matcalc._lift_series(lift, np.array(h), 2)[1][..., None]
     return h, lift, e_h, k_h
 
 
@@ -297,7 +297,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     flowed to the end of the step and that flow's integral.  Given the
     covariance path, the step's diffusive log-price increment is Gaussian
     with covariance I: one Brownian vector per step.  The terms of every
-    jump come from one ``lift_flows`` batch per chunk.
+    jump come from one batch of ``matcalc.lift_flows``' first two series per
+    chunk.
     """
     n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
@@ -316,7 +317,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     # vec(E J E'); both it and the integral commute with transposition, so
     # the row-stacked reshape serves as vec), rho * diag(J) and its square
     ev_step = np.minimum((ev_time / h).astype(np.int64), n_steps - 1)
-    flow, integral, _ = matcalc.lift_flows(lift, (ev_step + 1) * h - ev_time)
+    flow, integral = matcalc._lift_series(lift, (ev_step + 1) * h - ev_time,
+                                          2)
     vec_j = marks.reshape(d * d, 1, -1)
     ev_cov = matmul_last(flow.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
     ev_int = matmul_last(integral.transpose(1, 2, 0), vec_j).reshape(d, d, -1)

@@ -68,9 +68,9 @@ skipped mass.
   of the traced peak on the hedge lattice of 100 tau x 288 nodes).  At
   4096 points a jump-model block of the single-tau strip lattice holds 63
   nodes of 65 s values, and a jump-model pass of the benchmark's 33-claim
-  strip makes 231 MGF calls where 512 points made 1,903.  It took 0.24 s
-  where 512 points took 0.65, and 6,144 to 12,288 points took 0.23 to
-  0.26 s (medians of 10 to 16, 2-core VM); larger budgets grow the
+  strip makes 231 MGF calls where 512 points made 1,903.  It took 0.26 s
+  where 512 points took 0.82, and 6,144 to 12,288 points took 0.23 to
+  0.27 s (medians of 12 passes each, 2-core VM); larger budgets grow the
   working set.  For the diffusion, one batched eigendecomposition of every
   node's Hamiltonian gives Z, and from it psi, the log-determinant and
   the sign of det Theta_22, at every s of its route (``_flow``).  A node
@@ -79,9 +79,10 @@ skipped mass.
   of expm as Z; no benchmark lattice has such a node.  For d <= 2 the
   eigendecomposition is closed-form: the eigenvalues of a Hamiltonian
   matrix come in pairs +-lam (Van Loan 1984), so lam^2 solves a
-  polynomial of degree d, and the eigenvectors and q^{-1} come from the
-  spectral projectors (``_eigenpairs``).  LAPACK eig took about 18 us a
-  node; without it the benchmark's diffusion strip share went from 0.71 to
+  polynomial of degree d, the eigenvectors come from the spectral
+  projectors, and each row of q^{-1} from the eigenvector of the paired
+  mode -lam (``_eigenpairs``).  LAPACK eig took about 18 us a node;
+  without it the benchmark's diffusion strip share went from 0.71 to
   0.45 s (medians of 10 paired runs, 2-core VM).  d > 2 takes
   np.linalg.eig.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
@@ -240,10 +241,11 @@ class _Spectrum(NamedTuple):
     (B, 2d, 2d) as columns of unit 2-norm in the same order, and qinv =
     q^{-1}.  For d <= 2 they are closed-form (``_eigenpairs``): lam =
     +-sqrt(mu) over the roots mu of mu^d - (tr Ham^2 / 2) mu^{d-1} + ...
-    (for d = 2 the last term is det Ham), and q, qinv come from the
-    spectral projectors P_j = q[:, j] qinv[j, :].  ok is False where the
-    basis is not finite, or it or its dominant lower block Q_2D has 1-norm
-    condition number above 1e10 (the expm fallback)."""
+    (for d = 2 the last term is det Ham), q comes from the spectral
+    projectors P_j = q[:, j] qinv[j, :], and qinv from q's columns of the
+    paired modes.  ok is False where the basis is not finite, or it or its
+    dominant lower block Q_2D has 1-norm condition number above 1e10 (the
+    expm fallback)."""
 
     ham: np.ndarray
     lam: np.ndarray
@@ -269,8 +271,11 @@ def _eigenpairs(ham: np.ndarray
     (Ham + lam_j)(Ham^2 - mu') / (2 lam_j (mu_j - mu')) for d = 2, with mu'
     the other root.  It is x_j y_j' with y_j' x_j = 1, so its column c of
     largest diagonal entry scaled to unit 2-norm is the eigenvector (as
-    LAPACK scales it, up to a phase), and row c scaled to match is the row
-    j of q^{-1}.  A repeated root or lam = 0 gives non-finite entries.
+    LAPACK scales it, up to a phase).  The rows of q^{-1} need no projector
+    row: J Ham is symmetric, J = [[0, I], [-I, 0]], so Ham' J x = -J Ham x
+    and J x_k is a left eigenvector of -lam_k.  Row j of q^{-1} is J x_p
+    over (J x_p)' x_j, with p the paired mode of -lam_j.  A repeated root
+    or lam = 0 gives non-finite entries.
 
     All of this runs on Ham balanced as LAPACK balances before eig: the
     exact similarity by S = diag(I, I / r), with r a power of 2, scales the
@@ -278,10 +283,10 @@ def _eigenpairs(ham: np.ndarray
     on a contour D grows like |u|^2, and unbalanced it costs det Ham, and
     so mu, digits that eig keeps.
 
-    Entries first: every entry of Ham, of Ham^2 and of the projectors is
-    one (B,) row, and products, det Ham (``matcalc.det_last``) and the
-    projector entries are unrolled sums of ufunc products; q and qinv are
-    returned as (B, 2d, 2d) views of such rows."""
+    Entries first: every entry of Ham, of Ham^2 and of the projector
+    columns is one (B,) row, and products, det Ham (``matcalc.det_last``)
+    and the projector entries are unrolled sums of ufunc products; q and
+    qinv are returned as (B, 2d, 2d) views of such rows."""
     n, m = ham.shape[0], ham.shape[-1]
     d = m // 2
     h = ham.transpose(1, 2, 0)                            # (2d, 2d, B)
@@ -318,39 +323,28 @@ def _eigenpairs(ham: np.ndarray
                  - (h[diag, diag] + lam[:, None]) * mu_o)
     pdiag /= scale[:, None]                               # P_j[r, r]
     c = np.argmax(np.abs(pdiag), axis=1)                  # (2d, B)
-    # column c_j and row c_j of a (2d, 2d, B) stack per mode j, gathered
-    # from its flat entries; e[j, i] is 1 where i = c_j
+    # column c_j of a (2d, 2d, B) stack per mode j, gathered from its flat
+    # entries; e[j, i] is 1 where i = c_j
     at = (c * n + np.arange(n))[:, None] + diag[:, None] * (m * n)
     e = c[:, None] == diag[:, None]
-
-    def column(a):
-        return np.take(a, at)
-
-    def row(a):
-        return np.take(a.swapaxes(0, 1), at)
-
-    lam_e = lam[:, None] * e
-    # P_j e_c = (Ham + lam) v / scale with v = g(Ham) e_c, and e_c' P_j =
-    # w' g(Ham) / scale with w' = e_c' (Ham + lam), g(Ham) = I (d = 1) or
-    # Ham^2 - mu' (d = 2)
+    # P_j e_c = (Ham + lam) v / scale with v = g(Ham) e_c, g(Ham) = I
+    # (d = 1) or Ham^2 - mu' (d = 2)
     if d == 1:
-        col = column(h) + lam_e
-        rowv = row(h) + lam_e
+        col = np.take(h, at) + lam[:, None] * e
     else:
-        v = column(h2) - mu_o * e
+        v = np.take(h2, at) - mu_o * e
         col = matcalc.matmul_last(v, h.swapaxes(0, 1)) + lam[:, None] * v
-        w = row(h) + lam_e
-        rowv = matcalc.matmul_last(w, h2) - mu_o * w
     col /= scale[:, None]
-    rowv /= scale[:, None]
-    # P_j of Ham is S P_j S^{-1} of the balanced one: same diagonal
+    # P_j of Ham is S P_j S^{-1} of the balanced one
     col[:, d:] /= r
-    rowv[:, d:] *= r
     abs2 = (col.conj() * col).real
-    norm = np.sqrt(sum(abs2[:, i] for i in diag))
-    pcc = np.take_along_axis(pdiag, c[:, None], axis=1)[:, 0]
-    q = (col / norm[:, None]).transpose(2, 1, 0)
-    qinv = (rowv * (norm / pcc)[:, None]).transpose(2, 0, 1)
+    q = col / np.sqrt(sum(abs2[:, i] for i in diag))[:, None]
+    # J x_p of the paired mode p = j +- d, and its product with x_j
+    left = np.roll(q, d, axis=0)
+    left = np.concatenate([left[:, d:], -left[:, :d]], axis=1)
+    dot = sum(left[:, i] * q[:, i] for i in diag)
+    qinv = (left / dot[:, None]).transpose(2, 0, 1)
+    q = q.transpose(2, 1, 0)
     return lam.T, q, qinv
 
 
@@ -374,9 +368,9 @@ def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     if d <= 2:
         lam, q, qinv = _eigenpairs(ham)
         ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
-        # a true inverse, not |q|_1 |qinv|_1: on a defective Ham the
-        # closed-form qinv is no inverse (|qinv q - I| = 0.5 on a Jordan
-        # block), yet that product stays below the limit (1.3e9)
+        # a true inverse of q, not |q|_1 |qinv|_1: the closed-form qinv is
+        # built from q's own columns and is no inverse where Ham is
+        # defective
         ok[ok] = _cond_ok(q[ok].transpose(1, 2, 0))
     else:
         lam, q = np.linalg.eig(ham)
@@ -513,7 +507,8 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
     # psi(s, u) = mat(ops[s] @ vec D(u)): ops[s] = int_0^s e^{M'r} (x) e^{M'r}
     # dr does not depend on the node.  Symmetrised, entry (p, q) is the sum
     # over the entries k <= l of D (symmetric) of coef[p, q, k, l](s) D_kl
-    _, ops, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T), full)
+    _, ops = matcalc._lift_series(matcalc.kron_lift(params.mean_rev.T),
+                                  full, 2)
     ops = ops.reshape(full.size, d, d, d, d)
     coef = 0.5 * (ops + ops.swapaxes(1, 2))
     coef = coef + np.where(np.eye(d, dtype=bool), 0.0,

@@ -152,13 +152,13 @@ class TestScaledCis:
         b = np.asarray(b, dtype=float)
         scale = np.ones_like(b) if scale is None else scale
         out = np.empty(b.shape, dtype=complex)
-        backtest._scaled_cis(b, scale, out)
+        matcalc.scaled_cis(b, scale, out)
         return out
 
     def test_against_complex_exp(self):
         rng = np.random.default_rng(11)
-        step = 2.0 * np.pi / backtest.CIS_TABLE
-        j = np.arange(-3 * backtest.CIS_TABLE, 3 * backtest.CIS_TABLE)
+        step = 2.0 * np.pi / matcalc.CIS_TABLE
+        j = np.arange(-3 * matcalc.CIS_TABLE, 3 * matcalc.CIS_TABLE)
         b = np.concatenate([
             rng.uniform(-1e4, 1e4, (200, 50)).ravel(),
             rng.uniform(-3.0, 3.0, 5000),
@@ -171,7 +171,7 @@ class TestScaledCis:
         assert err.max() < 1e-15
 
     def test_extreme_arguments_within_the_split(self):
-        edge = backtest._CIS_MAX_ARG
+        edge = matcalc._CIS_MAX_ARG
         b = np.array([edge, -edge, np.nextafter(edge, 0.0)])
         assert np.abs(self.cis(b) - np.exp(1j * b)).max() < 1e-15
 
@@ -182,8 +182,8 @@ class TestScaledCis:
         assert np.all(np.isnan(got[:3].imag))
         assert got[3] == pytest.approx(np.exp(0.5j), abs=1e-15)
 
-    @pytest.mark.parametrize("angle", [1.01 * backtest._CIS_MAX_ARG,
-                                       -1.01 * backtest._CIS_MAX_ARG,
+    @pytest.mark.parametrize("angle", [1.01 * matcalc._CIS_MAX_ARG,
+                                       -1.01 * matcalc._CIS_MAX_ARG,
                                        1e9, -1e300])
     def test_angle_past_the_split_raises(self, angle):
         with pytest.raises(ValueError, match="argument reduction"):

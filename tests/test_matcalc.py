@@ -69,6 +69,15 @@ class TestVecMat:
         rhs = m @ x + x @ m.T
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kron_lift_is_the_kronecker_sum_bitwise(self, d):
+        m = np.random.default_rng(d).standard_normal((d, d))
+        eye = np.eye(d)
+        want = np.kron(eye, m) + np.kron(m, eye)
+        got = matcalc.kron_lift(m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 # ---------------------------------------------------------------------------
 # sqrt_psd / psd_repair
@@ -218,6 +227,14 @@ class TestBatchLast:
         part = op(*(x[..., 7:12] for x in args))
         assert np.array_equal(whole[..., 7:12], part)
 
+    def test_adjugate_4x4_bitwise_independent_of_the_stack(self):
+        # the 4 x 4 adjugate takes the 2 x 2 minors of row pairs
+        rng = np.random.default_rng(10)
+        a = (rng.standard_normal((4, 4, 20000))
+             + 1j * rng.standard_normal((4, 4, 20000)))
+        assert np.array_equal(matcalc.adj_last(a)[..., 7:12],
+                              matcalc.adj_last(a[..., 7:12]))
+
 
 # ---------------------------------------------------------------------------
 # lift_flows
@@ -240,6 +257,15 @@ class TestLiftFlows:
             for got, ref in zip((flow[k], int1[k], int2[k]), want):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(
                     np.max(np.abs(ref)), 1e-3)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_leading_series_alone_are_the_same_bits(self, count):
+        # a caller reading only the flow (and its integral) skips the rest
+        full = matcalc.lift_flows(self.LIFT, self.DELTAS)
+        part = matcalc._lift_series(self.LIFT, self.DELTAS, count)
+        assert len(part) == count
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want)
 
     def test_entry_independent_of_batch(self):
         batch = matcalc.lift_flows(self.LIFT, self.DELTAS)

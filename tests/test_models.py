@@ -246,7 +246,7 @@ class TestWishartMgf:
             rs[c] = re + 1j * im
         return scale, rs
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_against_eigenvalue_oracle(self, d):
         rng = np.random.default_rng(100 + d)
         scale, rs = self._random_cases(d, rng)
@@ -275,6 +275,56 @@ class TestWishartMgf:
             one, one_ok = models.wishart_mgf(scale, 4.5, rs[c])
             assert one_ok == ok.reshape(-1)[c]
             np.testing.assert_array_equal(one, val.reshape(-1)[c])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_pivot_arguments_summing_near_pi(self, sign, eps):
+        # N / 2 = scale^{-1} / 2 - R = L C L' with pivots c_k = eps_k +- i:
+        # both arguments lie within about eps of +-pi/2, so their sum lies
+        # within about 2 eps of +-pi, next to the cut of the principal Log
+        scale = np.array([[0.02, 0.008], [0.008, 0.03]])
+        shape = 4.5
+        low = np.array([[1.0, 0.0], [0.7, 1.0]])
+        c = np.array([eps * 3.0 + sign * 1j, eps * 5.0 + sign * 2j])
+        r = 0.5 * np.linalg.inv(scale) - low @ np.diag(c) @ low.T
+        val, ok = models.wishart_mgf(scale, shape, r)
+        assert ok
+        # the branch of sum_k Log c_k, against det(scale^{-1} / 2)
+        log_det = np.log(c).sum() - np.log(np.linalg.det(
+            0.5 * np.linalg.inv(scale)))
+        assert abs(np.log(c).imag.sum()) > np.pi - 9.0 * eps
+        assert val == pytest.approx(np.exp(-0.5 * shape * log_det),
+                                    rel=1e-10)
+        want, _ = oracles.wishart_mgf_eig(scale, shape, r)
+        assert val == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_entries_first_layout_gives_the_same_bits(self, d):
+        # the jump transform passes R as a view of entries stored first
+        rng = np.random.default_rng(30 + d)
+        scale, rs = self._random_cases(d, rng, count=500)
+        entries = np.ascontiguousarray(rs.transpose(1, 2, 0))
+        val, ok = models.wishart_mgf(scale, 4.5, rs)
+        val_e, ok_e = models.wishart_mgf(scale, 4.5,
+                                         entries.transpose(2, 0, 1))
+        assert 0 < np.count_nonzero(ok) < ok.size
+        np.testing.assert_array_equal(ok_e, ok)
+        np.testing.assert_array_equal(val_e, val)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_off_strip_entries_are_quiet(self, d):
+        # far off the strip, a zero leading pivot of N and a singular N
+        scale = 0.05 * np.eye(d)
+        rs = np.empty((4, d, d), dtype=complex)
+        rs[0] = 50.0 * np.eye(d)
+        rs[1] = 10.0 * np.eye(d) + 3j
+        rs[2] = 1e300 * np.ones((d, d))
+        rs[3] = 10.0 * np.eye(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, ok = models.wishart_mgf(scale, 3.0, rs)
+        assert not np.any(ok)
+        assert np.all(np.isnan(val.real) & np.isnan(val.imag))
 
     def test_zero_pivot_is_quiet(self):
         # scale^{-1} - 2R has a zero leading entry, so the elimination

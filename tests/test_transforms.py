@@ -701,6 +701,79 @@ class TestClosedFormSpectrum:
         assert np.max(np.abs(log_det - log_det_ref)
                       / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
 
+    @pytest.mark.parametrize("case", ["reference", "frozen", "exploding"])
+    def test_left_rows_invert_the_basis(self, case, wasc_ref, state_ref):
+        # row j of q^{-1} is J x_p of the paired mode p over (J x_p)' x_j;
+        # it inverts the closed-form basis as closely as LAPACK's inverse
+        # inverts eig's
+        params, state = {
+            "reference": (wasc_ref, state_ref),
+            "frozen": (models.WascParams(d=2, mean_rev=M_REF,
+                                         vol_of_vol=np.zeros((2, 2)),
+                                         leverage=RHO_REF, alpha=ALPHA_REF),
+                       state_ref),
+            "exploding": (models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
+                                            vol_of_vol=np.eye(1),
+                                            leverage=np.zeros(1), alpha=1.0),
+                          models.MarketState.from_spot(0.0, [100.0],
+                                                       [[0.04]]))}[case]
+        nodes = strip_nodes(params, state)
+        closed = transforms._spectrum(params, nodes)
+        ref = eig_spectrum(params, nodes)
+        eye = np.eye(2 * params.d)
+        err = np.abs(closed.qinv @ closed.q - eye).max(axis=(-2, -1))
+        err_ref = np.abs(ref.qinv @ ref.q - eye).max(axis=(-2, -1))
+        assert np.all(closed.ok)
+        assert err.max() < 1e-12
+        assert err.max() < 4.0 * err_ref.max()
+
+    def test_defective_basis_still_falls_back(self):
+        # the Jordan-block set of test_defective_hamiltonian_falls_back_to_
+        # expm: its basis is singular to working precision, and every node
+        # leaves the eigen route
+        params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
+                                                           [0.0, -1.0]]),
+                                   vol_of_vol=np.zeros((2, 2)),
+                                   leverage=np.zeros(2), omega=0.05 * np.eye(2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spec = transforms._spectrum(params, np.stack(CONTOUR_NODES))
+        assert not np.any(spec.ok)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_condition_check_matches_lapack(self, n):
+        # random complex stacks with one small singular value, as a basis
+        # with two nearly parallel eigenvectors has, and 1-norm condition
+        # numbers from 1 to 1e16; exactly singular ones; the eigenvector
+        # bases of the Jordan-block set.  None lies within 10% of the
+        # limit, where rounding may decide either way.  (With several
+        # small singular values det A falls below the rounding of its
+        # cofactor sum, and the check is not meant for such a basis.)
+        rng = np.random.default_rng(40 + n)
+        count = 600
+        u, _ = np.linalg.qr(rng.standard_normal((count, n, n))
+                            + 1j * rng.standard_normal((count, n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+        sv = np.ones((count, n))
+        sv[:, -1] = np.exp(-rng.uniform(0.0, 37.0, count))
+        mats = (u * sv[:, None, :]) @ v
+        mats[:20, :, -1] = mats[:20, :, 0]                # singular
+        if n == 4:
+            params = models.WascParams(
+                d=2, mean_rev=np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                vol_of_vol=np.zeros((2, 2)), leverage=np.zeros(2),
+                omega=0.05 * np.eye(2))
+            _, q = np.linalg.eig(transforms.wasc_hamiltonian(
+                params, np.stack(CONTOUR_NODES)))
+            mats = np.concatenate([mats, q])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.linalg.cond(mats, 1)
+        clear = ~((cond > 0.9e10) & (cond < 1.1e10))
+        assert np.count_nonzero(clear) > 0.95 * mats.shape[0]
+        want = cond <= transforms._EIGVEC_COND_MAX
+        assert 0 < np.count_nonzero(want) < mats.shape[0]
+        got = transforms._cond_ok(mats.transpose(1, 2, 0))
+        np.testing.assert_array_equal(got[clear], want[clear])
+
     def test_no_eig_for_d_up_to_2(self, wasc_ref, bns_ref, monkeypatch):
         def refuse(name):
             def call(*_):
