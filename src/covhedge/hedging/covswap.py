@@ -78,7 +78,7 @@ def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
     at each remaining time tau, for the covariance flow of X -> M X + X M'
     driven by the constant drift ``drive``."""
     lift = matcalc.kron_lift(mean_rev)
-    _, int1, int2 = matcalc.lift_flows(lift, taus)
+    _, int1, int2 = matcalc.lift_flows(lift, taus, 3)
     g_mats = np.array([matcalc.mat(a.T @ matcalc.vec(e_pair)) for a in int1])
     c_vals = np.einsum("a,kab,b->k", matcalc.vec(e_pair), int2,
                        matcalc.vec(drive))

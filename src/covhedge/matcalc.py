@@ -9,9 +9,10 @@ MGF, and the one cis kernel (``scaled_cis``).  Plain matrix exponentials
 and pseudoinverses are scipy's (``scipy.linalg.expm``,
 ``scipy.linalg.pinvh``), called directly.
 
-``lift_flows``, the flow of a lifted linear drift with its integral and
-double integral (Van Loan 1978), is the one matrix-flow helper: moments,
-simulation, the jump-model transform and the swap coefficients all use it.
+``lift_flows``, the flow of a lifted linear drift with as many of its
+integral and double integral (Van Loan 1978) as a caller reads, is the one
+matrix-flow helper: moments, simulation, the jump-model transform and the
+swap coefficients all use it.
 
 Conventions
 -----------
@@ -36,8 +37,8 @@ split Cody-Waite style into a 24-bit head, whose product with any |k| <
 truncation error is below 8e-17 and the table entries are within 1.3e-16,
 so the computed exp(i b) is off by a few units in the last place, whatever
 |b| the split covers (at most 2.7e-16 absolute against a long double
-reference up to the largest |b| allowed, 1.65e6).  Larger finite |b| raise
-ValueError; nan or infinite b give nan.
+reference up to the largest |b| allowed, CIS_MAX_ARG = 1.65e6).  Larger
+finite |b| raise ValueError; nan or infinite b give nan.
 
 All functions are pure and never mutate their inputs; ``scaled_cis``
 writes only its ``out`` argument.
@@ -64,6 +65,7 @@ __all__ = [
     "psd_repair",
     "elimination_pivots",
     "CIS_TABLE",
+    "CIS_MAX_ARG",
     "scaled_cis",
 ]
 
@@ -82,28 +84,21 @@ _PIO2_LO = 6.07710050650619224932e-11
 _CIS_STEP = _PIO2_HI * (4.0 / CIS_TABLE)      # 2 pi / CIS_TABLE to 33 bits
 _CIS_C1 = float(np.float32(_CIS_STEP))      # 24-bit head: k * _CIS_C1 exact
 _CIS_C2 = (_CIS_STEP - _CIS_C1) + _PIO2_LO * (4.0 / CIS_TABLE)
-_CIS_MAX_ARG = (2.0 ** 29 - 1.0) * _CIS_STEP
+# the largest |b| of scaled_cis: |k| < 2**29 keeps k * _CIS_C1 exact
+CIS_MAX_ARG = (2.0 ** 29 - 1.0) * _CIS_STEP
 
 
-def lift_flows(lift: np.ndarray, deltas: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Van Loan's triple for a linear drift: exp(lift * delta), its time
-    integral over [0, delta] and the double integral int_0^delta (delta - s)
-    exp(lift * s) ds, batched over deltas.
+def lift_flows(lift: np.ndarray, deltas: np.ndarray, count: int) -> tuple:
+    """The first count (1 to 3) of Van Loan's triple for a linear drift:
+    exp(lift * delta), its time integral over [0, delta] and the double
+    integral int_0^delta (delta - s) exp(lift * s) ds, batched over deltas.
+    A later series is built only when it is asked for, and an earlier one
+    has the same bits whatever count is.
 
     A 20-term power series, run on delta itself when ||lift|| * delta <= 1
     and otherwise on delta / 2^k followed by k squarings.  The scaling is
     chosen per delta, so one entry never depends on the others in the batch.
-    A caller that reads only the flow and its integral takes the first two
-    series from ``_lift_series``, with the same bits.
     """
-    return _lift_series(lift, deltas, 3)
-
-
-def _lift_series(lift: np.ndarray, deltas: np.ndarray, count: int) -> tuple:
-    """The first count (1 to 3) series of lift_flows: a later series is
-    built only when it is asked for, and an earlier one is the same
-    whatever count is."""
     n = lift.shape[0]
     deltas = np.asarray(deltas, dtype=float)
     nrm = np.linalg.norm(lift, np.inf) * deltas
@@ -343,32 +338,29 @@ def _adj4(a: np.ndarray) -> np.ndarray:
     return adj
 
 
-def elimination_pivots(mats: np.ndarray) -> np.ndarray:
+def elimination_pivots(rows) -> list:
     """Diagonal pivots of Gaussian elimination without row exchanges on a
-    (..., d, d) stack, real or complex, as a (..., d) array.
+    d x d matrix given entry by entry: rows[i][j] is entry (i, j), a
+    number or a real or complex array over a batch (a 2-D array serves as
+    its own rows).  Returns the d pivots, each of the batch shape.
 
     Pivot k is the ratio of the leading principal minors of orders k + 1
     and k, so the pivots multiply to the determinant.  The d steps are
-    unrolled into ufunc arithmetic along the batch, so each entry is
-    independent of the others.  Each entry is read as mats[..., i, j], so a
-    stack stored entries first is used in place.  A zero pivot leaves the
-    later pivots of its entry non-finite, without a warning.
+    ufunc arithmetic on whole entries, so each batch entry is independent
+    of the others.  The caller forms each entry, so a row of a stack
+    stored entries first is used in place, and a shifted matrix is never
+    built whole.  A zero pivot leaves the later pivots of its entry
+    non-finite, without a warning.
     """
-    d = mats.shape[-1]
-    # one batch axis even for one matrix: numpy's scalar arithmetic can
-    # round a complex product differently from its array loops
-    stack = mats[None] if mats.ndim == 2 else mats
-    rows = [[stack[..., i, j] for j in range(d)] for i in range(d)]
+    rows = [list(row) for row in rows]
+    d = len(rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1):
             for i in range(k + 1, d):
                 f = rows[i][k] / rows[k][k]
                 for j in range(k + 1, d):
                     rows[i][j] = rows[i][j] - f * rows[k][j]
-    # pivot k of every entry is one contiguous row of the storage
-    piv = np.stack([rows[k][k] for k in range(d)])
-    return piv.transpose(tuple(range(1, piv.ndim)) + (0,)
-                         ).reshape(mats.shape[:-1])
+    return [rows[k][k] for k in range(d)]
 
 
 def _cis_table() -> np.ndarray:
@@ -387,13 +379,12 @@ def scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
     """Write scale * exp(i b) into the complex array out, elementwise, for
     real b and scale of out's shape, with no trigonometric call per element
     (see the module docstring for the method and its error).  Each entry is
-    independent of the others, except that numpy rounds the final in-place
-    complex product differently when out holds one element."""
+    independent of the others."""
     lo, hi = b.min(initial=np.inf), b.max(initial=-np.inf)
-    if not (-_CIS_MAX_ARG <= lo and hi <= _CIS_MAX_ARG):
+    if not (-CIS_MAX_ARG <= lo and hi <= CIS_MAX_ARG):
         # nan skips the fast test; only finite angles past the split raise
-        if np.any(np.isfinite(b) & (np.abs(b) > _CIS_MAX_ARG)):
-            raise ValueError(f"angle beyond +-{_CIS_MAX_ARG:.4g}, where the "
+        if np.any(np.isfinite(b) & (np.abs(b) > CIS_MAX_ARG)):
+            raise ValueError(f"angle beyond +-{CIS_MAX_ARG:.4g}, where the "
                              "argument reduction stops being exact")
     t = b * (CIS_TABLE / (2.0 * np.pi))
     t += _ROUND_MAGIC
@@ -409,9 +400,12 @@ def scaled_cis(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
     cos_r -= 0.5
     cos_r *= r2
     cos_r += 1.0
-    np.multiply(cos_r, scale, out=out.real)
+    # the last product into out, not in place: numpy rounds an in-place
+    # complex product on one element differently from its array loop
+    near = np.empty(b.shape, dtype=complex)
+    np.multiply(cos_r, scale, out=near.real)
     sin_r = np.multiply(r2, -1.0 / 6.0, out=r2)
     sin_r += 1.0
     sin_r *= r
-    np.multiply(sin_r, scale, out=out.imag)
-    out *= _CIS[idx]
+    np.multiply(sin_r, scale, out=near.imag)
+    np.multiply(near, _CIS[idx], out=out)

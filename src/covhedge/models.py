@@ -268,24 +268,12 @@ class MarketState:
 def _log_det_factors(half: np.ndarray, x: np.ndarray) -> list:
     """Complex factors whose principal Logs sum to log det(half - x), for a
     real (d, d) half and a complex (..., d, d) stack x with half - x of
-    positive definite Hermitian part: the product of the elimination
-    pivots for d <= 2 (one Log, see ``wishart_mgf``), the d pivots above.
-    For d <= 2 each entry of x is read as one row x[..., i, j]."""
+    positive definite Hermitian part: the elimination pivots, multiplied
+    into one factor for d = 2 (one Log, see ``wishart_mgf``)."""
     d = half.shape[0]
-    if d > 2:
-        # out= keeps the layout of x: against the broadcast (d, d) half,
-        # numpy would lay a new result out matrix by matrix
-        piv = matcalc.elimination_pivots(
-            np.subtract(half, x, out=np.empty_like(x)))
-        return [piv[..., k] for k in range(d)]
-    n00 = half[0, 0] - x[..., 0, 0]
-    if d == 1:
-        return [n00]
-    n01 = half[0, 1] - x[..., 0, 1]
-    n11 = half[1, 1] - x[..., 1, 1]
-    # the temporary on the left: numpy's complex product is not bitwise
-    # commutative, and it may swap the factors to reuse a large right one
-    return [(n11 - (half[1, 0] - x[..., 1, 0]) / n00 * n01) * n00]
+    piv = matcalc.elimination_pivots(
+        [[half[i, j] - x[..., i, j] for j in range(d)] for i in range(d)])
+    return [piv[1] * piv[0]] if d == 2 else piv
 
 
 def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
@@ -301,10 +289,9 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
     log det(I - 2 R scale) = log det(N / 2) - log det(scale^{-1} / 2), taken
     from the elimination pivots c_k of N / 2 (no per-matrix LAPACK call).
     Each is divided by its value at R = 0, so the log is exactly 0 there.
-    For d <= 2, P and N are read entry by entry, each entry of R one row
-    R[..., i, j], so a stack stored entries first (each entry one
-    contiguous row) is used in place; above, they are laid out like R and
-    reduced by ``matcalc.elimination_pivots``.
+    ``matcalc.elimination_pivots`` takes P and N entry by entry, each
+    formed from one row R[..., i, j], so a stack stored entries first is
+    read in place and neither matrix is built whole.
 
     Branch: the Hermitian part of N is P, and every Schur complement keeps
     a positive definite Hermitian part, so Re c_k > 0 along the whole path
@@ -320,34 +307,27 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
     sign of the sum wherever it passes +-pi/2, so rounding cannot carry it
     across the cut.  The power is then one real exp times a cis
     (``matcalc.scaled_cis``): numpy's complex exp spends its time in cos
-    and sin.
+    and sin.  A shape so large that the angle may leave the cis kernel's
+    range takes complex exp instead.
 
     Returns:
         (value, ok): ok is False when R is outside the strip, in which case
         value is nan (transform failures are data, not exceptions).
     """
     r = np.asarray(r, dtype=complex)
-    # two batch entries for one matrix: numpy can round a complex product
-    # differently in scalar arithmetic or in place on one element
-    # (``matcalc.scaled_cis``) than in its array loops
-    stack = np.stack([r, r]) if r.ndim == 2 else r
+    # one batch axis even for one matrix: numpy's scalar arithmetic can
+    # round a complex product differently from its array loops
+    stack = r[None] if r.ndim == 2 else r
     inv = np.linalg.inv(np.asarray(scale, dtype=float))
     d = inv.shape[0]
     re = stack.real
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # only a positive definite scale (every pivot > 0) has a Wishart law
-        ok = np.all(matcalc.elimination_pivots(inv) > 0.0)
-        if d > 2:
-            p = matcalc.elimination_pivots(np.subtract(
-                inv, re + re.swapaxes(-1, -2), out=np.empty_like(re)))
-            ok = ok & np.all(p > 0.0, axis=-1)
-        else:
-            p00 = inv[0, 0] - (re[..., 0, 0] + re[..., 0, 0])
-            ok = ok & (p00 > 0.0)
-            if d == 2:
-                s01 = re[..., 0, 1] + re[..., 1, 0]
-                p11 = inv[1, 1] - (re[..., 1, 1] + re[..., 1, 1])
-                ok &= p11 - (inv[1, 0] - s01) / p00 * (inv[0, 1] - s01) > 0.0
+        ok = np.all(np.array(matcalc.elimination_pivots(inv)) > 0.0)
+        for p_k in matcalc.elimination_pivots(
+                [[inv[i, j] - (re[..., i, j] + re[..., j, i])
+                  for j in range(d)] for i in range(d)]):
+            ok = ok & (p_k > 0.0)
         half = 0.5 * inv
         at_zero = _log_det_factors(half, np.zeros((1, d, d), dtype=complex))
         qs = [c / c_zero.real for c, c_zero in
@@ -356,9 +336,14 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
         # the principal argument of each factor, the branch above
         log_mod = sum(np.log(np.abs(q)) for q in qs)
         arg = sum(np.arctan2(q.imag, q.real) for q in qs)
-        val = np.empty(arg.shape, dtype=complex)
-        matcalc.scaled_cis(arg * (-0.5 * shape),
-                           np.exp(log_mod * (-0.5 * shape)), val)
+        power = -0.5 * shape
+        # each factor's argument lies in [-pi, pi], so only a shape past
+        # about 1e6 / len(qs) can take the angle beyond the cis kernel
+        if abs(power) * np.pi * len(qs) <= matcalc.CIS_MAX_ARG:
+            val = np.empty(arg.shape, dtype=complex)
+            matcalc.scaled_cis(arg * power, np.exp(log_mod * power), val)
+        else:
+            val = np.exp(log_mod * power) * np.exp(1j * (arg * power))
     val = np.where(ok, val, complex(np.nan, np.nan))
     if r.ndim == 2:
         return complex(val[0]), bool(ok[0])
@@ -397,12 +382,12 @@ class IntegratedMeanMap:
     offset: np.ndarray
 
 
-def _mean_flows(mean_rev: np.ndarray, t, count: int = 3):
+def _mean_flows(mean_rev: np.ndarray, t, count: int):
     """The first count of (flow, int flow, double int flow) of the mean
     covariance ODE dS/dt = drive + M S + S M' over [0, t], in column-stacked
     form, for a time or an array of times."""
-    return matcalc._lift_series(matcalc.kron_lift(mean_rev),
-                                np.asarray(t, dtype=float), count)
+    return matcalc.lift_flows(matcalc.kron_lift(mean_rev),
+                              np.asarray(t, dtype=float), count)
 
 
 def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t) -> np.ndarray:
@@ -423,14 +408,14 @@ def wasc_integrated_mean(params: WascParams, t: float, T: float) -> IntegratedMe
     integrated flow applied to vec Omega."""
     if T < t:
         raise ValueError("need T >= t")
-    _, int1, int2 = _mean_flows(params.mean_rev, T - t)
+    _, int1, int2 = _mean_flows(params.mean_rev, T - t, 3)
     return IntegratedMeanMap(int1, int2 @ matcalc.vec(params.omega))
 
 
 def bns_integrated_mean(params: BnsParams, sigma0: np.ndarray, T: float) -> np.ndarray:
     """int_0^T E[Sigma_s] ds = (int flow) vec Sigma_0 + (double int flow)
     vec(jump mean)."""
-    _, int1, int2 = _mean_flows(params.mean_rev, T)
+    _, int1, int2 = _mean_flows(params.mean_rev, T, 3)
     return matcalc.sym_part(matcalc.mat(
         int1 @ matcalc.vec(np.asarray(sigma0, dtype=float))
         + int2 @ matcalc.vec(params.jump_mean())))

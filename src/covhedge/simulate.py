@@ -184,7 +184,7 @@ def _wasc_maps(params: models.WascParams, h: float) -> tuple:
     exact drift flow over h / 2, with E and C as (d, d, 1) constants."""
     e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
     lift = matcalc.kron_lift(params.mean_rev)
-    _, k_half = matcalc._lift_series(lift, np.array(0.5 * h), 2)
+    _, k_half = matcalc.lift_flows(lift, np.array(0.5 * h), 2)
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
     return h, e_half, c_half
 
@@ -281,7 +281,7 @@ def _bns_maps(params: models.BnsParams, h: float) -> tuple:
     constants."""
     lift = matcalc.kron_lift(params.mean_rev)
     e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
-    k_h = matcalc._lift_series(lift, np.array(h), 2)[1][..., None]
+    k_h = matcalc.lift_flows(lift, np.array(h), 2)[1][..., None]
     return h, lift, e_h, k_h
 
 
@@ -317,8 +317,8 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     # vec(E J E'); both it and the integral commute with transposition, so
     # the row-stacked reshape serves as vec), rho * diag(J) and its square
     ev_step = np.minimum((ev_time / h).astype(np.int64), n_steps - 1)
-    flow, integral = matcalc._lift_series(lift, (ev_step + 1) * h - ev_time,
-                                          2)
+    flow, integral = matcalc.lift_flows(lift, (ev_step + 1) * h - ev_time,
+                                        2)
     vec_j = marks.reshape(d * d, 1, -1)
     ev_cov = matmul_last(flow.transpose(1, 2, 0), vec_j).reshape(d, d, -1)
     ev_int = matmul_last(integral.transpose(1, 2, 0), vec_j).reshape(d, d, -1)

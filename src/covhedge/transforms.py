@@ -507,8 +507,8 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
     # psi(s, u) = mat(ops[s] @ vec D(u)): ops[s] = int_0^s e^{M'r} (x) e^{M'r}
     # dr does not depend on the node.  Symmetrised, entry (p, q) is the sum
     # over the entries k <= l of D (symmetric) of coef[p, q, k, l](s) D_kl
-    _, ops = matcalc._lift_series(matcalc.kron_lift(params.mean_rev.T),
-                                  full, 2)
+    _, ops = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T),
+                                full, 2)
     ops = ops.reshape(full.size, d, d, d, d)
     coef = 0.5 * (ops + ops.swapaxes(1, 2))
     coef = coef + np.where(np.eye(d, dtype=bool), 0.0,

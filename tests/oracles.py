@@ -252,8 +252,8 @@ def bns_mean_cov(params: models.BnsParams, sigma0: np.ndarray,
                  t: float) -> np.ndarray:
     """E[Sigma_t | Sigma_0] under pure-jump covariance with linear decay:
     flow vec Sigma_0 + (int flow) vec(jump mean)."""
-    flow, int1, _ = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
-                                       np.array(float(t)))
+    flow, int1 = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev),
+                                    np.array(float(t)), 2)
     return matcalc.sym_part(matcalc.mat(
         flow @ matcalc.vec(np.asarray(sigma0, dtype=float))
         + int1 @ matcalc.vec(params.jump_mean())))
@@ -567,7 +567,7 @@ def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
     clip = 0
     e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))
     lift = matcalc.kron_lift(params.mean_rev)
-    _, k_half, _ = matcalc.lift_flows(lift, np.array(0.5 * h))
+    _, k_half = matcalc.lift_flows(lift, np.array(0.5 * h), 2)
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))
     sig = np.repeat(state.cov[None], n_paths, axis=0)
     y = np.repeat(state.log_spot[None], n_paths, axis=0)
@@ -629,8 +629,8 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
             for j in np.flatnonzero(steps == k).tolist() + [None]:
                 end = (k * h + h) if j is None else times[j]
                 tau = end - cursor
-                flow = matcalc.lift_flows(m, np.array([tau]))[0][0]
-                kint = matcalc.lift_flows(lift, np.array([tau]))[1][0]
+                flow = matcalc.lift_flows(m, np.array([tau]), 1)[0][0]
+                kint = matcalc.lift_flows(lift, np.array([tau]), 2)[1][0]
                 int_seg = matcalc.mat(kint @ matcalc.vec(sig))
                 y = y - 0.5 * np.diag(int_seg) - tau * kappa
                 sig = np.einsum("ab,bc,dc->ad", flow, sig, flow)

@@ -171,7 +171,7 @@ class TestScaledCis:
         assert err.max() < 1e-15
 
     def test_extreme_arguments_within_the_split(self):
-        edge = matcalc._CIS_MAX_ARG
+        edge = matcalc.CIS_MAX_ARG
         b = np.array([edge, -edge, np.nextafter(edge, 0.0)])
         assert np.abs(self.cis(b) - np.exp(1j * b)).max() < 1e-15
 
@@ -182,8 +182,18 @@ class TestScaledCis:
         assert np.all(np.isnan(got[:3].imag))
         assert got[3] == pytest.approx(np.exp(0.5j), abs=1e-15)
 
-    @pytest.mark.parametrize("angle", [1.01 * matcalc._CIS_MAX_ARG,
-                                       -1.01 * matcalc._CIS_MAX_ARG,
+    def test_entry_independent_of_batch(self):
+        # one element must round as it does inside a longer call
+        rng = np.random.default_rng(12)
+        b = rng.uniform(-50.0, 50.0, 300)
+        scale = np.exp(rng.uniform(-5.0, 5.0, b.size))
+        batch = self.cis(b, scale)
+        for k in range(b.size):
+            np.testing.assert_array_equal(
+                self.cis(b[k:k + 1], scale[k:k + 1]), batch[k:k + 1])
+
+    @pytest.mark.parametrize("angle", [1.01 * matcalc.CIS_MAX_ARG,
+                                       -1.01 * matcalc.CIS_MAX_ARG,
                                        1e9, -1e300])
     def test_angle_past_the_split_raises(self, angle):
         with pytest.raises(ValueError, match="argument reduction"):

@@ -265,7 +265,7 @@ class TestWishartMgf:
             eigs = np.linalg.eigvals(np.eye(d) - 2.0 * rs @ scale)
             assert np.any(ok & (np.abs(np.angle(eigs).sum(axis=-1)) > np.pi))
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batch_entry_equals_single(self, d):
         rng = np.random.default_rng(7 + d)
         scale, rs = self._random_cases(d, rng, count=40)
@@ -275,6 +275,28 @@ class TestWishartMgf:
             one, one_ok = models.wishart_mgf(scale, 4.5, rs[c])
             assert one_ok == ok.reshape(-1)[c]
             np.testing.assert_array_equal(one, val.reshape(-1)[c])
+            # a stack of one entry, as well as a single matrix
+            one, one_ok = models.wishart_mgf(scale, 4.5, rs[c:c + 1])
+            assert one_ok.shape == (1,) and one_ok[0] == ok.reshape(-1)[c]
+            np.testing.assert_array_equal(one[0], val.reshape(-1)[c])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shape_past_the_cis_range(self, d):
+        # -shape/2 times the argument sum can pass matcalc.CIS_MAX_ARG only
+        # for a shape of order 1e6; such a shape takes complex exp
+        scale = 0.05 * np.eye(d)
+        shape = 2.5 * matcalc.CIS_MAX_ARG
+        # a small imaginary part keeps the modulus near 1; a large one
+        # turns the angle past the cis range, where the value underflows
+        rs = np.stack([1e-7j * np.eye(d), 1e-7j * np.ones((d, d)),
+                       -30.0j * np.eye(d)])
+        val, ok = models.wishart_mgf(scale, shape, rs)
+        want, want_ok = oracles.wishart_mgf_eig(scale, shape, rs)
+        np.testing.assert_array_equal(ok, want_ok)
+        assert np.all(ok)
+        np.testing.assert_allclose(val, want, rtol=1e-8, atol=1e-300)
+        assert abs(val[0]) == pytest.approx(1.0, abs=1e-3)
+        assert val[2] == 0.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
