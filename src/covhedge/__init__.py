@@ -14,6 +14,9 @@ payoffs     payoff transforms of vanilla, product and spread options, and
 gbm         lognormal quadrant prices and deltas (the misspecified hedge)
 hedging     Fourier prices, dynamic hedges and their backtests, covariance
             swaps
+
+Importing covhedge, or any module but gbm, loads numpy only; scipy loads
+with the spread kernel, the GBM comparator and the expm fallback.
 """
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import _shards, gbm, matcalc, models, payoffs, transforms
+from .. import _shards, matcalc, models, payoffs, transforms
 from .covswap import CovswapSystem
 
 __all__ = [
@@ -281,6 +281,10 @@ class GbmDeltaHedge:
     with preset volatilities and correlation."""
 
     def __init__(self, kind: str, strikes, vols, corr: float, horizon: float):
+        # gbm loads scipy: with the first hedge, not with covhedge, so before
+        # prepare and any fork
+        from .. import gbm
+        self._spot_delta = gbm.quadrant_spot_delta
         self.kind = kind
         self.strikes = tuple(strikes)
         self.vols = tuple(vols)
@@ -294,8 +298,8 @@ class GbmDeltaHedge:
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
                   cov: np.ndarray) -> np.ndarray:
         tau = self.horizon - self._times[k]
-        return gbm.quadrant_spot_delta(self.kind, spot, self.strikes,
-                                       self.vols, self.corr, tau)
+        return self._spot_delta(self.kind, spot, self.strikes, self.vols,
+                                self.corr, tau)
 
 
 class CovswapHedge:

@@ -5,14 +5,15 @@ column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 the batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that
 the simulator applies to discretized covariance states at every step, and
 the batched elimination pivots (``elimination_pivots``) behind the Wishart
-MGF, and the one cis kernel (``scaled_cis``).  Plain matrix exponentials
-and pseudoinverses are scipy's (``scipy.linalg.expm``,
-``scipy.linalg.pinvh``), called directly.
+MGF, and the one cis kernel (``scaled_cis``).  The module needs numpy
+only.
 
 ``lift_flows``, the flow of a lifted linear drift with as many of its
 integral and double integral (Van Loan 1978) as a caller reads, is the one
-matrix-flow helper: moments, simulation, the jump-model transform and the
-swap coefficients all use it.
+matrix-flow helper and the package's matrix exponential: moments, the
+simulation's step maps, the jump-model transform and the swap coefficients
+all use it.  The only other one is ``scipy.linalg.expm`` for a diffusion
+transform node off the eigen route (``transforms._flow``).
 
 Conventions
 -----------

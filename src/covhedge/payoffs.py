@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "PayoffKernel",
@@ -197,12 +196,14 @@ def spread_option(d: int, long_asset: int, short_asset: int,
     k = _require_strike(strike)
     if long_asset == short_asset:
         raise ValueError("long and short asset must differ")
+    # scipy loads with the first spread kernel, not with covhedge
+    from scipy.special import gamma
 
     def transform(u):
         u1, u2 = u[..., 0], u[..., 1]
         s = u1 + u2
-        return (np.exp((1.0 - s) * np.log(k)) * _gamma(s - 1.0)
-                * _gamma(-u2) / _gamma(u1 + 1.0))
+        return (np.exp((1.0 - s) * np.log(k)) * gamma(s - 1.0)
+                * gamma(-u2) / gamma(u1 + 1.0))
 
     def payoff(spot):
         return np.maximum(spot[:, long_asset] - spot[:, short_asset] - k, 0.0)

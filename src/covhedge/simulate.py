@@ -65,8 +65,9 @@ generator, and the variates are the same.  The normals of a path are drawn
 path major into a buffer of _DRAW_TILE paths, which is moved into the
 paths-last draw arrays a tile at a time.  The jump model's per-path jump
 times are drawn unsorted and sorted once per chunk.  The step maps of the
-schemes are made once per call (``_wasc_maps``, ``_bns_maps``), before
-any fork.
+schemes, the drift flow E = exp(M h) or exp(M h / 2) among them, come from
+``matcalc.lift_flows`` once per call (``_wasc_maps``, ``_bns_maps``),
+before any fork.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
 major with einsum; the two agree to about 1e-14, because their sums run in
@@ -78,7 +79,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _shards, matcalc, models
 from .matcalc import matmul_last
@@ -182,7 +182,8 @@ def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
 def _wasc_maps(params: models.WascParams, h: float) -> tuple:
     """(h, E, C) of the splitting scheme: Sigma -> E Sigma E' + C is the
     exact drift flow over h / 2, with E and C as (d, d, 1) constants."""
-    e_half = scipy.linalg.expm(params.mean_rev * (0.5 * h))[..., None]
+    e_half = matcalc.lift_flows(params.mean_rev, np.array(0.5 * h),
+                                1)[0][..., None]
     lift = matcalc.kron_lift(params.mean_rev)
     _, k_half = matcalc.lift_flows(lift, np.array(0.5 * h), 2)
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
@@ -280,7 +281,7 @@ def _bns_maps(params: models.BnsParams, h: float) -> tuple:
     E' with its integral vec I = K vec Sigma, as (d, d, 1) and (d^2, d^2, 1)
     constants."""
     lift = matcalc.kron_lift(params.mean_rev)
-    e_h = scipy.linalg.expm(params.mean_rev * h)[..., None]
+    e_h = matcalc.lift_flows(params.mean_rev, np.array(h), 1)[0][..., None]
     k_h = matcalc.lift_flows(lift, np.array(h), 2)[1][..., None]
     return h, lift, e_h, k_h
 
@@ -374,9 +375,8 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     cov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
     intcov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
 
-    # the step maps are the same for every chunk: made here, before any
-    # fork, as scipy's expm leaves its BLAS threads spinning for a while
-    # after it returns, and a forked shard would start threads of its own
+    # the step maps are the same for every chunk and shard: made once here,
+    # before any fork, and a forked shard inherits them
     maps = (_wasc_maps if params.kind == "wasc" else _bns_maps)(params, h)
 
     def shard(lo: int, hi: int) -> int:

@@ -136,7 +136,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import matcalc, models
 
@@ -426,6 +425,7 @@ def _flow(spec: _Spectrum, svals: np.ndarray
     # 2 (exact, and psi does not change) so that det Z_2 cannot overflow
     log_scale = np.zeros((n, svals.size))
     for b in np.flatnonzero(~ok):
+        import scipy.linalg      # the only scipy call of the engine
         rows = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
         top = np.abs(rows).max(axis=-1, keepdims=True)
         exp2 = np.where(top > 0, np.ceil(np.log2(top)), 0.0)

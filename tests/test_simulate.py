@@ -378,6 +378,23 @@ class TestSchemes:
         share = wasc_sim.clip_count / (wasc_sim.n_paths * wasc_sim.n_steps)
         assert 0.0 <= share < 0.01
 
+    # (d, h): the reference sets at 250 and 100 steps a year, one step of
+    # 5 years, where ||M||_inf h / 2 = 10 takes lift_flows' scaling and
+    # squaring, and the three-asset sets
+    @pytest.mark.parametrize("d,h", [(2, 1 / STEPS_REF), (2, 0.01),
+                                     (2, 5.0), (3, 1 / STEPS_REF)])
+    def test_drift_flows_against_expm(self, d, h, wasc_ref, bns_ref):
+        # E of both schemes' step maps, exp(M h / 2) and exp(M h), within a
+        # few ulps of the largest entry of scipy's expm
+        wasc, bns = (wasc_ref, bns_ref) if d == 2 else (WASC_3, BNS_3)
+        for e, want in ((simulate._wasc_maps(wasc, h)[1],
+                         scipy.linalg.expm(wasc.mean_rev * (0.5 * h))),
+                        (simulate._bns_maps(bns, h)[2],
+                         scipy.linalg.expm(bns.mean_rev * h))):
+            assert e.shape == (d, d, 1)
+            assert (np.max(np.abs(e[..., 0] - want))
+                    <= 8 * np.finfo(float).eps * np.max(np.abs(want)))
+
 
 class TestBnsExactness:
     def test_deterministic_flow_without_jumps(self, state_ref):
