@@ -16,7 +16,7 @@ hedging     Fourier prices, dynamic hedges and their backtests, covariance
             swaps
 
 Importing covhedge, or any module but gbm, loads numpy only; scipy loads
-with the spread kernel, the GBM comparator and the expm fallback.
+with the spread kernel and the GBM comparator.
 """
 
 __version__ = "0.1.0"

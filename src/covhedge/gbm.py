@@ -105,6 +105,8 @@ def _tilted_terms(kind: str, forwards, strikes, vols, rho: float,
     k1, k2 = float(strikes[0]), float(strikes[1])
     s1 = float(vols[0]) * np.sqrt(tau)
     s2 = float(vols[1]) * np.sqrt(tau)
+    if not all(np.isfinite(x) and x > 0 for x in (k1, k2, s1, s2)):
+        raise ValueError("strikes and vols must be positive and finite")
     e1 = 1.0 if kind[0] == "c" else -1.0
     e2 = 1.0 if kind[1] == "c" else -1.0
     mu1 = np.log(f1) - 0.5 * s1 * s1

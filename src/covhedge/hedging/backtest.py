@@ -1,21 +1,21 @@
 """Discrete-rebalancing hedging backtests on simulated panels.
 
-The driver walks the simulation grid once per path chunk and asks every
-strategy for spot positions at each rebalancing date; wealth compounds as
-V_{k+1} = V_k + theta_k' (S_{k+1} - S_k).  A Fourier hedge synthesizes its
-positions from exponential basis claims, whose transform lattice a
-``BasisCache`` holds for one node set; the cache evaluates the claims on
-each row block of a chunk, date by date, on request and keeps no H between
-calls.
+The driver walks the simulation grid once and asks every strategy for the
+spot positions of all of a shard's paths at each rebalancing date; wealth
+compounds as V_{k+1} = V_k + theta_k' (S_{k+1} - S_k).  A Fourier hedge
+synthesizes its positions from exponential basis claims, whose transform
+lattice a ``BasisCache`` holds for one node set.  ``FourierHedge.positions``,
+the sweep's one level of row blocking, asks the cache for the claims on a
+row block of paths at a time and keeps no H between calls.
 
 The basis claims H = exp(a + i b) on the (path, node) panel dominate the
 cost of a Fourier hedge, and complex exp spends nearly all its time in the
 per-element cos and sin.  ``BasisCache.basis`` works in real arithmetic on
-row blocks of about BASIS_BLOCK_POINTS points: two real matrix products give
-a and b, numpy's vectorised real exp gives e^a, and ``matcalc.scaled_cis``
-gives e^a (cos b + i sin b) from a table instead of libm trig, within a few
-ulps of complex exp of the same exponent.  Entries whose real exponent
-exceeds models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
+the rows it is given: two real matrix products give a and b, numpy's
+vectorised real exp gives e^a, and ``matcalc.scaled_cis`` gives
+e^a (cos b + i sin b) from a table instead of libm trig, within a few ulps
+of complex exp of the same exponent.  Entries whose real exponent exceeds
+models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
 
 ``run_backtest`` evaluates the payoffs and prepares every strategy once,
 then sweeps the paths in contiguous shards, the first in this process and
@@ -26,19 +26,19 @@ the increments of every ``BasisCache.overflow_count``, the only state that
 2.5e6 basis points (paths x rebalancing dates x Fourier nodes) per shard in
 the runs recorded in CHANGES.md, so a sweep takes only as many shards as
 carry _MIN_SHARD_BASIS_POINTS each, and one without a Fourier hedge runs in
-one.  Within a shard, paths are swept in chunks of CHUNK_PATHS.
+one.
 
-Positions are functions of the path state only, and every product keeps
-its rows apart, so wealth is bitwise independent of the chunking and of the
+Positions are functions of the path state only, and every product keeps its
+rows apart, so wealth is bitwise independent of the row blocks and of the
 shard count.  That rests on how each row is rounded: BLAS calls are matrix
-products whose rows each take one dot product over the inner dimension;
+products whose rows each take one dot product over the inner dimension
+(``_matmul`` keeps a lone row off numpy's matrix-vector path);
 ``gbm.bvn_upper`` sums its quadrature per row, since a matrix-vector product
-rounds by the row count.  ``FourierHedge.positions`` takes the basis a row
-block of about BASIS_BLOCK_POINTS points at a time, and fewer where the
-block's product with the small weights matrix would reach the size at which
-OpenBLAS starts its own threads (_GEMM_SERIAL_MNK): those threads contend
-with the shards for the cores, and made a two-shard ``bns`` sweep at 128
-nodes ten times slower than one shard.
+rounds by the row count.  A row block holds about BASIS_BLOCK_POINTS points,
+and fewer where its product with the small weights matrix would reach the size
+at which OpenBLAS starts its own threads (_GEMM_SERIAL_MNK): those threads
+contend with the shards for the cores, and made a two-shard ``bns`` sweep at
+128 nodes ten times slower than one shard.
 
 Whatever a strategy records during the sweep, and every span that a tracer
 wrapping its methods records, covers the parent's shard only: the
@@ -66,12 +66,10 @@ __all__ = [
     "run_backtest",
 ]
 
-# basis kernel: the (path, node) points per row block, which keeps the
-# block's temporaries in the L2 cache; chosen from the sweeps recorded in
-# CHANGES.md
+# FourierHedge.positions: the (path, node) points per row block of the
+# basis, which keeps the block's temporaries in the L2 cache; chosen from
+# the sweeps recorded in CHANGES.md
 BASIS_BLOCK_POINTS = 16384
-# paths per run_backtest sweep
-CHUNK_PATHS = 16384
 # OpenBLAS runs a zgemm on more than one thread from m n k = 65536 on (seen
 # with OpenBLAS 0.3.31)
 _GEMM_SERIAL_MNK = 65536
@@ -92,9 +90,9 @@ class HedgeJob:
     or a callable on terminal spots), and the initial capital.
 
     A strategy has ``prepare(sim)``, called once per run, and ``positions(k,
-    spot, log_spot, cov)``, called per date on a block of paths.  Positions
-    must depend on the paths' state and on what ``prepare`` set only: the
-    paths may be swept in forked processes, and state that ``positions``
+    spot, log_spot, cov)``, called per date on all the paths of a shard.
+    Positions must depend on the paths' state and on what ``prepare`` set only:
+    the paths may be swept in forked processes, and state that ``positions``
     changes stays in the process that changed it (``BasisCache``'s
     ``overflow_count`` alone is merged back).
     """
@@ -109,7 +107,7 @@ class BasisCache:
     """Transform lattice of one node set.
 
     Holds phi/psi on the (rebalance times) x (nodes) lattice and evaluates
-    H = exp(phi + u'Y + Tr(psi Sigma)) on a chunk of paths at one date.
+    H = exp(phi + u'Y + Tr(psi Sigma)) on a block of paths at one date.
     """
 
     def __init__(self, params, model_args: np.ndarray, horizon: float):
@@ -149,29 +147,28 @@ class BasisCache:
 
     def basis(self, k: int, log_spot: np.ndarray,
               cov: np.ndarray) -> np.ndarray:
-        """H on the (P, M) panel of a chunk's paths at date k, 0 where the
-        real exponent passes models.OVERFLOW_RE."""
-        n_paths = log_spot.shape[0]
+        """H on the (P, M) panel of the given paths at date k, all rows at
+        once, 0 where the real exponent passes models.OVERFLOW_RE."""
         state = np.concatenate(
             [log_spot, cov[:, self._iu, self._ju] * self._off_scale,
-             np.ones((n_paths, 1))], axis=1)
-        coeff_re, coeff_im = self.coeff_re[k], self.coeff_im[k]
-        h = np.empty((n_paths, coeff_re.shape[1]), dtype=complex)
-        rows = max(1, BASIS_BLOCK_POINTS // coeff_re.shape[1])
-        for start in range(0, n_paths, rows):
-            block = state[start:start + rows]
-            a = block @ coeff_re
-            bad = a > models.OVERFLOW_RE
-            n_bad = int(np.count_nonzero(bad))
-            if n_bad:
-                a[bad] = 0.0
-            np.exp(a, out=a)
-            out = h[start:start + rows]
-            matcalc.scaled_cis(block @ coeff_im, a, out)
-            if n_bad:
-                out[bad] = 0.0
-                self.overflow_count += n_bad
+             np.ones((log_spot.shape[0], 1))], axis=1)
+        a = _matmul(state, self.coeff_re[k])
+        bad = a > models.OVERFLOW_RE
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad:
+            a[bad] = 0.0
+        np.exp(a, out=a)
+        h = np.empty(a.shape, dtype=complex)
+        matcalc.scaled_cis(_matmul(state, self.coeff_im[k]), a, h)
+        if n_bad:
+            h[bad] = 0.0
+            self.overflow_count += n_bad
         return h
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; one row goes in as two, since gemv rounds it otherwise."""
+    return a @ b if a.shape[0] > 1 else (np.concatenate([a, a]) @ b)[:1]
 
 
 def _check_span(sim, horizon: float) -> None:
@@ -259,15 +256,15 @@ class FourierHedge:
 
     def positions(self, k: int, spot: np.ndarray, log_spot: np.ndarray,
                   cov: np.ndarray) -> np.ndarray:
-        # one row block of H at a time, straight into the small weights: no
-        # (P, M) H is held, and no product reaches OpenBLAS's threading size
+        # the sweep's one row blocking: H a block at a time, straight into
+        # the small weights, so no (P, M) H and no threaded product
         w = self._w[k]                                    # (M, d) or (M, 2d)
         hw = np.empty((spot.shape[0], w.shape[1]), dtype=complex)
         rows = max(1, min(BASIS_BLOCK_POINTS // w.shape[0],
                           (_GEMM_SERIAL_MNK - 1) // w.size))
         for start in range(0, spot.shape[0], rows):
             sl = slice(start, start + rows)
-            hw[sl] = self.cache.basis(k, log_spot[sl], cov[sl]) @ w
+            hw[sl] = _matmul(self.cache.basis(k, log_spot[sl], cov[sl]), w)
         if self.params.kind == "wasc":
             return hw.real / spot
         d = self.params.d
@@ -306,6 +303,9 @@ class CovswapHedge:
     """Variance-optimal spot positions for a covariance swap."""
 
     def __init__(self, system: CovswapSystem, params):
+        if system.kind != params.kind:
+            raise ValueError(f"a {system.kind} swap system cannot hedge "
+                             f"under {params.kind} params")
         self.system = system
         self.params = params
 
@@ -339,40 +339,37 @@ def _shard_count(jobs: Sequence[HedgeJob], n_paths: int,
 def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
            shard_cov: np.ndarray, wealth: np.ndarray) -> None:
     """Write the wealth (n_jobs, P) of every job on the (P, dates, ...)
-    panels of one shard's paths, swept in chunks of CHUNK_PATHS."""
-    n_paths, n_dates = shard_log_spot.shape[:2]
+    panels of one shard's paths, every path of the shard at each date."""
     wealth[:] = np.array([job.initial_capital for job in jobs],
                          dtype=float)[:, None]
-    for start in range(0, n_paths, CHUNK_PATHS):
-        sl = slice(start, start + CHUNK_PATHS)
-        # simulate stores its panels time major, so [:, k] is one contiguous
-        # block per date; np.exp keeps its input's layout
-        log_spot = shard_log_spot[sl]
-        spot = np.exp(log_spot)
-        cov = shard_cov[sl]
-        for k in range(n_dates - 1):
-            ds = spot[:, k + 1] - spot[:, k]
-            for j, job in enumerate(jobs):
-                if job.strategy is None:
-                    continue
-                th = job.strategy.positions(k, spot[:, k], log_spot[:, k],
-                                            cov[:, k])
-                # theta'ds column by column, as in _solve_sym_batch
-                gain = th[:, 0] * ds[:, 0]
-                for a in range(1, th.shape[1]):
-                    gain += th[:, a] * ds[:, a]
-                wealth[j, sl] += gain
+    # simulate stores its panels time major, so [:, k] is one contiguous
+    # (P, d) block per date; each date's spots are taken once
+    next_spot = np.exp(shard_log_spot[:, 0])
+    for k in range(shard_log_spot.shape[1] - 1):
+        spot, next_spot = next_spot, np.exp(shard_log_spot[:, k + 1])
+        ds = next_spot - spot
+        for j, job in enumerate(jobs):
+            if job.strategy is None:
+                continue
+            th = job.strategy.positions(k, spot, shard_log_spot[:, k],
+                                        shard_cov[:, k])
+            # theta'ds column by column, as in _solve_sym_batch
+            gain = th[:, 0] * ds[:, 0]
+            for a in range(1, th.shape[1]):
+                gain += th[:, a] * ds[:, a]
+            wealth[j] += gain
 
 
 def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     """Run every job over the panel and return results in order.
 
     Payoffs and strategies are prepared once, here; the paths are then swept
-    in shards over forked processes (``covhedge._shards``).
-    Every child has ended before this function returns or raises.  A
-    strategy's ``positions`` must not rest on state changed during the
-    sweep: a child's changes do not come back, except the overflow counts
-    of every ``BasisCache``.
+    in shards over forked processes (``covhedge._shards``), each shard whole
+    at every date: ``FourierHedge.positions`` alone blocks rows.  Every child
+    has ended before this function returns or raises.  A strategy's
+    ``positions`` must not rest on state changed during the sweep: a child's
+    changes do not come back, except the overflow counts of every
+    ``BasisCache``.
     """
     n_paths = sim.n_paths
     payoffs_out = []

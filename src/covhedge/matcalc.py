@@ -10,10 +10,10 @@ only.
 
 ``lift_flows``, the flow of a lifted linear drift with as many of its
 integral and double integral (Van Loan 1978) as a caller reads, is the one
-matrix-flow helper and the package's matrix exponential: moments, the
-simulation's step maps, the jump-model transform and the swap coefficients
-all use it.  The only other one is ``scipy.linalg.expm`` for a diffusion
-transform node off the eigen route (``transforms._flow``).
+matrix-flow helper and the package's only matrix exponential: moments, the
+simulation's step maps, the jump-model transform, the swap coefficients and
+the flow of a diffusion transform node off the eigen route
+(``transforms._flow``, whose lift is complex) all use it.
 
 Conventions
 -----------
@@ -105,8 +105,9 @@ def lift_flows(lift: np.ndarray, deltas: np.ndarray, count: int) -> tuple:
     nrm = np.linalg.norm(lift, np.inf) * deltas
     doublings = np.ceil(np.log2(np.maximum(nrm, 1.0))).astype(int)
     scaled = deltas / 2.0 ** doublings
-    # term j of series i: delta^(j+i) lift^j / (j+i)!
-    mats = np.empty((_FLOW_TERMS, count, n, n))
+    # term j of series i: delta^(j+i) lift^j / (j+i)!, in the lift's dtype
+    dtype = np.result_type(lift, float)
+    mats = np.empty((_FLOW_TERMS, count, n, n), dtype=dtype)
     ej = np.eye(n)                                   # lift^j / j!
     for j in range(_FLOW_TERMS):
         mats[j, 0] = ej
@@ -116,7 +117,7 @@ def lift_flows(lift: np.ndarray, deltas: np.ndarray, count: int) -> tuple:
         mats[:, i] = mats[:, i - 1] / (order + (i - 1.0))
     # series i takes term j with (delta / 2^k)^(j+i); one running power
     # keeps the working set at one series term per batch entry
-    acc = np.zeros((count,) + deltas.shape + (n, n))
+    acc = np.zeros((count,) + deltas.shape + (n, n), dtype=dtype)
     power = np.ones(deltas.shape + (1, 1))
     for t in range(_FLOW_TERMS + count - 1):
         for i in range(max(0, t - _FLOW_TERMS + 1), min(t, count - 1) + 1):

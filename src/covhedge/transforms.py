@@ -75,16 +75,16 @@ skipped mass.
   node's Hamiltonian gives Z, and from it psi, the log-determinant and
   the sign of det Theta_22, at every s of its route (``_flow``).  A node
   whose eigenvector basis, or its dominant lower block Q_2D, has 1-norm
-  condition number above 1e10 is off the eigen route and takes the rows
-  of expm as Z; no benchmark lattice has such a node.  For d <= 2 the
-  eigendecomposition is closed-form: the eigenvalues of a Hamiltonian
-  matrix come in pairs +-lam (Van Loan 1984), so lam^2 solves a
-  polynomial of degree d, the eigenvectors come from the spectral
-  projectors, and each row of q^{-1} from the eigenvector of the paired
-  mode -lam (``_eigenpairs``).  LAPACK eig took about 18 us a node;
-  without it the benchmark's diffusion strip share went from 0.71 to
-  0.45 s (medians of 10 paired runs, 2-core VM).  d > 2 takes
-  np.linalg.eig.  For the jump model the operator
+  condition number above 1e10 is off the eigen route and takes the lower
+  rows of its flow exp(s Ham) from ``matcalc.lift_flows`` as Z; no
+  benchmark lattice has such a node.  For d <= 2 the eigendecomposition
+  is closed-form: the eigenvalues of a Hamiltonian matrix come in pairs
+  +-lam (Van Loan 1984), so lam^2 solves a polynomial of degree d, the
+  eigenvectors come from the spectral projectors, and each row of q^{-1}
+  from the eigenvector of the paired mode -lam (``_eigenpairs``).  LAPACK
+  eig took about 18 us a node; without it the benchmark's diffusion strip
+  share went from 0.71 to 0.45 s (medians of 10 paired runs, 2-core VM).
+  d > 2 takes np.linalg.eig.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs the Wishart MGF
   at every (node, s), whose strip flag and log-determinant come from the
@@ -96,7 +96,7 @@ skipped mass.
   inverses are unrolled sums of ufunc products over those rows
   (``matcalc.matmul_last``, ``det_last``, ``adj_last``), so no batched @,
   einsum or LAPACK call runs on the node axis; the exceptions are the
-  eigendecomposition for d > 2 and the expm of a node off the eigen route.
+  eigendecomposition for d > 2 and the flow of a node off the eigen route.
   numpy's complex product is not bitwise commutative, and numpy may swap
   its factors to reuse a right-hand temporary of 256 KiB or more, so a
   product whose right factor could be such a temporary would make an
@@ -244,7 +244,7 @@ class _Spectrum(NamedTuple):
     projectors P_j = q[:, j] qinv[j, :], and qinv from q's columns of the
     paired modes.  ok is False where the basis is not finite, or it or its
     dominant lower block Q_2D has 1-norm condition number above 1e10 (the
-    expm fallback)."""
+    flow fallback)."""
 
     ham: np.ndarray
     lam: np.ndarray
@@ -399,7 +399,7 @@ def _flow(spec: _Spectrum, svals: np.ndarray
     of e^{s Lam_D}, and det Theta_22 = e^{s sum lam_D} det(Q_2D Z_2), where
     det(Q_2D Z_2) is 1 at s = 0 and its principal log stays on the branch
     continuous from there (the Wishart form of the little Heston trap).
-    A node off the eigen route takes the rows of expm(s Ham) as Z, with
+    A node off the eigen route takes the rows of exp(s Ham) as Z, with
     Q_2D = I and Lam_D = 0; its log is plain principal.
 
     Entries first: each entry of Z is one (B, S) row, and the d x d
@@ -421,12 +421,11 @@ def _flow(spec: _Spectrum, svals: np.ndarray
         for j in range(d):
             z[i] += (np.exp(gaps[i, j, :, None] * svals)
                      * (k[i, j] * qinv[d + j])[:, :, None])
-    # a node off the eigen route: the expm rows, each scaled by a power of
-    # 2 (exact, and psi does not change) so that det Z_2 cannot overflow
+    # a node off the eigen route: its flow's lower rows, each scaled by a
+    # power of 2 (exact; psi does not change) so det Z_2 cannot overflow
     log_scale = np.zeros((n, svals.size))
     for b in np.flatnonzero(~ok):
-        import scipy.linalg      # the only scipy call of the engine
-        rows = scipy.linalg.expm(svals[:, None, None] * spec.ham[b])[:, d:]
+        rows = matcalc.lift_flows(spec.ham[b], svals, 1)[0][:, d:]
         top = np.abs(rows).max(axis=-1, keepdims=True)
         exp2 = np.where(top > 0, np.ceil(np.log2(top)), 0.0)
         z[:, :, b] = (rows * np.exp2(-exp2)).transpose(1, 2, 0)

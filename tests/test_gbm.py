@@ -82,6 +82,25 @@ class TestQuadrantClosedForm:
             gbm.lognormal_quadrant_price("cc", (100, 100), (1, 1),
                                          (0.2, 0.2), 0.0, 0.0)
 
+    @pytest.mark.parametrize("strikes, vols", [
+        ((100.0, 100.0), (-0.2, 0.25)),
+        ((100.0, 100.0), (0.2, 0.0)),
+        ((100.0, 100.0), (np.nan, 0.25)),
+        ((100.0, 100.0), (0.2, np.inf)),
+        ((-100.0, 100.0), (0.2, 0.25)),
+        ((100.0, 0.0), (0.2, 0.25)),
+        ((np.nan, 100.0), (0.2, 0.25)),
+    ])
+    def test_refuses_bad_vols_and_strikes(self, strikes, vols):
+        # a vol of -0.2 used to price the cc quadrant at -120.82 (129.89
+        # at +0.2) and to give deltas of the wrong sign
+        with pytest.raises(ValueError, match="strikes and vols"):
+            gbm.lognormal_quadrant_price("cc", (100.0, 100.0), strikes,
+                                         vols, 0.3, 1.0)
+        with pytest.raises(ValueError, match="strikes and vols"):
+            gbm.quadrant_spot_delta("cc", (100.0, 100.0), strikes, vols,
+                                    0.3, 1.0)
+
 
 class TestQuadrantDelta:
     def test_factorizes_when_independent(self):

@@ -1,6 +1,6 @@
 """Hedging layer: the basis kernel against complex exp, the batched hedge
-engines against the scalar covariation oracles, chunked and sharded
-backtest sweeps against one chunk and one shard, the oracles' own
+engines against the scalar covariation oracles, backtest sweeps over
+Fourier row blocks and shards against one block and one shard, the oracles' own
 identities, Fourier prices against Monte Carlo and parity, and covariance
 swaps: strikes against closed forms, values as martingales and the hedged
 variance against Monte Carlo."""
@@ -71,15 +71,31 @@ def complex_exp_basis(cache, sim, k, log_spot, cov):
 class TestBasisCache:
     @pytest.mark.parametrize("k", [0, N_STEPS - 1])
     def test_matches_complex_exp_across_blocks(self, hedged, monkeypatch, k):
-        # a budget of 5 rows splits the 12 paths into blocks of 5, 5 and 2
-        _, sim, cache, _, _ = hedged
-        monkeypatch.setattr(backtest, "BASIS_BLOCK_POINTS",
-                            5 * cache.model_args.shape[0] + 3)
-        got = cache.basis(k, sim.log_spot[:, k], sim.cov[:, k])
-        want, _ = complex_exp_basis(cache, sim, k, sim.log_spot[:, k],
-                                    sim.cov[:, k])
+        # the basis of all 12 paths against complex exp; then the positions
+        # over row blocks of 5, 5 and 2 paths (a budget of 5 rows) against
+        # the positions over one block
+        _, sim, cache, hedge, _ = hedged
+        state = (sim.log_spot[:, k], sim.cov[:, k])
+        got = cache.basis(k, *state)
+        want, _ = complex_exp_basis(cache, sim, k, *state)
         assert got.shape == (N_PATHS, cache.model_args.shape[0])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+        spot = np.exp(sim.log_spot[:, k])
+        basis, blocks = cache.basis, []
+
+        def counted(k, log_spot, cov):
+            blocks.append(log_spot.shape[0])
+            return basis(k, log_spot, cov)
+
+        monkeypatch.setattr(cache, "basis", counted)
+        one = hedge.positions(k, spot, *state)
+        monkeypatch.setattr(backtest, "BASIS_BLOCK_POINTS",
+                            5 * cache.model_args.shape[0] + 3)
+        split = hedge.positions(k, spot, *state)
+        assert blocks == [N_PATHS, 5, 5, 2]
+        np.testing.assert_array_equal(split, one)
+        assert np.all(np.isfinite(one)) and np.ptp(one) > 0
         assert cache.overflow_count == 0
 
     def test_overflow_entries_are_zero_and_counted(self, hedged):
@@ -260,15 +276,15 @@ class TestFourierHedge:
 
 
 class Recorder:
-    """A strategy that holds nothing and records the chunk sizes it is
-    shown, date by date."""
+    """A strategy that holds nothing and records the row count of every
+    call it is shown at the first date."""
 
     def prepare(self, sim):
-        self.chunks = []
+        self.rows = []
 
     def positions(self, k, spot, log_spot, cov):
         if k == 0:
-            self.chunks.append(spot.shape[0])
+            self.rows.append(spot.shape[0])
         return np.zeros_like(spot)
 
 
@@ -329,29 +345,48 @@ def shards(monkeypatch, n):
 
 
 class TestRunBacktest:
-    def test_chunked_sweep_matches_one_chunk(self, sweep_case, monkeypatch):
-        # 700 paths in chunks of 97: seven full chunks and one of 21; the
-        # recorder sees the chunks of the sweeping process only, so one
-        # shard
+    def test_pnl_independent_of_the_row_blocks(self, sweep_case,
+                                               monkeypatch):
+        # the Fourier hedge's rows in blocks of 97 paths (seven and one of
+        # 21) and of 1 path, against the default budget; every strategy is
+        # shown the whole 700-path shard at each date.  The recorders see
+        # the sweeping process only, so one shard.
         sim, jobs = sweep_case
         shards(monkeypatch, 1)
+        basis = backtest.BasisCache.basis
+        blocks = []
 
-        def sweep(chunk_paths):
-            monkeypatch.setattr(backtest, "CHUNK_PATHS", chunk_paths)
+        def counted(cache, k, log_spot, cov):
+            if k == 0:
+                blocks.append(log_spot.shape[0])
+            return basis(cache, k, log_spot, cov)
+
+        monkeypatch.setattr(backtest.BasisCache, "basis", counted)
+
+        def sweep(rows=None):
+            run = jobs()
+            if rows is not None:
+                nodes = run[0].strategy.cache.model_args.shape[0]
+                monkeypatch.setattr(backtest, "BASIS_BLOCK_POINTS",
+                                    rows * nodes)
             recorder = Recorder()
-            run = jobs() + [backtest.HedgeJob("recorder", recorder,
-                                              np.zeros(sim.n_paths), 0.0)]
-            return ([r.pnl for r in backtest.run_backtest(sim, run)],
-                    recorder.chunks)
+            run.append(backtest.HedgeJob("recorder", recorder,
+                                         np.zeros(sim.n_paths), 0.0))
+            blocks.clear()
+            pnl = [r.pnl for r in backtest.run_backtest(sim, run)]
+            assert recorder.rows == [sim.n_paths]
+            return pnl, list(blocks)
 
-        (fourier, swap, gbm_delta, _, _), one = sweep(700)
-        (fourier_c, swap_c, gbm_delta_c, _, _), many = sweep(97)
-        assert one == [700]
-        assert many == [97] * 7 + [21]
-        np.testing.assert_array_equal(fourier_c, fourier)
-        np.testing.assert_array_equal(swap_c, swap)
-        np.testing.assert_array_equal(gbm_delta_c, gbm_delta)
-        assert np.ptp(fourier) > 0 and np.ptp(gbm_delta) > 0
+        want, default = sweep()
+        assert sum(default) == sim.n_paths
+        for rows, split in ((97, [97] * 7 + [21]), (1, [1] * 700)):
+            got, seen = sweep(rows)
+            assert seen == split
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        fourier, swap, gbm_delta, cash, _ = want
+        assert all(np.ptp(pnl) > 0 for pnl in (fourier, swap, gbm_delta,
+                                                cash))
 
     def test_pnl_independent_of_the_shard_count(self, sweep_case,
                                                 monkeypatch):
@@ -545,6 +580,21 @@ class TestCovariationOracles:
                                             N_STEPS)
         with pytest.raises(ValueError, match="convergence strip"):
             backtest.CovswapHedge(system, wild).prepare(sim)
+
+    @pytest.mark.parametrize("system_kind, params_kind",
+                             [("bns", "wasc"), ("wasc", "bns")])
+    def test_covswap_hedge_refuses_params_of_another_model(
+            self, wasc_ref, bns_ref, system_kind, params_kind):
+        # unchecked, a bns system under wasc params failed inside the sweep
+        # (maybe in a child) and a wasc system under bns params gave a P&L
+        params = {"wasc": wasc_ref, "bns": bns_ref}
+        build = (covswap.wasc_covswap_system if system_kind == "wasc"
+                 else covswap.bns_covswap_system)
+        system = build(params[system_kind], SIGMA0_REF, 1.0, (0, 1), N_STEPS)
+        with pytest.raises(ValueError,
+                           match=f"{system_kind} swap system .* "
+                                 f"{params_kind} params"):
+            backtest.CovswapHedge(system, params[params_kind])
 
 
 class TestCovswapStrikes:
