@@ -8,7 +8,8 @@ models      parameter containers that check their admissible domain when
             moments, the overflow rule
 transforms  exponential-affine transforms (phi, Psi) on a times-to-maturity x
             contour-node lattice
-simulate    seeded, chunk-invariant Monte Carlo path panels
+simulate    seeded Monte Carlo path panels, bitwise independent of how the
+            paths are split across calls and shards
 payoffs     payoff transforms of vanilla, product and spread options, and
             their quadrature contours
 gbm         lognormal quadrant prices and deltas (the misspecified hedge)

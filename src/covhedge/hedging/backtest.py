@@ -179,9 +179,9 @@ def _check_span(sim, horizon: float) -> None:
 def _check_grid(times: np.ndarray | None, grid: np.ndarray,
                 what: str) -> None:
     """Refuse coefficients built on other times than the panel's grid, or
-    on none (times None)."""
+    on none (times None), by the 1e-12 rule of _check_span."""
     if (times is None or times.size != grid.size
-            or not np.allclose(times, grid)):
+            or np.any(np.abs(times - grid) > 1e-12)):
         raise ValueError(f"{what} grid must match the simulation")
 
 

@@ -3,10 +3,10 @@
 All covariance-state algebra in this package runs through the helpers below:
 column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 the batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that
-the simulator applies to discretized covariance states at every step, and
-the batched elimination pivots (``elimination_pivots``) behind the Wishart
-MGF, and the one cis kernel (``scaled_cis``).  The module needs numpy
-only.
+the simulator applies to discretized covariance states at every step, the
+batched elimination pivots (``elimination_pivots``) behind the Wishart MGF
+and the Sylvester test of ``psd_repair``, and the one cis kernel
+(``scaled_cis``).  The module needs numpy only.
 
 ``lift_flows``, the flow of a lifted linear drift with as many of its
 integral and double integral (Van Loan 1978) as a caller reads, is the one
@@ -203,13 +203,10 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 def sqrt_psd(mats: np.ndarray) -> np.ndarray:
     """Principal square roots of a (..., d, d) stack of symmetric PSD
-    matrices: closed form for d <= 2, eigendecomposition above.  Negative
-    eigenvalues (for d = 2, a negative determinant) are clipped to zero, so
-    rounding just outside the PSD cone is harmless."""
-    d = mats.shape[-1]
-    if d == 1:
-        return np.sqrt(np.clip(mats, 0.0, None))
-    if d == 2:
+    matrices: closed form for d = 2, eigendecomposition otherwise.
+    Negative eigenvalues (for d = 2, a negative determinant) are clipped to
+    zero, so rounding just outside the PSD cone is harmless."""
+    if mats.shape[-1] == 2:
         a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
         det = np.clip(a * c - b * b, 0.0, None)
         s = np.sqrt(det)
@@ -233,6 +230,12 @@ def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
     """Clip the negative eigenvalues of a (..., d, d) stack of symmetric
     matrices to zero, the nearest PSD matrix in Frobenius norm.
 
+    Sylvester's criterion, every elimination pivot positive
+    (``elimination_pivots``), clears the positive definite matrices without
+    an eigendecomposition.  Only the others go to eigh, and of those only
+    the ones with a negative eigenvalue are repaired; a matrix with a
+    non-finite entry is passed through as it is.
+
     Returns:
         (repaired, material): the input itself when no matrix has a negative
         eigenvalue, otherwise a repaired copy; and the number of matrices
@@ -240,24 +243,21 @@ def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
         largest absolute entry, i.e. repairs beyond floating-point noise.
     """
     d = mats.shape[-1]
-    if d == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-        half_tr = 0.5 * (a + c)
-        det = a * c - b * b
-        disc = np.sqrt(np.clip(half_tr * half_tr - det, 0.0, None))
-        lmin = half_tr - disc
-    else:
-        lmin = np.linalg.eigvalsh(mats)[..., 0]
-    bad = lmin < 0.0
-    if not np.any(bad):
+    flat = mats.reshape(-1, d, d)
+    pivots = np.array(elimination_pivots(flat.transpose(1, 2, 0)))
+    test = np.flatnonzero(~np.all(pivots > 0.0, axis=0)
+                          & np.all(np.isfinite(flat), axis=(1, 2)))
+    w, v = np.linalg.eigh(flat[test])
+    neg = w[:, 0] < 0.0
+    if not np.any(neg):
         return mats, 0
-    scale = np.maximum(np.abs(mats).max(axis=(-1, -2)), 1e-300)
-    material = int(np.count_nonzero(bad & (-lmin > PSD_RTOL * scale)))
-    w, v = np.linalg.eigh(mats[bad])
-    w = np.clip(w, 0.0, None)
-    out = mats.copy()
-    out[bad] = np.einsum("...ij,...j,...kj->...ik", v, w, v)
-    return out, material
+    bad, w, v = test[neg], w[neg], v[neg]
+    scale = np.maximum(np.abs(flat[bad]).max(axis=(1, 2)), 1e-300)
+    material = int(np.count_nonzero(-w[:, 0] > PSD_RTOL * scale))
+    out = flat.copy()
+    out[bad] = np.einsum("...ij,...j,...kj->...ik", v, np.clip(w, 0.0, None),
+                         v)
+    return out.reshape(mats.shape), material
 
 
 def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:

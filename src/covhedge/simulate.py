@@ -2,10 +2,10 @@
 
 Reproducibility contract: path i draws from its own Philox stream keyed by
 (seed, path_index), and every path consumes its variates in a fixed,
-documented order.  Results are therefore bitwise independent of the chunk
-size CHUNK_PATHS, of how a path range is split across calls (simulating
-paths [0, P) in one call equals concatenating [0, P1) and [P1, P) simulated
-separately with path_start set accordingly) and of the shard count.
+documented order.  Results are therefore bitwise independent of how a path
+range is split across calls (simulating paths [0, P) in one call equals
+concatenating [0, P1) and [P1, P) simulated separately with path_start set
+accordingly) and of the shard count.
 
 Draw order per path, Wishart diffusion:
     1. matrix Brownian increments, standard normals of shape (n_steps, d, d)
@@ -42,31 +42,32 @@ Kernels
 The panels are stored time major, (N+1, P, ...), and ``SimResult`` shows
 them path major through a transposed view: a step of every path is one
 contiguous block, written once by the kernels and read once per rebalancing
-date by the backtests.  The chunk kernels hold the state paths last: log
-prices as (d, P), Sigma and the running bracket as (d, d, P).  Every matrix
+date by the backtests.  The kernels hold the state paths last: log prices
+as (d, P), Sigma and the running bracket as (d, d, P).  Every matrix
 product in a step is a d-term sum of length-P ufunc products
 (``matcalc.matmul_last``): BLAS is kept off the path axis because its
 results for one column can depend on how many columns share the call,
-which would break chunk invariance.
+which would break partition invariance.
 Each step is written straight into its block of the returned panel.
 
 ``simulate`` splits the paths into contiguous shards by the rule and the
 fork protocol of ``covhedge._shards``: shard 0 runs in this process and each
-other shard in a forked child.  A shard must carry _MIN_SHARD_PATH_STEPS
-path-steps, below which the fork costs more than the second core saves.
-When it forks, the three panels live in an anonymous shared mapping, into
-which each child writes its path range, so the parent returns them as they
-are; otherwise they come from np.empty.  A child sends back its shard's
-``clip_count`` only.
+other shard in a forked child, and each shard makes one kernel call on its
+path range.  A shard must carry _MIN_SHARD_PATH_STEPS path-steps, below
+which the fork costs more than the second core saves.  When it forks, the
+three panels live in an anonymous shared mapping, into which each child
+writes its path range, so the parent returns them as they are; otherwise
+they come from np.empty.  A child sends back its shard's ``clip_count``
+only.
 
-A chunk draws from one Philox generator, re-keyed to each path's stream in
-turn (``_path_streams``); re-keying costs about a quarter of building a
-generator, and the variates are the same.  The normals of a path are drawn
-path major into a buffer of _DRAW_TILE paths, which is moved into the
-paths-last draw arrays a tile at a time.  The jump model's per-path jump
-times are drawn unsorted and sorted once per chunk.  The step maps of the
-schemes, the drift flow E = exp(M h) or exp(M h / 2) among them, come from
-``matcalc.lift_flows`` once per call (``_wasc_maps``, ``_bns_maps``),
+A kernel call draws from one Philox generator, re-keyed to each path's
+stream in turn (``_path_streams``); re-keying costs about a quarter of
+building a generator, and the variates are the same.  The normals of a path
+are drawn path major into a buffer of _DRAW_TILE paths, which is moved into
+the paths-last draw arrays a tile at a time.  The jump model's per-path
+jump times are drawn unsorted and sorted once per call.  The step maps of
+the schemes, the drift flow E = exp(M h) or exp(M h / 2) among them, come
+from ``matcalc.lift_flows`` once per call (``_wasc_maps``, ``_bns_maps``),
 before any fork.
 
 The reference kernels in ``tests/oracles.py`` step the same schemes path
@@ -85,8 +86,6 @@ from .matcalc import matmul_last
 
 __all__ = ["SimResult", "simulate"]
 
-# paths per kernel call; the panel is bitwise the same for any value
-CHUNK_PATHS = 8192
 # paths whose draws are made path major into one buffer and then moved to
 # the paths-last draw arrays together (_tiled_streams)
 _DRAW_TILE = 64
@@ -164,8 +163,8 @@ def _tiled_streams(seed: int, idx0: int, outs: tuple):
 def _start(out_y: np.ndarray, out_cov: np.ndarray, out_int: np.ndarray,
            y0: np.ndarray, sigma0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write the initial state into the chunk's panel views and return the
-    paths-last state: y (d, P), Sigma (d, d, P) and the bracket (d, d, P)."""
+    """Write the initial state into the panel views and return the paths-last
+    state: y (d, P), Sigma (d, d, P) and the bracket (d, d, P)."""
     n = out_y.shape[1]
     out_y[0] = y0
     out_cov[0] = sigma0
@@ -190,12 +189,12 @@ def _wasc_maps(params: models.WascParams, h: float) -> tuple:
     return h, e_half, c_half
 
 
-def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
-                         sigma0: np.ndarray, maps: tuple, seed: int,
-                         idx0: int, out_y: np.ndarray, out_cov: np.ndarray,
-                         out_int: np.ndarray) -> int:
-    """Fill the chunk's time-major panel views, with the step maps of
-    _wasc_maps; returns the material repair count."""
+def _wasc_kernel(params: models.WascParams, y0: np.ndarray,
+                 sigma0: np.ndarray, maps: tuple, seed: int, idx0: int,
+                 out_y: np.ndarray, out_cov: np.ndarray,
+                 out_int: np.ndarray) -> int:
+    """Fill the time-major panel views of paths idx0, idx0 + 1, ... with
+    the step maps of _wasc_maps; returns the material repair count."""
     n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
     h, e_half, c_half = maps
@@ -239,14 +238,14 @@ def _simulate_wasc_chunk(params: models.WascParams, y0: np.ndarray,
 def _draw_jumps(params: models.BnsParams, horizon: float, seed: int,
                 idx0: int, xi: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Make every draw of a chunk's n paths, path by path in the documented
-    order: draws 1-4 are returned and each path's price normals (draw 5) go
+    """Make every draw of n paths, path by path in the documented order:
+    draws 1-4 are returned and each path's price normals (draw 5) go
     to xi[..., i], of shape (n_steps, d, n), a tile of paths at a time.
 
-    Returns the chunk's jumps in path-then-time order: each jump's path and
+    Returns their jumps in path-then-time order: each jump's path and
     time, and its Bartlett chi-square variates (n_jumps, d) and normals
     (n_jumps, d, d) in draw order.  The times are drawn unsorted and sorted
-    within each path by one lexsort of the chunk; as the marks do not depend
+    within each path by one lexsort of them all; as the marks do not depend
     on the times, the sorted k-th time of a path goes with its k-th mark."""
     d, n_steps, n = params.d, xi.shape[0], xi.shape[-1]
     mean_count = params.jump_intensity * horizon
@@ -286,12 +285,12 @@ def _bns_maps(params: models.BnsParams, h: float) -> tuple:
     return h, lift, e_h, k_h
 
 
-def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
-                        sigma0: np.ndarray, maps: tuple, horizon: float,
-                        seed: int, idx0: int, out_y: np.ndarray,
-                        out_cov: np.ndarray, out_int: np.ndarray) -> None:
-    """Fill the chunk's time-major panel views, with the step maps of
-    _bns_maps.
+def _bns_kernel(params: models.BnsParams, y0: np.ndarray,
+                sigma0: np.ndarray, maps: tuple, horizon: float, seed: int,
+                idx0: int, out_y: np.ndarray, out_cov: np.ndarray,
+                out_int: np.ndarray) -> None:
+    """Fill the time-major panel views of paths idx0, idx0 + 1, ... with
+    the step maps of _bns_maps.
 
     The covariance flow is linear between jumps, so a step's end state and
     its integral I are the jump-free flow of the step, plus each jump's mark
@@ -299,7 +298,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     covariance path, the step's diffusive log-price increment is Gaussian
     with covariance I: one Brownian vector per step.  The terms of every
     jump come from one batch of ``matcalc.lift_flows``' first two series per
-    chunk.
+    call.
     """
     n_steps, n = out_y.shape[0] - 1, out_y.shape[1]
     d = params.d
@@ -328,7 +327,7 @@ def _simulate_bns_chunk(params: models.BnsParams, y0: np.ndarray,
     del flow, integral, marks, vec_j
     # a stable sort by step keeps each path's jumps in time order, and
     # np.add.at adds repeated paths in index order: a path's sums never
-    # depend on the other paths of the chunk
+    # depend on the other paths of the call
     by_step = np.argsort(ev_step, kind="stable")
     bounds = np.searchsorted(ev_step[by_step], np.arange(n_steps + 1))
 
@@ -375,23 +374,18 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
     cov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
     intcov = _shards.empty((n_steps + 1, n_paths, d, d), shared)
 
-    # the step maps are the same for every chunk and shard: made once here,
+    # the step maps are the same for every shard: made once here,
     # before any fork, and a forked shard inherits them
     maps = (_wasc_maps if params.kind == "wasc" else _bns_maps)(params, h)
 
     def shard(lo: int, hi: int) -> int:
-        clip = 0
-        for start in range(lo, hi, CHUNK_PATHS):
-            sl = slice(start, min(start + CHUNK_PATHS, hi))
-            views = (log_spot[:, sl], cov[:, sl], intcov[:, sl])
-            if params.kind == "wasc":
-                clip += _simulate_wasc_chunk(params, state.log_spot,
-                                             state.cov, maps, seed,
-                                             path_start + start, *views)
-            else:
-                _simulate_bns_chunk(params, state.log_spot, state.cov, maps,
-                                    span, seed, path_start + start, *views)
-        return clip
+        views = (log_spot[:, lo:hi], cov[:, lo:hi], intcov[:, lo:hi])
+        if params.kind == "wasc":
+            return _wasc_kernel(params, state.log_spot, state.cov, maps,
+                                seed, path_start + lo, *views)
+        _bns_kernel(params, state.log_spot, state.cov, maps, span, seed,
+                    path_start + lo, *views)
+        return 0
 
     clip = sum(_shards.run(shard, n_paths, n_shards, "simulate"))
     times = state.t + h * np.arange(n_steps + 1)

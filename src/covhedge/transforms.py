@@ -77,14 +77,14 @@ skipped mass.
   whose eigenvector basis, or its dominant lower block Q_2D, has 1-norm
   condition number above 1e10 is off the eigen route and takes the lower
   rows of its flow exp(s Ham) from ``matcalc.lift_flows`` as Z; no
-  benchmark lattice has such a node.  For d <= 2 the eigendecomposition
+  benchmark lattice has such a node.  For d = 2 the eigendecomposition
   is closed-form: the eigenvalues of a Hamiltonian matrix come in pairs
-  +-lam (Van Loan 1984), so lam^2 solves a polynomial of degree d, the
-  eigenvectors come from the spectral projectors, and each row of q^{-1}
-  from the eigenvector of the paired mode -lam (``_eigenpairs``).  LAPACK
-  eig took about 18 us a node; without it the benchmark's diffusion strip
-  share went from 0.71 to 0.45 s (medians of 10 paired runs, 2-core VM).
-  d > 2 takes np.linalg.eig.  For the jump model the operator
+  +-lam (Van Loan 1984), so lam^2 solves a quadratic, the eigenvectors
+  come from the spectral projectors, and each row of q^{-1} from the
+  eigenvector of the paired mode -lam (``_eigenpairs``).  LAPACK eig took
+  about 18 us a node; without it the benchmark's diffusion strip share
+  went from 0.71 to 0.45 s (medians of 10 paired runs, 2-core VM).  Every
+  other d takes np.linalg.eig.  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs the Wishart MGF
   at every (node, s), whose strip flag and log-determinant come from the
@@ -96,7 +96,8 @@ skipped mass.
   inverses are unrolled sums of ufunc products over those rows
   (``matcalc.matmul_last``, ``det_last``, ``adj_last``), so no batched @,
   einsum or LAPACK call runs on the node axis; the exceptions are the
-  eigendecomposition for d > 2 and the flow of a node off the eigen route.
+  eigendecomposition for d != 2 and the flow of a node off the eigen
+  route.
   numpy's complex product is not bitwise commutative, and numpy may swap
   its factors to reuse a right-hand temporary of 256 KiB or more, so a
   product whose right factor could be such a temporary would make an
@@ -154,8 +155,8 @@ PHI_PANEL_WIDTH = 0.125
 BLOCK_POINTS = 4096
 _PANEL_RULE = np.polynomial.legendre.leggauss(PHI_PANEL_NODES)
 # 1-norm condition numbers of the eigen route, one inverse each (by
-# cofactors, and by LU for the basis at d > 2; an n x n matrix's lies within
-# a factor n of the 2-norm one); singular input fails
+# cofactors, and by LU for the basis at d != 2; an n x n matrix's lies
+# within a factor n of the 2-norm one); singular input fails
 _EIGVEC_COND_MAX = 1e10
 # largest |psi| entry of a valid point ("Moment explosion" above)
 _BLOWUP_LIMIT = 1e12
@@ -238,13 +239,12 @@ class _Spectrum(NamedTuple):
     """Eigen-split of Ham(u) for a stack of nodes: eigenvalues lam (B, 2d)
     with the d dominant modes (largest real parts) first, eigenvectors q
     (B, 2d, 2d) as columns of unit 2-norm in the same order, and qinv =
-    q^{-1}.  For d <= 2 they are closed-form (``_eigenpairs``): lam =
-    +-sqrt(mu) over the roots mu of mu^d - (tr Ham^2 / 2) mu^{d-1} + ...
-    (for d = 2 the last term is det Ham), q comes from the spectral
-    projectors P_j = q[:, j] qinv[j, :], and qinv from q's columns of the
-    paired modes.  ok is False where the basis is not finite, or it or its
-    dominant lower block Q_2D has 1-norm condition number above 1e10 (the
-    flow fallback)."""
+    q^{-1}.  For d = 2 they are closed-form (``_eigenpairs``): lam =
+    +-sqrt(mu) over the roots mu of mu^2 - (tr Ham^2 / 2) mu + det Ham, q
+    comes from the spectral projectors P_j = q[:, j] qinv[j, :], and qinv
+    from q's columns of the paired modes.  ok is False where the basis is
+    not finite, or it or its dominant lower block Q_2D has 1-norm condition
+    number above 1e10 (the flow fallback)."""
 
     ham: np.ndarray
     lam: np.ndarray
@@ -258,17 +258,16 @@ class _Spectrum(NamedTuple):
 
 def _eigenpairs(ham: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (lam, q, qinv) of a (B, 2d, 2d) stack of Hamiltonian
-    matrices, d <= 2.
+    """Closed-form (lam, q, qinv) of a (B, 4, 4) stack of Hamiltonian
+    matrices, d = 2.
 
     The eigenvalues come in pairs +-lam with mu = lam^2 a root of
-    mu - tr(Ham^2)/2 for d = 1 and of mu^2 - (tr(Ham^2)/2) mu + det Ham for
-    d = 2, the larger root from the sign that avoids cancellation and the
-    smaller as det Ham over it.  lam is the principal root sqrt(mu), so
-    the d modes of real part >= 0 come first.  The spectral projector of
-    lam_j is (Ham + lam_j) / (2 lam_j) for d = 1 and
-    (Ham + lam_j)(Ham^2 - mu') / (2 lam_j (mu_j - mu')) for d = 2, with mu'
-    the other root.  It is x_j y_j' with y_j' x_j = 1, so its column c of
+    mu^2 - (tr(Ham^2)/2) mu + det Ham, the larger root from the sign that
+    avoids cancellation and the smaller as det Ham over it.  lam is the
+    principal root sqrt(mu), so the d modes of real part >= 0 come first.
+    The spectral projector of lam_j is
+    (Ham + lam_j)(Ham^2 - mu') / (2 lam_j (mu_j - mu')), with mu' the other
+    root.  It is x_j y_j' with y_j' x_j = 1, so its column c of
     largest diagonal entry scaled to unit 2-norm is the eigenvector (as
     LAPACK scales it, up to a phase).  The rows of q^{-1} need no projector
     row: J Ham is symmetric, J = [[0, I], [-I, 0]], so Ham' J x = -J Ham x
@@ -301,38 +300,28 @@ def _eigenpairs(ham: np.ndarray
     h2 = matcalc.matmul_last(h, h)
     diag = np.arange(m)
     half = 0.5 * sum(h2[i, i] for i in diag)
-    if d == 1:
-        root = np.sqrt(half)[None]
-        lam = np.concatenate([root, -root])
-        scale = 2.0 * lam
-        pdiag = h[diag, diag] + lam[:, None]
-    else:
-        det = matcalc.det_last(h)
-        disc = np.sqrt(half * half - 4.0 * det)
-        disc = np.where((half.conj() * disc).real < 0.0, -disc, disc)
-        big = 0.5 * (half + disc)
-        mu = np.stack([big, det / big])
-        root = np.sqrt(mu)
-        lam = np.concatenate([root, -root])
-        mu_o = np.tile(mu[::-1], (2, 1))[:, None]
-        scale = 2.0 * lam * (np.tile(mu, (2, 1)) - mu_o[:, 0])
-        # (Ham + lam)(Ham^2 - mu') = Ham^3 + lam Ham^2 - mu' Ham - lam mu'
-        h3d = sum(h2[:, i] * h[i] for i in diag)          # Ham^3[r, r]
-        pdiag = (h3d + lam[:, None] * h2[diag, diag]
-                 - (h[diag, diag] + lam[:, None]) * mu_o)
+    det = matcalc.det_last(h)
+    disc = np.sqrt(half * half - 4.0 * det)
+    disc = np.where((half.conj() * disc).real < 0.0, -disc, disc)
+    big = 0.5 * (half + disc)
+    mu = np.stack([big, det / big])
+    root = np.sqrt(mu)
+    lam = np.concatenate([root, -root])
+    mu_o = np.tile(mu[::-1], (2, 1))[:, None]
+    scale = 2.0 * lam * (np.tile(mu, (2, 1)) - mu_o[:, 0])
+    # (Ham + lam)(Ham^2 - mu') = Ham^3 + lam Ham^2 - mu' Ham - lam mu'
+    h3d = sum(h2[:, i] * h[i] for i in diag)              # Ham^3[r, r]
+    pdiag = (h3d + lam[:, None] * h2[diag, diag]
+             - (h[diag, diag] + lam[:, None]) * mu_o)
     pdiag /= scale[:, None]                               # P_j[r, r]
     c = np.argmax(np.abs(pdiag), axis=1)                  # (2d, B)
     # column c_j of a (2d, 2d, B) stack per mode j, gathered from its flat
     # entries; e[j, i] is 1 where i = c_j
     at = (c * n + np.arange(n))[:, None] + diag[:, None] * (m * n)
     e = c[:, None] == diag[:, None]
-    # P_j e_c = (Ham + lam) v / scale with v = g(Ham) e_c, g(Ham) = I
-    # (d = 1) or Ham^2 - mu' (d = 2)
-    if d == 1:
-        col = np.take(h, at) + lam[:, None] * e
-    else:
-        v = np.take(h2, at) - mu_o * e
-        col = matcalc.matmul_last(v, h.swapaxes(0, 1)) + lam[:, None] * v
+    # P_j e_c = (Ham + lam) v / scale with v = (Ham^2 - mu') e_c
+    v = np.take(h2, at) - mu_o * e
+    col = matcalc.matmul_last(v, h.swapaxes(0, 1)) + lam[:, None] * v
     col /= scale[:, None]
     # P_j of Ham is S P_j S^{-1} of the balanced one
     col[:, d:] /= r
@@ -360,11 +349,11 @@ def _cond_ok(a: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
-    """The eigen-split of Ham(u), closed-form for d <= 2 and from
-    np.linalg.eig above (see _Spectrum)."""
+    """The eigen-split of Ham(u), closed-form for d = 2 and from
+    np.linalg.eig otherwise (see _Spectrum)."""
     d = params.d
     ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
-    if d <= 2:
+    if d == 2:
         lam, q, qinv = _eigenpairs(ham)
         ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
         # a true inverse of q, not |q|_1 |qinv|_1: the closed-form qinv is

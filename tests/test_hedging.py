@@ -18,28 +18,47 @@ from covhedge import (_shards, gbm, matcalc, models, payoffs, simulate,
 from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
-from conftest import (ALPHA_REF, M_REF, RHO_REF, S0_REF, SIGMA0_REF,
-                      inadmissible_params)
+from conftest import (ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF, SIGMA0_3,
+                      SIGMA0_REF, inadmissible_params, three_asset_params)
 
 N_PATHS = 12
 N_STEPS = 4
+STATE_3 = models.MarketState.from_spot(t=0.0, spot=S0_3, cov=SIGMA0_3)
+
+
+def prepared_hedge(params, state, strikes):
+    """A prepared FourierHedge of a cc quadrant on assets (0, 1) on a small
+    panel."""
+    kernel = payoffs.quadrant_option(params.d, "cc", (0, 1), strikes)
+    rate = pricing.integrated_cov_rate(params, state, 1.0)
+    contour = payoffs.build_contour(
+        kernel, nodes_per_dim=4,
+        decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
+    sim = simulate.simulate(params, state, 1.0, N_STEPS, N_PATHS, seed=5)
+    cache = backtest.BasisCache(params, contour.model_args, 1.0)
+    cache.prepare(sim)
+    hedge = backtest.FourierHedge(params, cache, contour.weights)
+    hedge.prepare(sim)
+    return params, sim, cache, hedge, cache.weight_mask(contour.weights)
 
 
 @pytest.fixture(params=["wasc", "bns"])
 def hedged(request, wasc_ref, bns_ref, state_ref):
     """A prepared FourierHedge of an ATM cc quadrant on a small panel."""
     params = wasc_ref if request.param == "wasc" else bns_ref
-    kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
-    rate = pricing.integrated_cov_rate(params, state_ref, 1.0)
-    contour = payoffs.build_contour(
-        kernel, nodes_per_dim=4,
-        decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
-    sim = simulate.simulate(params, state_ref, 1.0, N_STEPS, N_PATHS, seed=5)
-    cache = backtest.BasisCache(params, contour.model_args, 1.0)
-    cache.prepare(sim)
-    hedge = backtest.FourierHedge(params, cache, contour.weights)
-    hedge.prepare(sim)
-    return params, sim, cache, hedge, cache.weight_mask(contour.weights)
+    return prepared_hedge(params, state_ref, (100.0, 100.0))
+
+
+@pytest.fixture(params=["wasc", "bns", "wasc-d3", "bns-d3"])
+def hedged_any_d(request, wasc_ref, bns_ref, state_ref):
+    """The hedge of ``hedged``, and the ATM cc quadrant on assets (0, 1) of
+    the three-asset sets, whose positions solve d = 3 systems."""
+    kind, _, three = request.param.partition("-")
+    if three:
+        return prepared_hedge(three_asset_params(kind), STATE_3,
+                              (S0_3[0], S0_3[1]))
+    return prepared_hedge(wasc_ref if kind == "wasc" else bns_ref, state_ref,
+                          (100.0, 100.0))
 
 
 def lattice_phi(cache, sim):
@@ -218,8 +237,8 @@ class TestScaledCis:
 
 class TestFourierHedge:
     @pytest.mark.parametrize("k", [0, N_STEPS - 1])
-    def test_positions_sum_gkw_theta_over_contour(self, hedged, k):
-        params, sim, cache, hedge, weights = hedged
+    def test_positions_sum_gkw_theta_over_contour(self, hedged_any_d, k):
+        params, sim, cache, hedge, weights = hedged_any_d
         spot = np.exp(sim.log_spot[:, k])
         got = hedge.positions(k, spot, sim.log_spot[:, k], sim.cov[:, k])
         tau = 1.0 - sim.times[k]
@@ -721,6 +740,42 @@ class TestGbmDeltaHedge:
                 hedge.prepare(sim)
         backtest.GbmDeltaHedge("cc", (100.0, 100.0), (0.3, 0.3), 0.5,
                                1.0).prepare(sim)
+
+
+class TestGridTolerance:
+    """Every strategy compares the panel's grid with its own by one
+    absolute rule, 1e-12: the 50 dates of a horizon-1.000005 panel lie up
+    to 5e-6 off the horizon-1 grid, inside np.allclose's rtol of 1e-5,
+    and all four refuse them."""
+
+    def strategies(self, params, state, sim):
+        """The four strategies of an ATM cc quadrant and a (0, 1) swap
+        with horizon 1 on 50 dates, the basis cache prepared on sim."""
+        kernel = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+        rate = pricing.integrated_cov_rate(params, state, 1.0)
+        contour = payoffs.build_contour(
+            kernel, nodes_per_dim=4,
+            decay=payoffs.suggest_decay(kernel, rate, 1.0, 4))
+        cache = backtest.BasisCache(params, contour.model_args, 1.0)
+        cache.prepare(sim)
+        system = covswap.wasc_covswap_system(params, SIGMA0_REF, 1.0, (0, 1),
+                                             50)
+        return [backtest.BasisCache(params, contour.model_args, 1.0),
+                backtest.FourierHedge(params, cache, contour.weights),
+                backtest.GbmDeltaHedge("cc", (100.0, 100.0), (0.3, 0.3), 0.5,
+                                       1.0),
+                backtest.CovswapHedge(system, params)]
+
+    def test_a_grid_5e6_off_is_refused_by_all(self, wasc_ref, state_ref):
+        on, off = (simulate.simulate(wasc_ref, state_ref, horizon, 50, 2,
+                                     seed=5) for horizon in (1.0, 1.000005))
+        assert np.allclose(off.times, on.times)
+        for strategy in self.strategies(wasc_ref, state_ref, on):
+            with pytest.raises(ValueError,
+                               match="must match the simulation"):
+                strategy.prepare(off)
+        for strategy in self.strategies(wasc_ref, state_ref, on):
+            strategy.prepare(on)
 
 
 SWAP_PATHS = 4096

@@ -104,7 +104,7 @@ class TestPsd:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sqrt_every_branch_on_a_stack(self, d):
-        # d = 1 and d = 2 have closed forms, d = 3 goes through eigh; the
+        # d = 2 has a closed form, d = 1 and d = 3 go through eigh; the
         # stack holds full-rank, rank-one and zero matrices
         rng = np.random.default_rng(20 + d)
         stack = np.stack([rand_psd(d, rng) for _ in range(4)]
@@ -152,6 +152,48 @@ class TestPsd:
         for f, w in zip(fixed[1:], spectra[1:]):
             want = (q * np.clip(w, 0.0, None)) @ q.T
             np.testing.assert_allclose(f, want, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repair_where_sylvester_and_lambda_min_disagree(self, d):
+        # PSD-singular matrices fail Sylvester's criterion (a zero pivot)
+        # with lambda_min = 0, and a nan matrix fails it with lambda_min
+        # nan: none may be repaired, and the all-nan 3 x 3 one, on which
+        # eigh may not converge, must not reach it.  The repaired set and
+        # the material count are those of the rule lambda_min < 0 by
+        # eigvalsh
+        rng = np.random.default_rng(50 + d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rest = np.linspace(1.0, 2.0, d - 1)
+        singular = {2: [np.diag([0.0, 1.0])],
+                    3: [np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                  [0.0, 0.0, 0.0]])]}[d]
+        nan = {2: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+               3: np.full((3, 3), np.nan)}[d]
+        unrepaired = [rand_psd(d, rng)] + singular + [nan]
+        indefinite = [matcalc.sym_part((q * np.r_[w, rest]) @ q.T)
+                      for w in (-1e-13, -0.25)]
+        stack = np.stack(unrepaired + indefinite)
+        for m in singular + [nan]:
+            assert not np.all(np.array(matcalc.elimination_pivots(m)) > 0.0)
+
+        finite = np.all(np.isfinite(stack), axis=(1, 2))
+        lmin = np.full(len(stack), np.nan)
+        lmin[finite] = np.linalg.eigvalsh(stack[finite])[:, 0]
+        want = lmin < 0.0
+        assert np.array_equal(want, np.arange(len(stack)) >= len(unrepaired))
+        scale = np.abs(stack).max(axis=(1, 2))
+        fixed, material = matcalc.psd_repair(stack)
+        assert material == np.count_nonzero(-lmin > matcalc.PSD_RTOL * scale)
+        assert np.array_equal(fixed[~want], stack[~want], equal_nan=True)
+        for f, m in zip(fixed[want], stack[want]):
+            assert not np.array_equal(f, m)
+            w, v = np.linalg.eigh(m)
+            np.testing.assert_allclose(f, (v * np.clip(w, 0.0, None)) @ v.T,
+                                       atol=1e-12)
+
+        same = stack[~want]
+        kept, none = matcalc.psd_repair(same)
+        assert kept is same and none == 0
 
     def test_tolerance_scales_with_norm(self):
         assert matcalc.psd_tolerance(np.eye(2)) == pytest.approx(1e-10)

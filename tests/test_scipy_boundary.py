@@ -98,8 +98,9 @@ print(json.dumps(refused))
 
 
 def test_scipy_loads_only_where_it_is_called(wasc_ref, bns_ref, state_ref):
-    # the Jordan-block set of test_defective_hamiltonian_falls_back_to_expm:
-    # every node of it is off the eigen route
+    # the Jordan-block set of test_defective_hamiltonian_falls_back_to_expm,
+    # whose fallback flow comes from matcalc.lift_flows: every node of it is
+    # off the eigen route
     jordan = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
                                                        [0.0, -1.0]]),
                                vol_of_vol=np.zeros((2, 2)),

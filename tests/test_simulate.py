@@ -24,8 +24,8 @@ from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF,
 N_PATHS = 6000
 N_STEPS = 200
 
-# the three-asset sets: d > 2 takes the eigendecomposition branches of
-# sqrt_psd and psd_repair
+# the three-asset sets: d > 2 takes the eigendecomposition branch of
+# sqrt_psd, and psd_repair repairs the wasc states by eigh
 STATE_3 = models.MarketState.from_spot(t=0.0, spot=S0_3, cov=SIGMA0_3)
 WASC_3 = three_asset_params("wasc")
 BNS_3 = three_asset_params("bns")
@@ -91,17 +91,6 @@ class TestDeterminism:
         assert np.array_equal(a.integrated_cov, b.integrated_cov)
 
     @pytest.mark.parametrize("model", ["wasc", "bns"])
-    def test_chunk_size_invariance(self, model, wasc_ref, bns_ref, state_ref,
-                                   monkeypatch):
-        params = wasc_ref if model == "wasc" else bns_ref
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", 7)
-        a = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9)
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", 64)
-        b = simulate.simulate(params, state_ref, 1.0, 40, 130, seed=9)
-        assert np.array_equal(a.log_spot, b.log_spot)
-        assert np.array_equal(a.cov, b.cov)
-
-    @pytest.mark.parametrize("model", ["wasc", "bns"])
     def test_partition_invariance(self, model, wasc_ref, bns_ref, state_ref):
         params = wasc_ref if model == "wasc" else bns_ref
         full = simulate.simulate(params, state_ref, 1.0, 40, 40, seed=9)
@@ -158,9 +147,7 @@ class TestShards:
 
     def test_panels_independent_of_the_shard_count(self, params, state_ref,
                                                    monkeypatch):
-        # 130 paths in 3 shards is a ragged 43 / 43 / 44 split, each swept
-        # in chunks of 16
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", 16)
+        # 130 paths in 3 shards is a ragged 43 / 43 / 44 split
         forks = count_forks(monkeypatch)
         runs = []
         for n in (1, 2, 3):
@@ -176,9 +163,8 @@ class TestShards:
                                                         state_ref,
                                                         monkeypatch):
         # the second of two shards, paths [65, 130), runs in a child
-        chunk = ("_simulate_wasc_chunk" if params.kind == "wasc"
-                 else "_simulate_bns_chunk")
-        kernel = getattr(simulate, chunk)
+        name = "_wasc_kernel" if params.kind == "wasc" else "_bns_kernel"
+        kernel = getattr(simulate, name)
 
         def failing(*args):
             idx0 = args[-4]
@@ -186,7 +172,7 @@ class TestShards:
                 raise ValueError(f"shown path {idx0}")
             return kernel(*args)
 
-        monkeypatch.setattr(simulate, chunk, failing)
+        monkeypatch.setattr(simulate, name, failing)
         shards(monkeypatch, 2)
         with pytest.raises(ValueError, match="shown path 70") as err:
             self.run(params, state_ref)
@@ -249,7 +235,7 @@ class TestShards:
 
 
 class TestStreams:
-    """A chunk re-keys one generator per path; each path must still draw
+    """A kernel call re-keys one generator per path; each path must still draw
     exactly its own fresh stream, in the documented order."""
 
     SEED, IDX0, N, STEPS = 2**40 + 3, 1000, 100, 6
@@ -416,15 +402,16 @@ class TestBnsExactness:
             assert np.max(np.abs(sim.integrated_cov[0, k] - exact_int)) < 1e-10
 
     def test_jump_steps_preserve_partition_invariance(self, bns_ref,
-                                                      state_ref, monkeypatch):
+                                                      state_ref):
         # coarse grid forces several jumps per step; the per-path stream
         # must still be independent of how paths are batched
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", 11)
-        a = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42)
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", 60)
-        b = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42)
-        assert np.array_equal(a.log_spot, b.log_spot)
-        assert np.array_equal(a.integrated_cov, b.integrated_cov)
+        full = simulate.simulate(bns_ref, state_ref, 1.0, 5, 60, seed=42)
+        parts = [simulate.simulate(bns_ref, state_ref, 1.0, 5, hi - lo,
+                                   seed=42, path_start=lo)
+                 for lo, hi in ((0, 11), (11, 60))]
+        for field in ("log_spot", "integrated_cov"):
+            assert np.array_equal(getattr(full, field), np.concatenate(
+                [getattr(part, field) for part in parts]))
 
 
 class TestCoarseGrid:
@@ -511,8 +498,9 @@ def model_sets(wasc_ref, bns_ref, state_ref):
 
 class TestReferenceKernels:
     """The paths-last kernels against the path-major reference kernels of
-    ``oracles``.  Five steps put several jumps into some steps; one step
-    puts every jump into the last step."""
+    ``oracles``, the reference range simulated in calls of ``width`` paths:
+    one path, a ragged split and one call.  Five steps put several jumps
+    into some steps; one step puts every jump into the last step."""
 
     @pytest.fixture(scope="class")
     def reference(self, model_sets):
@@ -525,32 +513,36 @@ class TestReferenceKernels:
                        REF_START)
         return paths
 
-    @pytest.mark.parametrize("chunk", [1, 7, REF_PATHS])
+    @pytest.mark.parametrize("width", [1, 7, REF_PATHS])
     @pytest.mark.parametrize("kind,d,n_steps", [
         ("wasc", 2, 30), ("wasc", 3, 30), ("bns", 2, 30), ("bns", 3, 30),
         ("bns", 2, 5), ("bns", 2, 1)])
-    def test_matches_reference(self, kind, d, n_steps, chunk, model_sets,
-                               reference, monkeypatch):
+    def test_matches_reference(self, kind, d, n_steps, width, model_sets,
+                               reference):
         params, state = model_sets[kind, d]
-        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
-        sim = simulate.simulate(params, state, 1.0, n_steps, REF_PATHS,
-                                seed=REF_SEED, path_start=REF_START)
         ys, covs, intcov, clip = reference(kind, d, n_steps)
-        assert np.max(np.abs(sim.log_spot - ys)) <= 1e-12
-        assert np.max(np.abs(sim.cov - covs)) <= 1e-12
-        assert np.max(np.abs(sim.integrated_cov - intcov)) <= 1e-12
-        assert sim.clip_count == clip
+        clips = 0
+        for lo in range(0, REF_PATHS, width):
+            sim = simulate.simulate(params, state, 1.0, n_steps,
+                                    min(width, REF_PATHS - lo),
+                                    seed=REF_SEED, path_start=REF_START + lo)
+            rows = slice(lo, lo + width)
+            assert np.max(np.abs(sim.log_spot - ys[rows])) <= 1e-12
+            assert np.max(np.abs(sim.cov - covs[rows])) <= 1e-12
+            assert np.max(np.abs(sim.integrated_cov - intcov[rows])) <= 1e-12
+            clips += sim.clip_count
+        assert clips == clip
 
 
 class TestMemory:
-    """simulate writes each chunk straight into the panel it returns: the
+    """simulate's kernels write straight into the panel it returns: the
     traced peak stays within the panel, half a panel of working set and the
-    per-path draws.  Holding the panel twice (a chunk built in its own
+    per-path draws.  Holding the panel twice (a shard built in its own
     arrays, then copied) breaks the bound.  When it forks, the panel sits in
     a shared mapping that tracemalloc does not see, and this process sweeps
     one shard: its peak stays within that shard's working set and draws, so
     a copy of the child's half of the panel breaks the bound.  The
-    reference grid is used because the jump model's per-chunk jump terms
+    reference grid is used because the jump model's per-call jump terms
     scale with the number of jumps, not of steps."""
 
     N_PATHS, D = 1024, 2

@@ -480,8 +480,9 @@ class TestTransformGrid:
 
     def test_defective_hamiltonian_valid_at_long_maturity(self):
         # without vol-of-vol the covariance is deterministic and every
-        # moment is finite; at tau = 600 the expm rows of the fallback reach
-        # 1e261, so det Theta_22 itself overflows, yet psi is the flow map's
+        # moment is finite; at tau = 600 the rows of the fallback's flow
+        # (matcalc.lift_flows) reach 1e261, so det Theta_22 itself
+        # overflows, yet psi is the flow map's
         params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
                                                            [0.0, -1.0]]),
                                    vol_of_vol=np.zeros((2, 2)),
@@ -596,9 +597,9 @@ class TestClosedFormPhi:
         assert np.max(np.abs(closed.phi[ok] - quad.phi[ok])) < 1e-9
 
     def test_defective_frozen_set_falls_back_with_zero_alpha(self):
-        # a Jordan-block drift without vol-of-vol: every node takes the expm
-        # fallback, where alpha counts as 0, and the remainder omega -
-        # 0 A'A = alpha A'A is zero, so no node needs the panel rule
+        # a Jordan-block drift without vol-of-vol: every node takes the
+        # lift_flows fallback, where alpha counts as 0, and the remainder
+        # omega - 0 A'A = alpha A'A is zero, so no node needs the panel rule
         params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
                                                            [0.0, -1.0]]),
                                    vol_of_vol=np.zeros((2, 2)),
@@ -668,26 +669,20 @@ def strip_nodes(params, state):
 
 
 class TestClosedFormSpectrum:
-    """For d <= 2 the eigenpairs of Ham come in closed form from the roots
+    """For d = 2 the eigenpairs of Ham come in closed form from the roots
     mu = lam^2 and the spectral projectors, with no LAPACK eig; psi and
     log det Theta_22 of the factored flow agree with the eig route."""
 
     S_VALUES = np.array([0.05, 0.5, 1.0])
 
-    @pytest.mark.parametrize("case", ["reference", "frozen", "exploding"])
+    @pytest.mark.parametrize("case", ["reference", "frozen"])
     def test_matches_eig_route(self, case, wasc_ref, state_ref):
         params, state = {
             "reference": (wasc_ref, state_ref),
             "frozen": (models.WascParams(d=2, mean_rev=M_REF,
                                          vol_of_vol=np.zeros((2, 2)),
                                          leverage=RHO_REF, alpha=ALPHA_REF),
-                       state_ref),
-            # the d = 1 set of test_hedging.exploding_call
-            "exploding": (models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
-                                            vol_of_vol=np.eye(1),
-                                            leverage=np.zeros(1), alpha=1.0),
-                          models.MarketState.from_spot(0.0, [100.0],
-                                                       [[0.04]]))}[case]
+                       state_ref)}[case]
         nodes = strip_nodes(params, state)
         closed = transforms._spectrum(params, nodes)
         ref = eig_spectrum(params, nodes)
@@ -701,7 +696,7 @@ class TestClosedFormSpectrum:
         assert np.max(np.abs(log_det - log_det_ref)
                       / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
 
-    @pytest.mark.parametrize("case", ["reference", "frozen", "exploding"])
+    @pytest.mark.parametrize("case", ["reference", "frozen"])
     def test_left_rows_invert_the_basis(self, case, wasc_ref, state_ref):
         # row j of q^{-1} is J x_p of the paired mode p over (J x_p)' x_j;
         # it inverts the closed-form basis as closely as LAPACK's inverse
@@ -711,12 +706,7 @@ class TestClosedFormSpectrum:
             "frozen": (models.WascParams(d=2, mean_rev=M_REF,
                                          vol_of_vol=np.zeros((2, 2)),
                                          leverage=RHO_REF, alpha=ALPHA_REF),
-                       state_ref),
-            "exploding": (models.WascParams(d=1, mean_rev=np.zeros((1, 1)),
-                                            vol_of_vol=np.eye(1),
-                                            leverage=np.zeros(1), alpha=1.0),
-                          models.MarketState.from_spot(0.0, [100.0],
-                                                       [[0.04]]))}[case]
+                       state_ref)}[case]
         nodes = strip_nodes(params, state)
         closed = transforms._spectrum(params, nodes)
         ref = eig_spectrum(params, nodes)
@@ -729,8 +719,9 @@ class TestClosedFormSpectrum:
 
     def test_defective_basis_still_falls_back(self):
         # the Jordan-block set of test_defective_hamiltonian_falls_back_to_
-        # expm: its basis is singular to working precision, and every node
-        # leaves the eigen route
+        # expm, whose fallback flow comes from matcalc.lift_flows: its basis
+        # is singular to working precision, and every node leaves the eigen
+        # route
         params = models.WascParams(d=2, mean_rev=np.array([[-1.0, 1.0],
                                                            [0.0, -1.0]]),
                                    vol_of_vol=np.zeros((2, 2)),
@@ -786,10 +777,6 @@ class TestClosedFormSpectrum:
             grid = transforms.transform_grid(params, [0.5, 1.0],
                                              np.stack(CONTOUR_NODES))
             assert np.all(grid.valid)
-        one = models.WascParams(d=1, mean_rev=-np.eye(1), vol_of_vol=np.eye(1),
-                                leverage=[-0.5], alpha=1.0)
-        assert np.all(transforms.transform_grid(one, [1.0],
-                                                [[1.5 + 2.0j]]).valid)
         three = models.WascParams(d=3, mean_rev=-2.0 * np.eye(3),
                                   vol_of_vol=0.2 * np.eye(3),
                                   leverage=np.zeros(3), alpha=3.0)
