@@ -17,7 +17,7 @@ hedging     Fourier prices, dynamic hedges and their backtests, covariance
             swaps
 
 Importing covhedge, or any module but gbm, loads numpy only; scipy loads
-with the spread kernel and the GBM comparator.
+only with the GBM comparator.
 """
 
 __version__ = "0.1.0"

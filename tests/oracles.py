@@ -22,6 +22,8 @@ checked against themselves:
 * ``gbm_transform``      -- moment transform of a constant-covariance
                             lognormal law, the frozen law of the payoff
                             tests
+* ``spread_transform``   -- Hurd & Zhou's spread transform as one exp of
+                            ``scipy.special.loggamma`` values
 * ``bvn_quadrature``     -- bivariate normal CDF by direct 2-D quadrature
 * ``quadrant_price_quadrature`` -- bivariate lognormal quadrant option price
                             by high-order Gauss-Hermite quadrature
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec, solve_ivp
+from scipy.special import loggamma
 from scipy.stats import norm
 
 from covhedge import matcalc, models
@@ -296,6 +299,15 @@ def gbm_transform(u: np.ndarray, log_spot: np.ndarray, cov: np.ndarray,
     drift = -0.5 * np.diag(cov)
     quad = 0.5 * np.einsum("na,ab,nb->n", u, cov, u)
     return np.exp(u @ (log_spot + tau * drift) + tau * quad)
+
+
+def spread_transform(u: np.ndarray, strike: float) -> np.ndarray:
+    """K^{1-s} G(s-1) G(-u2) / G(u1+1), s = u1 + u2, at nodes u (..., 2),
+    summed in logs so that no factor over- or underflows on its own."""
+    u1, u2 = u[..., 0], u[..., 1]
+    s = u1 + u2
+    return np.exp((1.0 - s) * np.log(strike) + loggamma(s - 1.0)
+                  + loggamma(-u2) - loggamma(u1 + 1.0))
 
 
 def bvn_quadrature(h: float, k: float, rho: float) -> float:

@@ -7,16 +7,19 @@ and the contour construction are validated end to end.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, loggamma
 from scipy.stats import norm
 
 import oracles
 from covhedge import payoffs
+from covhedge.hedging import pricing
 
 Y0 = np.log(np.array([100.0, 95.0]))
 VOLS = np.array([0.25, 0.32])
@@ -179,6 +182,79 @@ class TestTwoAssetKernels:
         ref = lognormal_expect(inner)
         assert fourier_price(ker, nodes_per_dim=48) == pytest.approx(
             ref, rel=1e-3)
+
+
+class TestSpreadGamma:
+    """The spread transform's log-gamma, against closed forms, scipy and
+    scipy's gamma product on the contours that price the spread."""
+
+    @staticmethod
+    def grid(seed=11, size=4000):
+        """Seeded points with Re z in [1e-3, 40] (log-uniform, so the
+        imaginary axis is approached) and |Im z| <= 500."""
+        rng = np.random.default_rng(seed)
+        re = np.exp(rng.uniform(np.log(1e-3), np.log(40.0), size))
+        return re + 1j * rng.uniform(-500.0, 500.0, size)
+
+    def test_log_gamma_at_half_and_integers(self):
+        assert abs(np.exp(payoffs._log_gamma(0.5)) / math.sqrt(math.pi)
+                   - 1.0) <= 1e-15
+        n = np.arange(1, 21)
+        lg = payoffs._log_gamma(n.astype(float))
+        exact = np.array([math.log(math.factorial(k - 1)) for k in n])
+        # relative to the log: exp of a log near 39 rounds Gamma(20) to
+        # about 8e-15 relative whatever the log-gamma's accuracy
+        np.testing.assert_array_less(
+            np.abs(lg.real - exact) / np.maximum(1.0, exact), 1e-15)
+        assert np.all(lg.imag == 0.0)
+
+    def test_log_gamma_conjugate_symmetry(self):
+        z = self.grid()
+        lg = payoffs._log_gamma(z)
+        np.testing.assert_array_equal(payoffs._log_gamma(np.conj(z)),
+                                      np.conj(lg))
+        np.testing.assert_array_equal(
+            np.exp(payoffs._log_gamma(np.conj(z))), np.conj(np.exp(lg)))
+
+    def test_log_gamma_matches_scipy(self):
+        z = self.grid()
+        scale = np.maximum(1.0, np.abs(z) * np.log(np.abs(z)))
+        err = np.abs(payoffs._log_gamma(z) - loggamma(z)) / scale
+        assert err.max() <= 1e-14
+
+    @pytest.mark.parametrize("u", [
+        # Gamma(3.5+480i) and Gamma(1.5+480.5i) underflow, so their ratio
+        # used to overflow; the transform itself is about 1.5e-9
+        [2.5 + 480j, -1.0 + 0.5j],
+        # the transform itself underflows to 0
+        [2.5 + 300j, -1.0 + 300j],
+    ])
+    def test_spread_transform_far_on_the_contour(self, u):
+        u = np.array([u])
+        got = payoffs.spread_option(2, 0, 1, 5.0).transform(u)
+        ref = oracles.spread_transform(u, 5.0)
+        assert np.all(np.isfinite(got))
+        # log-gammas near 2.5e3 in modulus cancel in the exponent, so one
+        # ulp of any of them (4.5e-13) is that much relative in the value
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("nodes", [12, 24, 48])
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_spread_transform_matches_gamma_product(self, model, nodes,
+                                                    request, state_ref):
+        params = request.getfixturevalue(f"{model}_ref")
+        rate = pricing.integrated_cov_rate(params, state_ref, 1.0)
+        for strike in (2.0, 5.0, 8.0, 10.0):
+            ker = payoffs.spread_option(2, 0, 1, strike)
+            decay = payoffs.suggest_decay(ker, rate, 1.0, nodes)
+            # the (0, 1) spread's loading is the identity: its model
+            # arguments are its transform arguments
+            u = payoffs.build_contour(ker, nodes, decay).model_args
+            u1, u2 = u[:, 0], u[:, 1]
+            ref = (strike ** (1.0 - u1 - u2) * gamma(u1 + u2 - 1.0)
+                   * gamma(-u2) / gamma(u1 + 1.0))
+            np.testing.assert_allclose(ker.transform(u), ref, rtol=1e-12,
+                                       atol=0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,8 @@
 """Where covhedge needs scipy: every module but ``gbm`` imports without it,
 and so do simulation, the covariance-swap hedge, Fourier prices of the
-one-sided legs, the Fourier hedge and the transform engine's flow fallback
-for a node off the eigen route.  The spread kernel's gamma function and
-the GBM comparator's normal law load it where they are called.
+one-sided legs and of the spread, the Fourier hedge and the transform
+engine's flow fallback for a node off the eigen route.  Only the GBM
+comparator's normal law loads it, where it is called.
 
 The suite's oracles have loaded scipy into this process, so the checks run
 in a fresh interpreter with scipy refused by a meta path finder."""
@@ -63,9 +63,11 @@ for params, build in ((wasc, covswap.wasc_covswap_system),
         "covswap", backtest.CovswapHedge(system, params),
         covswap.covswap_payoff(system, sim.integrated_cov), 0.0)])
 quadrant = payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0))
+spread = payoffs.spread_option(2, 0, 1, 5.0)
 for params in (wasc, bns):
     pricing.fourier_price(params, state, 1.0, payoffs.call_option(2, 0, 100.0))
     pricing.fourier_price(params, state, 1.0, quadrant)
+    pricing.fourier_price(params, state, 1.0, spread)
     contour = payoffs.build_contour(quadrant, nodes_per_dim=4)
     cache = backtest.BasisCache(params, contour.model_args, 1.0)
     cache.prepare(sims[params.kind])
@@ -87,8 +89,6 @@ def refused_import(call):
 refused = {
     "import gbm": refused_import(
         lambda: importlib.import_module("covhedge.gbm")),
-    "spread_option": refused_import(
-        lambda: payoffs.spread_option(2, 0, 1, 5.0)),
     "GbmDeltaHedge": refused_import(
         lambda: backtest.GbmDeltaHedge("cc", (100.0, 100.0), (0.3, 0.3),
                                        0.5, 1.0)),
@@ -118,5 +118,4 @@ def test_scipy_loads_only_where_it_is_called(wasc_ref, bns_ref, state_ref):
                           capture_output=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
     refused = json.loads(done.stdout.decode().strip().splitlines()[-1])
-    assert refused == {"import gbm": "scipy", "spread_option": "scipy",
-                       "GbmDeltaHedge": "scipy"}
+    assert refused == {"import gbm": "scipy", "GbmDeltaHedge": "scipy"}
