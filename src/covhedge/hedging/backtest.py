@@ -228,6 +228,11 @@ class FourierHedge:
         self.params = params
         self.cache = cache
         self.weights = np.asarray(weights, dtype=complex)
+        # one weight per node: a broadcast scalar would hedge another claim
+        if self.weights.shape != cache.model_args.shape[:1]:
+            raise ValueError(f"weights of shape {self.weights.shape} do not "
+                             f"match the cache's "
+                             f"{cache.model_args.shape[:1]} nodes")
 
     def prepare(self, sim) -> None:
         cache = self.cache

@@ -88,6 +88,7 @@ def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
 def wasc_covswap_system(params: models.WascParams, sigma0: np.ndarray,
                         horizon: float, pair: tuple[int, int],
                         n_steps: int) -> CovswapSystem:
+    sigma0 = models.covariance_state(sigma0, params.d)
     times = _time_grid(horizon, n_steps)
     g_mats, c_vals = _coefficients(params.mean_rev,
                                    _pair_matrix(params.d, pair),
@@ -114,6 +115,7 @@ def _wishart_pair_mean(theta: np.ndarray, n: float, i: int, j: int):
 def bns_covswap_system(params: models.BnsParams, sigma0: np.ndarray,
                        horizon: float, pair: tuple[int, int],
                        n_steps: int) -> CovswapSystem:
+    sigma0 = models.covariance_state(sigma0, params.d)
     i, j = pair
     times = _time_grid(horizon, n_steps)
     drive = params.jump_mean()                    # covariance drift from jumps
@@ -172,6 +174,7 @@ def wasc_covswap_variance(params: models.WascParams, sigma0: np.ndarray,
     variance rate 4 Tr(G Sigma G V_perp); taking expectations moves the
     mean covariance flow inside the trace.
     """
+    sigma0 = models.covariance_state(sigma0, params.d)
     ts = _time_grid(horizon, _SIMPSON_INTERVALS)
     g_mats, _ = _coefficients(params.mean_rev, _pair_matrix(params.d, pair),
                               params.omega, horizon - ts)

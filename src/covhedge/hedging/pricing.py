@@ -35,6 +35,7 @@ def fourier_price(params, state: models.MarketState, horizon: float,
     number when they carry more than payoffs.MAX_SKIP_MASS of the contour
     weight.
     """
+    models.require_dimension(params, state)
     tau = horizon - state.t
     decay = payoffs.suggest_decay(
         kernel, integrated_cov_rate(params, state, horizon), tau,

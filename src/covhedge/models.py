@@ -38,6 +38,8 @@ __all__ = [
     "WascParams",
     "BnsParams",
     "MarketState",
+    "covariance_state",
+    "require_dimension",
     "IntegratedMeanMap",
     "wishart_mgf",
     "jump_covariation",
@@ -239,17 +241,7 @@ class MarketState:
         if not np.all(np.isfinite(self.log_spot)):
             raise ValueError("log_spot must be finite: every spot must be "
                              "positive and finite")
-        d = self.log_spot.size
-        if self.cov.shape != (d, d):
-            raise ValueError(f"cov: expected shape ({d}, {d}), got "
-                             f"{self.cov.shape}")
-        if not matcalc.is_symmetric(self.cov, rtol=1e-10):
-            raise ValueError("cov must be symmetric")
-        lo, tol = (matcalc.min_eigenvalue(self.cov),
-                   matcalc.psd_tolerance(self.cov))
-        if lo < -tol:
-            raise ValueError(f"cov has eigenvalue {lo:.3e} below -{tol:.3e}; "
-                             "not a covariance state")
+        covariance_state(self.cov, self.log_spot.size)
         for name in ("log_spot", "cov"):
             getattr(self, name).setflags(write=False)
 
@@ -259,6 +251,30 @@ class MarketState:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_spot = np.log(np.array(spot, dtype=float))
         return cls(t=t, log_spot=log_spot, cov=cov)
+
+
+def covariance_state(cov, d: int) -> np.ndarray:
+    """cov as a float (d, d) array, refused unless it is a covariance state:
+    symmetric to 1e-10 relative, with no eigenvalue below
+    -matcalc.psd_tolerance.  MarketState and the entry points that take a
+    raw state keep this one rule."""
+    cov = np.array(cov, dtype=float)
+    if cov.shape != (d, d):
+        raise ValueError(f"cov: expected shape ({d}, {d}), got {cov.shape}")
+    if not matcalc.is_symmetric(cov, rtol=1e-10):
+        raise ValueError("cov must be symmetric")
+    lo, tol = matcalc.min_eigenvalue(cov), matcalc.psd_tolerance(cov)
+    if lo < -tol:
+        raise ValueError(f"cov has eigenvalue {lo:.3e} below -{tol:.3e}; "
+                         "not a covariance state")
+    return cov
+
+
+def require_dimension(params, state: MarketState) -> None:
+    """Refuse a market state whose asset count is not params.d."""
+    if state.log_spot.size != params.d:
+        raise ValueError(f"the market state has {state.log_spot.size} "
+                         f"assets, the params d = {params.d}")
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,14 @@ def _log_gamma(z: np.ndarray) -> np.ndarray:
     half plane is out of its domain."""
     z = np.asarray(z, dtype=complex)
     t = z + (_LANCZOS_G + 0.5)
-    ser = _LANCZOS_COEF[0] + np.sum(
-        _LANCZOS_COEF[1:] / (z[..., None] + _LANCZOS_POLES), axis=-1)
+    # sum c_j / (z + j) in real arithmetic, c_j conj(z + j) / |z + j|^2,
+    # with the poles on a leading axis
+    lead = (-1,) + (1,) * z.ndim
+    re = z.real + _LANCZOS_POLES.reshape(lead)
+    coef = _LANCZOS_COEF[1:].reshape(lead) / (re * re + z.imag * z.imag)
+    ser = np.empty(z.shape, dtype=complex)
+    ser.real = _LANCZOS_COEF[0] + np.sum(coef * re, axis=0)
+    ser.imag = -np.sum(coef * z.imag, axis=0)
     # two logs: the log of ser / z would cross the cut near Re z = 0
     return ((z + 0.5) * np.log(t) - t + _LOG_SQRT_2PI + np.log(ser)
             - np.log(z))

@@ -358,6 +358,7 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
              n_paths: int, seed: int, path_start: int = 0) -> SimResult:
     """Simulate n_paths over [state.t, horizon] on a uniform n_steps grid;
     path i of the panel is path path_start + i of the seed's streams."""
+    models.require_dimension(params, state)
     if not (np.isfinite(horizon) and horizon > state.t):
         raise ValueError("horizon must be finite and exceed the state time")
     if n_steps < 1 or n_paths < 1:

@@ -53,10 +53,15 @@ skipped mass.
   (every node of a model built from alpha) is evaluated at the distinct
   tau alone and takes the closed form.  A node with a non-zero remainder,
   and every node of the jump model, integrates it cumulatively along tau:
-  the distinct positive tau are sorted, each span between neighbours is
-  cut into equal panels no wider than PHI_PANEL_WIDTH, and a
-  PHI_PANEL_NODES-point Gauss-Legendre rule runs on every panel, so
-  phi(tau_k) = phi(tau_{k-1}) + the integral over [tau_{k-1}, tau_k].  A
+  the distinct positive tau are sorted, and phi(tau_k) = phi(tau_{k-1}) +
+  the integral over the span [tau_{k-1}, tau_k] by a Gauss-Legendre rule.
+  A span no wider than PHI_SHORT_SPAN (a hedge lattice's date step) is one
+  PHI_SHORT_NODES-point panel.  A wider span is cut into equal
+  PHI_LONG_NODES-point panels no wider than PHI_PANEL_WIDTH: the
+  integrand is analytic in s, so the higher order on a wider panel gives
+  the same error with fewer points (on the benchmark's jump-model strip,
+  33 points a node on the unit span where 8-point panels of 1/8 took 65,
+  at a worst relative phi error of 6.3e-9 against 5.6e-9; CHANGES.md).  A
   diffusion node off the eigen route (below) counts alpha as 0 and
   integrates Tr(Omega psi).  ``TransformGrid.phi_quadrature`` marks the
   nodes of the panel route.
@@ -66,18 +71,17 @@ skipped mass.
   overhead (one Wishart MGF call for the jump model) plus about 450 bytes
   a point for the diffusion and 270 for the jump model (the largest slopes
   of the traced peak on the hedge lattice of 100 tau x 288 nodes).  At
-  4096 points a jump-model block of the single-tau strip lattice holds 63
-  nodes of 65 s values, and a jump-model pass of the benchmark's 33-claim
-  strip makes 231 MGF calls where 512 points made 1,903.  It took 0.26 s
-  where 512 points took 0.82, and 6,144 to 12,288 points took 0.23 to
-  0.27 s (medians of 12 passes each, 2-core VM); larger budgets grow the
-  working set.  For the diffusion, one batched eigendecomposition of every
-  node's Hamiltonian gives Z, and from it psi, the log-determinant and
-  the sign of det Theta_22, at every s of its route (``_flow``).  A node
-  whose eigenvector basis, or its dominant lower block Q_2D, has 1-norm
-  condition number above 1e10 is off the eigen route and takes the lower
-  rows of its flow exp(s Ham) from ``matcalc.lift_flows`` as Z; no
-  benchmark lattice has such a node.  For d = 2 the eigendecomposition
+  4096 points a jump-model block of the single-tau strip lattice holds 124
+  nodes of 33 s values, and a jump-model pass of the benchmark's 33-claim
+  strip makes 132 MGF calls (231 with 8-point panels of 1/8 on the unit
+  span); larger budgets grow the working set.  For the diffusion, one
+  batched eigendecomposition of every node's Hamiltonian gives Z, and from
+  it psi, the log-determinant and the sign of det Theta_22, at every s of
+  its route (``_flow``).  A node whose eigenvector basis, or its dominant
+  lower block Q_2D, has 1-norm condition number above 1e10 is off the
+  eigen route and takes the lower rows of its flow exp(s Ham) from
+  ``matcalc.lift_flows`` as Z; no benchmark lattice has such a node.  For
+  d = 2 the eigendecomposition
   is closed-form: the eigenvalues of a Hamiltonian matrix come in pairs
   +-lam (Van Loan 1984), so lam^2 solves a quadratic, the eigenvectors
   come from the spectral projectors, and each row of q^{-1} from the
@@ -146,14 +150,18 @@ __all__ = [
     "transform_grid",
 ]
 
-# lattice engine: the panel rule along the tau grid, which integrates the
-# phi of the panel route and places the companion pole checks, and the
-# (node, s) points evaluated per node block ("Node blocks" above); chosen
-# from the error, cost and memory curves recorded in CHANGES.md
-PHI_PANEL_NODES = 8
-PHI_PANEL_WIDTH = 0.125
+# lattice engine: the panel rules along the tau grid, which integrate the
+# phi of the panel route and place the companion pole checks ("Two routes
+# for phi" above), and the (node, s) points evaluated per node block ("Node
+# blocks"); chosen from the error, cost and memory curves recorded in
+# CHANGES.md
+PHI_SHORT_SPAN = 0.125
+PHI_SHORT_NODES = 8
+PHI_LONG_NODES = 16
+PHI_PANEL_WIDTH = 0.5
 BLOCK_POINTS = 4096
-_PANEL_RULE = np.polynomial.legendre.leggauss(PHI_PANEL_NODES)
+_PANEL_RULES = {n: np.polynomial.legendre.leggauss(n)
+                for n in (PHI_SHORT_NODES, PHI_LONG_NODES)}
 # 1-norm condition numbers of the eigen route, one inverse each (by
 # cofactors, and by LU for the basis at d != 2; an n x n matrix's lies
 # within a factor n of the 2-norm one); singular input fails
@@ -212,20 +220,30 @@ class TransformGrid:
 
 def _phi_panels(knots: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule along sorted positive knots: each span
-    [knots[k-1], knots[k]] (from 0 for k = 0) is cut into equal panels no
-    wider than PHI_PANEL_WIDTH.  Returns the points, the weights and the
-    index of each span's first point; the points run in span order."""
-    x, w = _PANEL_RULE
+    """Composite Gauss-Legendre rule along sorted positive knots: a span
+    [knots[k-1], knots[k]] (from 0 for k = 0) no wider than PHI_SHORT_SPAN
+    is one PHI_SHORT_NODES-point panel, and a wider one is cut into equal
+    PHI_LONG_NODES-point panels no wider than PHI_PANEL_WIDTH.  Returns the
+    points, the weights and the index of each span's first point; the
+    points run in span order."""
     lo = np.concatenate([[0.0], knots[:-1]])
-    count = np.ceil((knots - lo) / PHI_PANEL_WIDTH).astype(int)
+    gap = knots - lo
+    long = gap > PHI_SHORT_SPAN
+    count = np.where(long, np.ceil(gap / PHI_PANEL_WIDTH), 1.0).astype(int)
     first = np.cumsum(count) - count
     span = np.repeat(np.arange(knots.size), count)
-    width = ((knots - lo) / count)[span]
+    width = (gap / count)[span]
     left = lo[span] + (np.arange(span.size) - first[span]) * width
-    pts = left[:, None] + 0.5 * width[:, None] * (x + 1.0)
-    wts = 0.5 * width[:, None] * w
-    return pts.ravel(), wts.ravel(), PHI_PANEL_NODES * first
+    # points per panel, and the index of each panel's first point
+    size = np.where(long, PHI_LONG_NODES, PHI_SHORT_NODES)[span]
+    at = np.cumsum(size) - size
+    pts, wts = np.empty(size.sum()), np.empty(size.sum())
+    for n, (x, w) in _PANEL_RULES.items():
+        sel = size == n
+        idx = at[sel, None] + np.arange(n)
+        pts[idx] = left[sel, None] + 0.5 * width[sel, None] * (x + 1.0)
+        wts[idx] = 0.5 * width[sel, None] * w
+    return pts, wts, at[first]
 
 
 def _span_any(flags: np.ndarray, n_k: int, starts: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ variance against Monte Carlo."""
 
 import errno
 import os
+import re
 import threading
 import warnings
 
@@ -292,6 +293,19 @@ class TestFourierHedge:
         with pytest.raises(ValueError, match="grid must match the simulation"):
             backtest.FourierHedge(params, unprepared,
                                   hedge.weights).prepare(sim)
+
+    @pytest.mark.parametrize("weights", ["scalar", "one", "twice"])
+    def test_refuses_weights_not_one_per_node(self, hedged, weights):
+        # a scalar or a length-1 vector used to be broadcast over every
+        # node, and twice the nodes failed in a numpy broadcast
+        params, _, cache, _, _ = hedged
+        m = cache.model_args.shape[0]
+        weights = {"scalar": 1.0, "one": np.ones(1),
+                   "twice": np.ones(2 * m)}[weights]
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights of shape {np.shape(weights)} do not match the "
+                f"cache's ({m},) nodes")):
+            backtest.FourierHedge(params, cache, weights)
 
 
 class Recorder:
@@ -669,6 +683,46 @@ class TestCovswapStrikes:
         with pytest.raises(ValueError, match="horizon"):
             covswap.wasc_covswap_variance(wasc_ref, SIGMA0_REF, horizon,
                                           (0, 1))
+
+
+# a matrix that is not symmetric, one with a negative eigenvalue (-0.1),
+# and one of another dimension: MarketState refuses all three
+NOT_A_STATE = {"asymmetric": ([[0.1, 0.5], [-0.3, 0.1]], "symmetric"),
+               "indefinite": ([[0.1, 0.2], [0.2, 0.1]], "eigenvalue"),
+               "3 x 3": (SIGMA0_3, r"expected shape \(2, 2\)")}
+
+
+class TestCovarianceStateRule:
+    """The entry points that take a raw covariance state refuse what
+    MarketState refuses, and those that take a MarketState refuse one of
+    another dimension than the params."""
+
+    @pytest.mark.parametrize("case", NOT_A_STATE)
+    def test_wasc_covswap_system(self, wasc_ref, case):
+        # the asymmetric matrix used to give a fair strike of 0.0554
+        cov, match = NOT_A_STATE[case]
+        with pytest.raises(ValueError, match=match):
+            covswap.wasc_covswap_system(wasc_ref, cov, 1.0, (0, 1), 10)
+
+    @pytest.mark.parametrize("case", NOT_A_STATE)
+    def test_bns_covswap_system(self, bns_ref, case):
+        cov, match = NOT_A_STATE[case]
+        with pytest.raises(ValueError, match=match):
+            covswap.bns_covswap_system(bns_ref, cov, 1.0, (0, 1), 10)
+
+    @pytest.mark.parametrize("case", NOT_A_STATE)
+    def test_wasc_covswap_variance(self, wasc_ref, case):
+        cov, match = NOT_A_STATE[case]
+        with pytest.raises(ValueError, match=match):
+            covswap.wasc_covswap_variance(wasc_ref, cov, 1.0, (0, 1))
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_fourier_price_refuses_another_dimension(self, wasc_ref, bns_ref,
+                                                     kind):
+        params = wasc_ref if kind == "wasc" else bns_ref
+        with pytest.raises(ValueError, match="3 assets, the params d = 2"):
+            pricing.fourier_price(params, STATE_3, 1.0,
+                                  payoffs.call_option(2, 0, 100.0))
 
 
 INADMISSIBLE = "invalid model parameters"

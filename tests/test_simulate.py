@@ -71,6 +71,12 @@ class TestBasics:
             simulate.simulate(bns_ref, state_ref, 1.0, 10, 10, seed=1,
                               path_start=-1)
 
+    def test_rejects_a_state_of_another_dimension(self, wasc_ref, bns_ref):
+        # a 3-asset state under d = 2 params used to fail inside numpy
+        for params in (wasc_ref, bns_ref):
+            with pytest.raises(ValueError, match="3 assets, the params d = 2"):
+                simulate.simulate(params, STATE_3, 1.0, 3, 2, seed=1)
+
     @pytest.mark.parametrize("horizon", [np.nan, np.inf])
     def test_rejects_non_finite_horizon(self, horizon, wasc_ref, bns_ref,
                                         state_ref):

@@ -628,6 +628,72 @@ class TestClosedFormPhi:
         assert np.all(grid.phi_quadrature)
 
 
+class TestPhiPanels:
+    """The panel rule of the phi quadrature: one 8-point panel on a span no
+    wider than 1/8, equal 16-point panels no wider than 1/2 on a longer
+    one."""
+
+    @pytest.mark.parametrize("knots,sizes", [
+        # the 100-date hedge lattice: every span one 8-point panel
+        (np.arange(1, 101) / 100.0, [8] * 100),
+        ([0.125], [8]),
+        ([0.1, 0.35, 1.0, 3.0], [8, 16, 32, 64]),
+        ([1.0, 1.05, 1.6], [32, 8, 32]),
+    ])
+    def test_points_and_weights_per_span(self, knots, sizes):
+        knots = np.asarray(knots)
+        pts, wts, starts = transforms._phi_panels(knots)
+        lo = np.concatenate([[0.0], knots[:-1]])
+        assert np.diff(np.append(starts, pts.size)).tolist() == sizes
+        np.testing.assert_allclose(np.add.reduceat(wts, starts), knots - lo,
+                                   rtol=1e-14)
+        for k, first in enumerate(starts):
+            span = slice(first, first + sizes[k])
+            assert np.all((pts[span] > lo[k]) & (pts[span] < knots[k]))
+            assert np.all(np.diff(pts[span]) > 0)
+            # equal panels of one Gauss-Legendre rule each
+            n = 8 if sizes[k] == 8 else 16
+            x, w = np.polynomial.legendre.leggauss(n)
+            panels = sizes[k] // n
+            width = (knots[k] - lo[k]) / panels
+            assert width <= (0.125 if n == 8 else 0.5)
+            left = lo[k] + width * np.arange(panels)[:, None]
+            np.testing.assert_allclose(
+                pts[span], (left + 0.5 * width * (x + 1.0)).ravel(),
+                rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(wts[span], np.tile(0.5 * width * w,
+                                                          panels), rtol=1e-14)
+
+    def test_bns_unit_span_far_on_the_contour(self, bns_ref, state_ref):
+        # the 8 nodes farthest out on the 24-node ATM cc contour, where the
+        # jump model's phi turns fastest in s
+        nodes = atm_cc_nodes(bns_ref, state_ref, 24)
+        far = nodes[np.argsort(-np.abs(nodes.imag).sum(axis=1))[:8]]
+        grid = transforms.transform_grid(bns_ref, [1.0], far)
+        assert np.all(grid.valid)
+        for m, u in enumerate(far):
+            ref, _ = oracles.bns_phi_quadrature(
+                1.0, u, M_REF, bns_ref.jump_intensity, bns_ref.wishart_shape,
+                bns_ref.wishart_scale, bns_ref.leverage_diag)
+            assert abs(grid.phi[0, m] - ref) <= 1e-8 * abs(ref)
+
+    def test_wasc_from_omega_on_a_unit_span(self, wasc_ref, state_ref):
+        # built from omega the diffusion takes the panel route
+        by_omega = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                                     leverage=RHO_REF,
+                                     omega=ALPHA_REF * A_REF.T @ A_REF)
+        nodes = atm_cc_nodes(wasc_ref, state_ref, 24)
+        nodes = np.concatenate([
+            np.stack(CONTOUR_NODES),
+            nodes[np.argsort(-np.abs(nodes.imag).sum(axis=1))[:4]]])
+        grid = transforms.transform_grid(by_omega, [1.0], nodes)
+        assert np.all(grid.valid) and np.all(grid.phi_quadrature)
+        for m, u in enumerate(nodes):
+            ref = oracles.integrate_phi(1.0, u, by_omega.omega, A_REF, M_REF,
+                                        RHO_REF)
+            assert abs(grid.phi[0, m] - ref) <= 1e-8 * abs(ref)
+
+
 def eig_spectrum(params, nodes):
     """The eigen-split of the Hamiltonians from LAPACK eig and inv, dominant
     modes first, as transforms takes it for d > 2."""
