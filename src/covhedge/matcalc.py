@@ -2,11 +2,12 @@
 
 All covariance-state algebra in this package runs through the helpers below:
 column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
-the batched PSD square root and repair (``sqrt_psd``, ``psd_repair``) that
-the simulator applies to discretized covariance states at every step, the
-batched elimination pivots (``elimination_pivots``) behind the Wishart MGF
-and the Sylvester test of ``psd_repair``, and the one cis kernel
-(``scaled_cis``).  The module needs numpy only.
+the PSD repair and factor (``psd_repair``, ``psd_factor_last``) that the
+simulator applies to covariance states at every step, the one elimination
+(``elimination``) behind that factor, the Sylvester test and the Wishart
+MGF, and the one cis kernel (``scaled_cis``).  The module needs numpy only.
+Any factor L L' = Sigma serves the simulator: L = Sigma^{1/2} O with O
+orthogonal given the state, and O dW has the law of dW.
 
 ``lift_flows``, the flow of a lifted linear drift with as many of its
 integral and double integral (Van Loan 1978) as a caller reads, is the one
@@ -62,9 +63,9 @@ __all__ = [
     "is_symmetric",
     "psd_tolerance",
     "min_eigenvalue",
-    "sqrt_psd",
     "psd_repair",
-    "elimination_pivots",
+    "psd_factor_last",
+    "elimination",
     "CIS_TABLE",
     "CIS_MAX_ARG",
     "scaled_cis",
@@ -201,37 +202,12 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
 
 
-def sqrt_psd(mats: np.ndarray) -> np.ndarray:
-    """Principal square roots of a (..., d, d) stack of symmetric PSD
-    matrices: closed form for d = 2, eigendecomposition otherwise.
-    Negative eigenvalues (for d = 2, a negative determinant) are clipped to
-    zero, so rounding just outside the PSD cone is harmless."""
-    if mats.shape[-1] == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-        det = np.clip(a * c - b * b, 0.0, None)
-        s = np.sqrt(det)
-        t = np.sqrt(np.clip(a + c + 2.0 * s, 0.0, None))
-        pos = t > 0.0
-        safe = np.where(pos, t, 1.0)
-        # entry by entry, in the layout of mats: arithmetic broadcast over
-        # the trailing (2, 2) runs numpy's inner loop on 2 elements
-        out = np.empty_like(mats)
-        zero = s * 0.0                      # M + s I off the diagonal
-        for i, j, entry in ((0, 0, a + s), (0, 1, mats[..., 0, 1] + zero),
-                            (1, 0, mats[..., 1, 0] + zero), (1, 1, c + s)):
-            out[..., i, j] = np.where(pos, entry / safe, 0.0)
-        return out
-    w, v = np.linalg.eigh(mats)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return np.einsum("...ij,...j,...kj->...ik", v, w, v)
-
-
 def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
     """Clip the negative eigenvalues of a (..., d, d) stack of symmetric
     matrices to zero, the nearest PSD matrix in Frobenius norm.
 
     Sylvester's criterion, every elimination pivot positive
-    (``elimination_pivots``), clears the positive definite matrices without
+    (``elimination``), clears the positive definite matrices without
     an eigendecomposition.  Only the others go to eigh, and of those only
     the ones with a negative eigenvalue are repaired; a matrix with a
     non-finite entry is passed through as it is.
@@ -244,7 +220,7 @@ def psd_repair(mats: np.ndarray) -> tuple[np.ndarray, int]:
     """
     d = mats.shape[-1]
     flat = mats.reshape(-1, d, d)
-    pivots = np.array(elimination_pivots(flat.transpose(1, 2, 0)))
+    pivots = np.array(elimination(flat.transpose(1, 2, 0))[0])
     test = np.flatnonzero(~np.all(pivots > 0.0, axis=0)
                           & np.all(np.isfinite(flat), axis=(1, 2)))
     w, v = np.linalg.eigh(flat[test])
@@ -340,29 +316,48 @@ def _adj4(a: np.ndarray) -> np.ndarray:
     return adj
 
 
-def elimination_pivots(rows) -> list:
-    """Diagonal pivots of Gaussian elimination without row exchanges on a
-    d x d matrix given entry by entry: rows[i][j] is entry (i, j), a
-    number or a real or complex array over a batch (a 2-D array serves as
-    its own rows).  Returns the d pivots, each of the batch shape.
+def elimination(rows) -> tuple[list, list]:
+    """Gaussian elimination without row exchanges on a d x d matrix given
+    entry by entry: rows[i][j] is entry (i, j), a number or a real or
+    complex array over a batch (a (d, d, ...) array serves as its own
+    rows).  Returns (pivots, rows), entries of the batch shape: rows[i][k],
+    k < i, is the multiplier of row k subtracted from row i.  For a
+    symmetric matrix they are the unit lower L of M = L D L', D the pivots.
 
     Pivot k is the ratio of the leading principal minors of orders k + 1
     and k, so the pivots multiply to the determinant.  The d steps are
     ufunc arithmetic on whole entries, so each batch entry is independent
     of the others.  The caller forms each entry, so a row of a stack
     stored entries first is used in place, and a shifted matrix is never
-    built whole.  A zero pivot leaves the later pivots of its entry
-    non-finite, without a warning.
+    built whole.  A zero pivot gets zero multipliers, quietly: exact for a
+    PSD matrix, whose column under a zero pivot is zero.
     """
     rows = [list(row) for row in rows]
     d = len(rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1):
+            piv = rows[k][k]
             for i in range(k + 1, d):
-                f = rows[i][k] / rows[k][k]
+                f = rows[i][k] = np.where(piv == 0, 0.0, rows[i][k] / piv)
                 for j in range(k + 1, d):
                     rows[i][j] = rows[i][j] - f * rows[k][j]
-    return [rows[k][k] for k in range(d)]
+    return [rows[k][k] for k in range(d)], rows
+
+
+def psd_factor_last(a: np.ndarray) -> np.ndarray:
+    """A lower triangular L with L L' = A for each symmetric PSD matrix of
+    a (d, d, ...) stack stored batch last: the Cholesky factor L sqrt(D) of
+    ``elimination``, with a zero column wherever a pivot is not positive
+    (PSD-singular, or rounding just outside the cone).  Unrolled ufunc
+    arithmetic, so each entry is independent of the others."""
+    pivots, lower = elimination(a)
+    out = np.zeros_like(a)
+    for k, p in enumerate(pivots):
+        root = np.sqrt(np.where(p > 0.0, p, 0.0))
+        out[k, k] = root
+        for i in range(k + 1, a.shape[0]):
+            out[i, k] = lower[i][k] * root
+    return out
 
 
 def _cis_table() -> np.ndarray:

@@ -287,7 +287,7 @@ def _log_det_factors(half: np.ndarray, x: np.ndarray) -> list:
     positive definite Hermitian part: the elimination pivots, multiplied
     into one factor for d = 2 (one Log, see ``wishart_mgf``)."""
     d = half.shape[0]
-    piv = matcalc.elimination_pivots(
+    piv, _ = matcalc.elimination(
         [[half[i, j] - x[..., i, j] for j in range(d)] for i in range(d)])
     return [piv[1] * piv[0]] if d == 2 else piv
 
@@ -305,7 +305,7 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
     log det(I - 2 R scale) = log det(N / 2) - log det(scale^{-1} / 2), taken
     from the elimination pivots c_k of N / 2 (no per-matrix LAPACK call).
     Each is divided by its value at R = 0, so the log is exactly 0 there.
-    ``matcalc.elimination_pivots`` takes P and N entry by entry, each
+    ``matcalc.elimination`` takes P and N entry by entry, each
     formed from one row R[..., i, j], so a stack stored entries first is
     read in place and neither matrix is built whole.
 
@@ -339,10 +339,10 @@ def wishart_mgf(scale: np.ndarray, shape: float, r: np.ndarray
     re = stack.real
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # only a positive definite scale (every pivot > 0) has a Wishart law
-        ok = np.all(np.array(matcalc.elimination_pivots(inv)) > 0.0)
-        for p_k in matcalc.elimination_pivots(
+        ok = np.all(np.array(matcalc.elimination(inv)[0]) > 0.0)
+        for p_k in matcalc.elimination(
                 [[inv[i, j] - (re[..., i, j] + re[..., j, i])
-                  for j in range(d)] for i in range(d)]):
+                  for j in range(d)] for i in range(d)])[0]:
             ok = ok & (p_k > 0.0)
         half = 0.5 * inv
         at_zero = _log_det_factors(half, np.zeros((1, d, d), dtype=complex))

@@ -25,13 +25,21 @@ wasc:  Strang splitting: exact half-step drift flow, Euler diffusion step,
        exact half-step flow.  The one-step conditional spot mean is exact, so
        discrete martingale tests are unbiased.  A diffusion step that leaves
        the PSD cone is repaired by ``matcalc.psd_repair``; repairs beyond
-       floating-point noise are counted in ``clip_count``.
+       floating-point noise are counted in ``clip_count``.  The diffusion
+       enters as q dW A and q (dW rho + sqrt(1 - rho'rho) z), q q' = Sigma.
 bns:   exact: the covariance flow is linear between jumps, so a step's end
        state and its integral are the jump-free flow plus each jump's mark
        flowed to the end of the step; given that path the step's diffusive
        log-price increment is Gaussian with the integral as covariance.  The
        state, the integrated covariance and the price bracket are exact in
        distribution on the grid.
+
+Every factor (q, the bns step integral's and the Wishart scale's L in the
+Bartlett marks L B B' L') is the lower-triangular ``matcalc.psd_factor_last``,
+not the principal root.  Any L with L L' = Sigma is Sigma^{1/2} O with O
+orthogonal and a function of the state; given the state, O dW, O z and O xi
+have the laws of dW, z and xi, and O B B' O' that of B B' ~ Wishart(n, I),
+so each step keeps its conditional law, jointly in spots and Sigma.
 
 The integrated covariance accumulates the continuous-monitoring bracket of
 log prices: the trapezoid rule on the covariance skeleton for the diffusion
@@ -45,9 +53,10 @@ contiguous block, written once by the kernels and read once per rebalancing
 date by the backtests.  The kernels hold the state paths last: log prices
 as (d, P), Sigma and the running bracket as (d, d, P).  Every matrix
 product in a step is a d-term sum of length-P ufunc products
-(``matcalc.matmul_last``): BLAS is kept off the path axis because its
-results for one column can depend on how many columns share the call,
-which would break partition invariance.
+(``matcalc.matmul_last``) and the factor is ufunc arithmetic on entries,
+with no transpose: BLAS is kept off the path axis because its results for
+one column can depend on how many columns share the call, which would
+break partition invariance.
 Each step is written straight into its block of the returned panel.
 
 ``simulate`` splits the paths into contiguous shards by the rule and the
@@ -119,11 +128,6 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # small-matrix batched primitives, paths last
 # ---------------------------------------------------------------------------
-
-def _per_path(fn, mats: np.ndarray) -> np.ndarray:
-    """Apply a (..., d, d) stack routine to a (d, d, P) paths-last stack."""
-    return fn(mats.transpose(2, 0, 1)).transpose(1, 2, 0)
-
 
 def _sandwich(e: np.ndarray, s: np.ndarray) -> np.ndarray:
     """E_p S_p E_p' for (d, d, P) stacks, or (d, d, 1) for a constant E."""
@@ -213,7 +217,7 @@ def _wasc_kernel(params: models.WascParams, y0: np.ndarray,
     y, sig, bracket = _start(out_y, out_cov, out_int, y0, sigma0)
     for k in range(n_steps):
         sa = _sandwich(e_half, sig) + c_half
-        q = _per_path(matcalc.sqrt_psd, sa)
+        q = matcalc.psd_factor_last(sa)
         dw = sqh * w_norm[k]
         v = (matmul_last(dw, rho[:, None, None])
              + resid * sqh * z_norm[k][:, None])
@@ -264,13 +268,14 @@ def _draw_jumps(params: models.BnsParams, horizon: float, seed: int,
     return ev_path, ev_time, np.concatenate(chi2), np.concatenate(gauss)
 
 
-def _wishart_marks(chol_theta: np.ndarray, chi2: np.ndarray,
+def _wishart_marks(factor: np.ndarray, chi2: np.ndarray,
                    gauss: np.ndarray) -> np.ndarray:
-    """Wishart jump marks L B B' L' from Bartlett factors B, paths last."""
-    d = chol_theta.shape[0]
+    """Wishart jump marks L B B' L', paths last, from Bartlett factors B and
+    a (d, d, 1) factor L of the scale."""
+    d = factor.shape[0]
     bart = np.tril(gauss, -1)
     bart[:, np.arange(d), np.arange(d)] = np.sqrt(chi2)
-    half = matmul_last(chol_theta[..., None], bart.transpose(1, 2, 0))
+    half = matmul_last(factor, bart.transpose(1, 2, 0))
     return matmul_last(half, half.transpose(1, 0, 2))
 
 
@@ -308,8 +313,8 @@ def _bns_kernel(params: models.BnsParams, y0: np.ndarray,
     xi = np.empty((n_steps, d, n))
     ev_path, ev_time, chi2, gauss = _draw_jumps(params, horizon, seed, idx0,
                                                 xi)
-    marks = _wishart_marks(np.linalg.cholesky(params.wishart_scale), chi2,
-                           gauss)
+    marks = _wishart_marks(matcalc.psd_factor_last(
+        params.wishart_scale[..., None]), chi2, gauss)
     del chi2, gauss
 
     # per jump, in path-then-time order: the mark flowed to the end of its
@@ -341,7 +346,7 @@ def _bns_kernel(params: models.BnsParams, y0: np.ndarray,
         np.add.at(step_int, at, ev_int[..., evs])
         np.add.at(bracket, at, ev_sq[..., evs])
         np.add.at(y, at[1:], ev_y[:, evs])
-        root = _per_path(matcalc.sqrt_psd, step_int)
+        root = matcalc.psd_factor_last(step_int)
         y += (-0.5 * np.diagonal(step_int).T - kappa * h
               + matmul_last(root, xi[k][:, None])[:, 0])
         bracket += step_int

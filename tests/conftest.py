@@ -26,7 +26,7 @@ HORIZON_REF = 1.0
 STEPS_REF = 250
 
 # a three-asset set of each model: d > 2 takes the eigendecomposition
-# branches of the simulation and of the diffusion transform
+# branches of the diffusion transform and of psd_repair in the simulation
 M_3 = np.array([[-2.5, -0.5, -0.3], [-0.5, -2.0, -0.4], [-0.3, -0.4, -3.0]])
 SIGMA0_3 = np.array([[0.10, 0.03, 0.02], [0.03, 0.09, 0.025],
                      [0.02, 0.025, 0.12]])

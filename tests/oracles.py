@@ -545,7 +545,10 @@ def gkw_theta(params, state: models.MarketState, ev: TransformEval
 # The simulator's schemes written path-major, (P, d, d) stacks stepped with
 # einsum, drawing from the per-path Philox streams in the order that the
 # ``simulate`` module docstring documents.  They return (log_spot, cov,
-# integrated_cov, clip_count) in the layout of ``simulate.SimResult``.
+# integrated_cov, clip_count) in the layout of ``simulate.SimResult``.  Their
+# step matrices are positive definite, so they factor them with numpy's
+# Cholesky, the factor ``matcalc.psd_factor_last`` gives there, rather than
+# with the code under test.
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
@@ -585,7 +588,7 @@ def reference_wasc_paths(params: models.WascParams, state: models.MarketState,
     y = np.repeat(state.log_spot[None], n_paths, axis=0)
     for k in range(n_steps):
         sa = np.einsum("ab,pbc,dc->pad", e_half, sig, e_half) + c_half
-        q = matcalc.sqrt_psd(sa)
+        q = np.linalg.cholesky(sa)
         dw = sqh * w_norm[:, k]
         shock = np.einsum("pab,pb->pa",
                           q, dw @ rho + resid * sqh * z_norm[:, k])
@@ -607,8 +610,8 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
     """Exact scheme: every path flows from event to event (step ends and
     jumps) in time order; a jump adds its Wishart mark to Sigma, rho *
     diag(mark) to the log prices and the square of that to the bracket.
-    The step's Brownian vector enters through the root of the covariance
-    integral summed over the step's flow segments."""
+    The step's Brownian vector enters through the Cholesky factor of the
+    covariance integral summed over the step's flow segments."""
     d = params.d
     span = horizon - state.t
     h = span / n_steps
@@ -654,6 +657,6 @@ def reference_bns_paths(params: models.BnsParams, state: models.MarketState,
                     y = y + jump_y
                     bracket = bracket + np.outer(jump_y, jump_y)
                     cursor = times[j]
-            y = y + matcalc.sqrt_psd(int_step) @ b_norm[k]
+            y = y + np.linalg.cholesky(int_step) @ b_norm[k]
             ys[i, k + 1], covs[i, k + 1], intcov[i, k + 1] = y, sig, bracket
     return ys, covs, intcov, 0

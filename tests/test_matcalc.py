@@ -80,46 +80,58 @@ class TestVecMat:
 
 
 # ---------------------------------------------------------------------------
-# sqrt_psd / psd_repair
+# psd_factor_last / psd_repair
 # ---------------------------------------------------------------------------
 
-class TestPsd:
-    def test_sqrt_identity(self):
-        np.testing.assert_allclose(matcalc.sqrt_psd(np.eye(2)), np.eye(2), atol=1e-14)
+def factor_stack(d, rng):
+    """(d, d, 7) paths-last: four full-rank PSD matrices, a rank-one one,
+    the zero matrix and a PSD one whose first pivot is zero."""
+    edge = np.zeros((d, d))
+    edge[1:, 1:] = rand_psd(d - 1, rng)
+    mats = ([rand_psd(d, rng) for _ in range(4)]
+            + [rand_psd(d, rng, rank=1), np.zeros((d, d)), edge])
+    return np.stack(mats, axis=-1)
 
-    def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(
-            matcalc.sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
-        )
 
-    def test_sqrt_reference_cov_round_trip(self):
-        r = matcalc.sqrt_psd(SIGMA0_REF)
-        np.testing.assert_allclose(r @ r, SIGMA0_REF, atol=1e-12)
-        assert matcalc.is_symmetric(r)
-
-    def test_sqrt_clips_tiny_negative(self):
-        m = np.diag([1.0, -1e-12])  # inside tolerance band
-        r = matcalc.sqrt_psd(m)
-        np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-9)
+class TestPsdFactor:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lower_factor_of_every_matrix(self, d):
+        stack = factor_stack(d, np.random.default_rng(20 + d))
+        before = stack.copy()
+        fac = matcalc.psd_factor_last(stack)
+        assert np.array_equal(stack, before)
+        assert fac.shape == stack.shape
+        for k in range(stack.shape[-1]):
+            low, m = fac[..., k], stack[..., k]
+            assert np.all(np.triu(low, 1) == 0.0)
+            scale = max(np.max(np.abs(m)), 1.0)
+            assert np.max(np.abs(low @ low.T - m)) <= 1e-12 * scale
+        assert np.all(fac[..., 5] == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_sqrt_every_branch_on_a_stack(self, d):
-        # d = 2 has a closed form, d = 1 and d = 3 go through eigh; the
-        # stack holds full-rank, rank-one and zero matrices
-        rng = np.random.default_rng(20 + d)
-        stack = np.stack([rand_psd(d, rng) for _ in range(4)]
-                         + [rand_psd(d, rng, rank=1), np.zeros((d, d))])
-        before = stack.copy()
-        r = matcalc.sqrt_psd(stack)
-        assert np.array_equal(stack, before)
-        assert r.shape == stack.shape
-        for root, m in zip(r, stack):
-            scale = max(np.max(np.abs(m)), 1.0)
-            assert np.max(np.abs(root @ root - m)) < 1e-12 * scale
-            assert matcalc.is_symmetric(root)
-            assert np.linalg.eigvalsh(root)[0] > -1e-12 * scale
-        assert np.all(r[-1] == 0.0)
+    def test_cholesky_on_positive_definite_matrices(self, d):
+        stack = factor_stack(d, np.random.default_rng(30 + d))[..., :4]
+        fac = np.moveaxis(matcalc.psd_factor_last(stack), -1, 0)
+        want = np.linalg.cholesky(np.moveaxis(stack, -1, 0))
+        for got, chol in zip(fac, want):
+            assert np.max(np.abs(got - chol)) <= 1e-14 * np.max(np.abs(chol))
 
+    def test_zero_column_at_a_negative_pivot(self):
+        # rounding just outside the cone: no nan and no warning (the suite
+        # turns RuntimeWarning into an error)
+        fac = matcalc.psd_factor_last(np.diag([1.0, -1e-12])[..., None])
+        assert np.array_equal(fac[..., 0], np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_entry_independent_of_the_batch(self, d):
+        stack = factor_stack(d, np.random.default_rng(40 + d))
+        fac = matcalc.psd_factor_last(stack)
+        for k in range(stack.shape[-1]):
+            alone = matcalc.psd_factor_last(stack[..., k:k + 1])
+            assert np.array_equal(alone[..., 0], fac[..., k])
+
+
+class TestPsd:
     def test_project_reports_clip(self):
         m = np.diag([1.0, -0.25])
         proj, material = matcalc.psd_repair(m)
@@ -174,7 +186,7 @@ class TestPsd:
                       for w in (-1e-13, -0.25)]
         stack = np.stack(unrepaired + indefinite)
         for m in singular + [nan]:
-            assert not np.all(np.array(matcalc.elimination_pivots(m)) > 0.0)
+            assert not np.all(np.array(matcalc.elimination(m)[0]) > 0.0)
 
         finite = np.all(np.isfinite(stack), axis=(1, 2))
         lmin = np.full(len(stack), np.nan)
@@ -201,7 +213,7 @@ class TestPsd:
 
 
 # ---------------------------------------------------------------------------
-# elimination_pivots
+# elimination
 # ---------------------------------------------------------------------------
 
 class TestEliminationPivots:
@@ -211,8 +223,9 @@ class TestEliminationPivots:
         stack = (rng.standard_normal((5, 2, d, d))
                  + 1j * rng.standard_normal((5, 2, d, d)))
         before = stack.copy()
-        piv = np.stack(matcalc.elimination_pivots(
-            [[stack[..., i, j] for j in range(d)] for i in range(d)]), axis=-1)
+        piv = np.stack(matcalc.elimination(
+            [[stack[..., i, j] for j in range(d)] for i in range(d)])[0],
+            axis=-1)
         assert np.array_equal(stack, before)
         assert piv.shape == (5, 2, d)
         minors = np.stack([np.linalg.det(stack[..., :k, :k])
@@ -223,18 +236,37 @@ class TestEliminationPivots:
     def test_real_stack_and_sylvester(self):
         rng = np.random.default_rng(5)
         pd = np.stack([rand_psd(3, rng) + 0.1 * np.eye(3) for _ in range(3)])
-        piv = np.array(matcalc.elimination_pivots(
-            [[pd[:, i, j] for j in range(3)] for i in range(3)]))
+        piv = np.array(matcalc.elimination(
+            [[pd[:, i, j] for j in range(3)] for i in range(3)])[0])
         assert piv.dtype == float and np.all(piv > 0.0)
         indefinite = np.diag([1.0, -1.0, 2.0])
-        assert np.any(np.array(matcalc.elimination_pivots(indefinite)) <= 0.0)
+        assert np.any(np.array(matcalc.elimination(indefinite)[0]) <= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_multipliers_rebuild_the_matrix(self, d):
+        # L U = M with L the unit-lower multipliers and U the eliminated
+        # rows; for a symmetric matrix U = D L', so M = L D L'
+        rng = np.random.default_rng(80 + d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for mat in (m, m + m.T):
+            piv, rows = matcalc.elimination(mat)
+            low = np.eye(d, dtype=complex)
+            upper = np.zeros((d, d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    (low if j < i else upper)[i, j] = rows[i][j]
+            assert np.array_equal(np.diag(upper), piv)
+            np.testing.assert_allclose(low @ upper, mat, atol=1e-12)
+        np.testing.assert_allclose((low * piv) @ low.T, mat, atol=1e-12)
 
     def test_zero_pivot_is_quiet(self):
+        # a zero pivot gets zero multipliers, so the later pivots stay
+        # finite: those of the trailing block as it stands
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            piv = matcalc.elimination_pivots(m)
-        assert piv[0] == 0.0 and not np.isfinite(piv[1])
+            piv, rows = matcalc.elimination(m)
+        assert piv[0] == 0.0 and rows[1][0] == 0.0 and piv[1] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF,
 N_PATHS = 6000
 N_STEPS = 200
 
-# the three-asset sets: d > 2 takes the eigendecomposition branch of
-# sqrt_psd, and psd_repair repairs the wasc states by eigh
+# the three-asset sets: the simulation factors 3 x 3 states by the same
+# elimination as 2 x 2 ones, and psd_repair repairs the wasc states by eigh
 STATE_3 = models.MarketState.from_spot(t=0.0, spot=S0_3, cov=SIGMA0_3)
 WASC_3 = three_asset_params("wasc")
 BNS_3 = three_asset_params("bns")
@@ -407,6 +407,22 @@ class TestBnsExactness:
                 np.linalg.solve(lift, matcalc.vec(exact - SIGMA0_REF)))
             assert np.max(np.abs(sim.integrated_cov[0, k] - exact_int)) < 1e-10
 
+    def test_singular_state_keeps_its_diffusion(self):
+        # Sigma_0 = diag(0, 0.1) under a diagonal drift and no jumps: every
+        # step integral has a zero first pivot, and the second asset must
+        # still diffuse with the integral's variance
+        quiet = models.BnsParams(d=2, mean_rev=np.diag([-2.5, -2.0]),
+                                 jump_intensity=1e-12, wishart_shape=3.0,
+                                 wishart_scale=0.02 * np.eye(2),
+                                 leverage_diag=np.array([-0.5, -0.5]))
+        state = models.MarketState.from_spot(t=0.0, spot=S0_REF,
+                                             cov=np.diag([0.0, 0.1]))
+        sim = simulate.simulate(quiet, state, 1.0, 4, 2000, seed=1)
+        y = sim.log_spot[:, -1]
+        assert np.all(y[:, 0] == y[0, 0]) and np.all(np.isfinite(y))
+        var = sim.integrated_cov[0, -1, 1, 1]
+        assert abs(y[:, 1].var(ddof=1) / var - 1.0) < 0.15
+
     def test_jump_steps_preserve_partition_invariance(self, bns_ref,
                                                       state_ref):
         # coarse grid forces several jumps per step; the per-path stream
@@ -488,6 +504,34 @@ class TestThreeAssets:
         assert np.all(dev <= 4.0 * _se(samp) + 1e-12)
         # the Wishart run repairs states, so the eigen repair branch ran
         assert (sim.clip_count > 0) == (params.kind == "wasc")
+
+    # the law of the simulation factor as the spots see it: 16,000 paths,
+    # 20 wasc steps and 2 bns steps.  The jump scheme is exact on any grid;
+    # on a coarse one a bns factor of the wrong scale shows in E[S_T], while
+    # on a fine one the log-price variance it adds grows with the step
+    # count until the sample SE of S_T hides the bias.  Along U_3,
+    # u'(L'L - LL')u is near its largest relative to u'Sigma u for SIGMA0_3
+    # and its Cholesky L, so a transposed factor moves the transform there
+    U_3 = np.array([-3.0, 0.5, 0.0])
+
+    @pytest.fixture(scope="class", params=["wasc", "bns"])
+    def law_sim(self, request):
+        params = three_asset_params(request.param)
+        n_steps = 20 if request.param == "wasc" else 2
+        return params, simulate.simulate(params, STATE_3, 1.0, n_steps,
+                                         16_000, seed=17)
+
+    def test_spot_martingale(self, law_sim):
+        _, sim = law_sim
+        st = np.exp(sim.log_spot[:, -1])
+        assert np.all(np.abs(st.mean(axis=0) - S0_3) <= 4.0 * _se(st))
+
+    def test_transform_at_a_real_u(self, law_sim):
+        params, sim = law_sim
+        closed = basis_at(params, STATE_3, 1.0, self.U_3)
+        assert np.isfinite(closed)
+        vals = np.exp(sim.log_spot[:, -1] @ self.U_3)
+        assert abs(vals.mean() - closed.real) <= 4.0 * _se(vals)
 
 
 REF_PATHS = 40
