@@ -32,7 +32,8 @@ Positions are functions of the path state only, and every product keeps its
 rows apart, so wealth is bitwise independent of the row blocks and of the
 shard count.  That rests on how each row is rounded: BLAS calls are matrix
 products whose rows each take one dot product over the inner dimension
-(``_matmul`` keeps a lone row off numpy's matrix-vector path);
+(``_matmul`` keeps a lone row off numpy's matrix-vector path); the jump
+model's spot solve is ufunc arithmetic on cofactors (``_spot_solve``);
 ``gbm.bvn_upper`` sums its quadrature per row, since a matrix-vector product
 rounds by the row count.  A row block holds about BASIS_BLOCK_POINTS points,
 and fewer where its product with the small weights matrix would reach the size
@@ -48,7 +49,7 @@ not rest on state that its own ``positions`` calls change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -195,24 +196,25 @@ def _jump_cov(params) -> np.ndarray:
     return cov.real
 
 
-def _solve_sym_batch(mats: np.ndarray, shift: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric (P,d,d) systems mats + shift, with shift a
-    constant (d,d), against (P,d) right-hand sides, or against one (d,)
-    right-hand side shared by every path.  For d = 2 by Cramer's rule,
-    column by column: arithmetic broadcast over a trailing axis of d runs
-    numpy's inner loop on d elements at a time."""
-    d = mats.shape[-1]
-    if d == 2:
-        a = mats[:, 0, 0] + shift[0, 0]
-        b = mats[:, 0, 1] + shift[0, 1]
-        c = mats[:, 1, 1] + shift[1, 1]
-        det = a * c - b ** 2
-        out = np.empty(mats.shape[:-1])
-        out[:, 0] = (c * rhs[..., 0] - b * rhs[..., 1]) / det
-        out[:, 1] = (a * rhs[..., 1] - b * rhs[..., 0]) / det
-        return out
-    return np.linalg.solve(mats + shift, rhs[..., None])[..., 0]
+def _spot_solve(cov: np.ndarray, jump_cov: np.ndarray,
+                rhs: np.ndarray) -> np.ndarray:
+    """theta = adj(Sigma + J) rhs / det per path (``matcalc.inverse_last``)
+    for the (P, d, d) states Sigma, read by their upper triangle, the jump
+    covariation J (d, d) and (P, d) right-hand sides or one (d,) for all.
+    Column by column: numpy's loop broadcast over a trailing d is slow."""
+    d = cov.shape[-1]
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = cov[:, i, j] + jump_cov[i, j]
+    adj, det = matcalc.inverse_last(rows)
+    theta = np.empty(cov.shape[:-1])
+    for i in range(d):
+        acc = adj[i, 0] * rhs[..., 0]
+        for j in range(1, d):
+            acc += adj[i, j] * rhs[..., j]
+        np.divide(acc, det, out=theta[:, i])
+    return theta
 
 
 class FourierHedge:
@@ -225,6 +227,13 @@ class FourierHedge:
     """
 
     def __init__(self, params, cache: BasisCache, weights: np.ndarray):
+        # equal params field by field, as distinct objects too
+        if type(cache.params) is not type(params) or not all(np.array_equal(
+                getattr(cache.params, f.name), getattr(params, f.name))
+                for f in fields(params)):
+            raise ValueError(f"a basis cache built for other params "
+                             f"({cache.params.kind}) cannot serve "
+                             f"{params.kind} params")
         self.params = params
         self.cache = cache
         self.weights = np.asarray(weights, dtype=complex)
@@ -275,7 +284,7 @@ class FourierHedge:
         d = self.params.d
         cross = (np.einsum("pab,pb->pa", cov, hw[:, :d])
                  + hw[:, d:]).real                        # (P, d)
-        return _solve_sym_batch(cov, self._jump_cov, cross) / spot
+        return _spot_solve(cov, self._jump_cov, cross) / spot
 
 
 class GbmDeltaHedge:
@@ -323,8 +332,8 @@ class CovswapHedge:
                   cov: np.ndarray) -> np.ndarray:
         core = self.system.theta_core[k]
         if self.system.kind == "bns":
-            return _solve_sym_batch(cov, self._jump_cov, core) / spot
-        # column by column, as in _solve_sym_batch
+            return _spot_solve(cov, self._jump_cov, core) / spot
+        # column by column, as in _spot_solve
         theta = np.empty_like(spot)
         for a in range(spot.shape[1]):
             np.divide(core[a], spot[:, a], out=theta[:, a])
@@ -358,7 +367,7 @@ def _sweep(jobs: Sequence[HedgeJob], shard_log_spot: np.ndarray,
                 continue
             th = job.strategy.positions(k, spot, shard_log_spot[:, k],
                                         shard_cov[:, k])
-            # theta'ds column by column, as in _solve_sym_batch
+            # theta'ds column by column, as in _spot_solve
             gain = th[:, 0] * ds[:, 0]
             for a in range(1, th.shape[1]):
                 gain += th[:, a] * ds[:, a]
@@ -377,16 +386,14 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     ``BasisCache``.
     """
     n_paths = sim.n_paths
-    payoffs_out = []
-    for job in jobs:
-        if callable(job.payoff):
-            pay = job.payoff(np.exp(sim.log_spot[:, -1]))
-        else:
-            pay = np.asarray(job.payoff, dtype=float)
-            if pay.shape != (n_paths,):
-                raise ValueError(f"payoff array for {job.name} must have "
-                                 f"shape ({n_paths},)")
-        payoffs_out.append(pay)
+    payoffs_out = [np.asarray(job.payoff(np.exp(sim.log_spot[:, -1]))
+                              if callable(job.payoff) else job.payoff,
+                              dtype=float) for job in jobs]
+    for job, pay in zip(jobs, payoffs_out):
+        # either form: a (P, 1) column would broadcast the P&L to (P, P)
+        if pay.shape != (n_paths,):
+            raise ValueError(f"payoff of {job.name} has shape {pay.shape}, "
+                             f"not ({n_paths},)")
 
     for job in jobs:
         if job.strategy is not None:

@@ -5,7 +5,9 @@ column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 the PSD repair and factor (``psd_repair``, ``psd_factor_last``) that the
 simulator applies to covariance states at every step, the one elimination
 (``elimination``) behind that factor, the Sylvester test and the Wishart
-MGF, and the one cis kernel (``scaled_cis``).  The module needs numpy only.
+MGF, the one cofactor inverse (``inverse_last``) of small matrices stacked
+over nodes or paths, and the one cis kernel (``scaled_cis``).  The module
+needs numpy only.
 Any factor L L' = Sigma serves the simulator: L = Sigma^{1/2} O with O
 orthogonal given the state, and O dW has the law of dW.
 
@@ -59,7 +61,7 @@ __all__ = [
     "sym_part",
     "matmul_last",
     "det_last",
-    "adj_last",
+    "inverse_last",
     "is_symmetric",
     "psd_tolerance",
     "min_eigenvalue",
@@ -249,22 +251,20 @@ def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minor_det(a: np.ndarray, rows: tuple, cols: tuple, memo: dict):
-    """Determinant of the submatrix of rows x cols, by cofactor expansion
-    along its first row, each minor computed once per memo; 1 for an empty
-    one.
-
-    Each product takes the minor as its left factor: numpy's complex
-    product is not bitwise commutative, and it may swap the factors to
-    reuse a large temporary on the right, so a right temporary would make
-    an entry's bits depend on the size of the stack."""
+def _minor_det(a, rows: tuple, cols: tuple, memo: dict):
+    """Determinant of the submatrix of rows x cols of a matrix given entry
+    by entry (a[i][j]), by cofactor expansion along its first row, each
+    minor computed once per memo; 1 for an empty one.  Each product takes
+    the minor as its left factor: numpy's complex product is not bitwise
+    commutative, and it may swap the factors to reuse a large right-hand
+    temporary, which would make an entry's bits depend on the stack size."""
     if len(rows) <= 1:
-        return a[rows[0], cols[0]] if rows else 1.0
+        return a[rows[0]][cols[0]] if rows else 1.0
     if (rows, cols) not in memo:
         out = None
         for k, c in enumerate(cols):
             minor = _minor_det(a, rows[1:], cols[:k] + cols[k + 1:], memo)
-            term = minor * a[rows[0], c]
+            term = minor * a[rows[0]][c]
             out = term if out is None else out - term if k % 2 else out + term
         memo[rows, cols] = out
     return memo[rows, cols]
@@ -278,42 +278,45 @@ def det_last(a: np.ndarray) -> np.ndarray:
     return _minor_det(a, idx, idx, {})
 
 
-def adj_last(a: np.ndarray) -> np.ndarray:
-    """Adjugates of a (d, d, ...) stack stored batch last (adj A = det A
-    A^{-1}), by cofactors as in det_last; for d = 4 from the six 2 x 2
-    minors of rows (0, 1) and the six of rows (2, 3) (Laplace expansion),
-    with no recursion."""
-    d = a.shape[0]
-    if d == 4:
-        return _adj4(a)
-    idx = tuple(range(d))
-    adj = np.empty_like(a)
-    memo = {}
-    for i in range(d):
-        for j in range(d):
-            minor = _minor_det(a, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:],
-                               memo)
-            adj[i, j] = -minor if (i + j) % 2 else minor
-    return adj
+def inverse_last(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The cofactor inverse of a d x d matrix given entry by entry as in
+    ``elimination``, a (d, d, ...) stack serving as its own rows: adj A =
+    det A A^{-1}, a (d, d, ...) array, and det A = sum_j adj[j, 0] A[0, j],
+    expanded as det_last does (its bits but at d = 4, where the minors are
+    ``_minors4``'s).  Unrolled ufunc arithmetic, each entry independent of
+    the others; a shifted or symmetric matrix is never built whole."""
+    d = len(rows)
+    idx, memo = tuple(range(d)), {}
+    minors = _minors4(rows) if d == 4 else [
+        [_minor_det(rows, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
+         for j in idx] for i in idx]
+    det = minors[0][0] * rows[0][0]
+    for j in range(1, d):
+        term = minors[j][0] * rows[0][j]
+        det = det - term if j % 2 else det + term
+    # every entry enters det, so it has the batch shape and the dtype
+    adj = np.empty((d, d) + np.shape(det), dtype=np.result_type(det))
+    for i in idx:
+        for j in idx:
+            sign = np.negative if (i + j) % 2 else np.positive
+            sign(minors[i][j], out=adj[i, j])
+    return adj, det
 
 
-def _adj4(a: np.ndarray) -> np.ndarray:
-    """adj_last of a 4 x 4 stack.  The cofactor of (j, i) keeps one row r
-    of the pair (0, 1) or (2, 3) that holds row j, and is expanded along it
-    with the 2 x 2 minors of the other pair; each product takes the minor
-    as its left factor, as in _minor_det."""
-    top, low = ({(j, k): a[r0, j] * a[r1, k] - a[r0, k] * a[r1, j]
+def _minors4(a) -> list:
+    """The minors of a 4 x 4 matrix given entry by entry, in adjugate order
+    (entry (i, j) drops row j and column i), by Laplace expansion along the
+    row r left of the pair (0, 1) or (2, 3) that holds row j, with the 2 x 2
+    minors of the other pair; the minor is the left factor, as in
+    _minor_det."""
+    top, low = ({(j, k): a[r0][j] * a[r1][k] - a[r0][k] * a[r1][j]
                  for j in range(4) for k in range(j + 1, 4)}
                 for r0, r1 in ((0, 1), (2, 3)))
-    adj = np.empty_like(a)
-    for i in range(4):
-        c0, c1, c2 = (c for c in range(4) if c != i)
-        for j in range(4):
-            r, pair = (1 - j, low) if j < 2 else (5 - j, top)
-            minor = (pair[c1, c2] * a[r, c0] - pair[c0, c2] * a[r, c1]
-                     + pair[c0, c1] * a[r, c2])
-            adj[i, j] = -minor if (i + j) % 2 else minor
-    return adj
+    return [[pair[c1, c2] * a[r][c0] - pair[c0, c2] * a[r][c1]
+             + pair[c0, c1] * a[r][c2]
+             for r, pair in ((1, low), (0, low), (3, top), (2, top))]
+            # the columns left by column i = 0, 1, 2, 3
+            for c0, c1, c2 in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
 
 
 def elimination(rows) -> tuple[list, list]:

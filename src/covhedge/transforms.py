@@ -81,14 +81,14 @@ skipped mass.
   lower block Q_2D, has 1-norm condition number above 1e10 is off the
   eigen route and takes the lower rows of its flow exp(s Ham) from
   ``matcalc.lift_flows`` as Z; no benchmark lattice has such a node.  For
-  d = 2 the eigendecomposition
-  is closed-form: the eigenvalues of a Hamiltonian matrix come in pairs
-  +-lam (Van Loan 1984), so lam^2 solves a quadratic, the eigenvectors
-  come from the spectral projectors, and each row of q^{-1} from the
-  eigenvector of the paired mode -lam (``_eigenpairs``).  LAPACK eig took
-  about 18 us a node; without it the benchmark's diffusion strip share
-  went from 0.71 to 0.45 s (medians of 10 paired runs, 2-core VM).  Every
-  other d takes np.linalg.eig.  For the jump model the operator
+  d = 2 the eigendecomposition is closed-form: the eigenvalues of a
+  Hamiltonian matrix come in pairs +-lam (Van Loan 1984), so lam^2 solves
+  a quadratic, and the eigenvectors come from the spectral projectors
+  (``_eigenpairs``).  LAPACK eig took about 18 us a node; without it the
+  benchmark's diffusion strip share went from 0.71 to 0.45 s (medians of
+  10 paired runs, 2-core VM).  Every other d takes np.linalg.eig.  At
+  every d, q^{-1} and Q_2D^{-1} are cofactor inverses that their condition
+  tests read (``_checked_inverse``).  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
   on the node and is built once; each block then needs the Wishart MGF
   at every (node, s), whose strip flag and log-determinant come from the
@@ -98,10 +98,10 @@ skipped mass.
   per contiguous row over the nodes (and the s values): a d x d stack is a
   (d, d, B) array, or a (B, d, d) view of one.  Products, determinants and
   inverses are unrolled sums of ufunc products over those rows
-  (``matcalc.matmul_last``, ``det_last``, ``adj_last``), so no batched @,
-  einsum or LAPACK call runs on the node axis; the exceptions are the
-  eigendecomposition for d != 2 and the flow of a node off the eigen
-  route.
+  (``matcalc.matmul_last``, ``det_last``, ``inverse_last``), so no
+  batched @ or einsum runs on the node axis, and no LAPACK call but the
+  eigendecomposition for d != 2; the flow of a node off the eigen route
+  is the other exception.
   numpy's complex product is not bitwise commutative, and numpy may swap
   its factors to reuse a right-hand temporary of 256 KiB or more, so a
   product whose right factor could be such a temporary would make an
@@ -162,9 +162,9 @@ PHI_PANEL_WIDTH = 0.5
 BLOCK_POINTS = 4096
 _PANEL_RULES = {n: np.polynomial.legendre.leggauss(n)
                 for n in (PHI_SHORT_NODES, PHI_LONG_NODES)}
-# 1-norm condition numbers of the eigen route, one inverse each (by
-# cofactors, and by LU for the basis at d != 2; an n x n matrix's lies
-# within a factor n of the 2-norm one); singular input fails
+# 1-norm condition numbers of the eigen route, read off each matrix's one
+# cofactor inverse (an n x n matrix's lies within a factor n of the 2-norm
+# one); singular input fails
 _EIGVEC_COND_MAX = 1e10
 # largest |psi| entry of a valid point ("Moment explosion" above)
 _BLOWUP_LIMIT = 1e12
@@ -256,28 +256,27 @@ def _span_any(flags: np.ndarray, n_k: int, starts: np.ndarray) -> np.ndarray:
 class _Spectrum(NamedTuple):
     """Eigen-split of Ham(u) for a stack of nodes: eigenvalues lam (B, 2d)
     with the d dominant modes (largest real parts) first, eigenvectors q
-    (B, 2d, 2d) as columns of unit 2-norm in the same order, and qinv =
-    q^{-1}.  For d = 2 they are closed-form (``_eigenpairs``): lam =
-    +-sqrt(mu) over the roots mu of mu^2 - (tr Ham^2 / 2) mu + det Ham, q
-    comes from the spectral projectors P_j = q[:, j] qinv[j, :], and qinv
-    from q's columns of the paired modes.  ok is False where the basis is
-    not finite, or it or its dominant lower block Q_2D has 1-norm condition
-    number above 1e10 (the flow fallback)."""
+    (B, 2d, 2d) as columns of unit 2-norm in the same order, qinv = q^{-1},
+    and the adjugate (B, d, d) and determinant (B,) of the dominant lower
+    block Q_2D.  ok is False where the basis is not finite, or it or Q_2D
+    has 1-norm condition number above 1e10 (the flow fallback); there Q_2D's
+    adjugate and determinant are those of I."""
 
     ham: np.ndarray
     lam: np.ndarray
     q: np.ndarray
     qinv: np.ndarray
+    q2d_adj: np.ndarray
+    q2d_det: np.ndarray
     ok: np.ndarray
 
     def take(self, cols) -> "_Spectrum":
         return _Spectrum(*(a[cols] for a in self))
 
 
-def _eigenpairs(ham: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (lam, q, qinv) of a (B, 4, 4) stack of Hamiltonian
-    matrices, d = 2.
+def _eigenpairs(ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (lam, q) of a (B, 4, 4) stack of Hamiltonian matrices,
+    d = 2.
 
     The eigenvalues come in pairs +-lam with mu = lam^2 a root of
     mu^2 - (tr(Ham^2)/2) mu + det Ham, the larger root from the sign that
@@ -287,11 +286,8 @@ def _eigenpairs(ham: np.ndarray
     (Ham + lam_j)(Ham^2 - mu') / (2 lam_j (mu_j - mu')), with mu' the other
     root.  It is x_j y_j' with y_j' x_j = 1, so its column c of
     largest diagonal entry scaled to unit 2-norm is the eigenvector (as
-    LAPACK scales it, up to a phase).  The rows of q^{-1} need no projector
-    row: J Ham is symmetric, J = [[0, I], [-I, 0]], so Ham' J x = -J Ham x
-    and J x_k is a left eigenvector of -lam_k.  Row j of q^{-1} is J x_p
-    over (J x_p)' x_j, with p the paired mode of -lam_j.  A repeated root
-    or lam = 0 gives non-finite entries.
+    LAPACK scales it, up to a phase).  A repeated root or lam = 0 gives
+    non-finite entries.
 
     All of this runs on Ham balanced as LAPACK balances before eig: the
     exact similarity by S = diag(I, I / r), with r a power of 2, scales the
@@ -301,8 +297,8 @@ def _eigenpairs(ham: np.ndarray
 
     Entries first: every entry of Ham, of Ham^2 and of the projector
     columns is one (B,) row, and products, det Ham (``matcalc.det_last``)
-    and the projector entries are unrolled sums of ufunc products; q and
-    qinv are returned as (B, 2d, 2d) views of such rows."""
+    and the projector entries are unrolled sums of ufunc products; q is
+    returned as a (B, 2d, 2d) view of such rows."""
     n, m = ham.shape[0], ham.shape[-1]
     d = m // 2
     h = ham.transpose(1, 2, 0)                            # (2d, 2d, B)
@@ -345,50 +341,43 @@ def _eigenpairs(ham: np.ndarray
     col[:, d:] /= r
     abs2 = (col.conj() * col).real
     q = col / np.sqrt(sum(abs2[:, i] for i in diag))[:, None]
-    # J x_p of the paired mode p = j +- d, and its product with x_j
-    left = np.roll(q, d, axis=0)
-    left = np.concatenate([left[:, d:], -left[:, :d]], axis=1)
-    dot = sum(left[:, i] * q[:, i] for i in diag)
-    qinv = (left / dot[:, None]).transpose(2, 0, 1)
-    q = q.transpose(2, 1, 0)
-    return lam.T, q, qinv
+    return lam.T, q.transpose(2, 1, 0)
 
 
-def _cond_ok(a: np.ndarray) -> np.ndarray:
-    """Whether the 1-norm condition number of each matrix of a (n, n, B)
-    stack stored batch last is at most _EIGVEC_COND_MAX, from its cofactor
-    inverse adj / det; a singular matrix fails."""
+def _checked_inverse(a: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """adj A and det A of an (n, n, B) stack (``matcalc.inverse_last``),
+    and whether each 1-norm condition number |A|_1 |adj A|_1 / |det A| is
+    at most _EIGVEC_COND_MAX; a singular matrix fails."""
     n = a.shape[0]
-    adj = matcalc.adj_last(a)
-    det = sum(adj[j, 0] * a[0, j] for j in range(n))
+    adj, det = matcalc.inverse_last(a)
     norm = sum(np.abs(a[i]) for i in range(n)).max(axis=0)
     norm_adj = sum(np.abs(adj[i]) for i in range(n)).max(axis=0)
-    return (det != 0) & (norm * norm_adj <= _EIGVEC_COND_MAX * np.abs(det))
+    ok = (det != 0) & (norm * norm_adj <= _EIGVEC_COND_MAX * np.abs(det))
+    return adj, det, ok
 
 
 def _spectrum(params: models.WascParams, u: np.ndarray) -> _Spectrum:
     """The eigen-split of Ham(u), closed-form for d = 2 and from
-    np.linalg.eig otherwise (see _Spectrum)."""
+    np.linalg.eig otherwise, with the inverses of q and Q_2D by cofactors
+    at every d (see _Spectrum)."""
     d = params.d
     ham = wasc_hamiltonian(params, u)                      # (B, 2d, 2d)
     if d == 2:
-        lam, q, qinv = _eigenpairs(ham)
-        ok = np.all(np.isfinite(q) & np.isfinite(qinv), axis=(-2, -1))
-        # a true inverse of q, not |q|_1 |qinv|_1: the closed-form qinv is
-        # built from q's own columns and is no inverse where Ham is
-        # defective
-        ok[ok] = _cond_ok(q[ok].transpose(1, 2, 0))
+        lam, q = _eigenpairs(ham)
     else:
         lam, q = np.linalg.eig(ham)
         dom = np.argsort(-lam.real, axis=-1)
         lam = np.take_along_axis(lam, dom, axis=-1)
         q = np.take_along_axis(q, dom[:, None, :], axis=-1)
-        qinv = np.zeros_like(q)
-        ok = np.all(np.isfinite(q), axis=(-2, -1))
-        ok[ok] = np.linalg.cond(q[ok], 1) <= _EIGVEC_COND_MAX
-        qinv[ok] = np.linalg.inv(q[ok])
-    ok[ok] = _cond_ok(q[ok, d:, :d].transpose(1, 2, 0))
-    return _Spectrum(ham, lam, q, qinv, ok)
+    rows = q.transpose(1, 2, 0)                            # (2d, 2d, B)
+    (adj, det, ok), (adj_2d, det_2d, ok_2d) = (
+        _checked_inverse(a) for a in (rows, rows[d:, :d]))
+    ok &= ok_2d & np.all(np.isfinite(q), axis=(-2, -1))
+    adj_2d = np.where(ok, adj_2d, np.eye(d)[..., None])
+    return _Spectrum(ham, lam, q,
+                     (adj / np.where(ok, det, 1.0)).transpose(2, 0, 1),
+                     adj_2d.transpose(2, 0, 1), np.where(ok, det_2d, 1.0), ok)
 
 
 def _flow(spec: _Spectrum, svals: np.ndarray
@@ -409,18 +398,18 @@ def _flow(spec: _Spectrum, svals: np.ndarray
     A node off the eigen route takes the rows of exp(s Ham) as Z, with
     Q_2D = I and Lam_D = 0; its log is plain principal.
 
-    Entries first: each entry of Z is one (B, S) row, and the d x d
-    inverses and determinants are cofactor sums (``matcalc.det_last``)."""
+    Entries first: each entry of Z is one (B, S) row, and Z_2 is inverted
+    by cofactors (``matcalc.inverse_last``), as Q_2D was."""
     n, d = spec.lam.shape[0], spec.lam.shape[1] // 2
     ok = spec.ok
     lam_d = np.where(ok[:, None], spec.lam[:, :d], 0.0)
     q = np.where(ok, spec.q.transpose(1, 2, 0), 0.0)      # (2d, 2d, B)
     qinv = np.where(ok, spec.qinv.transpose(1, 2, 0), 0.0)
-    q2d = np.where(ok, q[d:, :d], np.eye(d)[..., None])
-    det_q = matcalc.det_last(q2d)
+    det_q = spec.q2d_det
     # Z(s)[i, :] = P_D[i, :] + sum_j e^{s (lam_Sj - lam_Di)} K_ij P_S[j, :]
     # with K = Q_2D^{-1} Q_2S; every exponent has real part <= 0
-    k = matcalc.matmul_last(matcalc.adj_last(q2d), q[d:, d:]) / det_q
+    k = matcalc.matmul_last(spec.q2d_adj.transpose(1, 2, 0),
+                            q[d:, d:]) / det_q
     gaps = spec.lam.T[d:] - lam_d.T[:, None]              # (d, d, B)
     z = np.empty((d, 2 * d, n, svals.size), dtype=complex)
     for i in range(d):
@@ -437,10 +426,10 @@ def _flow(spec: _Spectrum, svals: np.ndarray
         exp2 = np.where(top > 0, np.ceil(np.log2(top)), 0.0)
         z[:, :, b] = (rows * np.exp2(-exp2)).transpose(1, 2, 0)
         log_scale[b] = np.log(2.0) * exp2.sum(axis=(-2, -1))
-    det_z = matcalc.det_last(z[:, d:])
+    adj_z, det_z = matcalc.inverse_last(z[:, d:])
     good = np.all(np.isfinite(z[:, d:]), axis=(0, 1)) & (det_z != 0)
     safe = np.where(good, det_z, 1.0)
-    psi = matcalc.matmul_last(matcalc.adj_last(z[:, d:]), z[:, :d]) / safe
+    psi = matcalc.matmul_last(adj_z, z[:, :d]) / safe
     psi = np.where(good, 0.5 * (psi + psi.swapaxes(0, 1)), np.nan)
     # det(Q_2D Z_2): its phase, and its log modulus from the two factors
     det = det_z * det_q[:, None]

@@ -19,8 +19,9 @@ from covhedge import (_shards, gbm, matcalc, models, payoffs, simulate,
 from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
-from conftest import (ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF, SIGMA0_3,
-                      SIGMA0_REF, inadmissible_params, three_asset_params)
+from conftest import (A_REF, ALPHA_REF, M_REF, RHO_REF, S0_3, S0_REF,
+                      SIGMA0_3, SIGMA0_REF, inadmissible_params,
+                      three_asset_params)
 
 N_PATHS = 12
 N_STEPS = 4
@@ -307,6 +308,53 @@ class TestFourierHedge:
                 f"cache's ({m},) nodes")):
             backtest.FourierHedge(params, cache, weights)
 
+    @pytest.mark.parametrize("other", ["bns", "wasc_omega"])
+    def test_refuses_a_cache_of_other_params(self, wasc_ref, bns_ref,
+                                             state_ref, other):
+        # unchecked, a wasc hedge on a cache built for the bns params ran and
+        # hedged with the jump model's lattice
+        _, sim, cache, _, _ = prepared_hedge(wasc_ref, state_ref,
+                                             (100.0, 100.0))
+        params = {"bns": bns_ref, "wasc_omega": models.WascParams(
+            d=2, mean_rev=M_REF, vol_of_vol=wasc_ref.vol_of_vol,
+            leverage=RHO_REF, omega=0.9 * wasc_ref.omega)}[other]
+        weights = np.ones(cache.model_args.shape[0])
+        with pytest.raises(ValueError, match=f"other params \\(wasc\\) "
+                                             f"cannot serve {params.kind}"):
+            backtest.FourierHedge(params, cache, weights)
+        # equal params as another object serve, and so does a panel
+        # simulated under another model
+        twin = models.WascParams(d=2, mean_rev=M_REF, vol_of_vol=A_REF,
+                                 leverage=RHO_REF, alpha=ALPHA_REF)
+        assert twin is not wasc_ref
+        hedge = backtest.FourierHedge(twin, cache, weights)
+        hedge.prepare(simulate.simulate(bns_ref, state_ref, 1.0, N_STEPS,
+                                        N_PATHS, seed=5))
+
+
+class TestSpotSolve:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_path_alone_has_its_bits_in_the_batch(self, bns_ref, d):
+        # (Sigma + J) theta = c, with J the jump covariation of the model:
+        # one path alone and inside a batch of 300, against a (P, d) and a
+        # shared (d,) right-hand side, and the solution solves the system
+        params = three_asset_params("bns") if d == 3 else bns_ref
+        jump = backtest._jump_cov(params)
+        rng = np.random.default_rng(20 + d)
+        x = rng.standard_normal((300, d, d + 2))
+        cov = 0.05 * x @ x.swapaxes(1, 2)
+        for rhs in (rng.standard_normal((300, d)), rng.standard_normal(d)):
+            batch = backtest._spot_solve(cov, jump, rhs)
+            for p in (0, 117, 299):
+                alone = backtest._spot_solve(cov[p:p + 1], jump,
+                                             rhs[p:p + 1] if rhs.ndim == 2
+                                             else rhs)
+                assert np.array_equal(alone[0], batch[p])
+            want = np.broadcast_to(rhs, batch.shape)
+            np.testing.assert_allclose(
+                np.einsum("pab,pb->pa", cov + jump, batch), want,
+                rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
 
 class Recorder:
     """A strategy that holds nothing and records the row count of every
@@ -432,6 +480,22 @@ class TestRunBacktest:
             for got, want in zip(run, runs[0]):
                 np.testing.assert_array_equal(got, want)
         assert all(np.ptp(pnl) > 0 for pnl in runs[0])
+
+    @pytest.mark.parametrize("form", ["array", "callable"])
+    @pytest.mark.parametrize("shape", ["column", "scalar"])
+    def test_payoff_not_one_per_path_is_refused(self, wasc_ref, state_ref,
+                                                form, shape):
+        # unchecked, a callable giving a (P, 1) column made a (P, P) P&L
+        # and one giving a scalar paid every path alike
+        sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
+                                seed=5)
+        pay = {"column": np.zeros((N_PATHS, 1)), "scalar": 1.0}[shape]
+        job = backtest.HedgeJob("cash", None, (lambda spot: pay)
+                                if form == "callable" else pay, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"payoff of cash has shape {np.shape(pay)}, not "
+                f"({N_PATHS},)")):
+            backtest.run_backtest(sim, [job])
 
     def test_children_overflow_counts_are_merged(self, hedged, monkeypatch):
         # the last path sits in the last shard, so with two shards its

@@ -285,11 +285,36 @@ class TestBatchLast:
             mats @ np.moveaxis(b, -1, 0), rtol=1e-13)
         det = matcalc.det_last(a)
         np.testing.assert_allclose(det, np.linalg.det(mats), rtol=1e-12)
+        adj, det_adj = matcalc.inverse_last(a)
         np.testing.assert_allclose(
-            np.moveaxis(matcalc.adj_last(a), -1, 0),
+            np.moveaxis(adj, -1, 0),
             np.linalg.inv(mats) * det[:, None, None], rtol=1e-12)
+        # read off the adjugate's first column; for d = 4 its cofactors
+        # come from the 2 x 2 minors, not det_last's expansion
+        if d == 4:
+            np.testing.assert_allclose(det_adj, det, rtol=1e-12)
+        else:
+            assert np.array_equal(det_adj, det)
 
-    @pytest.mark.parametrize("fn", ["matmul_last", "det_last", "adj_last"])
+    def test_inverse_from_entries(self):
+        # a shifted symmetric matrix given by its upper triangle, each entry
+        # formed once, has the bits of the same matrix built whole
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            x = rng.standard_normal((40, d, d))
+            mats = x @ x.swapaxes(1, 2)
+            shift = np.eye(d) + 0.1
+            upper = {(i, j): mats[:, i, j] + shift[i, j]
+                     for i in range(d) for j in range(i, d)}
+            rows = [[upper[min(i, j), max(i, j)] for j in range(d)]
+                    for i in range(d)]
+            whole = np.moveaxis(mats + shift, 0, -1)
+            for got, want in zip(matcalc.inverse_last(rows),
+                                 matcalc.inverse_last(whole)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", ["matmul_last", "det_last",
+                                    "inverse_last"])
     def test_entries_bitwise_independent_of_the_stack(self, fn):
         # 20,000 complex entries a row: numpy reuses a temporary of that
         # size for the result, and its complex product is not bitwise
@@ -301,15 +326,20 @@ class TestBatchLast:
         args = (a, a[::-1]) if fn == "matmul_last" else (a,)
         whole = op(*args)
         part = op(*(x[..., 7:12] for x in args))
-        assert np.array_equal(whole[..., 7:12], part)
+        if fn == "inverse_last":
+            for w, p in zip(whole, part):
+                assert np.array_equal(w[..., 7:12], p)
+        else:
+            assert np.array_equal(whole[..., 7:12], part)
 
     def test_adjugate_4x4_bitwise_independent_of_the_stack(self):
         # the 4 x 4 adjugate takes the 2 x 2 minors of row pairs
         rng = np.random.default_rng(10)
         a = (rng.standard_normal((4, 4, 20000))
              + 1j * rng.standard_normal((4, 4, 20000)))
-        assert np.array_equal(matcalc.adj_last(a)[..., 7:12],
-                              matcalc.adj_last(a[..., 7:12]))
+        whole = matcalc.inverse_last(a)
+        for w, p in zip(whole, matcalc.inverse_last(a[..., 7:12])):
+            assert np.array_equal(w[..., 7:12], p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covhedge import models, payoffs, transforms
-from covhedge.hedging import pricing
+from covhedge import models, payoffs, simulate, transforms
+from covhedge.hedging import backtest, covswap, pricing
 
 import oracles
 from conftest import (ALPHA_REF, A_REF, M_REF, RHO_REF, S0_3, S0_REF,
@@ -695,17 +695,20 @@ class TestPhiPanels:
 
 
 def eig_spectrum(params, nodes):
-    """The eigen-split of the Hamiltonians from LAPACK eig and inv, dominant
-    modes first, as transforms takes it for d > 2."""
+    """The eigen-split of the Hamiltonians from LAPACK eig, inv and det,
+    dominant modes first."""
     d = params.d
     ham = transforms.wasc_hamiltonian(params, nodes)
     lam, q = np.linalg.eig(ham)
     dom = np.argsort(-lam.real, axis=-1)
     lam = np.take_along_axis(lam, dom, axis=-1)
     q = np.take_along_axis(q, dom[:, None, :], axis=-1)
-    ok = ((np.linalg.cond(q, 1) <= 1e10)
-          & (np.linalg.cond(q[:, d:, :d], 1) <= 1e10))
-    return transforms._Spectrum(ham, lam, q, np.linalg.inv(q), ok)
+    q2d = q[:, d:, :d]
+    ok = (np.linalg.cond(q, 1) <= 1e10) & (np.linalg.cond(q2d, 1) <= 1e10)
+    det = np.linalg.det(q2d)
+    return transforms._Spectrum(ham, lam, q, np.linalg.inv(q),
+                                np.linalg.inv(q2d) * det[:, None, None], det,
+                                ok)
 
 
 def strip_nodes(params, state):
@@ -762,18 +765,22 @@ class TestClosedFormSpectrum:
         assert np.max(np.abs(log_det - log_det_ref)
                       / np.maximum(1.0, np.abs(log_det_ref))) < 1e-12
 
-    @pytest.mark.parametrize("case", ["reference", "frozen"])
+    @pytest.mark.parametrize("case", ["reference", "frozen", "three"])
     def test_left_rows_invert_the_basis(self, case, wasc_ref, state_ref):
-        # row j of q^{-1} is J x_p of the paired mode p over (J x_p)' x_j;
-        # it inverts the closed-form basis as closely as LAPACK's inverse
-        # inverts eig's
-        params, state = {
-            "reference": (wasc_ref, state_ref),
-            "frozen": (models.WascParams(d=2, mean_rev=M_REF,
-                                         vol_of_vol=np.zeros((2, 2)),
-                                         leverage=RHO_REF, alpha=ALPHA_REF),
-                       state_ref)}[case]
-        nodes = strip_nodes(params, state)
+        # the rows of q^{-1}, the left eigenvectors, by cofactors: they
+        # invert the basis (closed-form at d = 2, eig's at d = 3) as
+        # closely as LAPACK's inverse inverts eig's
+        if case == "three":
+            params = three_asset_params("wasc")
+            state = models.MarketState.from_spot(0.0, S0_3, SIGMA0_3)
+            nodes = np.concatenate([
+                atm_cc_nodes(params, state, 8),
+                [[1.5 + 60.0j, 0.0, 1.5 - 45.0j], [-0.5 + 80.0j, 0.0, 1.5]]])
+        else:
+            params = wasc_ref if case == "reference" else models.WascParams(
+                d=2, mean_rev=M_REF, vol_of_vol=np.zeros((2, 2)),
+                leverage=RHO_REF, alpha=ALPHA_REF)
+            nodes = strip_nodes(params, state_ref)
         closed = transforms._spectrum(params, nodes)
         ref = eig_spectrum(params, nodes)
         eye = np.eye(2 * params.d)
@@ -796,15 +803,16 @@ class TestClosedFormSpectrum:
             spec = transforms._spectrum(params, np.stack(CONTOUR_NODES))
         assert not np.any(spec.ok)
 
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 6])
     def test_condition_check_matches_lapack(self, n):
         # random complex stacks with one small singular value, as a basis
         # with two nearly parallel eigenvectors has, and 1-norm condition
-        # numbers from 1 to 1e16; exactly singular ones; the eigenvector
-        # bases of the Jordan-block set.  None lies within 10% of the
-        # limit, where rounding may decide either way.  (With several
-        # small singular values det A falls below the rounding of its
-        # cofactor sum, and the check is not meant for such a basis.)
+        # numbers from 1 to 1e16; exactly singular ones; for n = 4 and 6,
+        # the sizes of the bases at d = 2 and 3, the eigenvector bases of
+        # a Jordan-block set.  None lies within 10% of the limit, where
+        # rounding may decide either way.  (With several small singular
+        # values det A falls below the rounding of its cofactor sum, and
+        # the check is not meant for such a basis.)
         rng = np.random.default_rng(40 + n)
         count = 600
         u, _ = np.linalg.qr(rng.standard_normal((count, n, n))
@@ -814,13 +822,14 @@ class TestClosedFormSpectrum:
         sv[:, -1] = np.exp(-rng.uniform(0.0, 37.0, count))
         mats = (u * sv[:, None, :]) @ v
         mats[:20, :, -1] = mats[:20, :, 0]                # singular
-        if n == 4:
+        if n > 2:
+            d = n // 2
             params = models.WascParams(
-                d=2, mean_rev=np.array([[-1.0, 1.0], [0.0, -1.0]]),
-                vol_of_vol=np.zeros((2, 2)), leverage=np.zeros(2),
-                omega=0.05 * np.eye(2))
-            _, q = np.linalg.eig(transforms.wasc_hamiltonian(
-                params, np.stack(CONTOUR_NODES)))
+                d=d, mean_rev=np.eye(d, k=1) - np.eye(d),
+                vol_of_vol=np.zeros((d, d)), leverage=np.zeros(d),
+                omega=0.05 * np.eye(d))
+            nodes = np.pad(np.stack(CONTOUR_NODES), ((0, 0), (0, d - 2)))
+            _, q = np.linalg.eig(transforms.wasc_hamiltonian(params, nodes))
             mats = np.concatenate([mats, q])
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.linalg.cond(mats, 1)
@@ -828,27 +837,56 @@ class TestClosedFormSpectrum:
         assert np.count_nonzero(clear) > 0.95 * mats.shape[0]
         want = cond <= transforms._EIGVEC_COND_MAX
         assert 0 < np.count_nonzero(want) < mats.shape[0]
-        got = transforms._cond_ok(mats.transpose(1, 2, 0))
+        _, _, got = transforms._checked_inverse(mats.transpose(1, 2, 0))
         np.testing.assert_array_equal(got[clear], want[clear])
 
     def test_no_eig_for_d_up_to_2(self, wasc_ref, bns_ref, monkeypatch):
+        # d <= 2 runs no LAPACK eig, and no d runs LAPACK det, or an inv,
+        # cond or solve on a stack over nodes or paths: every such inverse
+        # is matcalc.inverse_last.  A constant d x d matrix still may (the
+        # Wishart scale in models.wishart_mgf).  The d = 3 jump-model panel
+        # and swap system (its tilted scales, one per asset) are built first.
+        bns3 = three_asset_params("bns")
+        sim = simulate.simulate(bns3, models.MarketState.from_spot(
+            0.0, S0_3, SIGMA0_3), 1.0, 4, 8, seed=3)
+        system = covswap.bns_covswap_system(bns3, SIGMA0_3, 1.0, (0, 1), 4)
+        lapack = {name: getattr(np.linalg, name)
+                  for name in ("eig", "det", "inv", "cond", "solve")}
+
         def refuse(name):
-            def call(*_):
+            def call(a, *args):
+                if name in ("inv", "cond", "solve") and np.ndim(a) == 2:
+                    return lapack[name](a, *args)
                 raise AssertionError(f"np.linalg.{name} called")
             return call
 
-        for name in ("eig", "det"):
+        for name in lapack:
             monkeypatch.setattr(np.linalg, name, refuse(name))
         for params in (wasc_ref, bns_ref):
             grid = transforms.transform_grid(params, [0.5, 1.0],
                                              np.stack(CONTOUR_NODES))
             assert np.all(grid.valid)
-        three = models.WascParams(d=3, mean_rev=-2.0 * np.eye(3),
-                                  vol_of_vol=0.2 * np.eye(3),
-                                  leverage=np.zeros(3), alpha=3.0)
+        three = three_asset_params("wasc")
+        nodes = [[1.5 + 1.0j, 0.5, -0.5 + 2.0j]]
         with pytest.raises(AssertionError, match="eig called"):
-            transforms.transform_grid(three, [1.0],
-                                      [[1.5 + 1.0j, 0.5, -0.5 + 2.0j]])
+            transforms.transform_grid(three, [1.0], nodes)
+        # at d = 3 eig alone runs on the node axis
+        monkeypatch.setattr(np.linalg, "eig", lapack["eig"])
+        for params in (three, bns3):
+            grid = transforms.transform_grid(params, [0.5, 1.0], nodes)
+            assert np.all(grid.valid)
+        # the d = 3 jump-model hedges solve (Sigma + J) theta = c per path
+        kernel = payoffs.quadrant_option(3, "cc", (0, 1), (S0_3[0], S0_3[1]))
+        contour = payoffs.build_contour(kernel, nodes_per_dim=4, decay=1.0)
+        cache = backtest.BasisCache(bns3, contour.model_args, 1.0)
+        cache.prepare(sim)
+        results = backtest.run_backtest(sim, [
+            backtest.HedgeJob("fourier", backtest.FourierHedge(
+                bns3, cache, contour.weights), kernel.payoff, 10.0),
+            backtest.HedgeJob("covswap", backtest.CovswapHedge(
+                system, bns3), covswap.covswap_payoff(
+                    system, sim.integrated_cov), 0.0)])
+        assert all(np.all(np.isfinite(r.pnl)) for r in results)
 
 
 class TestBlockPartition:
