@@ -13,7 +13,7 @@ that one of them held at the fork, and Python 3.12 on warns of it.
 The children see the caller's state copy-on-write, and write their rows
 into arrays that ``empty`` placed in an anonymous shared mapping, so no row
 is copied or pickled.  A child's pipe carries back only its shard's small
-return value (a few counters), or the exception it raised, which the parent
+return value (a counter, or None), or the exception it raised, which the parent
 raises with a cause naming the shard once it has reaped every child.  A
 shard whose fork fails runs in this process, with the same result.
 Anything else a child changes ends with it.

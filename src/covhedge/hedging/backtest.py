@@ -14,15 +14,16 @@ per-element cos and sin.  ``BasisCache.basis`` works in real arithmetic on
 the rows it is given: two real matrix products give a and b, numpy's
 vectorised real exp gives e^a, and ``matcalc.scaled_cis`` gives
 e^a (cos b + i sin b) from a table instead of libm trig, within a few ulps
-of complex exp of the same exponent.  Entries whose real exponent exceeds
-models.OVERFLOW_RE are set to 0 and counted in ``overflow_count``.
+of complex exp of the same exponent.  A real exponent past
+models.OVERFLOW_RE refuses the date's basis, as it refuses a price: such a
+claim would dominate any sum it entered.
 
 ``run_backtest`` evaluates the payoffs and prepares every strategy once,
 then sweeps the paths in contiguous shards, the first in this process and
 each other in a forked child, by the one protocol of ``covhedge._shards``;
-the wealth rows live in a shared mapping, and each child sends back only
-the increments of every ``BasisCache.overflow_count``, the only state that
-``positions`` changes.  A second process paid off only from about 1e6 to
+the wealth rows live in a shared mapping, no strategy changes state during
+the sweep, and a child sends back nothing but the exception it may raise,
+which the parent raises.  A second process paid off only from about 1e6 to
 2.5e6 basis points (paths x rebalancing dates x Fourier nodes) per shard in
 the runs recorded in CHANGES.md, so a sweep takes only as many shards as
 carry _MIN_SHARD_BASIS_POINTS each, and one without a Fourier hedge runs in
@@ -94,8 +95,7 @@ class HedgeJob:
     spot, log_spot, cov)``, called per date on all the paths of a shard.
     Positions must depend on the paths' state and on what ``prepare`` set only:
     the paths may be swept in forked processes, and state that ``positions``
-    changes stays in the process that changed it (``BasisCache``'s
-    ``overflow_count`` alone is merged back).
+    changes stays in the process that changed it.
     """
 
     name: str
@@ -115,7 +115,6 @@ class BasisCache:
         self.params = params
         self.model_args = np.atleast_2d(np.asarray(model_args, dtype=complex))
         self.horizon = horizon
-        self.overflow_count = 0
         self.times = None              # rebalancing times of the lattice
 
     def prepare(self, sim) -> None:
@@ -128,15 +127,16 @@ class BasisCache:
         self.psi = np.where(self.valid[..., None, None], grid.psi, 0.0)
         # exponent = state @ coeff[k] for the state row (log spots, the upper
         # triangle of Sigma with doubled off-diagonals, 1): the last
-        # coefficient row is phi.  basis needs the real and imaginary planes.
+        # coefficient row is phi, and an invalid node's coefficients are 0.
+        # basis needs the real and imaginary planes.
         self._iu, self._ju = np.triu_indices(d)
         self._off_scale = np.where(self._iu == self._ju, 1.0, 2.0)
         psi_flat = self.psi[:, :, self._iu, self._ju]    # (K, M, n_tri)
         u_part = np.broadcast_to(self.model_args.T[None],
                                  (times.size, d, self.model_args.shape[0]))
-        phi = np.where(self.valid, grid.phi, 0.0)
         coeff = np.concatenate([u_part, psi_flat.transpose(0, 2, 1),
-                                phi[:, None]], axis=1)   # (K, d+n_tri+1, M)
+                                grid.phi[:, None]], axis=1)
+        np.copyto(coeff, 0.0, where=~self.valid[:, None])  # (K, d+n_tri+1, M)
         self.coeff_re = np.ascontiguousarray(coeff.real)
         self.coeff_im = np.ascontiguousarray(coeff.imag)
 
@@ -149,21 +149,18 @@ class BasisCache:
     def basis(self, k: int, log_spot: np.ndarray,
               cov: np.ndarray) -> np.ndarray:
         """H on the (P, M) panel of the given paths at date k, all rows at
-        once, 0 where the real exponent passes models.OVERFLOW_RE."""
+        once; refused where a real exponent passes models.OVERFLOW_RE."""
         state = np.concatenate(
             [log_spot, cov[:, self._iu, self._ju] * self._off_scale,
              np.ones((log_spot.shape[0], 1))], axis=1)
         a = _matmul(state, self.coeff_re[k])
-        bad = a > models.OVERFLOW_RE
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            a[bad] = 0.0
+        # elementwise, so that a nan row cannot hide an overflowed one
+        if (a > models.OVERFLOW_RE).any():
+            raise ValueError(f"a basis exponent passes models.OVERFLOW_RE at "
+                             f"rebalancing date {k} (t = {self.times[k]:.6g})")
         np.exp(a, out=a)
         h = np.empty(a.shape, dtype=complex)
         matcalc.scaled_cis(_matmul(state, self.coeff_im[k]), a, h)
-        if n_bad:
-            h[bad] = 0.0
-            self.overflow_count += n_bad
         return h
 
 
@@ -173,8 +170,9 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_span(sim, horizon: float) -> None:
-    if abs(sim.times[-1] - horizon) > 1e-12:
-        raise ValueError("claim maturity must match the simulation span")
+    if not (np.isfinite(horizon) and abs(sim.times[-1] - horizon) <= 1e-12):
+        raise ValueError("horizon must be finite and must match the "
+                         "simulation span")
 
 
 def _check_grid(times: np.ndarray | None, grid: np.ndarray,
@@ -380,10 +378,10 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
     Payoffs and strategies are prepared once, here; the paths are then swept
     in shards over forked processes (``covhedge._shards``), each shard whole
     at every date: ``FourierHedge.positions`` alone blocks rows.  Every child
-    has ended before this function returns or raises.  A strategy's
-    ``positions`` must not rest on state changed during the sweep: a child's
-    changes do not come back, except the overflow counts of every
-    ``BasisCache``.
+    has ended before this function returns or raises, and an exception
+    raised in any shard is raised here.  A strategy's ``positions`` must not
+    rest on state changed during the sweep: a child's changes do not come
+    back.
     """
     n_paths = sim.n_paths
     payoffs_out = [np.asarray(job.payoff(np.exp(sim.log_spot[:, -1]))
@@ -399,22 +397,12 @@ def run_backtest(sim, jobs: Sequence[HedgeJob]) -> list[BacktestResult]:
         if job.strategy is not None:
             job.strategy.prepare(sim)
 
-    # the only state positions change: each distinct cache's overflow count
-    caches = list({id(job.strategy.cache): job.strategy.cache for job in jobs
-                   if isinstance(job.strategy, FourierHedge)}.values())
-    counts = [cache.overflow_count for cache in caches]
     n_shards = _shard_count(jobs, n_paths, sim.log_spot.shape[1])
     wealth = _shards.empty((len(jobs), n_paths), shared=n_shards > 1)
 
-    def shard(lo: int, hi: int) -> list[int]:
-        before = [cache.overflow_count for cache in caches]
+    def shard(lo: int, hi: int) -> None:
         _sweep(jobs, sim.log_spot[lo:hi], sim.cov[lo:hi], wealth[:, lo:hi])
-        return [cache.overflow_count - n for cache, n in zip(caches, before)]
 
-    added = _shards.run(shard, n_paths, n_shards, "backtest")
-    # shards run here counted in place and children's counts ended with
-    # them: every count is its base plus the increments of all shards
-    for cache, n, per_shard in zip(caches, counts, zip(*added)):
-        cache.overflow_count = n + sum(per_shard)
+    _shards.run(shard, n_paths, n_shards, "backtest")
     return [BacktestResult(name=job.name, pnl=w - p, payoff=p)
             for job, w, p in zip(jobs, wealth, payoffs_out)]

@@ -50,10 +50,10 @@ __all__ = [
 
 # The one overflow rule: the largest real part of a transform exponent that
 # is exponentiated; beyond it e^x overflows float64 (about 709.8) or swamps
-# every other contour node.  A node whose real exponent passes it is skipped:
-# hedging.pricing.fourier_price counts it in the skipped contour mass, and
-# hedging.backtest.BasisCache.basis sets its H to 0 and counts it in
-# overflow_count.
+# every other contour node, so skipping it never leaves an approximation.  A
+# valid node past it refuses the number: hedging.pricing.fourier_price names
+# the claim, hedging.backtest.BasisCache.basis the rebalancing date.  Nodes
+# invalid for domain reasons are skipped instead (payoffs.MAX_SKIP_MASS).
 OVERFLOW_RE = 700.0
 
 
@@ -255,12 +255,14 @@ class MarketState:
 
 def covariance_state(cov, d: int) -> np.ndarray:
     """cov as a float (d, d) array, refused unless it is a covariance state:
-    symmetric to 1e-10 relative, with no eigenvalue below
+    finite, symmetric to 1e-10 relative, with no eigenvalue below
     -matcalc.psd_tolerance.  MarketState and the entry points that take a
     raw state keep this one rule."""
     cov = np.array(cov, dtype=float)
     if cov.shape != (d, d):
         raise ValueError(f"cov: expected shape ({d}, {d}), got {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("cov must be finite")
     if not matcalc.is_symmetric(cov, rtol=1e-10):
         raise ValueError("cov must be symmetric")
     lo, tol = matcalc.min_eigenvalue(cov), matcalc.psd_tolerance(cov)

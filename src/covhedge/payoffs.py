@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 _POLE_MARGIN = 1e-6
-# largest share of a contour's absolute weight that may sit on skipped nodes
-# (transform-domain failures or overflow) before a price or hedge is refused;
-# check_skipped_mass applies it for contour_price and backtest.BasisCache
+# largest share of a contour's absolute weight that may sit on nodes skipped
+# as invalid before check_skipped_mass refuses a price (contour_price) or a
+# hedge (backtest.BasisCache); an overflowing node is refused outright
 MAX_SKIP_MASS = 1e-3
 
 # Godfrey's Lanczos coefficients for g = 607/128, 15 terms
@@ -181,6 +181,8 @@ def geometric_option(d: int, weights: Sequence[float], strike: float,
     w = np.asarray(weights, dtype=float)
     if w.shape != (d,):
         raise ValueError("weights must have one entry per asset")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
     sign = 1.0 if kind == "call" else -1.0

@@ -86,6 +86,7 @@ different orders.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,6 +369,8 @@ def simulate(params, state: models.MarketState, horizon: float, n_steps: int,
         raise ValueError("horizon must be finite and exceed the state time")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be positive")
+    # integers: the Philox key would truncate a float, 1.5 to seed 1
+    seed, path_start = operator.index(seed), operator.index(path_start)
     if seed < 0 or path_start < 0:
         raise ValueError("seed and path_start must be nonnegative")
     span = horizon - state.t

@@ -131,8 +131,8 @@ skipped mass.
 
 Single evaluations go through the same engine as a 1 x 1 lattice.  H at a
 market state is formed by the callers, ``hedging.pricing.fourier_price`` and
-``hedging.backtest.BasisCache.basis``, under the overflow rule stated at
-``models.OVERFLOW_RE``.
+``hedging.backtest.BasisCache.basis``, which skip an invalid node and refuse
+a valid one past the one overflow rule, ``models.OVERFLOW_RE``.
 """
 
 from __future__ import annotations

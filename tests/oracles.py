@@ -396,7 +396,7 @@ class TransformEval:
 def basis_from_eval(ev: TransformEval, state: models.MarketState) -> complex:
     """H_t(u) from a precomputed (phi, psi) pair at the market state; nan
     where the transform is invalid or the exponent passes the overflow
-    rule (the package's evaluators skip such nodes instead)."""
+    rule (the package's evaluators skip the first and refuse the second)."""
     if not ev.valid:
         return complex(np.nan, np.nan)
     expo = ev.phi + ev.u @ state.log_spot + np.trace(ev.psi @ state.cov)

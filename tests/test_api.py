@@ -29,7 +29,7 @@ def test_all_names_resolve(name):
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# fields kept without a reader: the diagnostics that ROADMAP item 8 gathers
+# fields kept without a reader: the diagnostics that ROADMAP item 10 gathers
 # into one record, counted today so that tests can assert on them
 DIAGNOSTICS = {"SimResult.clip_count", "TransformGrid.phi_quadrature"}
 

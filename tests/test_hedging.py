@@ -117,28 +117,50 @@ class TestBasisCache:
         assert blocks == [N_PATHS, 5, 5, 2]
         np.testing.assert_array_equal(split, one)
         assert np.all(np.isfinite(one)) and np.ptp(one) > 0
-        assert cache.overflow_count == 0
 
-    def test_overflow_entries_are_zero_and_counted(self, hedged):
+    def test_overflow_is_refused_past_a_nan_row(self, hedged):
+        # rows below the overflow rule are evaluated; one row past it
+        # refuses the date's basis, though the nan row before it makes the
+        # largest real exponent nan
         _, sim, cache, _, _ = hedged
         k = 1
         log_spot = sim.log_spot[:, k].copy()
         cov = sim.cov[:, k]
-        log_spot[:4] += np.array([[150.0], [200.0], [300.0], [500.0]])
-        with np.errstate(over="ignore"):
-            want, re = complex_exp_basis(cache, sim, k, log_spot, cov)
-        bad = re > models.OVERFLOW_RE
-        assert 0 < bad.sum() < bad.size
-        got = cache.basis(k, log_spot, cov)
-        assert cache.overflow_count == bad.sum()
-        assert np.all(got[bad] == 0)
-        np.testing.assert_allclose(got[4:], want[4:], rtol=1e-13, atol=0)
+        log_spot[:2] += np.array([[150.0], [200.0]])
+        want, re_part = complex_exp_basis(cache, sim, k, log_spot, cov)
+        assert re_part.max() < models.OVERFLOW_RE
         # the shifted rows' angles reach thousands of radians, so rounding
         # in the exponent alone moves H by |b| eps relative
-        kept = ~bad[:4]
-        assert kept.any()
-        np.testing.assert_allclose(got[:4][kept], want[:4][kept], rtol=1e-11,
-                                   atol=0)
+        np.testing.assert_allclose(cache.basis(k, log_spot, cov), want,
+                                   rtol=1e-11, atol=0)
+        log_spot[2, 0] = np.nan
+        log_spot[3] += 500.0
+        with np.errstate(over="ignore"):
+            _, re_part = complex_exp_basis(cache, sim, k, log_spot, cov)
+        assert np.isnan(re_part.max())
+        assert np.any(re_part > models.OVERFLOW_RE)
+        date = f"OVERFLOW_RE at rebalancing date {k} (t = {sim.times[k]:.6g})"
+        with pytest.raises(ValueError, match=re.escape(date)):
+            cache.basis(k, log_spot, cov)
+
+    def test_invalid_nodes_are_skipped_not_refused(self):
+        # past the moment explosion of u = 20, that node is invalid: its
+        # exponent is 0 whatever u'Y, so a state that would take u'Y past
+        # the overflow rule is not refused, and its weight is 0
+        params, state, _ = exploding_call()
+        sim = simulate.simulate(params, state, 1.0, 2, 3, seed=5)
+        cache = backtest.BasisCache(params, [[1.5 + 0.5j], [20.0]], 1.0)
+        cache.prepare(sim)
+        assert np.all(cache.valid == [True, False])
+        log_spot = np.full((3, 1), 40.0)
+        got = cache.basis(0, log_spot, sim.cov[:, 0])
+        assert np.all(got[:, 1] == 1.0)
+        with np.errstate(over="ignore"):
+            want, _ = complex_exp_basis(cache, sim, 0, log_spot,
+                                        sim.cov[:, 0])
+        np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(cache.weight_mask(np.array([1.0, 1e-4])),
+                                      [[1.0, 0.0], [1.0, 0.0]])
 
     def test_nan_state_propagates(self, hedged):
         _, sim, cache, _, _ = hedged
@@ -154,7 +176,6 @@ class TestBasisCache:
         assert np.all(np.isnan(got[nan_rows].imag))
         np.testing.assert_allclose(got[~nan_rows], want[~nan_rows],
                                    rtol=1e-13, atol=0)
-        assert cache.overflow_count == 0
 
     def test_prepare_forgets_the_last_panel(self, wasc_ref, state_ref):
         # a cache prepared again on a second panel of the same dates must
@@ -497,20 +518,25 @@ class TestRunBacktest:
                 f"({N_PATHS},)")):
             backtest.run_backtest(sim, [job])
 
-    def test_children_overflow_counts_are_merged(self, hedged, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, "rule"])
+    def test_an_overflow_in_any_shard_is_raised(self, hedged, monkeypatch, n):
         # the last path sits in the last shard, so with two shards its
-        # overflow is counted in the child
-        params, sim, cache, hedge, _ = hedged
+        # overflow is raised in the child and again here; "rule" takes the
+        # shard count from the CPUs, one in the one-CPU CI step
+        _, sim, _, hedge, _ = hedged
         sim.log_spot[-1, :, 0] += 500.0
-        counts = []
-        for n in (1, 2):
+        if n == "rule":
+            monkeypatch.setattr(backtest, "_MIN_SHARD_BASIS_POINTS", 1)
+        else:
             shards(monkeypatch, n)
-            cache.overflow_count = 0
+        with pytest.raises(ValueError, match="OVERFLOW_RE at rebalancing "
+                           "date 0 ") as err:
             backtest.run_backtest(sim, [backtest.HedgeJob(
                 "fourier", hedge, np.zeros(sim.n_paths), 0.0)])
-            counts.append(cache.overflow_count)
-        assert counts[0] > 0
-        assert counts[1] == counts[0]
+        if n == 2:
+            assert "backtest shard process" in str(err.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("path", [0, -1])
     def test_failures_are_raised_and_every_child_reaped(self, wasc_ref,
@@ -750,10 +776,13 @@ class TestCovswapStrikes:
 
 
 # a matrix that is not symmetric, one with a negative eigenvalue (-0.1),
-# and one of another dimension: MarketState refuses all three
+# one of another dimension and two that are not finite: MarketState refuses
+# all five
 NOT_A_STATE = {"asymmetric": ([[0.1, 0.5], [-0.3, 0.1]], "symmetric"),
                "indefinite": ([[0.1, 0.2], [0.2, 0.1]], "eigenvalue"),
-               "3 x 3": (SIGMA0_3, r"expected shape \(2, 2\)")}
+               "3 x 3": (SIGMA0_3, r"expected shape \(2, 2\)"),
+               "nan": ([[0.1, np.nan], [np.nan, 0.1]], "cov must be finite"),
+               "inf": ([[np.inf, 0.0], [0.0, 0.1]], "cov must be finite")}
 
 
 class TestCovarianceStateRule:
@@ -787,6 +816,32 @@ class TestCovarianceStateRule:
         with pytest.raises(ValueError, match="3 assets, the params d = 2"):
             pricing.fourier_price(params, STATE_3, 1.0,
                                   payoffs.call_option(2, 0, 100.0))
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+class TestNonFiniteHorizon:
+    """A nan or infinite horizon is refused where it enters, by name;
+    unchecked, a nan one reaches the transform engine or passes the span
+    check."""
+
+    def test_integrated_cov_rate(self, wasc_ref, bns_ref, state_ref, horizon):
+        for params in (wasc_ref, bns_ref):
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                pricing.integrated_cov_rate(params, state_ref, horizon)
+
+    def test_fourier_price(self, wasc_ref, bns_ref, state_ref, horizon):
+        for params in (wasc_ref, bns_ref):
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                pricing.fourier_price(params, state_ref, horizon,
+                                      payoffs.call_option(2, 0, 100.0))
+
+    def test_basis_cache(self, wasc_ref, state_ref, horizon):
+        sim = simulate.simulate(wasc_ref, state_ref, 1.0, N_STEPS, N_PATHS,
+                                seed=5)
+        cache = backtest.BasisCache(wasc_ref, [[1.5 + 1.0j, 1.5 - 1.0j]],
+                                    horizon)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            cache.prepare(sim)
 
 
 INADMISSIBLE = "invalid model parameters"
@@ -1008,3 +1063,16 @@ class TestFourierPrice:
         assert 0.0 < pricing.fourier_price(params, state, 1.7, call) < 100.0
         with pytest.raises(ValueError, match="invalid transform nodes"):
             pricing.fourier_price(params, state, 1.9, call)
+
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_an_overflowing_valid_node_is_refused(self, wasc_ref, bns_ref,
+                                                  kind):
+        # at log S_0 = 470 the call's damped exponent passes the overflow
+        # rule on valid nodes, which the skipped-mass rule would blame on
+        # invalid transform nodes
+        params = wasc_ref if kind == "wasc" else bns_ref
+        state = models.MarketState(0.0, [470.0, np.log(100.0)], SIGMA0_REF)
+        call = payoffs.call_option(2, 0, 100.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the transform of {call.name} overflows")):
+            pricing.fourier_price(params, state, 1.0, call)

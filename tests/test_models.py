@@ -147,6 +147,16 @@ class TestMarketStateInput:
             models.MarketState.from_spot(0.0, S0_REF,
                                          np.array([[0.10, 0.07], [0.0, 0.10]]))
 
+    @pytest.mark.parametrize("cov", [[[0.1, np.nan], [np.nan, 0.1]],
+                                     [[np.inf, 0.0], [0.0, 0.1]]])
+    def test_rejects_non_finite_cov(self, cov):
+        # unchecked, a nan is reported as an asymmetry and an inf warns in
+        # the symmetry test
+        with pytest.raises(ValueError, match="cov must be finite"):
+            models.MarketState.from_spot(0.0, S0_REF, cov)
+        with pytest.raises(ValueError, match="cov must be finite"):
+            models.covariance_state(cov, 2)
+
     def test_rejects_negative_eigenvalue(self):
         # eigenvalues 0.3 and -0.1
         with pytest.raises(ValueError, match="eigenvalue"):

@@ -104,6 +104,12 @@ class TestVanillaKernels:
         with pytest.raises(ValueError, match="strike"):
             payoffs.spread_option(2, 0, 1, strike)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_geometric_weight_rejected(self, weight):
+        # unchecked, a nan weight surfaces at pricing as a decay error
+        with pytest.raises(ValueError, match="weights must be finite"):
+            payoffs.geometric_option(2, [0.5, weight], 100.0)
+
     def test_bad_asset_index_rejected(self):
         with pytest.raises(ValueError, match="asset index"):
             payoffs.put_option(2, 5, 90.0)

@@ -110,6 +110,24 @@ class TestDeterminism:
                               np.concatenate([lo.integrated_cov,
                                               hi.integrated_cov]))
 
+    @pytest.mark.parametrize("model", ["wasc", "bns"])
+    def test_seed_and_path_start_must_be_integers(self, model, wasc_ref,
+                                                  bns_ref, state_ref):
+        # unchecked, the Philox key truncates them: seed 1.5 draws seed 1
+        # and path_start 2.7 path 2; numpy integers keep their bits
+        params = wasc_ref if model == "wasc" else bns_ref
+        for seed, path_start in ((1.5, 0), (1.9999, 0), (1, 2.7),
+                                 (np.float64(1.0), 0)):
+            with pytest.raises(TypeError, match="integer"):
+                simulate.simulate(params, state_ref, 1.0, 3, 4, seed=seed,
+                                  path_start=path_start)
+        want = simulate.simulate(params, state_ref, 1.0, 3, 4, seed=1,
+                                 path_start=2)
+        got = simulate.simulate(params, state_ref, 1.0, 3, 4,
+                                seed=np.int64(1), path_start=np.uint8(2))
+        assert np.array_equal(got.log_spot, want.log_spot)
+        assert np.array_equal(got.cov, want.cov)
+
     def test_seed_changes_paths(self, wasc_ref, state_ref):
         a = simulate.simulate(wasc_ref, state_ref, 1.0, 40, 50, seed=9)
         b = simulate.simulate(wasc_ref, state_ref, 1.0, 40, 50, seed=10)
