@@ -5,9 +5,10 @@ column-stacking ``vec``/``mat``, the Kronecker lift of a linear matrix drift,
 the PSD repair and factor (``psd_repair``, ``psd_factor_last``) that the
 simulator applies to covariance states at every step, the one elimination
 (``elimination``) behind that factor, the Sylvester test and the Wishart
-MGF, the one cofactor inverse (``inverse_last``) of small matrices stacked
-over nodes or paths, and the one cis kernel (``scaled_cis``).  The module
-needs numpy only.
+MGF, the one cofactor expansion (``_minor_det``), behind both
+``det_last`` and the cofactor inverse (``inverse_last``) of small matrices
+stacked over nodes or paths, and the one cis kernel (``scaled_cis``).  The
+module needs numpy only.
 Any factor L L' = Sigma serves the simulator: L = Sigma^{1/2} O with O
 orthogonal given the state, and O dW has the law of dW.
 
@@ -24,9 +25,10 @@ Conventions
   ``lift(M) @ vec(X)`` in this package assumes that convention.
 * Positive semidefiniteness is relative to ``PSD_RTOL`` = 1e-10:
   discretization of covariance dynamics produces harmless eigenvalues of
-  that relative size below zero.  ``psd_tolerance(M)`` scales it by the
-  spectral norm; ``psd_repair`` scales it by each matrix's largest absolute
-  entry when it counts material repairs.
+  that relative size below zero.  One scale serves every use: each
+  matrix's largest absolute entry, in ``psd_tolerance(M)``, in the count
+  of material repairs in ``psd_repair`` and, floored at 1, in the
+  symmetry test ``is_symmetric``.
 
 ``scaled_cis`` writes s e^{ib} for real s and b with no trigonometric
 call per element; the basis claims of a Fourier hedge and the Wishart MGF
@@ -73,7 +75,7 @@ __all__ = [
     "scaled_cis",
 ]
 
-# Relative PSD tolerance; the module docstring gives the scale of each use.
+# Relative PSD and symmetry tolerance; the module docstring gives its scale.
 PSD_RTOL = 1e-10
 # power-series terms of lift_flows, whose series runs on ||lift|| delta <= 1
 _FLOW_TERMS = 20
@@ -183,20 +185,21 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def is_symmetric(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True when ||M - M^T|| <= rtol * max(||M||, 1) entrywise."""
+def is_symmetric(m: np.ndarray) -> bool:
+    """True when ||M - M^T|| <= PSD_RTOL * max(||M||, 1), both norms the
+    largest absolute entry."""
     a = np.asarray(m)
     scale = max(float(np.max(np.abs(a))), 1.0)
-    return bool(np.max(np.abs(a - a.swapaxes(-1, -2))) <= rtol * scale)
+    return bool(np.max(np.abs(a - a.swapaxes(-1, -2))) <= PSD_RTOL * scale)
 
 
 def psd_tolerance(m: np.ndarray) -> float:
-    """Absolute PSD tolerance for a symmetric matrix: 1e-10 x spectral norm."""
+    """Absolute PSD tolerance for a symmetric matrix: PSD_RTOL times its
+    largest absolute entry, the scale ``psd_repair`` counts by."""
     a = np.asarray(m, dtype=float)
     if a.size == 0:
         return 0.0
-    # symmetric input: spectral norm equals the largest |eigenvalue|
-    return PSD_RTOL * float(np.linalg.norm(a, 2))
+    return PSD_RTOL * float(np.max(np.abs(a)))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -260,14 +263,14 @@ def _minor_det(a, rows: tuple, cols: tuple, memo: dict):
     temporary, which would make an entry's bits depend on the stack size."""
     if len(rows) <= 1:
         return a[rows[0]][cols[0]] if rows else 1.0
-    if (rows, cols) not in memo:
-        out = None
+    out = memo.get((rows, cols))
+    if out is None:
+        top, rest = a[rows[0]], rows[1:]
         for k, c in enumerate(cols):
-            minor = _minor_det(a, rows[1:], cols[:k] + cols[k + 1:], memo)
-            term = minor * a[rows[0]][c]
-            out = term if out is None else out - term if k % 2 else out + term
+            term = _minor_det(a, rest, cols[:k] + cols[k + 1:], memo) * top[c]
+            out = term if k == 0 else out - term if k % 2 else out + term
         memo[rows, cols] = out
-    return memo[rows, cols]
+    return out
 
 
 def det_last(a: np.ndarray) -> np.ndarray:
@@ -275,48 +278,29 @@ def det_last(a: np.ndarray) -> np.ndarray:
     expansion: unrolled ufunc arithmetic, so each entry is independent of
     the others.  Its cost grows like 2^d d, so it serves small d only."""
     idx = tuple(range(a.shape[0]))
-    return _minor_det(a, idx, idx, {})
+    return _minor_det([list(row) for row in a], idx, idx, {})
 
 
 def inverse_last(rows) -> tuple[np.ndarray, np.ndarray]:
     """The cofactor inverse of a d x d matrix given entry by entry as in
     ``elimination``, a (d, d, ...) stack serving as its own rows: adj A =
-    det A A^{-1}, a (d, d, ...) array, and det A = sum_j adj[j, 0] A[0, j],
-    expanded as det_last does (its bits but at d = 4, where the minors are
-    ``_minors4``'s).  Unrolled ufunc arithmetic, each entry independent of
-    the others; a shifted or symmetric matrix is never built whole."""
+    det A A^{-1}, a (d, d, ...) array, and det A, with det_last's bits.
+    Every minor, det A's included, comes from the one expansion of
+    ``_minor_det`` through one memo.  Unrolled ufunc arithmetic, each entry
+    independent of the others; a shifted or symmetric matrix is never built
+    whole."""
+    rows = [list(row) for row in rows]
     d = len(rows)
     idx, memo = tuple(range(d)), {}
-    minors = _minors4(rows) if d == 4 else [
-        [_minor_det(rows, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
-         for j in idx] for i in idx]
-    det = minors[0][0] * rows[0][0]
-    for j in range(1, d):
-        term = minors[j][0] * rows[0][j]
-        det = det - term if j % 2 else det + term
+    det = _minor_det(rows, idx, idx, memo)
     # every entry enters det, so it has the batch shape and the dtype
     adj = np.empty((d, d) + np.shape(det), dtype=np.result_type(det))
     for i in idx:
         for j in idx:
             sign = np.negative if (i + j) % 2 else np.positive
-            sign(minors[i][j], out=adj[i, j])
+            sign(_minor_det(rows, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:],
+                            memo), out=adj[i, j])
     return adj, det
-
-
-def _minors4(a) -> list:
-    """The minors of a 4 x 4 matrix given entry by entry, in adjugate order
-    (entry (i, j) drops row j and column i), by Laplace expansion along the
-    row r left of the pair (0, 1) or (2, 3) that holds row j, with the 2 x 2
-    minors of the other pair; the minor is the left factor, as in
-    _minor_det."""
-    top, low = ({(j, k): a[r0][j] * a[r1][k] - a[r0][k] * a[r1][j]
-                 for j in range(4) for k in range(j + 1, 4)}
-                for r0, r1 in ((0, 1), (2, 3)))
-    return [[pair[c1, c2] * a[r][c0] - pair[c0, c2] * a[r][c1]
-             + pair[c0, c1] * a[r][c2]
-             for r, pair in ((1, low), (0, low), (3, top), (2, top))]
-            # the columns left by column i = 0, 1, 2, 3
-            for c0, c1, c2 in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
 
 
 def elimination(rows) -> tuple[list, list]:

@@ -140,7 +140,7 @@ class WascParams:
             problems.append(
                 "covariance-drift admissibility violated: "
                 f"min eig of omega - (d-1) A'A is {lo:.6g} < -{tol:.3g}")
-        if not matcalc.is_symmetric(om, rtol=1e-10):
+        if not matcalc.is_symmetric(om):
             problems.append("omega must be symmetric")
         _freeze(self, ("mean_rev", "vol_of_vol", "leverage", "omega"),
                 problems)
@@ -195,7 +195,7 @@ class BnsParams:
             problems.append(f"wishart_shape must exceed d-1 = {d - 1}, "
                             f"got {self.wishart_shape}")
         kappa = np.full(d, np.nan)
-        if not matcalc.is_symmetric(self.wishart_scale, rtol=1e-10):
+        if not matcalc.is_symmetric(self.wishart_scale):
             problems.append("wishart_scale must be symmetric")
         elif not (lo := matcalc.min_eigenvalue(self.wishart_scale)) > 0:
             # a singular scale would fail the MGF's inverse
@@ -263,7 +263,7 @@ def covariance_state(cov, d: int) -> np.ndarray:
         raise ValueError(f"cov: expected shape ({d}, {d}), got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ValueError("cov must be finite")
-    if not matcalc.is_symmetric(cov, rtol=1e-10):
+    if not matcalc.is_symmetric(cov):
         raise ValueError("cov must be symmetric")
     lo, tol = matcalc.min_eigenvalue(cov), matcalc.psd_tolerance(cov)
     if lo < -tol:

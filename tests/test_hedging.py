@@ -352,6 +352,32 @@ class TestFourierHedge:
         hedge.prepare(simulate.simulate(bns_ref, state_ref, 1.0, N_STEPS,
                                         N_PATHS, seed=5))
 
+    @pytest.mark.parametrize("kind", ["wasc", "bns"])
+    def test_three_assets_beat_cash(self, kind):
+        # a (0, 2) quadrant and the (1, 2) exchange in one sweep: 2048 paths
+        # x 50 dates x 210 nodes carry two shards' _MIN_SHARD_BASIS_POINTS
+        params = three_asset_params(kind)
+        sim = simulate.simulate(params, STATE_3, 1.0, 50, 2048, seed=5)
+        rate = pricing.integrated_cov_rate(params, STATE_3, 1.0)
+        jobs = []
+        for kernel in (payoffs.quadrant_option(3, "cc", (0, 2),
+                                               (100.0, 110.0)),
+                       payoffs.exchange_option(3, 1, 2)):
+            contour = payoffs.build_contour(
+                kernel, nodes_per_dim=10,
+                decay=payoffs.suggest_decay(kernel, rate, 1.0, 10))
+            cache = backtest.BasisCache(params, contour.model_args, 1.0)
+            cache.prepare(sim)
+            hedge = backtest.FourierHedge(params, cache, contour.weights)
+            price = pricing.fourier_price(params, STATE_3, 1.0, kernel,
+                                          nodes_per_dim=10)
+            jobs += [backtest.HedgeJob("fourier", hedge, kernel.payoff, price),
+                     backtest.HedgeJob("cash", None, kernel.payoff, price)]
+        results = backtest.run_backtest(sim, jobs)
+        for fourier, cash in zip(results[::2], results[1::2]):
+            gain = cash.pnl ** 2 - fourier.pnl ** 2
+            assert gain.mean() > 3.0 * gain.std(ddof=1) / np.sqrt(gain.size)
+
 
 class TestSpotSolve:
     @pytest.mark.parametrize("d", [2, 3])
@@ -1007,14 +1033,36 @@ PRICE_KERNELS = [payoffs.quadrant_option(2, "cc", (0, 1), (100.0, 100.0)),
                  payoffs.exchange_option(2, 0, 1),
                  payoffs.call_option(2, 0, 100.0),
                  payoffs.put_option(2, 0, 100.0)]
+PRICE_KERNELS_3 = [payoffs.call_option(3, 2, 110.0),
+                   payoffs.put_option(3, 1, 90.0),
+                   payoffs.quadrant_option(3, "cc", (0, 2), (100.0, 110.0)),
+                   payoffs.exchange_option(3, 1, 2),
+                   payoffs.geometric_option(3, np.full(3, 1.0 / 3.0), 100.0),
+                   payoffs.spread_option(3, 2, 0, 10.0)]
+
+
+@pytest.fixture(scope="module")
+def price_panels(swap_panels, state_ref):
+    """Per model and d: params, state and a SWAP_PATHS x SWAP_STEPS panel;
+    the swap panels at d = 2, the three-asset sets at d = 3."""
+    out = {}
+    for kind, seed in (("wasc", 101), ("bns", 202)):
+        params, sim, _ = swap_panels[kind]
+        out[kind, 2] = (params, state_ref, sim)
+        three = three_asset_params(kind)
+        out[kind, 3] = (three, STATE_3, simulate.simulate(
+            three, STATE_3, 1.0, SWAP_STEPS, SWAP_PATHS, seed=seed))
+    return out
 
 
 class TestFourierPrice:
     @pytest.mark.parametrize("kind", ["wasc", "bns"])
-    @pytest.mark.parametrize("kernel", PRICE_KERNELS, ids=lambda k: k.name)
-    def test_matches_monte_carlo(self, swap_panels, state_ref, kind, kernel):
-        params, sim, _ = swap_panels[kind]
-        price = pricing.fourier_price(params, state_ref, 1.0, kernel)
+    @pytest.mark.parametrize(
+        "kernel", PRICE_KERNELS + PRICE_KERNELS_3,
+        ids=lambda k: k.name if k.loading.shape[0] == 2 else f"d3_{k.name}")
+    def test_matches_monte_carlo(self, price_panels, kind, kernel):
+        params, state, sim = price_panels[kind, kernel.loading.shape[0]]
+        price = pricing.fourier_price(params, state, 1.0, kernel)
         pay = kernel.payoff(np.exp(sim.log_spot[:, -1]))
         se = pay.std(ddof=1) / np.sqrt(SWAP_PATHS)
         assert abs(price - pay.mean()) <= 3.0 * se

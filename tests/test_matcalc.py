@@ -210,6 +210,9 @@ class TestPsd:
     def test_tolerance_scales_with_norm(self):
         assert matcalc.psd_tolerance(np.eye(2)) == pytest.approx(1e-10)
         assert matcalc.psd_tolerance(100.0 * np.eye(2)) == pytest.approx(1e-8)
+        # the largest absolute entry, as psd_repair counts: 1, where the
+        # spectral norm is 2
+        assert matcalc.psd_tolerance(np.ones((2, 2))) == pytest.approx(1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,8 @@ class TestEliminationPivots:
 # ---------------------------------------------------------------------------
 
 class TestBatchLast:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    # orders 1-6: up to the 6 x 6 eigenbasis of a d = 3 diffusion node
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_products_determinants_and_adjugates(self, d):
         rng = np.random.default_rng(70 + d)
         a = rng.standard_normal((d, d, 6)) + 1j * rng.standard_normal((d, d, 6))
@@ -289,12 +293,7 @@ class TestBatchLast:
         np.testing.assert_allclose(
             np.moveaxis(adj, -1, 0),
             np.linalg.inv(mats) * det[:, None, None], rtol=1e-12)
-        # read off the adjugate's first column; for d = 4 its cofactors
-        # come from the 2 x 2 minors, not det_last's expansion
-        if d == 4:
-            np.testing.assert_allclose(det_adj, det, rtol=1e-12)
-        else:
-            assert np.array_equal(det_adj, det)
+        assert np.array_equal(det_adj, det)
 
     def test_inverse_from_entries(self):
         # a shifted symmetric matrix given by its upper triangle, each entry
@@ -313,15 +312,18 @@ class TestBatchLast:
                                  matcalc.inverse_last(whole)):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("fn", ["matmul_last", "det_last",
-                                    "inverse_last"])
-    def test_entries_bitwise_independent_of_the_stack(self, fn):
+    @pytest.mark.parametrize("fn,d", [
+        ("matmul_last", 3), ("det_last", 3), ("inverse_last", 3),
+        ("inverse_last", 4), ("inverse_last", 6)],
+        ids=["matmul_last", "det_last", "inverse_last", "inverse_last_4",
+             "inverse_last_6"])
+    def test_entries_bitwise_independent_of_the_stack(self, fn, d):
         # 20,000 complex entries a row: numpy reuses a temporary of that
         # size for the result, and its complex product is not bitwise
         # commutative, so a swapped product would change bits here
         rng = np.random.default_rng(9)
-        a = (rng.standard_normal((3, 3, 20000))
-             + 1j * rng.standard_normal((3, 3, 20000)))
+        a = (rng.standard_normal((d, d, 20000))
+             + 1j * rng.standard_normal((d, d, 20000)))
         op = getattr(matcalc, fn)
         args = (a, a[::-1]) if fn == "matmul_last" else (a,)
         whole = op(*args)
@@ -331,15 +333,6 @@ class TestBatchLast:
                 assert np.array_equal(w[..., 7:12], p)
         else:
             assert np.array_equal(whole[..., 7:12], part)
-
-    def test_adjugate_4x4_bitwise_independent_of_the_stack(self):
-        # the 4 x 4 adjugate takes the 2 x 2 minors of row pairs
-        rng = np.random.default_rng(10)
-        a = (rng.standard_normal((4, 4, 20000))
-             + 1j * rng.standard_normal((4, 4, 20000)))
-        whole = matcalc.inverse_last(a)
-        for w, p in zip(whole, matcalc.inverse_last(a[..., 7:12])):
-            assert np.array_equal(w[..., 7:12], p)
 
 
 # ---------------------------------------------------------------------------
