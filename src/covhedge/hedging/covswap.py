@@ -76,9 +76,9 @@ def _coefficients(mean_rev: np.ndarray, e_pair: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """G = mat(int flow' vec E_pair) and c = vec(E_pair)' iint flow vec(drive)
     at each remaining time tau, for the covariance flow of X -> M X + X M'
-    driven by the constant drift ``drive``."""
-    lift = matcalc.kron_lift(mean_rev)
-    _, int1, int2 = matcalc.lift_flows(lift, taus, 3)
+    driven by the constant drift ``drive``: the cached flows of M, which one
+    model's pair systems on one grid share (``models._mean_flows``)."""
+    _, int1, int2 = models._mean_flows(mean_rev, taus, 3)
     g_mats = np.array([matcalc.mat(a.T @ matcalc.vec(e_pair)) for a in int1])
     c_vals = np.einsum("a,kab,b->k", matcalc.vec(e_pair), int2,
                        matcalc.vec(drive))

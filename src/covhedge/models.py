@@ -23,11 +23,13 @@ matrix in the same way.
 The mean covariance solves dS/dt = drive + M S + S M' (drive: Omega, or the
 jump mean), so ``matcalc.lift_flows`` gives it for any M as flow vec Sigma_0
 + int flow vec drive, and its time integral as int flow vec Sigma_0 + double
-int flow vec drive.
+int flow vec drive.  ``_mean_flows`` caches these flows by the value of M
+and the times, read-only, so that calls at one horizon share them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,9 @@ __all__ = [
 # the claim, hedging.backtest.BasisCache.basis the rebalancing date.  Nodes
 # invalid for domain reasons are skipped instead (payoffs.MAX_SKIP_MASS).
 OVERFLOW_RE = 700.0
+
+# distinct (M, times, count) flows kept by _mean_flows; a strip needs two
+_FLOW_MEMO_SIZE = 16
 
 
 def _as_matrix(x, d: int, name: str) -> np.ndarray:
@@ -394,7 +399,8 @@ def jump_covariation(params: BnsParams, r: np.ndarray
 @dataclass(frozen=True)
 class IntegratedMeanMap:
     """Affine map for the conditional integrated covariance mean:
-    int_t^T E[vec Sigma_s | Sigma_t] ds = map @ vec(Sigma_t) + offset."""
+    int_t^T E[vec Sigma_s | Sigma_t] ds = map @ vec(Sigma_t) + offset.
+    Both arrays are read-only: map is a cached flow."""
 
     map: np.ndarray
     offset: np.ndarray
@@ -403,9 +409,23 @@ class IntegratedMeanMap:
 def _mean_flows(mean_rev: np.ndarray, t, count: int):
     """The first count of (flow, int flow, double int flow) of the mean
     covariance ODE dS/dt = drive + M S + S M' over [0, t], in column-stacked
-    form, for a time or an array of times."""
-    return matcalc.lift_flows(matcalc.kron_lift(mean_rev),
-                              np.asarray(t, dtype=float), count)
+    form, for a finite nonnegative time or an array of them.  Cached by the
+    value of M, t and count, so the arrays are read-only and shared."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError("times-to-maturity must be finite and nonnegative")
+    m = np.asarray(mean_rev, dtype=float)
+    return _lifted_flows(m.tobytes(), m.shape, t.tobytes(), t.shape, count)
+
+
+@functools.lru_cache(maxsize=_FLOW_MEMO_SIZE)
+def _lifted_flows(m_bytes, m_shape, t_bytes, t_shape, count) -> tuple:
+    flows = matcalc.lift_flows(
+        matcalc.kron_lift(np.frombuffer(m_bytes).reshape(m_shape)),
+        np.frombuffer(t_bytes).reshape(t_shape), count)
+    for f in flows:
+        f.flags.writeable = False
+    return flows
 
 
 def wasc_mean_cov(params: WascParams, sigma0: np.ndarray, t) -> np.ndarray:
@@ -427,7 +447,9 @@ def wasc_integrated_mean(params: WascParams, t: float, T: float) -> IntegratedMe
     if T < t:
         raise ValueError("need T >= t")
     _, int1, int2 = _mean_flows(params.mean_rev, T - t, 3)
-    return IntegratedMeanMap(int1, int2 @ matcalc.vec(params.omega))
+    offset = int2 @ matcalc.vec(params.omega)
+    offset.flags.writeable = False
+    return IntegratedMeanMap(int1, offset)
 
 
 def bns_integrated_mean(params: BnsParams, sigma0: np.ndarray, T: float) -> np.ndarray:

@@ -188,8 +188,7 @@ def _wasc_maps(params: models.WascParams, h: float) -> tuple:
     exact drift flow over h / 2, with E and C as (d, d, 1) constants."""
     e_half = matcalc.lift_flows(params.mean_rev, np.array(0.5 * h),
                                 1)[0][..., None]
-    lift = matcalc.kron_lift(params.mean_rev)
-    _, k_half = matcalc.lift_flows(lift, np.array(0.5 * h), 2)
+    _, k_half = models._mean_flows(params.mean_rev, 0.5 * h, 2)
     c_half = matcalc.mat(k_half @ matcalc.vec(params.omega))[..., None]
     return h, e_half, c_half
 

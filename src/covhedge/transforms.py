@@ -90,7 +90,8 @@ skipped mass.
   every d, q^{-1} and Q_2D^{-1} are cofactor inverses that their condition
   tests read (``_checked_inverse``).  For the jump model the operator
   int_0^s e^{M'r} (x) e^{M'r} dr mapping D(u) to psi(s, u) does not depend
-  on the node and is built once; each block then needs the Wishart MGF
+  on the node and is built once per (M, s grid) across calls, as the cached
+  mean flow of M' (``models._mean_flows``); each block then needs the MGF
   at every (node, s), whose strip flag and log-determinant come from the
   elimination pivots of scale^{-1} - 2 R, batched with ufunc arithmetic
   (``models.wishart_mgf``).
@@ -500,10 +501,10 @@ def _bns_block(params: models.BnsParams, full: np.ndarray,
     and R goes to the MGF as a (node, s, d, d) view of those rows."""
     d, n_k = params.d, starts.size
     # psi(s, u) = mat(ops[s] @ vec D(u)): ops[s] = int_0^s e^{M'r} (x) e^{M'r}
-    # dr does not depend on the node.  Symmetrised, entry (p, q) is the sum
-    # over the entries k <= l of D (symmetric) of coef[p, q, k, l](s) D_kl
-    _, ops = matcalc.lift_flows(matcalc.kron_lift(params.mean_rev.T),
-                                full, 2)
+    # dr, the mean flow of M', does not depend on the node and is cached
+    # across calls.  Symmetrised, entry (p, q) is the sum over the entries
+    # k <= l of D (symmetric) of coef[p, q, k, l](s) D_kl
+    _, ops = models._mean_flows(params.mean_rev.T, full, 2)
     ops = ops.reshape(full.size, d, d, d, d)
     coef = 0.5 * (ops + ops.swapaxes(1, 2))
     coef = coef + np.where(np.eye(d, dtype=bool), 0.0,

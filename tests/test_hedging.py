@@ -1040,6 +1040,14 @@ PRICE_KERNELS_3 = [payoffs.call_option(3, 2, 110.0),
                    payoffs.geometric_option(3, np.full(3, 1.0 / 3.0), 100.0),
                    payoffs.spread_option(3, 2, 0, 10.0)]
 
+# ten claims of a strip at one maturity
+STRIP_KERNELS = ([payoffs.call_option(2, a, k) for a in (0, 1)
+                  for k in (90.0, 100.0, 110.0)]
+                 + [payoffs.quadrant_option(2, kind, (0, 1), (100.0, 100.0))
+                    for kind in ("cc", "pp")]
+                 + [payoffs.spread_option(2, 0, 1, 5.0),
+                    payoffs.exchange_option(2, 0, 1)])
+
 
 @pytest.fixture(scope="module")
 def price_panels(swap_panels, state_ref):
@@ -1066,6 +1074,28 @@ class TestFourierPrice:
         pay = kernel.payoff(np.exp(sim.log_spot[:, -1]))
         se = pay.std(ddof=1) / np.sqrt(SWAP_PATHS)
         assert abs(price - pay.mean()) <= 3.0 * se
+
+    def test_a_strip_builds_its_mean_flows_once(self, bns_ref, state_ref,
+                                                monkeypatch):
+        # the rate's flow and the jump operator's depend on M and the horizon
+        # alone, so ten claims build two, where each claim built both; a
+        # price has the same bits whether it built them or reused them
+        lift_flows, calls = matcalc.lift_flows, []
+
+        def counted(*args):
+            calls.append(args)
+            return lift_flows(*args)
+
+        monkeypatch.setattr(matcalc, "lift_flows", counted)
+        models._lifted_flows.cache_clear()
+        strip = [pricing.fourier_price(bns_ref, state_ref, 1.0, k)
+                 for k in STRIP_KERNELS]
+        assert len(calls) == 2
+        cold = []
+        for k in STRIP_KERNELS:
+            models._lifted_flows.cache_clear()
+            cold.append(pricing.fourier_price(bns_ref, state_ref, 1.0, k))
+        assert np.array(cold).tobytes() == np.array(strip).tobytes()
 
     @pytest.mark.parametrize("kind", ["wasc", "bns"])
     def test_put_call_parity(self, wasc_ref, bns_ref, state_ref, kind):

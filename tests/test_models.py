@@ -476,3 +476,79 @@ class TestBnsMoments:
         for t in np.linspace(0.0, 2.0, 25):
             m = oracles.bns_mean_cov(bns_ref, SIGMA0_REF, float(t))
             assert matcalc.min_eigenvalue(m) > -matcalc.psd_tolerance(m)
+
+
+# a mean reversion that is not symmetric, so M and M' are two keys
+M_SKEW = np.array([[-1.2, 0.4], [0.1, -0.8]])
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMeanFlowMemo:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.7, np.array([0.0, 0.3, 2.5])])
+    def test_outputs_are_the_bits_of_lift_flows(self, t, count):
+        models._lifted_flows.cache_clear()
+        want = matcalc.lift_flows(matcalc.kron_lift(M_SKEW), np.asarray(t),
+                                  count)
+        for _ in range(2):                        # a miss, then a hit
+            got = models._mean_flows(M_SKEW, t, count)
+            assert len(got) == count
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_outputs_are_read_only(self):
+        for flow in models._mean_flows(M_SKEW, 0.7, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                flow[...] = 0.0
+
+    def test_equal_values_in_new_arrays_hit(self):
+        models._lifted_flows.cache_clear()
+        first = models._mean_flows(M_SKEW, np.array([0.2, 0.9]), 2)
+        again = models._mean_flows(M_SKEW.copy(), np.array([0.2, 0.9]), 2)
+        info = models._lifted_flows.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_keys_do_not_collide(self):
+        models._lifted_flows.cache_clear()
+        flow, = models._mean_flows(M_SKEW, 0.7, 1)
+        flow_t, = models._mean_flows(M_SKEW.T, 0.7, 1)
+        assert not np.allclose(flow, flow_t)
+        assert same_bits(flow_t, matcalc.lift_flows(
+            matcalc.kron_lift(M_SKEW.T), np.asarray(0.7), 1)[0])
+        assert models._mean_flows(M_SKEW, [0.7], 1)[0].shape == (1, 4, 4)
+        assert len(models._mean_flows(M_SKEW, 0.7, 2)) == 2
+        assert len(models._mean_flows(M_SKEW, 0.7, 3)) == 3
+        info = models._lifted_flows.cache_info()
+        assert (info.hits, info.misses) == (0, 5)
+
+
+class TestMeanTimeRefused:
+    """A time that is not finite and nonnegative is refused by every public
+    mean function, not turned into a nan or a negative integral."""
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_wasc_mean_cov(self, wasc_ref, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            models.wasc_mean_cov(wasc_ref, SIGMA0_REF, t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            models.wasc_mean_cov(wasc_ref, SIGMA0_REF, np.array([0.5, t]))
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+    def test_wasc_integrated_mean(self, wasc_ref, T):
+        # T < t keeps its own message
+        with pytest.raises(ValueError,
+                           match="finite and nonnegative|T >= t"):
+            models.wasc_integrated_mean(wasc_ref, 0.0, T)
+
+    @pytest.mark.parametrize("t", [np.nan, -np.inf])
+    def test_wasc_integrated_mean_start(self, wasc_ref, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            models.wasc_integrated_mean(wasc_ref, t, 1.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+    def test_bns_integrated_mean(self, bns_ref, T):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            models.bns_integrated_mean(bns_ref, SIGMA0_REF, T)
